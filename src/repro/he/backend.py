@@ -17,6 +17,7 @@ import numpy as np
 from repro.fftcore.approx_pipeline import ApproxNegacyclic, ApproxSpectrum
 from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.he.poly import RingPoly
+from repro.ntt.rns import RnsBasis
 from repro.obs import trace as obs_trace
 
 #: Default byte budget for the bounded weight-spectrum caches.  Generous for
@@ -187,20 +188,42 @@ class FftPolyMulBackend(PolyMulBackend):
     @obs_trace.traced("he.fft_multiply")
     def multiply(self, poly: RingPoly, weights: np.ndarray) -> RingPoly:
         n = poly.basis.n
-        q = poly.basis.modulus
         pipe = self.pipeline(n)
         w_spec = self.weight_spectrum(n, np.asarray(weights))
-        # Centered lift loses only bits beyond float64's 53-bit mantissa --
-        # exactly the LSB error the approximate scheme is designed to absorb.
-        centered = np.array(
-            [float(v) for v in poly.to_centered()], dtype=np.float64
-        )
-        a_spec = pipe.activation_forward(centered)
-        product = pipe.multiply_spectra(w_spec, a_spec)
-        ints = [int(round(float(v))) % q for v in product]
-        return RingPoly(
-            poly.basis, poly.basis.to_rns(np.array(ints, dtype=object))
-        )
+        a_spec = pipe.activation_forward(centered_lift(poly))
+        return round_to_ring(poly.basis, pipe.multiply_spectra(w_spec, a_spec))
+
+
+def centered_lift(poly: RingPoly) -> np.ndarray:
+    """The centered CRT lift of ``poly`` as float64.
+
+    It loses only bits beyond float64's 53-bit mantissa -- exactly the LSB
+    error the approximate scheme is designed to absorb.  Both the int64
+    cast and ``float(int)`` (object dtype, q >= 2**62) round to nearest
+    even, so the lift is the same on either CRT path.
+    """
+    ints = poly.basis._crt(poly.residues, centered=True)
+    # repro-lint: disable=DTYPE001  the float64 rounding of the lift is
+    # the approximation FLASH tolerates (see above), not a silent loss
+    return ints.astype(np.float64)
+
+
+def round_to_ring(basis: RnsBasis, product: np.ndarray) -> RingPoly:
+    """Round a float64 product to integers and reduce it into ``basis``.
+
+    ``np.rint`` rounds half to even like ``round()``; values at or above
+    ``2**53`` are already integers.  ``np.mod`` per prime is then exact:
+    ``fmod`` is exact in IEEE arithmetic and every prime is below ``2**53``,
+    so the sign fix-up ``mod + p`` is an exact integer sum.  Reducing mod
+    each prime equals reducing mod q first, since each prime divides q.
+    """
+    rounded = np.rint(product)
+    if not np.all(np.isfinite(rounded)):
+        raise OverflowError("non-finite FFT product cannot be rounded")
+    return RingPoly(
+        basis,
+        [np.mod(rounded, float(p)).astype(np.uint64) for p in basis.primes],
+    )
 
 
 def fp_fft_backend() -> FftPolyMulBackend:

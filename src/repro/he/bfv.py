@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.he.params import BfvParameters
 from repro.he.poly import RingPoly, gaussian_poly, ternary_poly, uniform_poly
+from repro.ntt.modmath import mulmod
+from repro.obs import trace as obs_trace
 
 
 @dataclass
@@ -42,13 +44,6 @@ class Ciphertext:
         return Ciphertext(self.c0.copy(), self.c1.copy())
 
 
-def _round_div(a: int, b: int) -> int:
-    """Round-to-nearest integer division (ties away from zero), b > 0."""
-    if a >= 0:
-        return (2 * a + b) // (2 * b)
-    return -((-2 * a + b) // (2 * b))
-
-
 class BfvContext:
     """Stateless BFV operation set bound to one parameter set.
 
@@ -59,6 +54,11 @@ class BfvContext:
     def __init__(self, params: BfvParameters):
         self.params = params
         self.basis = params.basis
+        q, t = params.q, params.t
+        # _decode in int64 keeps 2*t*r + q - 2*k*rho (r < Delta, k <= q/2
+        # / Delta) and the noise residual below 2**63.
+        k_max = (q // 2) // params.delta
+        self._int64_decode = q < 1 << 61 and 2 * k_max * (q % t) < 1 << 61
 
     # ------------------------------------------------------------------
     # Key generation and encryption
@@ -78,10 +78,15 @@ class BfvContext:
         m = np.asarray(plaintext)
         if m.shape != (self.params.n,):
             raise ValueError(f"expected {self.params.n} plaintext slots")
-        lifted = [int(v) % t for v in m.tolist()]
+        if m.dtype not in (object, np.uint64):  # int64 would wrap uint64
+            m = m.astype(np.int64)
+        m = (m % t).astype(np.int64)
         delta = self.params.delta
-        scaled = np.array([delta * v for v in lifted], dtype=object)
-        return RingPoly.from_signed(self.basis, scaled)
+        residues = [
+            mulmod((m % p).astype(np.uint64), delta % p, p)
+            for p in self.basis.primes
+        ]
+        return RingPoly(self.basis, residues)
 
     def encrypt(
         self, pk: PublicKey, plaintext, rng: np.random.Generator
@@ -107,16 +112,59 @@ class BfvContext:
     # ------------------------------------------------------------------
 
     def _phase(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
-        """Decryption phase ``c0 + c1*s`` as centered big integers."""
-        return (ct.c0 + ct.c1 * sk.s).to_centered()
+        """Decryption phase ``c0 + c1*s``, centered (int64 below q = 2**62)."""
+        phase = ct.c0 + ct.c1 * sk.s
+        return self.basis._crt(phase.residues, centered=True)
+
+    def _decode(self, phase: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Message ``round(t*x/q) mod t`` (ties away from zero) and the
+        infinity norm of the centered noise ``x - Delta*m`` of a phase.
+
+        With ``|x| = k*Delta + r`` and ``rho = q mod t``, ``round(t*|x|/q)
+        = k + floor((2*r*t + q - 2*k*rho) / 2q)``; for the signed rounding
+        ``s`` and ``m = s - j*t``, ``x - Delta*m = x - Delta*s - j*rho``
+        mod q (docs/algorithms.md, section 6).  Exact in int64 within the
+        bounds checked in ``__init__``, on Python ints otherwise.
+        """
+        q, t, delta = self.params.q, self.params.t, self.params.delta
+        rho = q % t
+        x = np.asarray(phase).astype(np.int64 if self._int64_decode else object)
+        magnitude = np.abs(x)
+        k = magnitude // delta
+        r = magnitude - delta * k
+        carry = (2 * t * r + q - 2 * rho * k) // (2 * q)
+        sign = np.where(x < 0, -1, 1)
+        rounded = sign * (k + carry)
+        message = rounded % t
+        wraps = (rounded - message) // t
+        # repro-lint: disable=MOD002  floored division on int64 below 2**62
+        # in magnitude (or on Python ints) with q > 0: exact, into [0, q)
+        residual = (sign * (r - delta * carry) - rho * wraps) % q
+        residual = np.where(residual > q // 2, residual - q, residual)
+        worst = int(np.max(np.abs(residual))) if residual.size else 0
+        return message.astype(np.int64), worst
+
+    def _budget_bits(self, noise: int) -> float:
+        ceiling = self.params.noise_ceiling
+        if noise == 0:
+            return float(math.log2(ceiling))
+        return float(math.log2(ceiling) - math.log2(noise))
 
     def decrypt(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
         """Decrypt to the mod-t message vector (int64)."""
-        q, t = self.params.q, self.params.t
-        phase = self._phase(sk, ct)
-        return np.array(
-            [_round_div(int(v) * t, q) % t for v in phase], dtype=np.int64
-        )
+        return self._decode(self._phase(sk, ct))[0]
+
+    @obs_trace.traced("he.decrypt")
+    def decrypt_with_budget(
+        self, sk: SecretKey, ct: Ciphertext
+    ) -> Tuple[np.ndarray, float]:
+        """:meth:`decrypt` and :meth:`noise_budget` from one phase.
+
+        Returns ``(message, budget_bits)``, bit-identical to the two
+        separate calls at half the cost (the phase is the expensive part).
+        """
+        message, noise = self._decode(self._phase(sk, ct))
+        return message, self._budget_bits(noise)
 
     def decrypt_signed(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
         """Decrypt and center the message into ``[-t/2, t/2)``."""
@@ -126,19 +174,7 @@ class BfvContext:
 
     def noise_infinity(self, sk: SecretKey, ct: Ciphertext) -> int:
         """Infinity norm of the noise ``(c0 + c1*s) - Delta*m`` (centered)."""
-        q = self.params.q
-        phase = self._phase(sk, ct)
-        m = self.decrypt(sk, ct)
-        delta = self.params.delta
-        worst = 0
-        for v, mi in zip(phase, m.tolist()):
-            # repro-lint: disable=MOD002  Python big ints with floored
-            # division: the negative difference reduces into [0, q) exactly
-            residual = (int(v) - delta * int(mi)) % q
-            if residual > q // 2:
-                residual -= q
-            worst = max(worst, abs(residual))
-        return worst
+        return self._decode(self._phase(sk, ct))[1]
 
     def noise_budget(self, sk: SecretKey, ct: Ciphertext) -> float:
         """Remaining noise budget in bits: ``log2(q/(2t) / |noise|_inf)``.
@@ -146,11 +182,7 @@ class BfvContext:
         Decryption stays correct while the budget is positive (the
         kernel-level robustness bound of Section III-A).
         """
-        noise = self.noise_infinity(sk, ct)
-        ceiling = self.params.noise_ceiling
-        if noise == 0:
-            return float(math.log2(ceiling))
-        return float(math.log2(ceiling) - math.log2(noise))
+        return self._budget_bits(self.noise_infinity(sk, ct))
 
     # ------------------------------------------------------------------
     # Homomorphic evaluation

@@ -17,6 +17,10 @@ import numpy as np
 from repro.ntt import modmath
 from repro.ntt.ntt import get_ntt
 
+#: Moduli below this take the int64 CRT path (every partial sum of the
+#: mixed-radix recombination, and ``x - q`` when centering, fits int64).
+_INT64_CRT_LIMIT = 1 << 62
+
 
 class RnsBasis:
     """A CRT basis ``q = q_0 * q_1 * ... * q_{L-1}`` of NTT primes.
@@ -42,10 +46,9 @@ class RnsBasis:
         self.primes = tuple(primes)
         self.n = n
         self.modulus = math.prod(primes)
-        # CRT reconstruction constants: q/q_i and (q/q_i)^-1 mod q_i.
-        self._q_hat = [self.modulus // p for p in primes]
-        self._q_hat_inv = [
-            pow(qh % p, -1, p) for qh, p in zip(self._q_hat, primes)
+        # Garner constants: (q_0 * ... * q_{i-1})^-1 mod q_i.
+        self._garner_inv = [
+            pow(math.prod(primes[:i]) % p, -1, p) for i, p in enumerate(primes)
         ]
         self._ntts = [get_ntt(n, p) for p in primes]
 
@@ -78,44 +81,69 @@ class RnsBasis:
         of uint64 arrays, one per basis prime.
         """
         coeffs = np.asarray(coeffs)
-        out = []
-        for p in self.primes:
-            if coeffs.dtype == object:
-                out.append(
-                    np.array([int(c) % p for c in coeffs.tolist()], dtype=np.uint64)
-                )
-            else:
-                out.append((coeffs.astype(np.int64) % np.int64(p)).astype(np.uint64))
-        return out
+        if coeffs.dtype == object:
+            # Python-int remainders, applied element-wise by numpy: exact.
+            return [(coeffs % p).astype(np.uint64) for p in self.primes]
+        signed = coeffs.astype(np.int64)
+        return [(signed % np.int64(p)).astype(np.uint64) for p in self.primes]
 
     def from_rns(self, residues: Sequence[np.ndarray]) -> np.ndarray:
         """CRT-reconstruct residues into integers in ``[0, q)``.
 
         Returns an object-dtype array (values can exceed 64 bits).
         """
-        if len(residues) != len(self.primes):
-            raise ValueError("residue count does not match basis size")
-        n = len(residues[0])
-        values = [0] * n
-        for res, p, q_hat, q_hat_inv in zip(
-            residues, self.primes, self._q_hat, self._q_hat_inv
-        ):
-            res_list = [int(v) for v in np.asarray(res, dtype=np.uint64).tolist()]
-            for i, r in enumerate(res_list):
-                # repro-lint: disable=MOD001  CRT recombination on Python
-                # big ints (q exceeds 64 bits by design); exact
-                values[i] += (r * q_hat_inv % p) * q_hat
-        q = self.modulus
-        return np.array([v % q for v in values], dtype=object)
+        return self._crt(residues, centered=False).astype(object)
 
     def centered(self, residues: Sequence[np.ndarray]) -> np.ndarray:
-        """CRT-reconstruct into the centered interval ``[-q/2, q/2)``."""
-        vals = self.from_rns(residues)
-        half = self.modulus // 2
-        return np.array(
-            [int(v) - self.modulus if int(v) > half else int(v) for v in vals],
-            dtype=object,
-        )
+        """CRT-reconstruct into the centered interval ``[-q/2, q/2)``.
+
+        Returns an object-dtype array (values can exceed 64 bits).
+        """
+        return self._crt(residues, centered=True).astype(object)
+
+    def _garner_digits(self, residues: Sequence[np.ndarray]) -> list:
+        """Mixed-radix digits ``v_i`` in ``[0, q_i)`` of the CRT value
+        ``x = v_0 + v_1*q_0 + v_2*q_0*q_1 + ...`` (uint64 arrays).
+
+        ``v_i = (r_i - (v_0 + v_1*q_0 + ...)) * (q_0*...*q_{i-1})^-1 mod q_i``,
+        with the partial sum evaluated by Horner's rule modulo ``q_i``.
+        """
+        if len(residues) != len(self.primes):
+            raise ValueError("residue count does not match basis size")
+        digits = []
+        for i, (res, p) in enumerate(zip(residues, self.primes)):
+            v = np.asarray(res, dtype=np.uint64) % np.uint64(p)
+            if i:
+                acc = digits[i - 1] % np.uint64(p)
+                for j in range(i - 2, -1, -1):
+                    acc = modmath.addmod(
+                        modmath.mulmod(acc, self.primes[j] % p, p),
+                        digits[j] % np.uint64(p),
+                        p,
+                    )
+                v = modmath.mulmod(
+                    modmath.submod(v, acc, p), self._garner_inv[i], p
+                )
+            digits.append(v)
+        return digits
+
+    def _crt(self, residues: Sequence[np.ndarray], centered: bool) -> np.ndarray:
+        """CRT reconstruction, int64 when ``q < 2**62`` and object otherwise.
+
+        The int64 form is what the hot paths (decryption, the FFT lift)
+        consume; :meth:`from_rns`/:meth:`centered` box it into Python ints.
+        Centering maps values above ``q // 2`` to ``value - q``.
+        """
+        digits = self._garner_digits(residues)
+        q = self.modulus
+        # Every Horner partial sum is below q: exact in int64 for q < 2**62.
+        dtype = np.int64 if q < _INT64_CRT_LIMIT else object
+        x = digits[-1].astype(dtype)
+        for d, p in zip(digits[-2::-1], self.primes[-2::-1]):
+            x = x * p + d.astype(dtype)
+        if centered:
+            x = np.where(x > q // 2, x - q, x)
+        return x
 
     # ------------------------------------------------------------------
     # Ring arithmetic (component-wise over the basis)

@@ -589,13 +589,11 @@ class HybridConvProtocol(_ResilientProtocolMixin):
                 stats[item].bytes_received += ciphertext_bytes(self.params)
                 # Server -> client hop.
                 ct_out = self._transfer_ct(ct_out, stats[item])
+                message, budget = ctx.decrypt_with_budget(party.sk, ct_out)
                 stats[item].min_noise_budget = min(
-                    stats[item].min_noise_budget,
-                    ctx.noise_budget(party.sk, ct_out),
+                    stats[item].min_noise_budget, budget
                 )
-                y_client[m] = ring.reduce(
-                    enc.extract_output(ctx.decrypt(party.sk, ct_out))
-                )
+                y_client[m] = ring.reduce(enc.extract_output(message))
                 y_server[m] = ring.reduce(enc.extract_output(r))
             results.append((y_client, y_server))
         return results
@@ -657,12 +655,9 @@ class HybridConvProtocol(_ResilientProtocolMixin):
             stats.bytes_received += ciphertext_bytes(self.params)
             # Server -> client hop.
             ct_out = self._transfer_ct(ct_out, stats)
-            stats.min_noise_budget = min(
-                stats.min_noise_budget, ctx.noise_budget(party.sk, ct_out)
-            )
-            y_client[m] = ring.reduce(
-                enc.extract_output(ctx.decrypt(party.sk, ct_out))
-            )
+            message, budget = ctx.decrypt_with_budget(party.sk, ct_out)
+            stats.min_noise_budget = min(stats.min_noise_budget, budget)
+            y_client[m] = ring.reduce(enc.extract_output(message))
             y_server[m] = ring.reduce(enc.extract_output(r))
         return y_client, y_server
 
@@ -813,10 +808,9 @@ class HybridLinearProtocol(_ResilientProtocolMixin):
         for key, ct_out in masked.items():
             # Server -> client hop.
             ct_out = self._transfer_ct(ct_out, stats)
-            stats.min_noise_budget = min(
-                stats.min_noise_budget, ctx.noise_budget(party.sk, ct_out)
-            )
-            client_products[key] = ctx.decrypt(party.sk, ct_out)
+            message, budget = ctx.decrypt_with_budget(party.sk, ct_out)
+            stats.min_noise_budget = min(stats.min_noise_budget, budget)
+            client_products[key] = message
         y_client = ring.reduce(enc.decode_output(client_products))
         y_server = ring.reduce(enc.decode_output(masks))
 

@@ -38,16 +38,20 @@ from repro.encoding.conv_encoding import (
 from repro.faults.inject import FaultRecovery
 from repro.fftcore.approx_pipeline import ApproxNegacyclic
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.he.backend import FftPolyMulBackend, NttPolyMulBackend
+from repro.he.backend import (
+    FftPolyMulBackend,
+    NttPolyMulBackend,
+    centered_lift,
+    round_to_ring,
+)
 from repro.he.poly import RingPoly
 from repro.ntt import find_ntt_primes, get_ntt
 from repro.ntt.modmath import centered, from_centered, mulmod
 from repro.obs import trace as obs_trace
 from repro.runtime.plan_cache import PlanCache, approx_config_key
 
-#: Float64 keeps integers exact below this; larger rounded values take the
-#: slow Python-int path so results match the per-call reference exactly.
-_FLOAT_EXACT = float(1 << 53)
+#: Magnitude from which a rounded float no longer fits in int64.
+_INT64_BOUND = float(1 << 63)
 
 
 def fan_out(
@@ -223,13 +227,15 @@ class _Timer:
 
 def _round_rows_exact(rows: np.ndarray) -> np.ndarray:
     """Round a float ``(J, n)`` batch to int64, bit-compatible with the
-    per-call path's ``int(round(float(v)))`` (both round half-to-even)."""
-    if rows.size and float(np.max(np.abs(rows))) >= _FLOAT_EXACT:
-        return np.array(
-            [[int(round(float(v))) for v in row] for row in rows],
-            dtype=np.int64,
-        )
-    return np.rint(rows).astype(np.int64)
+    per-call path's ``int(round(float(v)))`` (both round half-to-even).
+
+    Float64 values at or above ``2**53`` are already integers, so the cast
+    is exact at every magnitude int64 can hold; larger values raise.
+    """
+    rounded = np.rint(rows)
+    if rounded.size and not float(np.max(np.abs(rounded))) < _INT64_BOUND:
+        raise OverflowError("rounded HConv output does not fit in int64")
+    return rounded.astype(np.int64)
 
 
 class BatchedHConvEngine:
@@ -857,8 +863,8 @@ class BatchedFftBackend(FftPolyMulBackend):
     stacks the centered lifts of every ciphertext polynomial and runs the
     activation transforms, pointwise products and inverse transforms as
     single batched passes.  The CRT lift and the final rounding/reduction
-    stay in exact Python-int arithmetic (identical to the serial path), so
-    batched results are bit-identical to per-call ``multiply``.
+    are the serial path's own helpers (``centered_lift``/``round_to_ring``),
+    so batched results are bit-identical to per-call ``multiply``.
     """
 
     _stats_mode = "flash"
@@ -913,16 +919,13 @@ class BatchedFftBackend(FftPolyMulBackend):
                 polys, weights_list,
             )
         basis = polys[0].basis
-        n, q = basis.n, basis.modulus
+        n = basis.n
         pipe = self.pipeline(n)
         w_rows, mult_stats = self._weight_rows(n, weights_list)
 
         def lift_job(index: int) -> np.ndarray:
             self._maybe_poison(("lift", index))
-            return np.array(
-                [float(v) for v in polys[index].to_centered()],
-                dtype=np.float64,
-            )
+            return centered_lift(polys[index])
 
         recovery = FaultRecovery()
         lifts = fan_out(
@@ -933,10 +936,7 @@ class BatchedFftBackend(FftPolyMulBackend):
 
         def reduce_job(index: int) -> RingPoly:
             self._maybe_poison(("reduce", index))
-            ints = [int(round(float(v))) % q for v in products[index]]
-            return RingPoly(
-                basis, basis.to_rns(np.array(ints, dtype=object))
-            )
+            return round_to_ring(basis, products[index])
 
         out = fan_out(
             range(len(products)), reduce_job, self.max_workers,

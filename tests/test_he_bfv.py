@@ -16,6 +16,8 @@ from repro.he import (
     preset,
     toy_preset,
 )
+from repro.he.bfv import Ciphertext, SecretKey
+from repro.he.poly import RingPoly
 from repro.ntt import negacyclic_convolution_naive
 
 
@@ -308,3 +310,163 @@ class TestCachedNttBackend:
         w[0] = 1
         with pytest.raises(MemoryError):
             ctx.multiply_plain(ct, w, backend)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the big-int oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_round_div(a, b):
+    """Round-to-nearest ``a / b``, ties away from zero (Python ints)."""
+    if a >= 0:
+        return (2 * a + b) // (2 * b)
+    return -((-2 * a + b) // (2 * b))
+
+
+def _oracle_decode(phase, q, t):
+    """Message and noise infinity norm of centered phases, on Python ints."""
+    delta = q // t
+    message = [_oracle_round_div(x * t, q) % t for x in phase]
+    worst = 0
+    for x, m in zip(phase, message):
+        residual = (x - delta * m) % q
+        if residual > q // 2:
+            residual -= q
+        worst = max(worst, abs(residual))
+    return message, worst
+
+
+def _phase_ciphertext(basis, phase):
+    """A ciphertext ``(x, 0)``: its decryption phase is ``x`` for any key."""
+    residues = [np.array([x % p for x in phase], dtype=np.uint64)
+                for p in basis.primes]
+    return Ciphertext(RingPoly(basis, residues), RingPoly.zero(basis))
+
+
+_Q_BITS = [(30,), (39,), (30, 30), (30, 30, 30)]
+_PLAIN = [1 << 10, 1 << 18, 1 << 21, 65537]
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(bits, t) for bits in _Q_BITS for t in _PLAIN],
+    ids=lambda p: f"q{sum(p[0])}-t{p[1]}",
+)
+def diff_ctx(request):
+    bits, t = request.param
+    return BfvContext(BfvParameters(n=64, plain_modulus=t, q_bits=bits))
+
+
+class TestDecodeDifferential:
+    @staticmethod
+    def _phases(ctx, seed):
+        """Centered phases: uniform garbage, the neighbours of rounding
+        half-points ``(2k+1)q/2t`` of both signs, and the edges.
+
+        q is a product of odd primes, so ``2tx = (2k+1)q`` has no integer
+        solution and an exact tie never occurs.  The closest approach is
+        ``(2k+1)q = 2tx -+ 1``: the odd ``2k+1`` is then ``-+q^-1 mod 2t``.
+        """
+        q, t = ctx.params.q, ctx.params.t
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, 1 << 62, size=(30, 2)).tolist()
+        phase = [((hi << 62) | lo) % q - q // 2 for hi, lo in words]
+        inv = pow(q, -1, 2 * t)
+        odds = [inv, 2 * t - inv, 1, 2 * t - 1] + [
+            2 * k + 1 for k in rng.integers(0, t // 2, size=2).tolist()
+        ]
+        for odd in odds:
+            half = odd * q // (2 * t)
+            for x in (half, half + 1):
+                x = (x + q // 2) % q - q // 2  # centered representative
+                phase += [x, -x]
+        phase += [0, 1, -1, q // 2, -(q // 2)]
+        return (phase + [0] * 64)[:64]
+
+    def test_decrypt_and_noise_match_oracle(self, diff_ctx):
+        ctx = diff_ctx
+        sk = SecretKey(RingPoly.zero(ctx.basis))
+        for seed in (50, 51):
+            phase = self._phases(ctx, seed)
+            ct = _phase_ciphertext(ctx.basis, phase)
+            message, noise = _oracle_decode(phase, ctx.params.q, ctx.params.t)
+            assert ctx.decrypt(sk, ct).tolist() == message
+            assert ctx.noise_infinity(sk, ct) == noise
+
+    def test_decrypt_with_budget_is_both_calls(self, diff_ctx):
+        ctx = diff_ctx
+        rng = np.random.default_rng(52)
+        sk, _ = ctx.keygen(rng)
+        m = rng.integers(0, ctx.params.t, size=ctx.params.n)
+        for ct in (
+            ctx.encrypt_symmetric(sk, m, rng),
+            _phase_ciphertext(ctx.basis, self._phases(ctx, 53)),
+        ):
+            message, budget = ctx.decrypt_with_budget(sk, ct)
+            assert np.array_equal(message, ctx.decrypt(sk, ct))
+            assert message.dtype == np.int64
+            assert budget == ctx.noise_budget(sk, ct)
+
+    def test_encode_matches_oracle(self, diff_ctx):
+        ctx = diff_ctx
+        q, t, n = ctx.params.q, ctx.params.t, ctx.params.n
+        delta = ctx.params.delta
+        rng = np.random.default_rng(54)
+        signed = rng.integers(-(1 << 40), 1 << 40, size=n)
+        cases = [
+            signed,
+            signed.astype(np.uint64),  # wraps: exercises the uint64 branch
+            np.array([int(v) << 70 for v in signed], dtype=object),
+        ]
+        for m in cases:
+            got = ctx._encode(m)
+            for p, res in zip(ctx.basis.primes, got.residues):
+                expected = [delta * (int(v) % t) % q % p for v in m.tolist()]
+                assert res.dtype == np.uint64
+                assert res.tolist() == expected
+
+
+class TestFftLiftReduce:
+    """The FFT backends' CRT lift and rounding reduction vs the oracle."""
+
+    @pytest.fixture(scope="class", params=[(30, 30), (30, 30, 30)],
+                    ids=["q60", "q90"])
+    def basis(self, request):
+        return BfvParameters(n=64, plain_modulus=1 << 10,
+                             q_bits=request.param).basis
+
+    def test_lift_rounds_like_float_of_int(self, basis):
+        from repro.he.backend import centered_lift
+
+        q = basis.modulus
+        rng = np.random.default_rng(60)
+        words = rng.integers(0, 1 << 62, size=(64, 2)).tolist()
+        phase = [((hi << 62) | lo) % q - q // 2 for hi, lo in words]
+        phase[:4] = [-1, -(1 << 53) - 1, (1 << 53) + 1, -(q // 2)]
+        poly = _phase_ciphertext(basis, phase).c0
+        lift = centered_lift(poly)
+        assert lift.dtype == np.float64
+        assert lift.tolist() == [float(v) for v in phase]
+
+    def test_reduce_rounds_half_even_then_mod_q(self, basis):
+        from repro.he.backend import round_to_ring
+
+        q = basis.modulus
+        rng = np.random.default_rng(61)
+        product = rng.normal(0.0, 2.0 ** 50, size=64)
+        product[:10] = [2.5, -2.5, 3.5, -3.5, -0.4, -0.0,
+                        2.0 ** 53 + 2, -(2.0 ** 60), 2.0 ** 70, -(2.0 ** 80)]
+        poly = round_to_ring(basis, product)
+        ints = [int(round(float(v))) % q for v in product]
+        for p, res in zip(basis.primes, poly.residues):
+            assert res.dtype == np.uint64
+            assert res.tolist() == [v % p for v in ints]
+
+    def test_reduce_rejects_non_finite(self, basis):
+        from repro.he.backend import round_to_ring
+
+        product = np.zeros(64)
+        product[3] = np.inf
+        with pytest.raises(OverflowError):
+            round_to_ring(basis, product)

@@ -197,3 +197,80 @@ class TestRnsBasis:
         (p,) = find_ntt_primes(30, 64)
         with pytest.raises(ValueError):
             RnsBasis([p, p], 64)
+
+
+def _bigint_crt(basis, residues):
+    """Test oracle: the textbook CRT sum on Python ints, in ``[0, q)``."""
+    q = basis.modulus
+    values = [0] * len(residues[0])
+    for res, p in zip(residues, basis.primes):
+        q_hat = q // p
+        q_hat_inv = pow(q_hat % p, -1, p)
+        for i, r in enumerate(np.asarray(res).tolist()):
+            values[i] += (int(r) * q_hat_inv % p) * q_hat
+    return [v % q for v in values]
+
+
+class TestRnsCrtDifferential:
+    """Vectorized Garner CRT against the big-int oracle, q of 30-90 bits."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(30,), (39,), (30, 30), (20, 20, 20), (30, 30, 30)],
+        ids=["q30", "q39", "q60", "q60x3", "q90"],
+    )
+    def basis(self, request):
+        return RnsBasis.generate(64, list(request.param))
+
+    @staticmethod
+    def _values(basis, seed):
+        """Uniform values in [0, q) plus the interval edges."""
+        q = basis.modulus
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, 1 << 62, size=(64, 2)).tolist()
+        vals = [((hi << 62) | lo) % q for hi, lo in words]
+        vals[:5] = [0, 1, q // 2, q // 2 + 1, q - 1]
+        return vals
+
+    def test_from_rns_and_centered_match_oracle(self, basis):
+        q = basis.modulus
+        vals = self._values(basis, 20)
+        residues = [np.array([v % p for v in vals], dtype=np.uint64)
+                    for p in basis.primes]
+        assert _bigint_crt(basis, residues) == vals
+        back = basis.from_rns(residues)
+        assert back.dtype == object
+        assert [int(v) for v in back] == vals
+        cent = basis.centered(residues)
+        assert cent.dtype == object
+        assert [int(v) for v in cent] == [v - q if v > q // 2 else v for v in vals]
+
+    def test_int64_form_below_2_62(self, basis):
+        vals = self._values(basis, 21)
+        residues = basis.to_rns(np.array(vals, dtype=object))
+        fast = basis._crt(residues, centered=True)
+        expected = [int(v) for v in basis.centered(residues)]
+        if basis.modulus < 1 << 62:
+            assert fast.dtype == np.int64
+        else:
+            assert fast.dtype == object
+        assert [int(v) for v in fast] == expected
+
+    def test_to_rns_object_and_signed(self, basis):
+        rng = np.random.default_rng(22)
+        big = [int(v) * (1 << 40) - (1 << 70) for v in rng.integers(0, 1 << 40, 64)]
+        for p, res in zip(basis.primes, basis.to_rns(np.array(big, dtype=object))):
+            assert res.dtype == np.uint64
+            assert res.tolist() == [v % p for v in big]
+        small = rng.integers(-(1 << 62), 1 << 62, size=64)
+        for p, res in zip(basis.primes, basis.to_rns(small)):
+            assert res.tolist() == [int(v) % p for v in small]
+
+    def test_unreduced_residues_accepted(self, basis):
+        # The oracle reduces each residue first; so must the Garner digits.
+        rng = np.random.default_rng(23)
+        residues = [rng.integers(0, 1 << 62, size=64, dtype=np.uint64)
+                    for _ in basis.primes]
+        assert [int(v) for v in basis.from_rns(residues)] == _bigint_crt(
+            basis, residues
+        )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.encoding import ConvShape, LinearShape
-from repro.he import flash_backend, fp_fft_backend, toy_preset
+from repro.he import BfvContext, flash_backend, fp_fft_backend, toy_preset
 from repro.protocol import (
     HybridConvProtocol,
     HybridLinearProtocol,
@@ -219,3 +219,61 @@ class TestHybridLinear:
             HybridLinearProtocol(params, shape).run(
                 x, w, np.random.default_rng(13), session
             )
+
+
+def _separate_decrypt(ctx, sk, ct):
+    """The two-call form ``decrypt_with_budget`` replaces."""
+    return ctx.decrypt(sk, ct), ctx.noise_budget(sk, ct)
+
+
+class TestFusedDecryption:
+    """Every protocol site's ``decrypt_with_budget`` equals separate
+    ``noise_budget`` + ``decrypt`` calls, bit for bit."""
+
+    @staticmethod
+    def _both(monkeypatch, run):
+        fused = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(BfvContext, "decrypt_with_budget", _separate_decrypt)
+            separate = run()
+        return fused, separate
+
+    @staticmethod
+    def _assert_same(fused, separate):
+        assert np.array_equal(fused.client_share, separate.client_share)
+        assert np.array_equal(fused.server_share, separate.server_share)
+        budget = fused.stats.min_noise_budget
+        assert budget == separate.stats.min_noise_budget
+        assert 0 < budget < float("inf")
+
+    def test_conv_run_and_run_batch(self, params, session, monkeypatch):
+        shape = ConvShape.square(8, 4, 2, 3)  # 2 tiles, 2 out channels
+        rng = np.random.default_rng(14)
+        xs = rng.integers(-8, 8, size=(2, 8, 4, 4))
+        w = rng.integers(-8, 8, size=(2, 8, 3, 3))
+        protocol = HybridConvProtocol(
+            params, shape, flash_backend(params.n, stage_widths=30, twiddle_k=5)
+        )
+        fused, separate = self._both(
+            monkeypatch,
+            lambda: protocol.run(xs[0], w, np.random.default_rng(15), session),
+        )
+        self._assert_same(fused, separate)
+        fused, separate = self._both(
+            monkeypatch,
+            lambda: protocol.run_batch(xs, w, np.random.default_rng(16), session),
+        )
+        for a, b in zip(fused, separate):
+            self._assert_same(a, b)
+
+    def test_linear_run(self, params, session, monkeypatch):
+        shape = LinearShape(150, 4)
+        rng = np.random.default_rng(17)
+        x = rng.integers(-4, 4, size=150)
+        w = rng.integers(-4, 4, size=(4, 150))
+        protocol = HybridLinearProtocol(params, shape)
+        fused, separate = self._both(
+            monkeypatch,
+            lambda: protocol.run(x, w, np.random.default_rng(18), session),
+        )
+        self._assert_same(fused, separate)

@@ -191,6 +191,33 @@ class TestEncryptedDifferential:
             assert a.exact and b.exact
 
 
+class TestRoundRowsExact:
+    """``_round_rows_exact`` against ``int(round(float(v)))``."""
+
+    def test_matches_python_round_up_to_2_63(self):
+        from repro.runtime.engine import _round_rows_exact
+
+        rng = np.random.default_rng(3)
+        mags = 2.0 ** rng.uniform(53, 63, size=(3, 16))
+        rows = np.where(rng.random((3, 16)) < 0.5, -mags, mags)
+        rows[0, :6] = [0.5, 1.5, -2.5, 2.0 ** 53 + 2, -(2.0 ** 62),
+                       np.nextafter(2.0 ** 63, 0)]
+        got = _round_rows_exact(rows)
+        assert got.dtype == np.int64
+        assert got.tolist() == [
+            [int(round(float(v))) for v in row] for row in rows
+        ]
+
+    @pytest.mark.parametrize("value", [2.0 ** 63, -(2.0 ** 64), np.inf])
+    def test_raises_beyond_int64(self, value):
+        from repro.runtime.engine import _round_rows_exact
+
+        rows = np.zeros((2, 4))
+        rows[1, 2] = value
+        with pytest.raises(OverflowError):
+            _round_rows_exact(rows)
+
+
 @pytest.mark.slow
 class TestEncryptedRoundTripSlow:
     """Nightly-tier round trip: share -> encrypt -> batched HConv ->
