@@ -153,33 +153,31 @@ class Flash:
         """Run one private convolution through the hybrid protocol.
 
         Args:
-            x: clear activation (secret-shared internally).  With
-                ``batch=True`` this is a ``B x C x H x W`` stack and one
-                :class:`ProtocolResult` is returned per item.
+            x: clear activation (secret-shared internally); see ``batch``.
             w: server weights.
             shape: convolution geometry.
             rng: randomness.
             exact: use the exact NTT backend instead of the approximate
                 FFT (the baseline accelerators' computation).
-            batch: route through the batched runtime
-                (:mod:`repro.runtime`): plans and weight spectra are cached
-                across calls and all transform work runs in vectorized
-                batch passes.  Returns ``List[ProtocolResult]``.
+            batch: take a ``B x C x H x W`` stack and return
+                ``List[ProtocolResult]``; otherwise ``x`` is one
+                ``C x H x W`` activation and one result is returned.
+                Either way the call runs as one batch on the facade's
+                cached batched runtime backend (:mod:`repro.runtime`), so
+                plans and weight spectra persist across calls.
             sparse: run the weight transforms through compiled sparse
                 plans (:class:`repro.runtime.SparseBatchedFftBackend`) --
                 the paper's skipping/merging dataflow in the hot path.
-                Works with or without ``batch``; incompatible with
-                ``exact``.  Realized-vs-model mult reduction lands in the
-                result stats.
+                Incompatible with ``exact``.  Realized-vs-model mult
+                reduction lands in the result stats.
             max_workers: worker-pool width for the batched runtime
                 (``None`` keeps the deterministic serial fallback).
             cluster: shard the batched products across supervised worker
                 *processes* (:mod:`repro.cluster`): an ``int`` pool width
                 (the facade owns the pool; call :meth:`close` when done)
                 or a ready :class:`repro.cluster.ClusterExecutor`.
-                Implies the batched runtime; bit-identical to the
-                in-process path, with crash recovery and the supervision
-                counters in the result stats.
+                Bit-identical to the in-process path, with crash recovery
+                and the supervision counters in the result stats.
             transport: optional :class:`repro.faults.ResilientSession`
                 carrying the ciphertext traffic over its checksummed
                 channel (retry/timeout counts land in the result stats).
@@ -188,26 +186,17 @@ class Flash:
         """
         if sparse and exact:
             raise ValueError("sparse=True is incompatible with exact=True")
-        if batch or sparse or cluster is not None:
-            kind = "exact" if exact else ("sparse" if sparse else "flash")
-            backend = self._batched_backend(kind, max_workers, cluster)
-            protocol = HybridConvProtocol(
-                self.config.params, shape, backend,
-                transport=transport, guard=guard,
-            )
-            if batch:
-                return protocol.run_batch(
-                    x, w, rng, session=self.session(rng)
-                )
-            return protocol.run(x, w, rng, session=self.session(rng))
-        backend = (
-            self.config.exact_backend() if exact else self.config.flash_backend()
-        )
+        kind = "exact" if exact else ("sparse" if sparse else "flash")
         protocol = HybridConvProtocol(
-            self.config.params, shape, backend,
+            self.config.params, shape,
+            self._batched_backend(kind, max_workers, cluster),
             transport=transport, guard=guard,
         )
-        return protocol.run(x, w, rng, session=self.session(rng))
+        results = protocol.run_batch(
+            x if batch else np.asarray(x)[None], w, rng,
+            session=self.session(rng),
+        )
+        return results if batch else results[0]
 
     def private_linear(
         self,

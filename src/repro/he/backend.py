@@ -10,7 +10,7 @@ signed small-coefficient weight vector.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -31,6 +31,19 @@ class PolyMulBackend:
 
     def multiply(self, poly: RingPoly, weights: np.ndarray) -> RingPoly:
         raise NotImplementedError
+
+    def multiply_many(
+        self, polys: List[RingPoly], weights_list: List[np.ndarray]
+    ) -> List[RingPoly]:
+        """Pairwise products ``polys[i] * weights_list[i]``, in order.
+
+        The default loops :meth:`multiply`; the batched backends of
+        :mod:`repro.runtime` override it with vectorized transforms that
+        return bit-identical products.
+        """
+        if len(polys) != len(weights_list):
+            raise ValueError("polys and weights_list must have equal length")
+        return [self.multiply(p, w) for p, w in zip(polys, weights_list)]
 
 
 class NttPolyMulBackend(PolyMulBackend):

@@ -120,65 +120,14 @@ class PrivateCnnEvaluator:
     def infer(
         self, image: np.ndarray, rng: np.random.Generator
     ) -> PrivateInferenceTrace:
-        """Privately classify one float image.
+        """Privately classify one float image (a batch of one through
+        :meth:`infer_batch`).
 
         Every compute layer executes through the hybrid protocol on the
         *current* integer activation; the returned trace carries the
         protocol statistics and the exact-pipeline logits for comparison.
         """
-        session = make_session(self.params, rng)
-        expected = self.net.forward_with_kernels(image)
-
-        x = self.net.input_params.quantize(image[None])[0]
-        layer_stats: List[ProtocolStats] = []
-        for op in self.net.ops:
-            if op[0] == "conv":
-                spec = op[1]
-                m, c, kh, kw = spec.weight_q.shape
-                shape = ConvShape(
-                    in_channels=c,
-                    height=x.shape[1],
-                    width=x.shape[2],
-                    out_channels=m,
-                    kernel_h=kh,
-                    kernel_w=kw,
-                    stride=spec.stride,
-                    padding=spec.padding,
-                )
-                protocol = HybridConvProtocol(
-                    self.params, shape, self.backend,
-                    transport=self.transport, guard=self.guard,
-                    layer_name=f"layer{len(layer_stats)}:conv",
-                )
-                result = protocol.run(x, spec.weight_q, rng, session=session)
-                layer_stats.append(result.stats)
-                sp = self.net._add_bias(result.reconstructed, spec)
-                x = requantize_shift(sp, spec.requant_shift, spec.act_bits)
-            elif op[0] == "linear":
-                spec = op[1]
-                shape = LinearShape(
-                    in_features=spec.weight_q.shape[1],
-                    out_features=spec.weight_q.shape[0],
-                )
-                protocol = HybridLinearProtocol(
-                    self.params, shape, self.backend,
-                    transport=self.transport, guard=self.guard,
-                    layer_name=f"layer{len(layer_stats)}:linear",
-                )
-                result = protocol.run(x, spec.weight_q, rng, session=session)
-                layer_stats.append(result.stats)
-                sp = self.net._add_bias(result.reconstructed, spec)
-                x = requantize_shift(sp, spec.requant_shift, spec.act_bits)
-            else:
-                # Non-linear layers: evaluated by the 2PC sub-protocols in
-                # the hybrid scheme; computed on the reconstructed shares
-                # here (identical values, orthogonal machinery).
-                x = self.net._apply_aux_batch(op, x[None])[0]
-        return PrivateInferenceTrace(
-            logits=x,
-            expected_logits=expected,
-            layer_stats=layer_stats,
-        )
+        return self.infer_batch(np.asarray(image)[None], rng)[0]
 
     def infer_batch(
         self, images: np.ndarray, rng: np.random.Generator
@@ -190,12 +139,15 @@ class PrivateCnnEvaluator:
         weight encodings are shared across the batch and -- with a batched
         backend such as :class:`repro.runtime.BatchedFftBackend` -- all
         transform work executes in vectorized batch passes.  Non-linear
-        layers apply to the whole activation stack at once.
+        layers apply to the whole activation stack at once.  An empty
+        batch returns ``[]`` without key generation or rng draws.
         """
-        session = make_session(self.params, rng)
         images = np.asarray(images)
         if images.ndim == 3:
             images = images[None]
+        if not len(images):
+            return []
+        session = make_session(self.params, rng)
         expected = [self.net.forward_with_kernels(img) for img in images]
 
         x = self.net.input_params.quantize(images)
@@ -254,6 +206,9 @@ class PrivateCnnEvaluator:
                     )
                 x = np.stack(outs)
             else:
+                # Non-linear layers: evaluated by the 2PC sub-protocols in
+                # the hybrid scheme; computed on the reconstructed shares
+                # here (identical values, orthogonal machinery).
                 x = self.net._apply_aux_batch(op, x)
         return [
             PrivateInferenceTrace(
@@ -273,6 +228,11 @@ class PrivateCnnEvaluator:
     ) -> float:
         """Private top-1 accuracy over (a subset of) a dataset."""
         count = min(max_samples, len(images))
+        if count <= 0:
+            raise ValueError(
+                f"accuracy needs at least one sample: max_samples="
+                f"{max_samples}, len(images)={len(images)}"
+            )
         correct = 0
         for i in range(count):
             trace = self.infer(images[i], rng)

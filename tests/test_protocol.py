@@ -1,5 +1,8 @@
 """Tests for arithmetic secret sharing and the hybrid HE/2PC protocols."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +172,15 @@ class TestHybridConv:
         assert result.stats.input_transforms == 1
         assert result.stats.ciphertexts_returned == 3
 
+    def test_run_batch_empty(self, params):
+        shape = ConvShape.square(2, 4, 2, 3)
+        rng = np.random.default_rng(10)
+        w = rng.integers(-8, 8, size=(2, 2, 3, 3))
+        state = rng.bit_generator.state
+        empty = np.zeros((0, 2, 4, 4), dtype=np.int64)
+        assert HybridConvProtocol(params, shape).run_batch(empty, w, rng) == []
+        assert rng.bit_generator.state == state  # no keygen, no draws
+
     def test_rejects_odd_plaintext_modulus(self):
         from repro.he import BfvParameters
         from repro.protocol.hybrid import _PartyPair
@@ -277,3 +289,100 @@ class TestFusedDecryption:
             lambda: protocol.run(x, w, np.random.default_rng(18), session),
         )
         self._assert_same(fused, separate)
+
+
+def protocol_digest(result) -> str:
+    """Stable digest of a conv run: both shares and every stats field."""
+    h = hashlib.sha256()
+    for share in (result.client_share, result.server_share):
+        h.update(np.ascontiguousarray(share, dtype="<i8").tobytes())
+    for name, value in sorted(dataclasses.asdict(result.stats).items()):
+        value = value.hex() if isinstance(value, float) else repr(value)
+        h.update(f"{name}={value};".encode())
+    return h.hexdigest()[:16]
+
+
+def _flash_k5(params):
+    return flash_backend(params.n, stage_widths=30, twiddle_k=5)
+
+
+def _batched_ntt(params):
+    from repro.runtime import BatchedNttBackend
+
+    return BatchedNttBackend()
+
+
+def _sparse(params):
+    from repro.runtime import SparseBatchedFftBackend
+
+    weight_config = _flash_k5(params).weight_config
+    return SparseBatchedFftBackend(weight_config=weight_config)
+
+
+def _bad_fft(params):
+    from repro.fftcore.fixed_point import ApproxFftConfig
+    from repro.he.backend import FftPolyMulBackend
+
+    cfg = ApproxFftConfig(
+        n=params.n // 2, stage_widths=12, twiddle_k=2, twiddle_max_shift=8
+    )
+    return FftPolyMulBackend(weight_config=cfg)
+
+
+# (shape, backend factory, guarded, digest).  The digests were recorded
+# from the original per-call implementation of ``HybridConvProtocol.run``;
+# any change to rng draw order, masks, transport hops or stats accounting
+# breaks them.
+_STRIDED = ConvShape.square(1, 7, 2, 3, stride=2, padding=1)
+_TWO_TILE = ConvShape.square(8, 4, 2, 3)
+_DIGEST_CASES = {
+    "ntt-strided": (_STRIDED, None, False, "b15c97b8ed006a98"),
+    "ntt-two-tile": (_TWO_TILE, None, False, "dac433ad6d7d99b8"),
+    "flash-strided": (_STRIDED, _flash_k5, False, "34aec0f05ee0c90a"),
+    "flash-two-tile": (_TWO_TILE, _flash_k5, False, "01e36b858f66367e"),
+    "batched-ntt-two-tile": (
+        _TWO_TILE, _batched_ntt, False, "dac433ad6d7d99b8"
+    ),
+    "sparse-strided": (_STRIDED, _sparse, False, "badb23c2121b781f"),
+    "sparse-two-tile": (_TWO_TILE, _sparse, False, "65e2408369fa6e6a"),
+    "guarded-fallback": (_STRIDED, _bad_fft, True, "4271f405898b6c5d"),
+}
+
+
+class TestConvRunDigest:
+    """``HybridConvProtocol.run`` is pinned bit for bit on fixed seeds."""
+
+    @pytest.mark.parametrize("case", sorted(_DIGEST_CASES))
+    def test_run_digest(self, params, session, case):
+        from repro.faults import BudgetGuard
+
+        shape, factory, guarded, digest = _DIGEST_CASES[case]
+        rng = np.random.default_rng(21)
+        x = rng.integers(
+            -8, 8, size=(shape.in_channels, shape.height, shape.width)
+        )
+        w = rng.integers(
+            -8, 8, size=(shape.out_channels, shape.in_channels, 3, 3)
+        )
+        guard = BudgetGuard(params, policy="fallback") if guarded else None
+        protocol = HybridConvProtocol(
+            params, shape, factory and factory(params), guard=guard
+        )
+        result = protocol.run(x, w, np.random.default_rng(22), session)
+        assert result.stats.degraded == guarded
+        assert protocol_digest(result) == digest
+
+    @pytest.mark.parametrize(
+        "exact, digest",
+        [(True, "9d6c3fd4ebd5ee60"), (False, "1ca67a1085e7a8b9")],
+        ids=["exact", "flash"],
+    )
+    def test_private_conv2d_digest(self, exact, digest):
+        from repro.core import Flash, FlashConfig
+
+        flash = Flash(FlashConfig(params=toy_preset(n=64, share_bits=16)))
+        rng = np.random.default_rng(23)
+        x = rng.integers(-8, 8, size=(8, 4, 4))
+        w = rng.integers(-8, 8, size=(2, 8, 3, 3))
+        result = flash.private_conv2d(x, w, _TWO_TILE, rng, exact=exact)
+        assert protocol_digest(result) == digest

@@ -1,5 +1,8 @@
 """End-to-end integration: a full CNN classified under the BFV protocol."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -67,8 +70,58 @@ class TestPrivateCnnEvaluator:
         plain = qnet.accuracy_int(te.images[:4], te.labels[:4])
         assert acc == plain
 
+    def test_infer_batch_empty(self, setup):
+        qnet, te, params = setup
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        assert PrivateCnnEvaluator(qnet, params).infer_batch(
+            te.images[:0], rng
+        ) == []
+        assert rng.bit_generator.state == state  # no keygen, no draws
+
+    @pytest.mark.parametrize("max_samples, count", [(0, 4), (-1, 4), (8, 0)])
+    def test_accuracy_needs_a_sample(self, setup, max_samples, count):
+        qnet, te, params = setup
+        evaluator = PrivateCnnEvaluator(qnet, params)
+        with pytest.raises(ValueError, match="max_samples"):
+            evaluator.accuracy(
+                te.images[:count], te.labels[:count],
+                np.random.default_rng(5), max_samples=max_samples,
+            )
+
     def test_rejects_undersized_plaintext_ring(self, setup):
         qnet, _, _ = setup
         small = BfvParameters(n=256, plain_modulus=1 << 8, q_bits=(30, 30))
         with pytest.raises(ValueError):
             PrivateCnnEvaluator(qnet, small)
+
+
+def trace_digest(trace) -> str:
+    """Stable digest of one private inference: logits and layer stats."""
+    h = hashlib.sha256()
+    for logits in (trace.logits, trace.expected_logits):
+        h.update(np.ascontiguousarray(logits, dtype="<i8").tobytes())
+    for stats in trace.layer_stats:
+        for name, value in sorted(dataclasses.asdict(stats).items()):
+            value = value.hex() if isinstance(value, float) else repr(value)
+            h.update(f"{name}={value};".encode())
+    return h.hexdigest()[:16]
+
+
+class TestInferDigest:
+    """``PrivateCnnEvaluator.infer`` is pinned bit for bit on fixed seeds
+    (digests recorded from the original per-image layer loop)."""
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [("ntt", "10594bd9f4b64d56"), ("flash", "646f0282a3612b26")],
+        ids=["ntt", "flash"],
+    )
+    def test_infer_digest(self, setup, mode, digest):
+        qnet, te, params = setup
+        backend = None
+        if mode == "flash":
+            backend = flash_backend(params.n, stage_widths=27, twiddle_k=5)
+        evaluator = PrivateCnnEvaluator(qnet, params, backend)
+        trace = evaluator.infer(te.images[5], np.random.default_rng(31))
+        assert trace_digest(trace) == digest
