@@ -75,24 +75,22 @@ class WorkerState:
         key = ("backend", kind, config_wire,
                None if pattern is None else tuple(pattern))
         if key not in self._backends:
-            from repro.runtime.engine import (
-                BatchedFftBackend,
-                BatchedNttBackend,
-                SparseBatchedFftBackend,
+            from repro.he.backend import (
+                FftPolyMulBackend,
+                NttPolyMulBackend,
+                SparseFftPolyMulBackend,
             )
 
             if kind == "ntt":
-                backend = BatchedNttBackend(max_workers=None)
+                backend = NttPolyMulBackend()
             elif kind == "flash":
-                backend = BatchedFftBackend(
-                    weight_config=config_from_wire(config_wire),
-                    max_workers=None,
+                backend = FftPolyMulBackend(
+                    weight_config=config_from_wire(config_wire)
                 )
             elif kind == "sparse":
-                backend = SparseBatchedFftBackend(
+                backend = SparseFftPolyMulBackend(
                     weight_config=config_from_wire(config_wire),
                     pattern=pattern,
-                    max_workers=None,
                 )
             else:
                 raise ValueError(f"unknown backend kind {kind!r}")

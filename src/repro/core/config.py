@@ -6,7 +6,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.he.backend import FftPolyMulBackend, NttPolyMulBackend
+from repro.he.backend import (
+    FftPolyMulBackend,
+    NttPolyMulBackend,
+    SparseFftPolyMulBackend,
+)
 from repro.he.params import BfvParameters, cheetah_preset
 from repro.hw.accelerator import FlashDesign
 from repro.hw.calibration import FLASH_DEFAULT_DW, FLASH_DEFAULT_K
@@ -61,25 +65,11 @@ class FlashConfig:
             twiddle_max_shift=self.twiddle_max_shift,
         )
 
-    def flash_backend(self) -> FftPolyMulBackend:
-        """The approximate polynomial-multiplication backend."""
-        return FftPolyMulBackend(weight_config=self.weight_fft_config())
-
-    def exact_backend(self) -> NttPolyMulBackend:
-        """The exact NTT backend (baseline accelerators)."""
-        return NttPolyMulBackend()
-
-    def fp_backend(self) -> FftPolyMulBackend:
-        """Float64 FFT backend (the "FFT (FP)" ablation arm)."""
-        return FftPolyMulBackend(weight_config=None)
-
     def batched_flash_backend(
         self, max_workers: Optional[int] = None, cluster=None
-    ):
-        """Approximate backend with batched ``multiply_many`` support."""
-        from repro.runtime import BatchedFftBackend
-
-        return BatchedFftBackend(
+    ) -> FftPolyMulBackend:
+        """The approximate polynomial-multiplication backend."""
+        return FftPolyMulBackend(
             weight_config=self.weight_fft_config(),
             max_workers=max_workers,
             cluster=cluster,
@@ -87,26 +77,22 @@ class FlashConfig:
 
     def batched_exact_backend(
         self, max_workers: Optional[int] = None, cluster=None
-    ):
-        """Exact NTT backend with batched ``multiply_many`` support."""
-        from repro.runtime import BatchedNttBackend
-
-        return BatchedNttBackend(max_workers=max_workers, cluster=cluster)
+    ) -> NttPolyMulBackend:
+        """The exact NTT backend (baseline accelerators)."""
+        return NttPolyMulBackend(max_workers=max_workers, cluster=cluster)
 
     def batched_sparse_backend(
         self,
         max_workers: Optional[int] = None,
         pattern: Optional[List[int]] = None,
         cluster=None,
-    ):
+    ) -> SparseFftPolyMulBackend:
         """Approximate backend running compiled sparse weight plans.
 
         Per-weight structural patterns are inferred from each weight's
         support unless a fixed layer ``pattern`` is given.
         """
-        from repro.runtime import SparseBatchedFftBackend
-
-        return SparseBatchedFftBackend(
+        return SparseFftPolyMulBackend(
             weight_config=self.weight_fft_config(),
             pattern=pattern,
             max_workers=max_workers,

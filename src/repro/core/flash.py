@@ -163,10 +163,10 @@ class Flash:
                 ``List[ProtocolResult]``; otherwise ``x`` is one
                 ``C x H x W`` activation and one result is returned.
                 Either way the call runs as one batch on the facade's
-                cached batched runtime backend (:mod:`repro.runtime`), so
-                plans and weight spectra persist across calls.
+                cached backend (:mod:`repro.he.backend`), so plans and
+                weight spectra persist across calls.
             sparse: run the weight transforms through compiled sparse
-                plans (:class:`repro.runtime.SparseBatchedFftBackend`) --
+                plans (:class:`repro.he.backend.SparseFftPolyMulBackend`) --
                 the paper's skipping/merging dataflow in the hot path.
                 Incompatible with ``exact``.  Realized-vs-model mult
                 reduction lands in the result stats.
@@ -207,14 +207,13 @@ class Flash:
         transport=None,
         guard=None,
     ) -> ProtocolResult:
-        """Run one private fully-connected layer (``transport`` and
-        ``guard`` as on :meth:`private_conv2d`)."""
+        """Run one private fully-connected layer on the facade's cached
+        backend (``exact``, ``transport`` and ``guard`` as on
+        :meth:`private_conv2d`)."""
         shape = LinearShape(in_features=w.shape[1], out_features=w.shape[0])
-        backend = (
-            self.config.exact_backend() if exact else self.config.flash_backend()
-        )
         protocol = HybridLinearProtocol(
-            self.config.params, shape, backend,
+            self.config.params, shape,
+            self._batched_backend("exact" if exact else "flash", None),
             transport=transport, guard=guard,
         )
         return protocol.run(x, w, rng, session=self.session(rng))

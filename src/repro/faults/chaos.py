@@ -15,7 +15,7 @@ fires four probes at the stack (five with ``--cluster``):
   :class:`repro.faults.WorkerFaultInjector` poisoning parallel jobs; the
   output must be byte-identical to the fault-free run.
 * **sparse** -- the compiled-sparse-plan path
-  (:class:`repro.runtime.SparseBatchedFftBackend`) under the same worker
+  (:class:`repro.he.backend.SparseFftPolyMulBackend`) under the same worker
   faults *plus* in-place corruption of cached plans/spectra; the
   integrity-checked caches must detect, evict and recompute, and the
   output must stay byte-identical.
@@ -298,9 +298,9 @@ def _probe_runtime(it: ChaosIteration, n: int, seed: int, workers: int) -> None:
     """multiply_many under worker faults: byte-identical to fault-free."""
     import numpy as np
 
+    from repro.he.backend import NttPolyMulBackend
     from repro.he.params import toy_preset
     from repro.he.poly import RingPoly
-    from repro.runtime.engine import BatchedNttBackend
 
     basis = toy_preset(n=n).basis
     rng = np.random.default_rng(seed)
@@ -309,11 +309,11 @@ def _probe_runtime(it: ChaosIteration, n: int, seed: int, workers: int) -> None:
         coeffs = rng.integers(0, 1 << 29, size=basis.n)
         polys.append(RingPoly(basis, basis.to_rns(coeffs)))
         weights.append(rng.integers(-5, 6, size=basis.n))
-    reference = BatchedNttBackend(max_workers=workers).multiply_many(
+    reference = NttPolyMulBackend(max_workers=workers).multiply_many(
         polys, weights
     )
     injector = WorkerFaultInjector(rate=it.rates["worker"], seed=seed)
-    faulty = BatchedNttBackend(max_workers=workers, fault_injector=injector)
+    faulty = NttPolyMulBackend(max_workers=workers, fault_injector=injector)
     outs = faulty.multiply_many(polys, weights)
     it.worker_faults_injected += injector.injected
     it.worker_faults_recovered += faulty.last_stats.worker_faults
@@ -363,16 +363,16 @@ def _probe_sparse(it: ChaosIteration, n: int, seed: int, workers: int) -> None:
     """Sparse-plan path under worker faults + cache corruption.
 
     The compiled-plan and spectrum caches of a
-    :class:`repro.runtime.SparseBatchedFftBackend` are corrupted in place
+    :class:`repro.he.backend.SparseFftPolyMulBackend` are corrupted in place
     between two runs; the integrity digests must evict the damage and the
     second run must stay byte-identical to the fault-free reference.
     """
     import numpy as np
 
     from repro.fftcore.fixed_point import ApproxFftConfig
+    from repro.he.backend import SparseFftPolyMulBackend
     from repro.he.params import toy_preset
     from repro.he.poly import RingPoly
-    from repro.runtime.engine import SparseBatchedFftBackend
 
     basis = toy_preset(n=n).basis
     cfg = ApproxFftConfig(
@@ -386,12 +386,12 @@ def _probe_sparse(it: ChaosIteration, n: int, seed: int, workers: int) -> None:
         w = rng.integers(-5, 6, size=basis.n)
         w[rng.random(size=basis.n) < 0.6] = 0  # structural sparsity
         weights.append(w)
-    reference = SparseBatchedFftBackend(
+    reference = SparseFftPolyMulBackend(
         weight_config=cfg, max_workers=workers
     ).multiply_many(polys, weights)
 
     injector = WorkerFaultInjector(rate=it.rates["worker"], seed=seed)
-    faulty = SparseBatchedFftBackend(
+    faulty = SparseFftPolyMulBackend(
         weight_config=cfg, max_workers=workers, fault_injector=injector
     )
     first = faulty.multiply_many(polys, weights)

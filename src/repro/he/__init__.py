@@ -1,10 +1,10 @@
 """BFV homomorphic encryption substrate (the paper's SEAL role)."""
 
 from repro.he.backend import (
-    CachedNttBackend,
     FftPolyMulBackend,
     NttPolyMulBackend,
     PolyMulBackend,
+    SparseFftPolyMulBackend,
     flash_backend,
     fp_fft_backend,
 )
@@ -36,7 +36,6 @@ from repro.he.poly import RingPoly, gaussian_poly, ternary_poly, uniform_poly
 __all__ = [
     "BfvContext",
     "BfvParameters",
-    "CachedNttBackend",
     "Ciphertext",
     "FftPolyMulBackend",
     "NttPolyMulBackend",
@@ -46,6 +45,7 @@ __all__ = [
     "PublicKey",
     "RingPoly",
     "SecretKey",
+    "SparseFftPolyMulBackend",
     "accumulation_noise_factor",
     "cham_preset",
     "cheetah_preset",

@@ -4,21 +4,34 @@ products.
 The backend is where FLASH differs from NTT-based accelerators: the same
 BFV/Cheetah protocol runs either on the exact negacyclic NTT (F1, CHAM,
 HEAX, ...) or on the approximate folded FFT with fixed-point weight
-transforms (FLASH).  Both consume a ciphertext-ring polynomial and a
-signed small-coefficient weight vector.
+transforms (FLASH), optionally with the weight transforms on compiled
+sparse plans.  All consume ciphertext-ring polynomials and signed
+small-coefficient weight vectors.
+
+There is one class per transform and one product path per class:
+:meth:`PolyMulBackend.multiply_many` stacks a batch of products into
+vectorized transform passes (weight spectra cached, independent work
+fanned across a thread pool or the worker processes of a
+:class:`repro.cluster.ClusterExecutor`); a single product is a batch of
+one.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.faults.inject import FaultRecovery
 from repro.fftcore.approx_pipeline import ApproxNegacyclic, ApproxSpectrum
 from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.he.poly import RingPoly
+from repro.ntt import get_ntt
+from repro.ntt.modmath import mulmod
 from repro.ntt.rns import RnsBasis
 from repro.obs import trace as obs_trace
+from repro.runtime.engine import RuntimeStats, fan_out
+from repro.runtime.plan_cache import PlanCache, approx_config_key, sparse_plan
 
 #: Default byte budget for the bounded weight-spectrum caches.  Generous for
 #: every test/benchmark workload, but finite: the old ad-hoc dict caches
@@ -27,114 +40,213 @@ DEFAULT_SPECTRUM_CACHE_BYTES = 64 << 20
 
 
 class PolyMulBackend:
-    """Interface: multiply a ring polynomial by signed integer weights."""
+    """Multiply ring polynomials by signed integer weights.
+
+    Subclasses implement :meth:`_multiply_batch`; the single-product entry
+    point, the argument checks, cluster delegation and the worker /
+    fault-injection set-up are shared.
+
+    Args:
+        max_workers: thread-pool width for independent jobs (RNS limbs,
+            CRT lifts, reductions); ``None``/``0``/``1`` selects the serial
+            fallback.
+        fault_injector: optional
+            :class:`repro.faults.inject.WorkerFaultInjector` poisoning pool
+            jobs (chaos testing).  A job that raises is retried serially --
+            bit-identical output, fault recorded in
+            ``last_stats.worker_faults``.
+        cluster: optional :class:`repro.cluster.ClusterExecutor`; products
+            then shard across its supervised worker processes and
+            ``last_stats.cluster`` carries the per-call supervision counters.
+    """
+
+    #: ``RuntimeStats.mode`` of the backend and its cluster job kind.
+    kind: str
+
+    def __init__(
+        self,
+        max_workers: Optional[int] = None,
+        fault_injector=None,
+        cluster=None,
+    ):
+        self.max_workers = max_workers
+        self.fault_injector = fault_injector
+        self.cluster = cluster
+        self.last_stats = RuntimeStats(mode=self.kind)
+
+    def _maybe_poison(self, tag) -> None:
+        if self.fault_injector is not None:
+            self.fault_injector.poison(tag)
 
     def multiply(self, poly: RingPoly, weights: np.ndarray) -> RingPoly:
-        raise NotImplementedError
+        """The product ``poly * weights``: a batch of one."""
+        return self.multiply_many([poly], [weights])[0]
 
+    @obs_trace.traced("runtime.multiply_many")
     def multiply_many(
         self, polys: List[RingPoly], weights_list: List[np.ndarray]
     ) -> List[RingPoly]:
         """Pairwise products ``polys[i] * weights_list[i]``, in order.
 
-        The default loops :meth:`multiply`; the batched backends of
-        :mod:`repro.runtime` override it with vectorized transforms that
-        return bit-identical products.
+        Args:
+            polys: ring polynomials sharing one RNS basis.
+            weights_list: one signed weight vector per polynomial (repeats
+                hit the spectrum cache).
         """
         if len(polys) != len(weights_list):
             raise ValueError("polys and weights_list must have equal length")
-        return [self.multiply(p, w) for p, w in zip(polys, weights_list)]
+        if not polys:
+            return []
+        if self.cluster is not None:
+            return self._cluster_multiply_many(polys, weights_list)
+        return self._multiply_batch(polys, weights_list)
+
+    def _multiply_batch(
+        self, polys: List[RingPoly], weights_list: List[np.ndarray]
+    ) -> List[RingPoly]:
+        raise NotImplementedError
+
+    def _cluster_multiply_many(self, polys, weights_list):
+        """Shard the products across the cluster's worker processes.
+
+        The polynomials cross the protocol wire format; ``last_stats`` is
+        rebuilt from the worker-side job stats plus the per-call
+        supervision counters.
+        """
+        cluster = self.cluster
+        outs = cluster.multiply_many(
+            self.kind,
+            getattr(self, "weight_config", None),
+            getattr(self, "pattern", None),
+            polys,
+            weights_list,
+        )
+        job_stats = cluster.last_job_stats
+        self.last_stats = RuntimeStats(
+            mode=self.kind,
+            batch=len(polys),
+            products=job_stats.get("products", 0),
+            workers=cluster.policy.workers,
+            weight_transforms=job_stats.get("weight_transforms", 0),
+            weight_mults_realized=job_stats.get("weight_mults_realized", 0),
+            weight_mults_dense=job_stats.get("weight_mults_dense", 0),
+            weight_mults_model=job_stats.get("weight_mults_model", 0),
+            cluster=dict(cluster.last_cluster),
+        )
+        return outs
 
 
 class NttPolyMulBackend(PolyMulBackend):
-    """Exact product via the per-prime negacyclic NTT (the baseline)."""
+    """Exact product via the per-prime negacyclic NTT (the baseline).
 
-    @obs_trace.traced("he.ntt_multiply")
-    def multiply(self, poly: RingPoly, weights: np.ndarray) -> RingPoly:
-        w = RingPoly.from_signed(poly.basis, weights)
-        return poly * w
+    A batch stacks every polynomial's residues per RNS limb and runs one
+    ``forward_batch`` / ``inverse_batch`` pass per limb, with limbs fanned
+    across the worker pool.  Weight spectra are cached per
+    ``(degree, prime, weight-bytes)`` in ``plan_cache``.
 
-
-class CachedNttBackend(PolyMulBackend):
-    """Exact NTT backend that pre-stores weight spectra (Figure 1's trade).
-
-    The paper: "it is possible to pre-compute and store the weight
-    polynomials in the NTT domain, but it incurs significant memory
-    overhead ... 23 GB for a 4-bit ResNet-50, more than 1000x higher".
-    This backend realizes that option: each distinct weight polynomial's
-    per-prime NTT spectrum is computed once and cached, and the cache's
-    memory footprint is tracked so the trade-off can be measured.
+    Stored NTT-domain weights are Figure 1's trade: "it is possible to
+    pre-compute and store the weight polynomials in the NTT domain, but it
+    incurs significant memory overhead ... 23 GB for a 4-bit ResNet-50,
+    more than 1000x higher".  A ``plan_cache`` with a byte budget and
+    ``on_full="error"`` models that memory wall: a spectrum that exceeds
+    the budget raises :class:`MemoryError`.
 
     Args:
-        capacity_bytes: optional cache budget; exceeding it raises
-            :class:`MemoryError` (models the paper's infeasibility point).
-            Storage routes through a :class:`repro.runtime.PlanCache` in its
-            ``on_full="error"`` mode.
+        plan_cache: weight-spectrum store; when omitted, a bounded cache
+            with entry-integrity checking (a tampered spectrum is evicted
+            and recomputed rather than served).
+        max_workers, fault_injector, cluster: see :class:`PolyMulBackend`.
     """
 
-    def __init__(self, capacity_bytes: Optional[int] = None):
-        from repro.runtime.plan_cache import PlanCache
+    kind = "ntt"
 
-        self.capacity_bytes = capacity_bytes
-        self._spectra = PlanCache(
-            capacity_bytes=capacity_bytes, on_full="error",
-            check_integrity=True,
+    def __init__(
+        self,
+        plan_cache: Optional[PlanCache] = None,
+        max_workers: Optional[int] = None,
+        fault_injector=None,
+        cluster=None,
+    ):
+        super().__init__(max_workers, fault_injector, cluster)
+        self.plan_cache = (
+            plan_cache if plan_cache is not None
+            else PlanCache(
+                capacity_bytes=DEFAULT_SPECTRUM_CACHE_BYTES,
+                check_integrity=True,
+            )
         )
 
-    @property
-    def hits(self) -> int:
-        return self._spectra.hits
-
-    @property
-    def misses(self) -> int:
-        return self._spectra.misses
-
-    @property
-    def cached_bytes(self) -> int:
-        """Memory held by cached NTT-domain weights (8 bytes per word)."""
-        return self._spectra.cached_bytes
-
-    def clear_cache(self) -> None:
-        self._spectra.clear()
-
-    def _weight_spectra(self, basis, weights: np.ndarray) -> list:
-        from repro.ntt.ntt import get_ntt
-
-        def build() -> list:
-            residues = basis.to_rns(weights)
-            return [
-                get_ntt(basis.n, prime).forward(component)
-                for prime, component in zip(basis.primes, residues)
-            ]
-
-        return self._spectra.get_or_build((basis.n, weights.tobytes()), build)
-
-    @obs_trace.traced("he.cached_ntt_multiply")
-    def multiply(self, poly: RingPoly, weights: np.ndarray) -> RingPoly:
-        from repro.ntt.modmath import mulmod
-        from repro.ntt.ntt import get_ntt
-
-        basis = poly.basis
+    def _weight_residue_spectrum(
+        self, n: int, prime: int, weights: np.ndarray
+    ) -> np.ndarray:
         weights = np.ascontiguousarray(weights, dtype=np.int64)
-        w_spectra = self._weight_spectra(basis, weights)
-        out = []
-        for prime, component, w_spec in zip(
-            basis.primes, poly.residues, w_spectra
-        ):
-            ntt = get_ntt(basis.n, prime)
-            out.append(ntt.inverse(mulmod(ntt.forward(component), w_spec, prime)))
-        return RingPoly(basis, out)
+        key = ("rns-wspec", n, prime, weights.tobytes())
+        plan = get_ntt(n, prime)
+        return self.plan_cache.get_or_build(
+            key,
+            lambda: plan.forward(
+                (weights % np.int64(prime)).astype(np.uint64)
+            ),
+        )
+
+    def _multiply_batch(
+        self, polys: List[RingPoly], weights_list: List[np.ndarray]
+    ) -> List[RingPoly]:
+        basis = polys[0].basis
+        count = len(polys)
+        weights_list = [
+            np.ascontiguousarray(w, dtype=np.int64) for w in weights_list
+        ]
+        # Weight spectra are built serially (deterministic cache order);
+        # limb jobs below only read plain arrays.
+        w_rows_per_limb = []
+        for prime in basis.primes:
+            w_rows_per_limb.append(
+                np.stack(
+                    [
+                        self._weight_residue_spectrum(basis.n, prime, w)
+                        for w in weights_list
+                    ]
+                )
+            )
+
+        def limb_job(limb: int) -> np.ndarray:
+            self._maybe_poison(("limb", limb))
+            prime = basis.primes[limb]
+            plan = get_ntt(basis.n, prime)
+            rows = np.stack([p.residues[limb] for p in polys])
+            spec = mulmod(plan.forward_batch(rows), w_rows_per_limb[limb], prime)
+            return plan.inverse_batch(spec)
+
+        recovery = FaultRecovery()
+        limb_rows = fan_out(
+            range(len(basis.primes)), limb_job, self.max_workers,
+            recovery=recovery,
+        )
+        self.last_stats = RuntimeStats(
+            mode=self.kind,
+            batch=count,
+            products=count,
+            workers=self.max_workers or 1,
+            worker_faults=recovery.faults,
+        )
+        return [
+            RingPoly(basis, [limb_rows[l][i] for l in range(len(basis.primes))])
+            for i in range(count)
+        ]
 
 
 class FftPolyMulBackend(PolyMulBackend):
     """Approximate product via the FLASH folded-FFT pipeline.
 
-    The ciphertext polynomial is CRT-lifted to centered integers, multiplied
-    in the FFT domain (weight transform on the approximate fixed-point path,
-    everything else float64), rounded, and reduced back into RNS.  Weight
+    Ciphertext polynomials are CRT-lifted to centered integers, multiplied
+    in the FFT domain (weight transform on the approximate fixed-point
+    path, everything else float64), rounded, and reduced back into RNS.  A
+    batch stacks the lifts and runs the activation transforms, pointwise
+    products and inverse transforms as single batched passes.  Weight
     spectra are cached: in an HConv the same weight polynomial multiplies
-    both ciphertext components of every input tile, so hardware computes the
-    weight transform once (this is also why the second approach of
+    both ciphertext components of every input tile, so hardware computes
+    the weight transform once (this is also why the second approach of
     Section III-B wins -- activation transforms are shared along output
     channels).
 
@@ -146,23 +258,22 @@ class FftPolyMulBackend(PolyMulBackend):
             (``None`` disables the bound); the cache never exceeds it.
             Entries are integrity-checked: a tampered cached spectrum is
             evicted and recomputed rather than served.
-        plan_cache: optional shared :class:`repro.runtime.PlanCache` for
-            the transform pipelines themselves.
+        max_workers, fault_injector, cluster: see :class:`PolyMulBackend`.
     """
+
+    kind = "flash"
 
     def __init__(
         self,
         weight_config: Optional[ApproxFftConfig] = None,
         spectrum_cache_bytes: Optional[int] = DEFAULT_SPECTRUM_CACHE_BYTES,
-        plan_cache=None,
+        max_workers: Optional[int] = None,
+        fault_injector=None,
+        cluster=None,
     ):
-        from repro.runtime.plan_cache import PlanCache
-
+        super().__init__(max_workers, fault_injector, cluster)
         self.weight_config = weight_config
-        self._pipelines = (
-            plan_cache if plan_cache is not None
-            else PlanCache(max_entries=16)
-        )
+        self._pipelines = PlanCache(max_entries=16)
         self._spectrum_cache = PlanCache(
             capacity_bytes=spectrum_cache_bytes, check_integrity=True
         )
@@ -173,8 +284,6 @@ class FftPolyMulBackend(PolyMulBackend):
             raise ValueError(
                 f"weight core is {cfg.n}-point but ring needs {n // 2}"
             )
-        from repro.runtime.plan_cache import approx_config_key
-
         return self._pipelines.get_or_build(
             ("fft-plan", n, approx_config_key(cfg)),
             lambda: ApproxNegacyclic(n, cfg),
@@ -198,13 +307,181 @@ class FftPolyMulBackend(PolyMulBackend):
     def clear_cache(self) -> None:
         self._spectrum_cache.clear()
 
-    @obs_trace.traced("he.fft_multiply")
-    def multiply(self, poly: RingPoly, weights: np.ndarray) -> RingPoly:
-        n = poly.basis.n
+    def _weight_rows(
+        self, n: int, weights_list: List[np.ndarray]
+    ) -> Tuple[np.ndarray, Dict[str, int]]:
+        """Stacked weight spectra plus mult accounting for one call.
+
+        The sparse backend overrides this to run compiled plans; the
+        accounting dict feeds the ``weight_mults_*`` fields of
+        ``last_stats`` and is returned (not stored on ``self``) so
+        concurrent calls stay race-free.
+        """
+        rows = np.stack(
+            [
+                self.weight_spectrum(n, np.asarray(w)).values
+                for w in weights_list
+            ]
+        )
+        return rows, {}
+
+    def _multiply_batch(
+        self, polys: List[RingPoly], weights_list: List[np.ndarray]
+    ) -> List[RingPoly]:
+        basis = polys[0].basis
+        n = basis.n
         pipe = self.pipeline(n)
-        w_spec = self.weight_spectrum(n, np.asarray(weights))
-        a_spec = pipe.activation_forward(centered_lift(poly))
-        return round_to_ring(poly.basis, pipe.multiply_spectra(w_spec, a_spec))
+        w_rows, mult_stats = self._weight_rows(n, weights_list)
+
+        def lift_job(index: int) -> np.ndarray:
+            self._maybe_poison(("lift", index))
+            return centered_lift(polys[index])
+
+        recovery = FaultRecovery()
+        lifts = fan_out(
+            range(len(polys)), lift_job, self.max_workers, recovery=recovery
+        )
+        a_spec = pipe.activation_forward_batch(np.stack(lifts))
+        products = pipe.multiply_spectra_batch(w_rows, a_spec)
+
+        def reduce_job(index: int) -> RingPoly:
+            self._maybe_poison(("reduce", index))
+            return round_to_ring(basis, products[index])
+
+        out = fan_out(
+            range(len(products)), reduce_job, self.max_workers,
+            recovery=recovery,
+        )
+        self.last_stats = RuntimeStats(
+            mode=self.kind,
+            batch=len(polys),
+            products=len(polys),
+            workers=self.max_workers or 1,
+            worker_faults=recovery.faults,
+            **mult_stats,
+        )
+        return out
+
+
+class SparseFftPolyMulBackend(FftPolyMulBackend):
+    """FLASH backend whose weight transforms run compiled sparse plans.
+
+    Identical to :class:`FftPolyMulBackend` except that each weight's
+    spectrum is produced by a :class:`repro.sparse.plan.SparsePlan`
+    compiled for its structural zero pattern -- by default the weight's
+    own support (``np.nonzero``), optionally a fixed layer ``pattern``.
+    Weights sharing a folded pattern share one plan and are transformed
+    in one batched execution; every spectrum is bit-identical to per-call
+    :meth:`repro.sparse.sparse_fxp.SparseApproxNegacyclic.weight_forward`
+    with the same pattern.
+
+    ``last_stats`` reports realized/dense/model multiplication counts per
+    *distinct* weight in the call (c0/c1 and cross-item repeats dedupe by
+    spectrum key), so the accounting is deterministic and cache-warmth
+    independent.
+    """
+
+    kind = "sparse"
+
+    def __init__(
+        self,
+        weight_config: Optional[ApproxFftConfig] = None,
+        pattern: Optional[Sequence[int]] = None,
+        spectrum_cache_bytes: Optional[int] = DEFAULT_SPECTRUM_CACHE_BYTES,
+        max_workers: Optional[int] = None,
+        fault_injector=None,
+        cluster=None,
+    ):
+        if weight_config is None:
+            raise ValueError("SparseFftPolyMulBackend needs a weight_config")
+        super().__init__(
+            weight_config, spectrum_cache_bytes,
+            max_workers, fault_injector, cluster,
+        )
+        self.pattern = (
+            None
+            if pattern is None
+            else np.array(sorted({int(v) for v in pattern}), dtype=np.int64)
+        )
+        # Compiled plans get their own byte-accounted, digest-checked cache:
+        # per-weight support inference can produce many more patterns than
+        # the small ``_pipelines`` entry bound was sized for.
+        self.plan_cache = PlanCache(
+            capacity_bytes=32 << 20, check_integrity=True
+        )
+
+    def _weight_rows(
+        self, n: int, weights_list: List[np.ndarray]
+    ) -> Tuple[np.ndarray, Dict[str, int]]:
+        from repro.sparse.opcount import sparse_fft_mults
+        from repro.sparse.patterns import fold_valid_indices
+        from repro.sparse.plan import SparseWeightPipeline
+
+        weights = [
+            np.ascontiguousarray(w, dtype=np.int64) for w in weights_list
+        ]
+        folded = []
+        for w in weights:
+            support = self.pattern if self.pattern is not None else (
+                np.nonzero(w)[0]
+            )
+            folded.append(fold_valid_indices(support, n))
+        # Group indices by folded pattern; within a group, dedupe weights
+        # by bytes so repeated weights (c0/c1 of one ciphertext, shared
+        # kernels across a batch) are transformed and counted once.
+        groups: Dict[bytes, List[int]] = {}
+        for i, fp in enumerate(folded):
+            groups.setdefault(fp.tobytes(), []).append(i)
+        rows = np.empty((len(weights), n // 2), dtype=np.complex128)
+        realized = dense = model = transforms = 0
+        for idxs in groups.values():
+            fp = folded[idxs[0]]
+            plan = sparse_plan(self.plan_cache, n, self.weight_config, fp)
+            pipe_s = SparseWeightPipeline(
+                n, self.weight_config, fp, plan=plan
+            )
+            keys = {
+                i: ("sparse-wspec", n, fp.tobytes(), weights[i].tobytes())
+                for i in idxs
+            }
+            unique: Dict[Hashable, List[int]] = {}
+            for i in idxs:
+                unique.setdefault(keys[i], []).append(i)
+            missing = [
+                key for key in unique if key not in self._spectrum_cache
+            ]
+            built: Dict[Hashable, ApproxSpectrum] = {}
+            if missing:
+                stack = np.stack([weights[unique[k][0]] for k in missing])
+                spec = pipe_s.weight_forward_batch(stack)
+                built = {
+                    k: ApproxSpectrum(
+                        values=spec.values[j], scale=float(spec.scale[j])
+                    )
+                    for j, k in enumerate(missing)
+                }
+            for key, shared in unique.items():
+                value = self._spectrum_cache.get_or_build(
+                    key,
+                    lambda k=key, i=shared[0]: built[k]
+                    if k in built
+                    else pipe_s.weight_forward(weights[i]),
+                )
+                for i in shared:
+                    rows[i] = value.values
+            mults_model = sparse_fft_mults(
+                tuple(int(v) for v in fp), n // 2
+            )
+            transforms += len(unique)
+            realized += plan.mults * len(unique)
+            dense += plan.dense_mults * len(unique)
+            model += mults_model * len(unique)
+        return rows, {
+            "weight_transforms": transforms,
+            "weight_mults_realized": realized,
+            "weight_mults_dense": dense,
+            "weight_mults_model": model,
+        }
 
 
 def centered_lift(poly: RingPoly) -> np.ndarray:

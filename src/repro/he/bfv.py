@@ -227,8 +227,7 @@ class BfvContext:
         weights = np.asarray(weights)
         if weights.shape != (self.params.n,):
             raise ValueError(f"expected {self.params.n} weight coefficients")
-        c0 = backend.multiply(ct.c0, weights)
-        c1 = backend.multiply(ct.c1, weights)
+        c0, c1 = backend.multiply_many([ct.c0, ct.c1], [weights, weights])
         return Ciphertext(c0, c1)
 
     def zero_ciphertext(self) -> Ciphertext:

@@ -49,8 +49,8 @@ class ProtocolStats:
     input_transforms: int = 0
     inverse_transforms: int = 0
     # Weight-transform multiplication accounting, populated when the
-    # backend runs compiled sparse plans (repro.runtime's
-    # SparseBatchedFftBackend): realized = executed by the plans, dense =
+    # backend runs compiled sparse plans (repro.he.backend's
+    # SparseFftPolyMulBackend): realized = executed by the plans, dense =
     # dense-butterfly equivalent, model = repro.sparse.opcount prediction.
     weight_mults_realized: int = 0
     weight_mults_dense: int = 0
@@ -608,17 +608,31 @@ class HybridLinearProtocol(_ResilientProtocolMixin):
         # Client -> server hop (resilient transport when configured).
         cts = [self._transfer_ct(ct, stats) for ct in cts]
 
+        # Server side: every (chunk, group) product in one batch.
+        keys = [
+            (chunk, group)
+            for chunk in range(len(cts))
+            for group in range(enc.num_row_groups)
+        ]
+        fulls = [
+            ctx.add_plain(ct, server_polys[chunk] % t)
+            for chunk, ct in enumerate(cts)
+        ]
+        polys, weights = [], []
+        for chunk, group in keys:
+            polys.extend((fulls[chunk].c0, fulls[chunk].c1))
+            weights.extend((w_polys[(chunk, group)],) * 2)
+        backend = self.backend or NttPolyMulBackend()
+        outs = backend.multiply_many(polys, weights)
+        self._absorb_backend_mults(stats)
+
         masked = {}
         masks = {}
-        for chunk, ct in enumerate(cts):
-            full = ctx.add_plain(ct, server_polys[chunk] % t)
-            for group in range(enc.num_row_groups):
-                prod = ctx.multiply_plain(
-                    full, w_polys[(chunk, group)], self.backend
-                )
-                r = ring.random(self.params.n, rng)
-                masked[(chunk, group)] = ctx.sub_plain(prod, r)
-                masks[(chunk, group)] = r
+        for i, key in enumerate(keys):
+            r = ring.random(self.params.n, rng)
+            prod = Ciphertext(outs[2 * i], outs[2 * i + 1])
+            masked[key] = ctx.sub_plain(prod, r)
+            masks[key] = r
         stats.ciphertexts_returned += len(masked)
         stats.bytes_received += len(masked) * ciphertext_bytes(self.params)
 

@@ -137,7 +137,7 @@ class PrivateCnnEvaluator:
         Convolution layers run through
         :meth:`repro.protocol.hybrid.HybridConvProtocol.run_batch`, so
         weight encodings are shared across the batch and -- with a batched
-        backend such as :class:`repro.runtime.BatchedFftBackend` -- all
+        backend such as :class:`repro.he.backend.FftPolyMulBackend` -- all
         transform work executes in vectorized batch passes.  Non-linear
         layers apply to the whole activation stack at once.  An empty
         batch returns ``[]`` without key generation or rng draws.

@@ -2,27 +2,19 @@
 
 The execution layer between the protocol and the transform kernels:
 
-* :class:`PlanCache` -- bounded, byte-accounted LRU cache for NTT/FFT plans
-  and precomputed weight spectra.
+* :class:`PlanCache` -- bounded, byte-accounted LRU cache for NTT/FFT plans,
+  compiled sparse plans and precomputed weight spectra.
 * :class:`BatchedHConvEngine` -- clear-domain batched convolution through
   the coefficient encoding (bit-identical to the per-call pipelines).
-* :class:`BatchedNttBackend` / :class:`BatchedFftBackend` -- drop-in
-  polynomial-multiplication backends whose ``multiply_many`` batches the
-  transforms of the encrypted path and fans RNS limbs across workers.
-* :class:`SparseBatchedFftBackend` -- the FLASH sparse dataflow in the hot
-  path: weight transforms run compiled per-pattern skipping/merging plans
-  (:class:`repro.sparse.plan.SparsePlan`), bit-identical to the per-call
-  sparse oracles, with realized-vs-model mult reduction in ``last_stats``.
+* :func:`fan_out` / :class:`RuntimeStats` -- the order-preserving worker
+  pool and per-call accounting shared with the encrypted-path backends of
+  :mod:`repro.he.backend` (``NttPolyMulBackend``, ``FftPolyMulBackend``,
+  ``SparseFftPolyMulBackend``), whose ``multiply_many`` batches the
+  transforms of the encrypted path and fans independent work across
+  workers.
 """
 
-from repro.runtime.engine import (
-    BatchedFftBackend,
-    BatchedHConvEngine,
-    BatchedNttBackend,
-    RuntimeStats,
-    SparseBatchedFftBackend,
-    fan_out,
-)
+from repro.runtime.engine import BatchedHConvEngine, RuntimeStats, fan_out
 from repro.runtime.plan_cache import (
     PlanCache,
     approx_config_key,
@@ -31,12 +23,9 @@ from repro.runtime.plan_cache import (
 )
 
 __all__ = [
-    "BatchedFftBackend",
     "BatchedHConvEngine",
-    "BatchedNttBackend",
     "PlanCache",
     "RuntimeStats",
-    "SparseBatchedFftBackend",
     "approx_config_key",
     "estimate_nbytes",
     "fan_out",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,20 +35,12 @@ from repro.encoding.conv_encoding import (
     iter_row_bands,
     pad_input,
 )
-from repro.faults.inject import FaultRecovery
 from repro.fftcore.approx_pipeline import ApproxNegacyclic
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.he.backend import (
-    FftPolyMulBackend,
-    NttPolyMulBackend,
-    centered_lift,
-    round_to_ring,
-)
-from repro.he.poly import RingPoly
 from repro.ntt import find_ntt_primes, get_ntt
 from repro.ntt.modmath import centered, from_centered, mulmod
 from repro.obs import trace as obs_trace
-from repro.runtime.plan_cache import PlanCache, approx_config_key
+from repro.runtime.plan_cache import PlanCache, approx_config_key, sparse_plan
 
 #: Magnitude from which a rounded float no longer fits in int64.
 _INT64_BOUND = float(1 << 63)
@@ -345,21 +337,6 @@ class BatchedHConvEngine:
             key, lambda: pipe.weight_forward(w_poly)
         )
 
-    def _sparse_plan(self, n: int, folded_pattern: np.ndarray):
-        """Compiled sparse plan for one folded pattern (cached, digested)."""
-        from repro.sparse.plan import SparsePlan
-
-        cfg = self.weight_config
-        key = (
-            "sparse-plan",
-            n // 2,
-            approx_config_key(cfg),
-            folded_pattern.tobytes(),
-        )
-        return self.plan_cache.get_or_build(
-            key, lambda: SparsePlan(cfg, folded_pattern, sign=+1)
-        )
-
     def _sparse_poly_spectrum(self, n: int, w_poly: np.ndarray):
         """Sparse spectrum of one standalone weight polynomial.
 
@@ -372,7 +349,7 @@ class BatchedHConvEngine:
 
         w_poly = np.ascontiguousarray(w_poly, dtype=np.int64)
         pattern = fold_valid_indices(np.nonzero(w_poly)[0], n)
-        plan = self._sparse_plan(n, pattern)
+        plan = sparse_plan(self.plan_cache, n, self.weight_config, pattern)
         key = (
             "sparse-wspec",
             n,
@@ -412,7 +389,7 @@ class BatchedHConvEngine:
         w_specs: Dict[Tuple[int, int], np.ndarray] = {}
         for tile in sorted({t for t, _ in pairs}):
             pattern = fold_valid_indices(enc.weight_valid_indices(tile), n)
-            plan = self._sparse_plan(n, pattern)
+            plan = sparse_plan(self.plan_cache, n, self.weight_config, pattern)
             pipe_s = SparseWeightPipeline(
                 n, self.weight_config, pattern, plan=plan
             )
@@ -682,6 +659,10 @@ class BatchedHConvEngine:
                 coeffs = pipe.multiply_spectra_batch(w_rows, a_spec[a_idx])
                 return _round_rows_exact(coeffs)
 
+        # Imported here: repro.faults imports repro.he, whose backends
+        # import this module.
+        from repro.faults.inject import FaultRecovery
+
         groups = _split_groups(pairs, self._workers())
         recovery = FaultRecovery()
 
@@ -709,382 +690,3 @@ class BatchedHConvEngine:
                 r0 = row_start
                 r1 = min(r0 + y.shape[1], oh)
                 total[item, :, r0:r1, :ow] += y[:, : r1 - r0, :ow]
-
-
-# ---------------------------------------------------------------------------
-# Batched backends for the encrypted (RNS ciphertext) path
-# ---------------------------------------------------------------------------
-
-
-def _cluster_multiply_many(backend, kind, pattern, polys, weights_list):
-    """Shared cluster delegation of a backend's ``multiply_many``.
-
-    Serializes the polynomials through the protocol wire format, shards
-    them across the backend's :class:`repro.cluster.ClusterExecutor`, and
-    rebuilds ``last_stats`` from the worker-side job stats plus the
-    per-call supervision counters.
-    """
-    cluster = backend.cluster
-    outs = cluster.multiply_many(
-        kind,
-        getattr(backend, "weight_config", None),
-        pattern,
-        polys,
-        weights_list,
-    )
-    job_stats = cluster.last_job_stats
-    backend.last_stats = RuntimeStats(
-        mode=kind,
-        batch=len(polys),
-        products=job_stats.get("products", 0),
-        workers=cluster.policy.workers,
-        weight_transforms=job_stats.get("weight_transforms", 0),
-        weight_mults_realized=job_stats.get("weight_mults_realized", 0),
-        weight_mults_dense=job_stats.get("weight_mults_dense", 0),
-        weight_mults_model=job_stats.get("weight_mults_model", 0),
-        cluster=dict(cluster.last_cluster),
-    )
-    return outs
-
-
-class BatchedNttBackend(NttPolyMulBackend):
-    """Exact NTT backend with a batched ``multiply_many`` entry point.
-
-    Single products behave exactly like :class:`NttPolyMulBackend`; batched
-    calls stack every polynomial's residues per RNS limb and run one
-    ``forward_batch`` / ``inverse_batch`` pass per limb, with limbs fanned
-    across the worker pool.  Weight spectra are cached per
-    ``(degree, prime, weight-bytes)`` in the :class:`PlanCache` (integrity
-    checked: tampered spectra are evicted and recomputed).  A worker that
-    raises mid-limb is retried serially -- bit-identical output, fault
-    recorded in ``last_stats.worker_faults``.
-    """
-
-    def __init__(
-        self,
-        plan_cache: Optional[PlanCache] = None,
-        max_workers: Optional[int] = None,
-        fault_injector=None,
-        cluster=None,
-    ):
-        self.plan_cache = (
-            plan_cache if plan_cache is not None
-            else PlanCache(capacity_bytes=64 << 20, check_integrity=True)
-        )
-        self.max_workers = max_workers
-        self.fault_injector = fault_injector
-        self.cluster = cluster
-        self.last_stats = RuntimeStats(mode="ntt")
-
-    def _maybe_poison(self, tag) -> None:
-        if self.fault_injector is not None:
-            self.fault_injector.poison(tag)
-
-    def _weight_residue_spectrum(
-        self, n: int, prime: int, weights: np.ndarray
-    ) -> np.ndarray:
-        weights = np.ascontiguousarray(weights, dtype=np.int64)
-        key = ("rns-wspec", n, prime, weights.tobytes())
-        plan = get_ntt(n, prime)
-        return self.plan_cache.get_or_build(
-            key,
-            lambda: plan.forward(
-                (weights % np.int64(prime)).astype(np.uint64)
-            ),
-        )
-
-    @obs_trace.traced("runtime.multiply_many")
-    def multiply_many(
-        self, polys: List[RingPoly], weights_list: List[np.ndarray]
-    ) -> List[RingPoly]:
-        """Batched plaintext products, bit-identical to serial ``multiply``.
-
-        Args:
-            polys: ring polynomials sharing one RNS basis.
-            weights_list: one signed weight vector per polynomial (repeats
-                hit the spectrum cache).
-        """
-        if len(polys) != len(weights_list):
-            raise ValueError("polys and weights_list must have equal length")
-        if not polys:
-            return []
-        if self.cluster is not None:
-            return _cluster_multiply_many(
-                self, "ntt", None, polys, weights_list
-            )
-        basis = polys[0].basis
-        count = len(polys)
-        weights_list = [
-            np.ascontiguousarray(w, dtype=np.int64) for w in weights_list
-        ]
-        # Weight spectra are built serially (deterministic cache order);
-        # limb jobs below only read plain arrays.
-        w_rows_per_limb = []
-        for prime in basis.primes:
-            w_rows_per_limb.append(
-                np.stack(
-                    [
-                        self._weight_residue_spectrum(basis.n, prime, w)
-                        for w in weights_list
-                    ]
-                )
-            )
-
-        def limb_job(limb: int) -> np.ndarray:
-            self._maybe_poison(("limb", limb))
-            prime = basis.primes[limb]
-            plan = get_ntt(basis.n, prime)
-            rows = np.stack([p.residues[limb] for p in polys])
-            spec = mulmod(plan.forward_batch(rows), w_rows_per_limb[limb], prime)
-            return plan.inverse_batch(spec)
-
-        recovery = FaultRecovery()
-        limb_rows = fan_out(
-            range(len(basis.primes)), limb_job, self.max_workers,
-            recovery=recovery,
-        )
-        self.last_stats = RuntimeStats(
-            mode="ntt",
-            batch=count,
-            products=count,
-            workers=self.max_workers or 1,
-            worker_faults=recovery.faults,
-        )
-        return [
-            RingPoly(basis, [limb_rows[l][i] for l in range(len(basis.primes))])
-            for i in range(count)
-        ]
-
-
-class BatchedFftBackend(FftPolyMulBackend):
-    """FLASH FFT backend with batched activation transforms.
-
-    Weight spectra reuse the inherited bounded cache; ``multiply_many``
-    stacks the centered lifts of every ciphertext polynomial and runs the
-    activation transforms, pointwise products and inverse transforms as
-    single batched passes.  The CRT lift and the final rounding/reduction
-    are the serial path's own helpers (``centered_lift``/``round_to_ring``),
-    so batched results are bit-identical to per-call ``multiply``.
-    """
-
-    _stats_mode = "flash"
-
-    def __init__(
-        self,
-        weight_config: Optional[ApproxFftConfig] = None,
-        max_workers: Optional[int] = None,
-        fault_injector=None,
-        cluster=None,
-        **kwargs,
-    ):
-        super().__init__(weight_config=weight_config, **kwargs)
-        self.max_workers = max_workers
-        self.fault_injector = fault_injector
-        self.cluster = cluster
-        self.last_stats = RuntimeStats(mode=self._stats_mode)
-
-    def _maybe_poison(self, tag) -> None:
-        if self.fault_injector is not None:
-            self.fault_injector.poison(tag)
-
-    def _weight_rows(
-        self, n: int, weights_list: List[np.ndarray]
-    ) -> Tuple[np.ndarray, Dict[str, int]]:
-        """Stacked weight spectra plus mult accounting for one call.
-
-        Subclasses override this to change how spectra are produced (the
-        sparse backend swaps in compiled plans); the accounting dict feeds
-        the ``weight_mults_*`` fields of ``last_stats`` and is returned
-        (not stored on ``self``) so concurrent calls stay race-free.
-        """
-        rows = np.stack(
-            [
-                self.weight_spectrum(n, np.asarray(w)).values
-                for w in weights_list
-            ]
-        )
-        return rows, {}
-
-    @obs_trace.traced("runtime.multiply_many")
-    def multiply_many(
-        self, polys: List[RingPoly], weights_list: List[np.ndarray]
-    ) -> List[RingPoly]:
-        if len(polys) != len(weights_list):
-            raise ValueError("polys and weights_list must have equal length")
-        if not polys:
-            return []
-        if self.cluster is not None:
-            return _cluster_multiply_many(
-                self, self._stats_mode, getattr(self, "pattern", None),
-                polys, weights_list,
-            )
-        basis = polys[0].basis
-        n = basis.n
-        pipe = self.pipeline(n)
-        w_rows, mult_stats = self._weight_rows(n, weights_list)
-
-        def lift_job(index: int) -> np.ndarray:
-            self._maybe_poison(("lift", index))
-            return centered_lift(polys[index])
-
-        recovery = FaultRecovery()
-        lifts = fan_out(
-            range(len(polys)), lift_job, self.max_workers, recovery=recovery
-        )
-        a_spec = pipe.activation_forward_batch(np.stack(lifts))
-        products = pipe.multiply_spectra_batch(w_rows, a_spec)
-
-        def reduce_job(index: int) -> RingPoly:
-            self._maybe_poison(("reduce", index))
-            return round_to_ring(basis, products[index])
-
-        out = fan_out(
-            range(len(products)), reduce_job, self.max_workers,
-            recovery=recovery,
-        )
-        self.last_stats = RuntimeStats(
-            mode=self._stats_mode,
-            batch=len(polys),
-            products=len(polys),
-            workers=self.max_workers or 1,
-            worker_faults=recovery.faults,
-            **mult_stats,
-        )
-        return out
-
-
-class SparseBatchedFftBackend(BatchedFftBackend):
-    """Batched FLASH backend whose weight transforms run compiled sparse plans.
-
-    Identical to :class:`BatchedFftBackend` except that each weight's
-    spectrum is produced by a :class:`repro.sparse.plan.SparsePlan`
-    compiled for its structural zero pattern -- by default the weight's
-    own support (``np.nonzero``), optionally a fixed layer ``pattern``.
-    Weights sharing a folded pattern share one plan and are transformed
-    in one batched execution; every spectrum is bit-identical to per-call
-    :meth:`repro.sparse.sparse_fxp.SparseApproxNegacyclic.weight_forward`
-    with the same pattern.
-
-    ``last_stats`` reports realized/dense/model multiplication counts per
-    *distinct* weight in the call (c0/c1 and cross-item repeats dedupe by
-    spectrum key), so the accounting is deterministic and cache-warmth
-    independent.
-    """
-
-    _stats_mode = "sparse"
-
-    def __init__(
-        self,
-        weight_config: Optional[ApproxFftConfig] = None,
-        pattern: Optional[Sequence[int]] = None,
-        max_workers: Optional[int] = None,
-        fault_injector=None,
-        **kwargs,
-    ):
-        super().__init__(
-            weight_config=weight_config,
-            max_workers=max_workers,
-            fault_injector=fault_injector,
-            **kwargs,
-        )
-        if self.weight_config is None:
-            raise ValueError("SparseBatchedFftBackend needs a weight_config")
-        self.pattern = (
-            None
-            if pattern is None
-            else np.array(sorted({int(v) for v in pattern}), dtype=np.int64)
-        )
-        # Compiled plans get their own byte-accounted, digest-checked cache:
-        # per-weight support inference can produce many more patterns than
-        # the small ``_pipelines`` entry bound was sized for.
-        self.plan_cache = PlanCache(
-            capacity_bytes=32 << 20, check_integrity=True
-        )
-
-    def _sparse_plan(self, n: int, folded_pattern: np.ndarray):
-        from repro.sparse.plan import SparsePlan
-
-        cfg = self.weight_config
-        key = (
-            "sparse-plan",
-            n // 2,
-            approx_config_key(cfg),
-            folded_pattern.tobytes(),
-        )
-        return self.plan_cache.get_or_build(
-            key, lambda: SparsePlan(cfg, folded_pattern, sign=+1)
-        )
-
-    def _weight_rows(
-        self, n: int, weights_list: List[np.ndarray]
-    ) -> Tuple[np.ndarray, Dict[str, int]]:
-        from repro.fftcore.approx_pipeline import ApproxSpectrum
-        from repro.sparse.opcount import sparse_fft_mults
-        from repro.sparse.patterns import fold_valid_indices
-        from repro.sparse.plan import SparseWeightPipeline
-
-        weights = [
-            np.ascontiguousarray(w, dtype=np.int64) for w in weights_list
-        ]
-        folded = []
-        for w in weights:
-            support = self.pattern if self.pattern is not None else (
-                np.nonzero(w)[0]
-            )
-            folded.append(fold_valid_indices(support, n))
-        # Group indices by folded pattern; within a group, dedupe weights
-        # by bytes so repeated weights (c0/c1 of one ciphertext, shared
-        # kernels across a batch) are transformed and counted once.
-        groups: Dict[bytes, List[int]] = {}
-        for i, fp in enumerate(folded):
-            groups.setdefault(fp.tobytes(), []).append(i)
-        rows = np.empty((len(weights), n // 2), dtype=np.complex128)
-        realized = dense = model = transforms = 0
-        for idxs in groups.values():
-            fp = folded[idxs[0]]
-            plan = self._sparse_plan(n, fp)
-            pipe_s = SparseWeightPipeline(
-                n, self.weight_config, fp, plan=plan
-            )
-            keys = {
-                i: ("sparse-wspec", n, fp.tobytes(), weights[i].tobytes())
-                for i in idxs
-            }
-            unique: Dict[Hashable, List[int]] = {}
-            for i in idxs:
-                unique.setdefault(keys[i], []).append(i)
-            missing = [
-                key for key in unique if key not in self._spectrum_cache
-            ]
-            built: Dict[Hashable, ApproxSpectrum] = {}
-            if missing:
-                stack = np.stack([weights[unique[k][0]] for k in missing])
-                spec = pipe_s.weight_forward_batch(stack)
-                built = {
-                    k: ApproxSpectrum(
-                        values=spec.values[j], scale=float(spec.scale[j])
-                    )
-                    for j, k in enumerate(missing)
-                }
-            for key, shared in unique.items():
-                value = self._spectrum_cache.get_or_build(
-                    key,
-                    lambda k=key, i=shared[0]: built[k]
-                    if k in built
-                    else pipe_s.weight_forward(weights[i]),
-                )
-                for i in shared:
-                    rows[i] = value.values
-            mults_model = sparse_fft_mults(
-                tuple(int(v) for v in fp), n // 2
-            )
-            transforms += len(unique)
-            realized += plan.mults * len(unique)
-            dense += plan.dense_mults * len(unique)
-            model += mults_model * len(unique)
-        return rows, {
-            "weight_transforms": transforms,
-            "weight_mults_realized": realized,
-            "weight_mults_dense": dense,
-            "weight_mults_model": model,
-        }

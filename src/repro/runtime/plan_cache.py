@@ -13,10 +13,12 @@ Two full-cache policies exist because the paper needs both:
 * ``on_full="evict"`` -- the runtime behaviour: never hold more than
   ``capacity_bytes``, evicting LRU entries (an entry larger than the whole
   capacity is returned but not retained).
-* ``on_full="error"`` -- the Figure 1 memory-wall model used by
-  :class:`repro.he.backend.CachedNttBackend`: exceeding the budget raises
-  :class:`MemoryError`, demonstrating why storing NTT-domain weights is
-  infeasible at ResNet scale.
+* ``on_full="error"`` -- the Figure 1 memory-wall model, as the weight
+  spectrum store of :class:`repro.he.backend.NttPolyMulBackend`
+  (``NttPolyMulBackend(plan_cache=PlanCache(capacity_bytes=...,
+  on_full="error"))``): exceeding the budget raises :class:`MemoryError`,
+  demonstrating why storing NTT-domain weights is infeasible at ResNet
+  scale.
 """
 
 from __future__ import annotations
@@ -350,4 +352,20 @@ def approx_config_key(config) -> tuple:
         config.twiddle_k,
         config.twiddle_max_shift,
         config.input_width,
+    )
+
+
+def sparse_plan(cache: PlanCache, n: int, config, folded_pattern):
+    """The compiled :class:`repro.sparse.plan.SparsePlan` of one folded
+    weight pattern for ring degree ``n``, built once per ``cache``."""
+    from repro.sparse.plan import SparsePlan
+
+    key = (
+        "sparse-plan",
+        n // 2,
+        approx_config_key(config),
+        folded_pattern.tobytes(),
+    )
+    return cache.get_or_build(
+        key, lambda: SparsePlan(config, folded_pattern, sign=+1)
     )

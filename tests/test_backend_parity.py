@@ -1,0 +1,87 @@
+"""One product path per backend: a single product is a batch of one.
+
+For each of the three transforms, ``multiply(p, w)`` must equal
+``multiply_many([p], [w])[0]`` (and every row of a larger batch) bit for
+bit, on dense and on sparse weights; ``BfvContext.multiply_plain`` runs
+its c0/c1 products through the same path and decrypts to the plaintext
+convolution.
+"""
+
+import numpy as np
+import pytest
+
+from repro.fftcore.fixed_point import ApproxFftConfig
+from repro.he import BfvContext, toy_preset
+from repro.he.backend import (
+    FftPolyMulBackend,
+    NttPolyMulBackend,
+    SparseFftPolyMulBackend,
+)
+from repro.he.poly import RingPoly
+from repro.ntt import negacyclic_convolution_naive
+
+PARAMS = toy_preset()
+
+
+def _config(twiddle_k: int) -> ApproxFftConfig:
+    return ApproxFftConfig(
+        n=PARAMS.n // 2, stage_widths=27, twiddle_k=twiddle_k,
+        twiddle_max_shift=24,
+    )
+
+
+BACKENDS = {
+    "ntt": lambda k: NttPolyMulBackend(),
+    "flash": lambda k: FftPolyMulBackend(weight_config=_config(k)),
+    "sparse": lambda k: SparseFftPolyMulBackend(weight_config=_config(k)),
+}
+
+
+def _weights(rng, sparse: bool) -> np.ndarray:
+    w = rng.integers(-8, 9, size=PARAMS.n)
+    if sparse:
+        w[rng.random(PARAMS.n) < 0.85] = 0
+        w[rng.integers(PARAMS.n)] = 3  # never all-zero
+    return w
+
+
+def _same(a: RingPoly, b: RingPoly) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a.residues, b.residues))
+
+
+@pytest.mark.parametrize("twiddle_k", [5, 18])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_multiply_is_a_batch_of_one(kind, sparse, twiddle_k):
+    basis = PARAMS.basis
+    rng = np.random.default_rng(twiddle_k)
+    polys = [
+        RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 60, basis.n)))
+        for _ in range(6)
+    ]
+    weights = [_weights(rng, sparse) for _ in polys]
+    backend = BACKENDS[kind](twiddle_k)
+    singles = [backend.multiply(p, w) for p, w in zip(polys, weights)]
+    for p, w, single in zip(polys, weights, singles):
+        assert _same(single, backend.multiply_many([p], [w])[0])
+    for single, row in zip(singles, backend.multiply_many(polys, weights)):
+        assert _same(single, row)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_multiply_plain_round_trip(kind, sparse):
+    ctx = BfvContext(PARAMS)
+    rng = np.random.default_rng(7)
+    sk, pk = ctx.keygen(rng)
+    t = PARAMS.t
+    m = rng.integers(0, 1 << 8, size=PARAMS.n)
+    w = _weights(rng, sparse)
+    ct = ctx.encrypt(pk, m, rng)
+    backend = BACKENDS[kind](18)
+    prod = ctx.multiply_plain(ct, w, backend)
+    assert _same(prod.c0, backend.multiply(ct.c0, w))
+    assert _same(prod.c1, backend.multiply(ct.c1, w))
+    out = ctx.decrypt(sk, prod).astype(np.int64)
+    expected = negacyclic_convolution_naive(m, w, modulus=t).astype(np.int64)
+    assert np.array_equal(out, expected)

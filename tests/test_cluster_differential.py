@@ -14,15 +14,15 @@ import pytest
 from repro.cluster import ClusterPolicy, ClusterExecutor, make_executor
 from repro.encoding.conv_encoding import ConvShape
 from repro.fftcore.fixed_point import ApproxFftConfig
+from repro.he.backend import (
+    FftPolyMulBackend,
+    NttPolyMulBackend,
+    SparseFftPolyMulBackend,
+)
 from repro.he.params import toy_preset
 from repro.he.poly import RingPoly
 from repro.ntt import RnsBasis
-from repro.runtime import (
-    BatchedFftBackend,
-    BatchedHConvEngine,
-    BatchedNttBackend,
-    SparseBatchedFftBackend,
-)
+from repro.runtime import BatchedHConvEngine
 
 N = 128
 FLASH_CFG = ApproxFftConfig(
@@ -146,7 +146,7 @@ class TestMultiplyManyDifferential:
 
     def test_ntt_backend_sharded_matches_serial(self, executor, basis):
         polys, weights = self._polys(basis, 0, hi=1 << 62)
-        serial = BatchedNttBackend()
+        serial = NttPolyMulBackend()
         got = executor.multiply_many("ntt", None, None, polys, weights)
         self._assert_same(got, serial.multiply_many(polys, weights))
 
@@ -156,7 +156,7 @@ class TestMultiplyManyDifferential:
             twiddle_max_shift=24,
         )
         polys, weights = self._polys(basis, 1)
-        serial = BatchedFftBackend(weight_config=cfg)
+        serial = FftPolyMulBackend(weight_config=cfg)
         got = executor.multiply_many("flash", cfg, None, polys, weights)
         self._assert_same(got, serial.multiply_many(polys, weights))
 
@@ -166,7 +166,7 @@ class TestMultiplyManyDifferential:
             twiddle_max_shift=24,
         )
         polys, weights = self._polys(basis, 2)
-        serial = SparseBatchedFftBackend(weight_config=cfg)
+        serial = SparseFftPolyMulBackend(weight_config=cfg)
         got = executor.multiply_many("sparse", cfg, None, polys, weights)
         self._assert_same(got, serial.multiply_many(polys, weights))
 

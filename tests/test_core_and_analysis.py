@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.encoding import ConvShape, LinearShape, conv2d_direct
 from repro.fftcore import ApproxFftConfig
-from repro.he import toy_preset
+from repro.he import NttPolyMulBackend, toy_preset
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +83,9 @@ class TestFlashConfig:
 
     def test_backends(self):
         cfg = FlashConfig(params=toy_preset(n=64))
-        assert cfg.flash_backend().weight_config is not None
-        assert cfg.fp_backend().weight_config is None
+        assert cfg.batched_flash_backend().weight_config is not None
+        assert cfg.batched_sparse_backend().weight_config is not None
+        assert isinstance(cfg.batched_exact_backend(), NttPolyMulBackend)
 
     def test_describe(self):
         assert "k=5" in FlashConfig(params=toy_preset()).describe()
@@ -114,6 +115,18 @@ class TestFlashFacade:
         w = rng.integers(-8, 8, size=(4, 16))
         result = flash.private_linear(x, w, rng, exact=True)
         assert result.exact
+
+    def test_private_linear_hits_warm_spectrum_cache(self, flash):
+        rng = np.random.default_rng(5)
+        x = rng.integers(-20, 20, size=16)
+        w = rng.integers(-8, 8, size=(4, 16))
+        flash.private_linear(x, w, rng)
+        backend = flash._batched_backend("flash", None)
+        before = backend.cache_stats
+        flash.private_linear(x, w, rng)
+        after = backend.cache_stats
+        assert after["misses"] == before["misses"]
+        assert after["hits"] > before["hits"]
 
     def test_session_reused(self, flash):
         rng = np.random.default_rng(4)

@@ -10,12 +10,11 @@ from repro.faults import (
     WorkerFaultInjector,
 )
 from repro.fftcore.fixed_point import ApproxFftConfig
+from repro.he.backend import FftPolyMulBackend, NttPolyMulBackend
 from repro.he.params import toy_preset
 from repro.he.poly import RingPoly
 from repro.runtime import (
-    BatchedFftBackend,
     BatchedHConvEngine,
-    BatchedNttBackend,
     PlanCache,
     fan_out,
     value_digest,
@@ -113,11 +112,11 @@ class TestBackendFaultTolerance:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_ntt_multiply_many_byte_identical_under_faults(self, workers):
         polys, weights = _random_products(0)
-        reference = BatchedNttBackend(max_workers=workers).multiply_many(
+        reference = NttPolyMulBackend(max_workers=workers).multiply_many(
             polys, weights
         )
         injector = WorkerFaultInjector(tags=[("limb", 0), ("limb", 1)])
-        backend = BatchedNttBackend(
+        backend = NttPolyMulBackend(
             max_workers=workers, fault_injector=injector
         )
         outs = backend.multiply_many(polys, weights)
@@ -127,13 +126,13 @@ class TestBackendFaultTolerance:
 
     def test_fft_multiply_many_byte_identical_under_faults(self):
         polys, weights = _random_products(1, count=4)
-        reference = BatchedFftBackend(
+        reference = FftPolyMulBackend(
             weight_config=FLASH_CFG, max_workers=2
         ).multiply_many(polys, weights)
         injector = WorkerFaultInjector(
             tags=[("lift", 0), ("reduce", 3)]
         )
-        backend = BatchedFftBackend(
+        backend = FftPolyMulBackend(
             weight_config=FLASH_CFG, max_workers=2, fault_injector=injector
         )
         outs = backend.multiply_many(polys, weights)
@@ -145,7 +144,7 @@ class TestBackendFaultTolerance:
         injector = WorkerFaultInjector(
             tags=[("limb", 0)], failures_per_job=99
         )
-        backend = BatchedNttBackend(max_workers=2, fault_injector=injector)
+        backend = NttPolyMulBackend(max_workers=2, fault_injector=injector)
         with pytest.raises(InjectedWorkerFault):
             backend.multiply_many(polys, weights)
 
@@ -219,7 +218,7 @@ class TestPlanCacheIntegrity:
 
     def test_backend_recomputes_tampered_spectrum_bit_identical(self):
         polys, weights = _random_products(4)
-        backend = BatchedNttBackend()
+        backend = NttPolyMulBackend()
         reference = backend.multiply_many(polys, weights)
         # Corrupt every cached weight spectrum in place.
         for key in backend.plan_cache.keys():

@@ -264,12 +264,21 @@ class TestMultiplyPlain:
         assert np.array_equal(local_ctx.decrypt(sk, ct), m % local_ctx.params.t)
 
 
-class TestCachedNttBackend:
-    def test_exact_and_caches(self, ctx, keys):
-        from repro.he import CachedNttBackend
+def _ntt_store_backend(capacity_bytes=None):
+    """The NTT backend with Figure 1's pre-stored weight spectra: a
+    byte-budgeted store that raises MemoryError when full."""
+    from repro.runtime import PlanCache
 
+    return NttPolyMulBackend(
+        plan_cache=PlanCache(capacity_bytes=capacity_bytes, on_full="error")
+    )
+
+
+class TestNttSpectrumStore:
+    def test_exact_and_caches(self, ctx, keys):
         sk, pk = keys
-        backend = CachedNttBackend()
+        backend = _ntt_store_backend()
+        primes = len(ctx.params.basis.primes)
         n, t = ctx.params.n, ctx.params.t
         rng = np.random.default_rng(40)
         m = rng.integers(0, 1 << 8, size=n, dtype=np.int64)
@@ -279,16 +288,15 @@ class TestCachedNttBackend:
         out = ctx.decrypt(sk, ctx.multiply_plain(ct, w, backend))
         expected = negacyclic_convolution_naive(m, w, modulus=t)
         assert np.array_equal(out.astype(np.uint64), expected)
-        # One miss for the first component, then hits (c1, repeats).
-        assert backend.misses == 1
+        # Entries are per RNS prime: c0 misses once per prime, c1 hits.
+        cache = backend.plan_cache
+        assert (cache.misses, cache.hits) == (primes, primes)
         ctx.multiply_plain(ct, w, backend)
-        assert backend.hits >= 3
+        assert (cache.misses, cache.hits) == (primes, 3 * primes)
 
     def test_memory_accounting(self, ctx, keys):
-        from repro.he import CachedNttBackend
-
         _, pk = keys
-        backend = CachedNttBackend()
+        backend = _ntt_store_backend()
         n = ctx.params.n
         rng = np.random.default_rng(41)
         ct = ctx.encrypt(pk, _random_message(ctx, 42), rng)
@@ -297,13 +305,11 @@ class TestCachedNttBackend:
         ctx.multiply_plain(ct, w, backend)
         # One cached polynomial: n words per RNS prime, 8 bytes each.
         primes = len(ctx.params.basis.primes)
-        assert backend.cached_bytes == 8 * n * primes
+        assert backend.plan_cache.cached_bytes == 8 * n * primes
 
     def test_capacity_enforced(self, ctx, keys):
-        from repro.he import CachedNttBackend
-
         _, pk = keys
-        backend = CachedNttBackend(capacity_bytes=100)
+        backend = _ntt_store_backend(capacity_bytes=100)
         rng = np.random.default_rng(43)
         ct = ctx.encrypt(pk, _random_message(ctx, 44), rng)
         w = np.zeros(ctx.params.n, dtype=np.int64)

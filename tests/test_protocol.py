@@ -307,16 +307,16 @@ def _flash_k5(params):
 
 
 def _batched_ntt(params):
-    from repro.runtime import BatchedNttBackend
+    from repro.he.backend import NttPolyMulBackend
 
-    return BatchedNttBackend()
+    return NttPolyMulBackend()
 
 
 def _sparse(params):
-    from repro.runtime import SparseBatchedFftBackend
+    from repro.he.backend import SparseFftPolyMulBackend
 
     weight_config = _flash_k5(params).weight_config
-    return SparseBatchedFftBackend(weight_config=weight_config)
+    return SparseFftPolyMulBackend(weight_config=weight_config)
 
 
 def _bad_fft(params):

@@ -273,7 +273,7 @@ class TestNoiseBudgetGuard:
 
 
 class TestNoiseBudgetGuardSparseBatched:
-    """The guard on the batched sparse hot path (SparseBatchedFftBackend).
+    """The guard on the batched sparse hot path (SparseFftPolyMulBackend).
 
     PR 7 compiled sparse plans into ``multiply_many``; these tests close
     the loop with :class:`TestNoiseBudgetGuard` by proving both guard
@@ -291,23 +291,23 @@ class TestNoiseBudgetGuardSparseBatched:
 
     def _bad_sparse_backend(self):
         from repro.fftcore.fixed_point import ApproxFftConfig
-        from repro.runtime import SparseBatchedFftBackend
+        from repro.he.backend import SparseFftPolyMulBackend
 
         # Same aggressive fixed-point budget as the dense observed-error
         # trigger, but executed through compiled sparse plans.
         cfg = ApproxFftConfig(
             n=32, stage_widths=12, twiddle_k=2, twiddle_max_shift=8
         )
-        return SparseBatchedFftBackend(weight_config=cfg)
+        return SparseFftPolyMulBackend(weight_config=cfg)
 
     def _good_sparse_backend(self):
         from repro.fftcore.fixed_point import ApproxFftConfig
-        from repro.runtime import SparseBatchedFftBackend
+        from repro.he.backend import SparseFftPolyMulBackend
 
         cfg = ApproxFftConfig(
             n=32, stage_widths=27, twiddle_k=18, twiddle_max_shift=24
         )
-        return SparseBatchedFftBackend(weight_config=cfg)
+        return SparseFftPolyMulBackend(weight_config=cfg)
 
     def test_predicted_trigger_degrades_sparse_batch_bit_exact(self):
         from repro.faults import BudgetGuard

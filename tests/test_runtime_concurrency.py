@@ -11,15 +11,10 @@ import pytest
 
 from repro.encoding.conv_encoding import ConvShape
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.he.backend import NttPolyMulBackend
+from repro.he.backend import FftPolyMulBackend, NttPolyMulBackend
 from repro.he.poly import RingPoly
 from repro.ntt import RnsBasis
-from repro.runtime import (
-    BatchedFftBackend,
-    BatchedHConvEngine,
-    BatchedNttBackend,
-    fan_out,
-)
+from repro.runtime import BatchedHConvEngine, fan_out
 
 WORKER_GRID = [None, 1, 2, 8]
 
@@ -83,13 +78,11 @@ class TestBackendConcurrency:
 
     def test_ntt_backend_workers_byte_identical(self, basis, workload):
         polys, weights = workload
-        serial = NttPolyMulBackend()
         refs = [
-            serial.multiply(p, np.asarray(w, dtype=np.int64))
-            for p, w in zip(polys, weights)
+            p * RingPoly.from_signed(basis, w) for p, w in zip(polys, weights)
         ]
         for workers in WORKER_GRID:
-            backend = BatchedNttBackend(max_workers=workers)
+            backend = NttPolyMulBackend(max_workers=workers)
             outs = backend.multiply_many(polys, weights)
             for out, ref in zip(outs, refs):
                 for a, b in zip(out.residues, ref.residues):
@@ -101,11 +94,11 @@ class TestBackendConcurrency:
             n=basis.n // 2, stage_widths=27, twiddle_k=18,
             twiddle_max_shift=24,
         )
-        ref = BatchedFftBackend(weight_config=cfg).multiply_many(
+        ref = FftPolyMulBackend(weight_config=cfg).multiply_many(
             polys, weights
         )
         for workers in WORKER_GRID[1:]:
-            backend = BatchedFftBackend(weight_config=cfg, max_workers=workers)
+            backend = FftPolyMulBackend(weight_config=cfg, max_workers=workers)
             outs = backend.multiply_many(polys, weights)
             for out, expect in zip(outs, ref):
                 for a, b in zip(out.residues, expect.residues):
@@ -120,7 +113,7 @@ class TestBackendConcurrency:
 
         polys, weights = workload
         cache = PlanCache(capacity_bytes=8 << 20)
-        backend = BatchedNttBackend(plan_cache=cache, max_workers=2)
+        backend = NttPolyMulBackend(plan_cache=cache, max_workers=2)
         ref = backend.multiply_many(polys, weights)
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [
@@ -151,7 +144,7 @@ class TestBackendConcurrency:
             fields=("hits", "misses", "evictions", "corruptions", "_bytes"),
             mutable_fields=("_entries",),
         )
-        backend = BatchedNttBackend(plan_cache=cache, max_workers=2)
+        backend = NttPolyMulBackend(plan_cache=cache, max_workers=2)
         san.start()
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [

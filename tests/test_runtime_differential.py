@@ -7,8 +7,9 @@ Every batched path must agree with the per-call reference it replaces:
 * the batched approximate-FFT path is bit-identical to per-call
   ``hconv_flash`` / ``hconv_fft``, and its deviation from the exact
   convolution stays within the :mod:`repro.he.noise` error budget;
-* the encrypted ``multiply_many`` backends match serial ``multiply``
-  word for word.
+* the encrypted ``multiply_many`` backends match per-call product
+  oracles (the ring product for NTT, the per-call approximate pipeline
+  with big-int lift and rounding for FFT) word for word.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from repro.core.hconv import hconv_fft, hconv_flash, hconv_ntt
 from repro.encoding.conv_encoding import ConvShape
 from repro.encoding.plain_eval import conv2d_direct, conv2d_via_polynomials
+from repro.fftcore.approx_pipeline import ApproxNegacyclic
 from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.he.backend import FftPolyMulBackend, NttPolyMulBackend
 from repro.he.noise import fft_error_tolerance
@@ -24,16 +26,24 @@ from repro.he.params import toy_preset
 from repro.he.poly import RingPoly
 from repro.ntt import RnsBasis
 from repro.protocol.hybrid import HybridConvProtocol, make_session
-from repro.runtime import (
-    BatchedFftBackend,
-    BatchedHConvEngine,
-    BatchedNttBackend,
-)
+from repro.runtime import BatchedHConvEngine
 
 N = 128
 FLASH_CFG = ApproxFftConfig(
     n=N // 2, stage_widths=27, twiddle_k=18, twiddle_max_shift=24
 )
+
+
+def serial_fft_multiply(poly, weights, cfg):
+    """Per-call encrypted FFT oracle: one-row approximate pipeline, with
+    the centered lift and the rounding/reduction in Python big ints."""
+    basis = poly.basis
+    pipe = ApproxNegacyclic(basis.n, cfg)
+    w_spec = pipe.weight_forward(np.asarray(weights, dtype=np.int64))
+    lift = np.array([float(v) for v in poly.to_centered()], dtype=np.float64)
+    product = pipe.multiply_spectra(w_spec, pipe.activation_forward(lift))
+    ints = [int(round(float(v))) % basis.modulus for v in product]
+    return RingPoly(basis, basis.to_rns(np.array(ints, dtype=object)))
 
 
 def random_shape_grid(seed: int, count: int):
@@ -139,8 +149,7 @@ class TestEncryptedDifferential:
 
     def test_batched_ntt_backend_matches_serial(self, basis):
         rng = np.random.default_rng(0)
-        serial = NttPolyMulBackend()
-        batched = BatchedNttBackend()
+        batched = NttPolyMulBackend()
         polys, weights = [], []
         for _ in range(6):
             coeffs = rng.integers(0, 1 << 62, size=basis.n)
@@ -148,7 +157,7 @@ class TestEncryptedDifferential:
             weights.append(rng.integers(-5, 6, size=basis.n))
         outs = batched.multiply_many(polys, weights)
         for poly, w, out in zip(polys, weights, outs):
-            ref = serial.multiply(poly, np.asarray(w, dtype=np.int64))
+            ref = poly * RingPoly.from_signed(basis, w)
             for a, b in zip(out.residues, ref.residues):
                 assert np.array_equal(a, b)
 
@@ -158,8 +167,7 @@ class TestEncryptedDifferential:
             n=basis.n // 2, stage_widths=27, twiddle_k=18,
             twiddle_max_shift=24,
         )
-        serial = FftPolyMulBackend(weight_config=cfg)
-        batched = BatchedFftBackend(weight_config=cfg)
+        batched = FftPolyMulBackend(weight_config=cfg)
         polys, weights = [], []
         for _ in range(5):
             coeffs = rng.integers(0, 1 << 20, size=basis.n)
@@ -167,7 +175,7 @@ class TestEncryptedDifferential:
             weights.append(rng.integers(-5, 6, size=basis.n))
         outs = batched.multiply_many(polys, weights)
         for poly, w, out in zip(polys, weights, outs):
-            ref = serial.multiply(poly, np.asarray(w, dtype=np.int64))
+            ref = serial_fft_multiply(poly, w, cfg)
             for a, b in zip(out.residues, ref.residues):
                 assert np.array_equal(a, b)
 
@@ -182,7 +190,7 @@ class TestEncryptedDifferential:
         xs = rng.integers(-7, 8, size=(3, 2, 6, 6))
         plain = HybridConvProtocol(params, shape, backend=None)
         batched = HybridConvProtocol(
-            params, shape, backend=BatchedNttBackend()
+            params, shape, backend=NttPolyMulBackend()
         )
         r_plain = plain.run_batch(xs, w, np.random.default_rng(42))
         r_batch = batched.run_batch(xs, w, np.random.default_rng(42))
@@ -238,7 +246,7 @@ class TestEncryptedRoundTripSlow:
         params = toy_preset(n=256, share_bits=17)
         xs, w = self._data()
         protocol = HybridConvProtocol(
-            params, self.SHAPE, backend=BatchedNttBackend(max_workers=2)
+            params, self.SHAPE, backend=NttPolyMulBackend(max_workers=2)
         )
         session = make_session(params, np.random.default_rng(9))
         results = protocol.run_batch(
@@ -260,7 +268,7 @@ class TestEncryptedRoundTripSlow:
         )
         xs, w = self._data()
         protocol = HybridConvProtocol(
-            params, self.SHAPE, backend=BatchedFftBackend(weight_config=cfg)
+            params, self.SHAPE, backend=FftPolyMulBackend(weight_config=cfg)
         )
         session = make_session(params, np.random.default_rng(9))
         results = protocol.run_batch(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.he.backend import CachedNttBackend, FftPolyMulBackend
+from repro.he.backend import FftPolyMulBackend, NttPolyMulBackend
 from repro.he.poly import RingPoly
 from repro.ntt import RnsBasis, get_ntt
 from repro.runtime import PlanCache, approx_config_key, estimate_nbytes
@@ -172,13 +172,15 @@ class TestBoundedBackendCaches:
         basis = RnsBasis.generate(64, [30, 30])
         rng = np.random.default_rng(2)
         poly = RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 20, 64)))
-        backend = CachedNttBackend(capacity_bytes=3 * 2 * 64 * 8)
+        # Room for three weights' spectra: one 64-word entry per prime.
+        cache = PlanCache(capacity_bytes=3 * 2 * 64 * 8, on_full="error")
+        backend = NttPolyMulBackend(plan_cache=cache)
         for i in range(3):
             backend.multiply(poly, rng.integers(-5, 6, size=64))
-        assert backend.misses == 3 and backend.hits == 0
+        assert cache.misses == 3 * 2 and cache.hits == 0
         with pytest.raises(MemoryError):
             backend.multiply(poly, rng.integers(-5, 6, size=64))
-        backend.clear_cache()
+        cache.clear()
         backend.multiply(poly, rng.integers(-5, 6, size=64))
 
     def test_cached_backend_results_identical_to_fresh(self):
@@ -186,9 +188,10 @@ class TestBoundedBackendCaches:
         rng = np.random.default_rng(3)
         poly = RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 20, 64)))
         w = rng.integers(-5, 6, size=64)
-        backend = CachedNttBackend()
+        cache = PlanCache(on_full="error")
+        backend = NttPolyMulBackend(plan_cache=cache)
         first = backend.multiply(poly, w)
-        second = backend.multiply(poly, w)  # cache hit
-        assert backend.hits == 1
+        second = backend.multiply(poly, w)  # cache hit, one per prime
+        assert cache.hits == 2
         for a, b in zip(first.residues, second.residues):
             assert np.array_equal(a, b)

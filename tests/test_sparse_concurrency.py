@@ -2,7 +2,7 @@
 
 The sparse plan caches and the worker pool must never change results:
 1 / 2 / 8 workers (and the serial fallback) are byte-identical through
-``SparseBatchedFftBackend.multiply_many`` and through the engine's
+``SparseFftPolyMulBackend.multiply_many`` and through the engine's
 sparse mode, and a shared sparse-plan :class:`PlanCache` survives an
 8-worker stress run under the dynamic race sanitizer with no
 happens-before violation.
@@ -16,10 +16,11 @@ import pytest
 from repro.core.hconv import hconv_sparse
 from repro.encoding.conv_encoding import ConvShape
 from repro.fftcore.fixed_point import ApproxFftConfig
+from repro.he.backend import SparseFftPolyMulBackend
 from repro.he.poly import RingPoly
 from repro.lint import instrument
 from repro.ntt import RnsBasis
-from repro.runtime import BatchedHConvEngine, SparseBatchedFftBackend
+from repro.runtime import BatchedHConvEngine
 
 WORKER_GRID = [None, 1, 2, 8]
 
@@ -109,11 +110,11 @@ class TestSparseBackendConcurrency:
 
     def test_workers_byte_identical(self, basis, cfg, workload):
         polys, weights = workload
-        ref = SparseBatchedFftBackend(weight_config=cfg).multiply_many(
+        ref = SparseFftPolyMulBackend(weight_config=cfg).multiply_many(
             polys, weights
         )
         for workers in WORKER_GRID[1:]:
-            backend = SparseBatchedFftBackend(
+            backend = SparseFftPolyMulBackend(
                 weight_config=cfg, max_workers=workers
             )
             outs = backend.multiply_many(polys, weights)
@@ -125,7 +126,7 @@ class TestSparseBackendConcurrency:
         """Concurrent multiply_many calls against one backend keep
         deterministic results (first-insert-wins plan builds)."""
         polys, weights = workload
-        backend = SparseBatchedFftBackend(weight_config=cfg, max_workers=2)
+        backend = SparseFftPolyMulBackend(weight_config=cfg, max_workers=2)
         ref = backend.multiply_many(polys, weights)
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [
@@ -146,7 +147,7 @@ class TestSparseBackendConcurrency:
         sanitizer observes the stress and finds no happens-before
         violation on the cache's shared state."""
         polys, weights = workload
-        backend = SparseBatchedFftBackend(weight_config=cfg, max_workers=2)
+        backend = SparseFftPolyMulBackend(weight_config=cfg, max_workers=2)
         san = instrument(
             backend.plan_cache,
             fields=("hits", "misses", "evictions", "corruptions", "_bytes"),

@@ -12,7 +12,7 @@ shape x batch x sparsity grid:
   ``SparseApproxNegacyclic.weight_forward`` -- values *and* scales;
 * ``BatchedHConvEngine(mode="sparse")`` equals per-call
   :func:`repro.core.hconv.hconv_sparse`;
-* ``SparseBatchedFftBackend.multiply_many`` equals the serial encrypted
+* ``SparseFftPolyMulBackend.multiply_many`` equals the serial encrypted
   pipeline with the per-call sparse weight transform, word for word;
 * realized mult counts reported by the runtime stats match the
   :mod:`repro.sparse.opcount` analytical model within the 2% acceptance
@@ -27,12 +27,13 @@ from repro.encoding.conv_encoding import ConvShape
 from repro.encoding.plain_eval import conv2d_via_polynomials
 from repro.fftcore.approx_pipeline import ApproxNegacyclic
 from repro.fftcore.fixed_point import ApproxFftConfig
+from repro.he.backend import SparseFftPolyMulBackend
 from repro.he.noise import fft_error_tolerance
 from repro.he.params import toy_preset
 from repro.he.poly import RingPoly
 from repro.ntt import RnsBasis
 from repro.protocol.hybrid import HybridConvProtocol
-from repro.runtime import BatchedHConvEngine, SparseBatchedFftBackend
+from repro.runtime import BatchedHConvEngine
 from repro.sparse import SparsePlan, SparseWeightPipeline
 from repro.sparse.opcount import sparse_fft_mults
 from repro.sparse.patterns import (
@@ -261,7 +262,7 @@ class TestEncryptedSparseDifferential:
 
     def test_sparse_backend_matches_serial_oracle(self, basis, cfg):
         polys, weights = self._workload(basis, seed=3)
-        backend = SparseBatchedFftBackend(weight_config=cfg)
+        backend = SparseFftPolyMulBackend(weight_config=cfg)
         outs = backend.multiply_many(polys, weights)
         for poly, w, out in zip(polys, weights, outs):
             ref = self._serial_sparse_multiply(poly, w, cfg)
@@ -280,8 +281,8 @@ class TestEncryptedSparseDifferential:
             w = np.zeros(basis.n, dtype=np.int64)
             w[pattern] = rng.integers(1, 5, size=pattern.size)
             weights.append(w)
-        inferred = SparseBatchedFftBackend(weight_config=cfg)
-        fixed = SparseBatchedFftBackend(weight_config=cfg, pattern=pattern)
+        inferred = SparseFftPolyMulBackend(weight_config=cfg)
+        fixed = SparseFftPolyMulBackend(weight_config=cfg, pattern=pattern)
         a_outs = inferred.multiply_many(polys, weights)
         b_outs = fixed.multiply_many(polys, weights)
         for a, b in zip(a_outs, b_outs):
@@ -290,7 +291,7 @@ class TestEncryptedSparseDifferential:
 
     def test_backend_stats_match_oracle_counts(self, basis, cfg):
         polys, weights = self._workload(basis, seed=4, count=4)
-        backend = SparseBatchedFftBackend(weight_config=cfg)
+        backend = SparseFftPolyMulBackend(weight_config=cfg)
         backend.multiply_many(polys, weights)
         stats = backend.last_stats
         # Distinct weights each charge one transform (c0/c1 reuse is free).
@@ -325,7 +326,7 @@ class TestEncryptedSparseDifferential:
         )
         protocol = HybridConvProtocol(
             params, shape,
-            backend=SparseBatchedFftBackend(weight_config=weight_cfg),
+            backend=SparseFftPolyMulBackend(weight_config=weight_cfg),
         )
         results = protocol.run_batch(xs, w, np.random.default_rng(42))
         tol = fft_error_tolerance(params)
