@@ -53,8 +53,27 @@ class FxpFormat:
         return scaled * self.ulp
 
     def quantize_complex(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`quantize` of both parts, in one pass over the
+        interleaved float64 view.
+
+        Bit-identical to ``quantize(x.real) + 1j * quantize(x.imag)``,
+        signed zeros included: that sum keeps a ``-0.0`` real part only
+        where the imaginary part is negative or ``-0.0``, and never yields
+        a ``-0.0`` imaginary part.  Multiplying by ``1 - 0j`` and adding
+        ``-0 + 0j`` gives the same zeros and leaves every other value
+        unchanged (both steps are exact).
+        """
         x = np.asarray(x, dtype=np.complex128)
-        return self.quantize(x.real) + 1j * self.quantize(x.imag)
+        limit = 2.0**self.frac_bits
+        # Scaling by a power of two is exact, so this equals x / ulp.
+        parts = np.ascontiguousarray(x).view(np.float64) * limit
+        np.rint(parts, out=parts)
+        np.clip(parts, -limit, limit - 1, out=parts)
+        parts *= self.ulp
+        out = parts.view(np.complex128)
+        np.multiply(out, complex(1.0, -0.0), out=out)
+        np.add(out, complex(-0.0, 0.0), out=out)
+        return out.reshape(x.shape)
 
 
 @dataclass
@@ -133,6 +152,12 @@ class FixedPointFft:
                 self._stage_tw.append(self._rom.stage_values(s))
             else:
                 self._stage_tw.append(stage_twiddles(n, s, sign))
+        self._formats = [FxpFormat(w) for w in config.stage_widths]
+        self._input_format = (
+            FxpFormat(config.input_width)
+            if config.input_width is not None
+            else None
+        )
 
     @property
     def output_scale(self) -> float:
@@ -145,26 +170,11 @@ class FixedPointFft:
 
     def __call__(self, x) -> np.ndarray:
         """Run the fixed-point transform on complex input in ``[-1, 1)``."""
-        cfg = self.config
+        n = self.config.n
         x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (cfg.n,):
-            raise ValueError(f"expected shape ({cfg.n},), got {x.shape}")
-        if cfg.input_width is not None:
-            x = FxpFormat(cfg.input_width).quantize_complex(x)
-        out = x[self._rev].copy()
-        for s in range(1, cfg.stages + 1):
-            m = 1 << s
-            half = m >> 1
-            w = self._stage_tw[s - 1]
-            out = out.reshape(-1, m)
-            lo = out[:, :half].copy()
-            hi = out[:, half:] * w
-            # Halving keeps magnitudes in [-1, 1) regardless of stage count.
-            out[:, :half] = (lo + hi) * 0.5
-            out[:, half:] = (lo - hi) * 0.5
-            out = out.reshape(-1)
-            out = FxpFormat(cfg.stage_widths[s - 1]).quantize_complex(out)
-        return out
+        if x.shape != (n,):
+            raise ValueError(f"expected shape ({n},), got {x.shape}")
+        return self.batch(x[None])[0]
 
     def batch(self, x) -> np.ndarray:
         """Batched bit-true transform over the last axis of ``(..., n)``.
@@ -179,9 +189,9 @@ class FixedPointFft:
                 f"batch must have last axis {cfg.n}, got shape {x.shape}"
             )
         lead = x.shape[:-1]
-        if cfg.input_width is not None:
-            x = FxpFormat(cfg.input_width).quantize_complex(x)
-        out = x[..., self._rev].reshape(-1).copy()
+        if self._input_format is not None:
+            x = self._input_format.quantize_complex(x)
+        out = x[..., self._rev].reshape(-1)
         for s in range(1, cfg.stages + 1):
             m = 1 << s
             half = m >> 1
@@ -189,10 +199,10 @@ class FixedPointFft:
             out = out.reshape(-1, m)
             lo = out[:, :half].copy()
             hi = out[:, half:] * w
+            # Halving keeps magnitudes in [-1, 1) regardless of stage count.
             out[:, :half] = (lo + hi) * 0.5
             out[:, half:] = (lo - hi) * 0.5
-            out = out.reshape(-1)
-            out = FxpFormat(cfg.stage_widths[s - 1]).quantize_complex(out)
+            out = self._formats[s - 1].quantize_complex(out.reshape(-1))
         return out.reshape(lead + (cfg.n,))
 
     @property

@@ -7,11 +7,15 @@ vectorized numpy passes, amortizing:
 
 * **plans** -- twiddle tables and pipelines come from a bounded
   :class:`repro.runtime.plan_cache.PlanCache`;
-* **weight transforms** -- each distinct weight polynomial's spectrum is
-  computed once and shared by every batch item (the Section III-B sharing
-  argument, applied across the batch as well as across tiles);
 * **activation transforms** -- computed once per input tile and reused by
-  all output channels.
+  all output channels;
+* **weight transforms** -- streamed through the output-channel group jobs
+  (the Section III-B dataflow that shares activation transforms and
+  computes weight transforms as they are consumed): each job transforms
+  its chunk of ``(tile, out_channel)`` weights in one batch, multiplies,
+  inverse-transforms and drops the spectra.  Only when all of a call's
+  distinct weight spectra fit the plan cache are they cached, so a warm
+  layer reuses them across calls.
 
 Independent RNS limbs and output-channel groups fan out across a
 ``concurrent.futures`` thread pool (numpy releases the GIL inside the
@@ -21,7 +25,9 @@ deterministic and byte-identical to the serial fallback.
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -44,6 +50,12 @@ from repro.runtime.plan_cache import PlanCache, approx_config_key, sparse_plan
 
 #: Magnitude from which a rounded float no longer fits in int64.
 _INT64_BOUND = float(1 << 63)
+
+#: Most ``(tile, out_channel)`` pairs one group job transforms, multiplies
+#: and inverse-transforms at a time.  32 spectra are 1 MiB at n=4096; on a
+#: 3x3 ResNet-18 layer 32-64 ran fastest, 256 was ~20% and 2048 (half the
+#: layer) ~2.3x slower.
+_SPECTRA_CHUNK = 32
 
 
 def fan_out(
@@ -97,6 +109,8 @@ def fan_out(
 def _split_groups(items: Sequence, groups: int) -> List[list]:
     """Split ``items`` into at most ``groups`` contiguous non-empty chunks."""
     items = list(items)
+    if not items:
+        return []
     groups = max(1, min(groups, len(items)))
     size = -(-len(items) // groups)
     return [items[i : i + size] for i in range(0, len(items), size)]
@@ -237,6 +251,15 @@ class BatchedHConvEngine:
     ``hconv_fft`` / ``hconv_flash``: bit-identical results (exact engines)
     computed in vectorized passes over the whole batch.
 
+    Weight spectra are computed inside the output-channel group jobs,
+    ``_SPECTRA_CHUNK`` ``(tile, out_channel)`` pairs at a time.  Whether
+    they are kept is decided once per :meth:`conv2d_batch` call: if all
+    of the call's distinct spectra (every stride phase and row band) fit
+    ``plan_cache.capacity_bytes``, jobs read the cache and fill in their
+    misses, so a warm layer reuses them across calls; otherwise each job
+    transforms its chunk, uses and drops it, and only plans are cached
+    (no thrashing of a cache too small for the layer).
+
     Thread-safety contract (checked by ``repro lint --concurrency`` and
     the runtime stress tests): the engine object is confined to the
     submitting thread -- ``last_stats`` and the per-run ``RuntimeStats``
@@ -254,8 +277,9 @@ class BatchedHConvEngine:
             :class:`repro.sparse.sparse_fxp.SparseApproxNegacyclic`).
         weight_config: fixed-point configuration for ``mode="flash"`` /
             ``"sparse"``.
-        plan_cache: shared :class:`PlanCache`; a fresh bounded cache with
-            entry-integrity checking when omitted (a tampered cached
+        plan_cache: shared :class:`PlanCache` of plans, and of weight
+            spectra for layers whose spectra fit it; a fresh 64 MiB cache
+            with entry-integrity checking when omitted (a tampered cached
             spectrum is evicted and recomputed rather than served).
         max_workers: thread-pool width for the pointwise/inverse stage;
             ``None``/``0``/``1`` selects the serial fallback.
@@ -304,7 +328,7 @@ class BatchedHConvEngine:
         if self.fault_injector is not None:
             self.fault_injector.poison(tag)
 
-    # -- plan / spectrum helpers ----------------------------------------
+    # -- plan helpers ---------------------------------------------------
 
     def _ntt_plan(self, n: int, q: int):
         return self.plan_cache.get_or_build(
@@ -316,152 +340,6 @@ class BatchedHConvEngine:
         key = ("fft-plan", n, approx_config_key(cfg))
         return self.plan_cache.get_or_build(
             key, lambda: ApproxNegacyclic(n, cfg)
-        )
-
-    def _ntt_weight_spectrum(self, plan, q: int, w_poly: np.ndarray):
-        w_poly = np.ascontiguousarray(w_poly, dtype=np.int64)
-        key = ("ntt-wspec", plan.n, q, w_poly.tobytes())
-        return self.plan_cache.get_or_build(
-            key, lambda: plan.forward(from_centered(w_poly, q))
-        )
-
-    def _fft_weight_spectrum(self, pipe: ApproxNegacyclic, w_poly: np.ndarray):
-        w_poly = np.ascontiguousarray(w_poly, dtype=np.int64)
-        key = (
-            "fft-wspec",
-            pipe.n,
-            approx_config_key(self.weight_config),
-            w_poly.tobytes(),
-        )
-        return self.plan_cache.get_or_build(
-            key, lambda: pipe.weight_forward(w_poly)
-        )
-
-    def _sparse_poly_spectrum(self, n: int, w_poly: np.ndarray):
-        """Sparse spectrum of one standalone weight polynomial.
-
-        Without encoder tile metadata the structural pattern is the
-        polynomial's own support (a superset never changes the result,
-        so this is exact for any weight).
-        """
-        from repro.sparse.patterns import fold_valid_indices
-        from repro.sparse.plan import SparseWeightPipeline
-
-        w_poly = np.ascontiguousarray(w_poly, dtype=np.int64)
-        pattern = fold_valid_indices(np.nonzero(w_poly)[0], n)
-        plan = sparse_plan(self.plan_cache, n, self.weight_config, pattern)
-        key = (
-            "sparse-wspec",
-            n,
-            approx_config_key(self.weight_config),
-            pattern.tobytes(),
-            w_poly.tobytes(),
-        )
-        return self.plan_cache.get_or_build(
-            key,
-            lambda: SparseWeightPipeline(
-                n, self.weight_config, pattern, plan=plan
-            ).weight_forward(w_poly),
-        )
-
-    def _sparse_weight_specs(
-        self,
-        n: int,
-        enc: Conv2dEncoder,
-        pairs: List[Tuple[int, int]],
-        w_polys: Dict[Tuple[int, int], np.ndarray],
-        stats: RuntimeStats,
-    ) -> Dict[Tuple[int, int], np.ndarray]:
-        """Sparse weight spectra for every ``(tile, m)`` pair of a band.
-
-        All output channels of a tile share one structural pattern
-        (:meth:`Conv2dEncoder.weight_valid_indices`), hence one compiled
-        plan; cache-missing spectra of a tile are computed in a single
-        batched plan execution.  Mult counters are charged per requested
-        transform so the accounting is cache-warmth independent.
-        """
-        from repro.fftcore.approx_pipeline import ApproxSpectrum
-        from repro.sparse.opcount import sparse_fft_mults
-        from repro.sparse.patterns import fold_valid_indices
-        from repro.sparse.plan import SparseWeightPipeline
-
-        cfg_key = approx_config_key(self.weight_config)
-        w_specs: Dict[Tuple[int, int], np.ndarray] = {}
-        for tile in sorted({t for t, _ in pairs}):
-            pattern = fold_valid_indices(enc.weight_valid_indices(tile), n)
-            plan = sparse_plan(self.plan_cache, n, self.weight_config, pattern)
-            pipe_s = SparseWeightPipeline(
-                n, self.weight_config, pattern, plan=plan
-            )
-            group = [pair for pair in pairs if pair[0] == tile]
-            keys = {
-                pair: (
-                    "sparse-wspec",
-                    n,
-                    cfg_key,
-                    pattern.tobytes(),
-                    np.ascontiguousarray(
-                        w_polys[pair], dtype=np.int64
-                    ).tobytes(),
-                )
-                for pair in group
-            }
-            missing = [p for p in group if keys[p] not in self.plan_cache]
-            built: Dict[Tuple[int, int], ApproxSpectrum] = {}
-            if missing:
-                stack = np.stack([w_polys[p] for p in missing])
-                spec = pipe_s.weight_forward_batch(stack)
-                built = {
-                    p: ApproxSpectrum(
-                        values=spec.values[i], scale=float(spec.scale[i])
-                    )
-                    for i, p in enumerate(missing)
-                }
-            for pair in group:
-                value = self.plan_cache.get_or_build(
-                    keys[pair],
-                    # Evicted between the contains check and here: rebuild
-                    # as a batch of one (bit-identical by construction).
-                    lambda p=pair: built[p]
-                    if p in built
-                    else pipe_s.weight_forward(w_polys[p]),
-                )
-                w_specs[pair] = value.values
-            stats.weight_transforms += len(group)
-            stats.weight_mults_realized += plan.mults * len(group)
-            stats.weight_mults_dense += plan.dense_mults * len(group)
-            stats.weight_mults_model += sparse_fft_mults(
-                tuple(int(v) for v in pattern), n // 2
-            ) * len(group)
-        return w_specs
-
-    # -- batched polynomial products ------------------------------------
-
-    def polymul_batch(self, a_batch, w_poly, value_bound: int) -> np.ndarray:
-        """Batched negacyclic products of ``(B, n)`` ints by one weight.
-
-        Args:
-            a_batch: signed integer activations, ``(B, n)``.
-            w_poly: signed integer weight polynomial, ``(n,)``.
-            value_bound: bound on result magnitudes (sizes the NTT prime).
-        """
-        a_batch = np.atleast_2d(np.asarray(a_batch, dtype=np.int64))
-        w_poly = np.asarray(w_poly, dtype=np.int64)
-        n = a_batch.shape[-1]
-        if self.mode == "ntt":
-            q = self._modulus_for(n, value_bound)
-            plan = self._ntt_plan(n, q)
-            w_spec = self._ntt_weight_spectrum(plan, q, w_poly)
-            spec = mulmod(plan.forward_batch(from_centered(a_batch, q)), w_spec, q)
-            return centered(plan.inverse_batch(spec), q)
-        pipe = self._fft_pipeline(n)
-        if self.mode == "sparse":
-            w_spec = self._sparse_poly_spectrum(n, w_poly)
-        else:
-            w_spec = self._fft_weight_spectrum(pipe, w_poly)
-        a_spec = pipe.activation_forward_batch(a_batch.astype(np.float64))
-        return _round_rows_exact(
-            pipe.multiply_spectra_batch(w_spec.values, a_spec)
         )
 
     @staticmethod
@@ -503,6 +381,12 @@ class BatchedHConvEngine:
         if xs.ndim == 3:
             xs = xs[None]
         w = np.asarray(w, dtype=np.int64)
+        if not len(xs):
+            self.last_stats = RuntimeStats(mode=self.mode, workers=self._workers())
+            return np.zeros(
+                (0, shape.out_channels, shape.out_height, shape.out_width),
+                dtype=np.int64,
+            )
         if self.cluster is not None:
             return self._conv2d_batch_cluster(
                 xs, w, shape, n, deadline_s=deadline_s
@@ -528,21 +412,44 @@ class BatchedHConvEngine:
             dtype=np.int64,
         )
         s = shape.stride
-        for phase, a, b in decompose_strided(padded_shape):
-            x_phase = xp[:, :, a::s, b::s][:, :, : phase.height, : phase.width]
-            w_phase = w[:, :, a::s, b::s]
-            for row_start, band in iter_row_bands(phase, n):
-                x_band = x_phase[:, :, row_start : row_start + band.height, :]
-                self._run_band(
-                    x_band, w_phase, band, n, bound, shape, row_start,
-                    total, stats,
-                )
+        bands = [
+            (a, b, phase.width, row_start, band)
+            for phase, a, b in decompose_strided(padded_shape)
+            for row_start, band in iter_row_bands(phase, n)
+        ]
+        cache_spectra = self._spectra_fit(bands, n)
+        for a, b, width, row_start, band in bands:
+            x_band = xp[:, :, a::s, b::s][
+                :, :, row_start : row_start + band.height, :width
+            ]
+            self._run_band(
+                x_band, w[:, :, a::s, b::s], band, n, bound, shape,
+                row_start, total, stats, cache_spectra,
+            )
         stats.cache = self.plan_cache.stats()
         self.last_stats = stats
         return total
 
     def _workers(self) -> int:
         return self.max_workers if self.max_workers and self.max_workers > 1 else 1
+
+    def _spectra_fit(self, bands, n: int) -> bool:
+        """Whether all distinct weight spectra of a call fit the plan cache.
+
+        Bands of one stride phase with equal shapes encode identical
+        weight polynomials, so each ``(phase, band shape)`` counts once.
+        A spectrum is ``8 * n`` bytes: ``n`` int64 NTT values or ``n/2``
+        complex128 FFT values.
+        """
+        capacity = self.plan_cache.capacity_bytes
+        if capacity is None:
+            return True
+        distinct = {(a, b, band) for a, b, _, _, band in bands}
+        spectra = sum(
+            Conv2dEncoder(band, n).num_tiles * band.out_channels
+            for _, _, band in distinct
+        )
+        return spectra * 8 * n <= capacity
 
     def _conv2d_batch_cluster(
         self,
@@ -588,6 +495,7 @@ class BatchedHConvEngine:
         row_start: int,
         total: np.ndarray,
         stats: RuntimeStats,
+        cache_spectra: bool,
     ) -> None:
         batch = x_band.shape[0]
         with _Timer(stats, "encode"):
@@ -600,70 +508,96 @@ class BatchedHConvEngine:
             w_polys = enc.encode_weights(w_phase)
         pairs = sorted(w_polys.keys())  # (tile, m), deterministic order
 
+        def stack(chunk) -> np.ndarray:
+            return np.stack([w_polys[pair] for pair in chunk])
+
+        # Per mode: ``transform(chunk)`` batch-transforms the weights of a
+        # chunk of pairs into spectrum rows, ``key_of(pair)`` names the
+        # pair's cached spectrum and ``product(w_rows, a_rows)`` multiplies
+        # and inverse-transforms.
         if self.mode == "ntt":
             q = self._modulus_for(n, bound)
             plan = self._ntt_plan(n, q)
-            with _Timer(stats, "weight_transform"):
-                w_specs = {
-                    pair: self._ntt_weight_spectrum(plan, q, w_polys[pair])
-                    for pair in pairs
-                }
+
+            def transform(chunk):
+                return plan.forward_batch(from_centered(stack(chunk), q))
+
+            def key_of(pair):
+                return ("ntt-wspec", n, q, w_polys[pair].tobytes())
+
             with _Timer(stats, "activation_transform"):
                 a_spec = plan.forward_batch(from_centered(a_stack, q))
 
-            def group_job(group: List[Tuple[int, int]]) -> np.ndarray:
-                a_idx = [
-                    item * tiles + tile
-                    for item in range(batch)
-                    for tile, _ in group
-                ]
-                w_rows = np.stack([w_specs[pair] for pair in group] * batch)
-                spec = mulmod(a_spec[a_idx], w_rows, q)
+            def product(w_rows: np.ndarray, a_rows: np.ndarray) -> np.ndarray:
+                spec = mulmod(a_rows, w_rows, q)
                 return centered(plan.inverse_batch(spec), q)
 
         else:
             pipe = self._fft_pipeline(n)
-            with _Timer(stats, "weight_transform"):
-                if self.mode == "sparse":
-                    w_specs = self._sparse_weight_specs(
-                        n, enc, pairs, w_polys, stats
+            if self.mode == "sparse":
+                with _Timer(stats, "weight_transform"):
+                    transform, key_of = self._sparse_weight_source(
+                        n, enc, w_polys, pairs, stats
                     )
-                else:
-                    w_specs = {
-                        pair: self._fft_weight_spectrum(
-                            pipe, w_polys[pair]
-                        ).values
-                        for pair in pairs
-                    }
-                    if self.mode == "flash":
-                        # Dense fixed-point weight FFT: every butterfly
-                        # multiplies, so realized == dense == model.
-                        stages = (n // 2).bit_length() - 1
-                        dense = (n // 4) * stages * len(pairs)
-                        stats.weight_transforms += len(pairs)
-                        stats.weight_mults_realized += dense
-                        stats.weight_mults_dense += dense
-                        stats.weight_mults_model += dense
+            else:
+                cfg_key = approx_config_key(self.weight_config)
+
+                def transform(chunk):
+                    return pipe.weight_forward_batch(stack(chunk)).values
+
+                def key_of(pair):
+                    return ("fft-wspec", n, cfg_key, w_polys[pair].tobytes())
+
+                if self.mode == "flash":
+                    # Dense fixed-point weight FFT: every butterfly
+                    # multiplies, so realized == dense == model.
+                    stages = (n // 2).bit_length() - 1
+                    dense = (n // 4) * stages * len(pairs)
+                    stats.weight_transforms += len(pairs)
+                    stats.weight_mults_realized += dense
+                    stats.weight_mults_dense += dense
+                    stats.weight_mults_model += dense
             with _Timer(stats, "activation_transform"):
                 a_spec = pipe.activation_forward_batch(
                     a_stack.astype(np.float64)
                 )
 
-            def group_job(group: List[Tuple[int, int]]) -> np.ndarray:
-                a_idx = [
-                    item * tiles + tile
-                    for item in range(batch)
-                    for tile, _ in group
-                ]
-                w_rows = np.stack([w_specs[pair] for pair in group] * batch)
-                coeffs = pipe.multiply_spectra_batch(w_rows, a_spec[a_idx])
-                return _round_rows_exact(coeffs)
+            def product(w_rows: np.ndarray, a_rows: np.ndarray) -> np.ndarray:
+                return _round_rows_exact(
+                    pipe.multiply_spectra_batch(w_rows, a_rows)
+                )
+
+        cache = self.plan_cache
+
+        def spectra(chunk: List[Tuple[int, int]]) -> np.ndarray:
+            """The chunk's weight spectra, one row per pair."""
+            if not cache_spectra:
+                return transform(chunk)
+            keys = [key_of(pair) for pair in chunk]
+            found = [cache.get(key) for key in keys]
+            missing = [i for i, value in enumerate(found) if value is None]
+            if missing:
+                built = transform([chunk[i] for i in missing])
+                for row, i in enumerate(missing):
+                    found[i] = cache.put(keys[i], built[row])
+            return np.stack(found)
+
+        def group_job(group: List[Tuple[int, int]]) -> np.ndarray:
+            a_idx = [
+                item * tiles + tile
+                for item in range(batch)
+                for tile, _ in group
+            ]
+            w_rows = np.tile(spectra(group), (batch, 1))
+            return product(w_rows, a_spec[a_idx])
 
         # Imported here: repro.faults imports repro.he, whose backends
         # import this module.
         from repro.faults.inject import FaultRecovery
 
-        groups = _split_groups(pairs, self._workers())
+        groups = _split_groups(
+            pairs, max(self._workers(), -(-len(pairs) // _SPECTRA_CHUNK))
+        )
         recovery = FaultRecovery()
 
         def indexed_job(group_index: int) -> np.ndarray:
@@ -690,3 +624,49 @@ class BatchedHConvEngine:
                 r0 = row_start
                 r1 = min(r0 + y.shape[1], oh)
                 total[item, :, r0:r1, :ow] += y[:, : r1 - r0, :ow]
+
+    def _sparse_weight_source(self, n, enc, w_polys, pairs, stats):
+        """``(transform, key_of)`` of a band's sparse weight spectra.
+
+        All output channels of a tile share one structural pattern
+        (:meth:`Conv2dEncoder.weight_valid_indices`), hence one compiled
+        plan; a chunk's weights run through their tile's plan in one
+        batched execution.  Mult counters are charged here, per requested
+        transform, so the accounting is cache-warmth independent.
+        """
+        from repro.sparse.opcount import sparse_fft_mults
+        from repro.sparse.patterns import fold_valid_indices
+        from repro.sparse.plan import SparseWeightPipeline
+
+        cfg = self.weight_config
+        pipes: Dict[int, SparseWeightPipeline] = {}
+        patterns: Dict[int, bytes] = {}
+        for tile, count in Counter(tile for tile, _ in pairs).items():
+            pattern = fold_valid_indices(enc.weight_valid_indices(tile), n)
+            plan = sparse_plan(self.plan_cache, n, cfg, pattern)
+            pipes[tile] = SparseWeightPipeline(n, cfg, pattern, plan=plan)
+            patterns[tile] = pattern.tobytes()
+            stats.weight_transforms += count
+            stats.weight_mults_realized += plan.mults * count
+            stats.weight_mults_dense += plan.dense_mults * count
+            stats.weight_mults_model += sparse_fft_mults(
+                tuple(int(v) for v in pattern), n // 2
+            ) * count
+
+        def transform(chunk):
+            return np.concatenate([
+                pipes[tile].weight_forward_batch(
+                    np.stack([w_polys[pair] for pair in group])
+                ).values
+                for tile, group in itertools.groupby(chunk, key=lambda p: p[0])
+            ])
+
+        cfg_key = approx_config_key(cfg)
+
+        def key_of(pair):
+            return (
+                "sparse-wspec", n, cfg_key, patterns[pair[0]],
+                w_polys[pair].tobytes(),
+            )
+
+        return transform, key_of

@@ -53,6 +53,55 @@ class TestFxpFormat:
             FxpFormat(1)
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex array with exactly these parts (``re + 1j * im`` would turn
+    a ``-0.0`` real part into ``+0.0``)."""
+    x = np.empty(len(re), dtype=np.complex128)
+    x.real, x.imag = re, im
+    return x
+
+
+@st.composite
+def _quantize_parts(draw, frac_bits: int):
+    """One real or imaginary part: saturation, ties, zeros or any float."""
+    ulp = 2.0**-frac_bits
+    tie = draw(st.integers(-(2**frac_bits) - 2, 2**frac_bits + 1))
+    return draw(
+        st.sampled_from(
+            [0.0, -0.0, 1.0, -1.0, 1.0 - ulp / 2, -1.0 - ulp / 2,
+             ulp / 2, -ulp / 2, (tie + 0.5) * ulp]
+        )
+        | st.floats(-2.0, 2.0, allow_nan=False)
+        | st.floats(-ulp, ulp, allow_nan=False)
+    )
+
+
+class TestQuantizeComplexBitIdentity:
+    """``quantize_complex`` runs on the interleaved float64 view; its bytes
+    must equal the two-part formula it replaced, signed zeros included."""
+
+    @given(data=st.data(), total_bits=st.integers(2, 52))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_part_formula(self, data, total_bits):
+        fmt = FxpFormat(total_bits)
+        part = _quantize_parts(fmt.frac_bits)
+        pairs = data.draw(st.lists(st.tuples(part, part), min_size=1, max_size=12))
+        x = _complex(*np.array(pairs, dtype=np.float64).T)
+        old = fmt.quantize(x.real) + 1j * fmt.quantize(x.imag)
+        assert fmt.quantize_complex(x).tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("total_bits", [2, 5, 27, 52])
+    def test_signed_zero_grid(self, total_bits):
+        fmt = FxpFormat(total_bits)
+        grid = np.array([0.0, -0.0, -fmt.ulp / 4, fmt.ulp / 4, -0.75, 0.75])
+        re, im = np.meshgrid(grid, grid)
+        x = _complex(re.ravel(), im.ravel())
+        old = fmt.quantize(x.real) + 1j * fmt.quantize(x.imag)
+        out = fmt.quantize_complex(x.reshape(6, 6))
+        assert out.shape == (6, 6)
+        assert out.reshape(-1).tobytes() == old.tobytes()
+
+
 class TestApproxFftConfig:
     def test_broadcast_scalar_width(self):
         cfg = ApproxFftConfig(n=16, stage_widths=20)
