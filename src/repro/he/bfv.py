@@ -3,7 +3,8 @@
 Implements the subset of BFV the hybrid HE/2PC protocol needs -- public /
 secret-key encryption, decryption, ciphertext addition/subtraction,
 plaintext addition and plaintext-ciphertext multiplication -- plus noise
-budget measurement.  Plaintext-ciphertext multiplication accepts pluggable
+budget measurement.  The secret key carries its NTT spectrum, and a stack
+of ciphertexts decrypts in one batched phase against it.  Plaintext-ciphertext multiplication accepts pluggable
 polynomial-multiplication backends (:mod:`repro.he.backend`): the exact
 NTT (baseline accelerators) or the approximate FFT pipeline (FLASH).
 """
@@ -11,20 +12,57 @@ NTT (baseline accelerators) or the approximate FFT pipeline (FLASH).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.he.params import BfvParameters
 from repro.he.poly import RingPoly, gaussian_poly, ternary_poly, uniform_poly
 from repro.ntt.modmath import mulmod
+from repro.ntt.ntt import get_ntt
 from repro.obs import trace as obs_trace
 
 
-@dataclass
+@dataclass(frozen=True)
 class SecretKey:
+    """Secret key ``s`` and its per-prime negacyclic NTT spectrum.
+
+    The spectrum is derived from ``s`` at construction; the key is frozen
+    so the two cannot disagree.
+    """
+
     s: RingPoly
+    spectrum: Tuple[np.ndarray, ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        basis = self.s.basis
+        spectrum = tuple(
+            get_ntt(basis.n, p).forward(r)
+            for p, r in zip(basis.primes, self.s.residues)
+        )
+        for limb in spectrum:
+            limb.setflags(write=False)
+        object.__setattr__(self, "spectrum", spectrum)
+
+
+def _times_secret(sk: SecretKey, polys: Sequence[RingPoly]) -> List[np.ndarray]:
+    """Negacyclic products ``poly * s`` of a stack of ring polynomials.
+
+    Returns one ``(k, n)`` residue stack per basis prime.  Per limb: one
+    batched forward NTT of the ``k`` rows, a pointwise product with the
+    key's cached spectrum and one batched inverse -- bit-identical to
+    ``poly * sk.s`` row by row, without transforming ``s`` again.
+    """
+    basis = sk.s.basis
+    out = []
+    for i, (p, s_hat) in enumerate(zip(basis.primes, sk.spectrum)):
+        ntt = get_ntt(basis.n, p)
+        rows = np.stack([poly.residues[i] for poly in polys])
+        out.append(ntt.inverse_batch(mulmod(ntt.forward_batch(rows), s_hat, p)))
+    return out
 
 
 @dataclass
@@ -66,11 +104,14 @@ class BfvContext:
 
     def keygen(self, rng: np.random.Generator):
         """Sample a ternary secret key and a matching public key."""
-        s = ternary_poly(self.basis, rng)
+        sk = SecretKey(ternary_poly(self.basis, rng))
         a = uniform_poly(self.basis, rng)
         e = gaussian_poly(self.basis, rng, self.params.error_std)
-        p0 = -(a * s + e)
-        return SecretKey(s=s), PublicKey(p0=p0, p1=a)
+        p0 = -(self._one_times_secret(sk, a) + e)
+        return sk, PublicKey(p0=p0, p1=a)
+
+    def _one_times_secret(self, sk: SecretKey, a: RingPoly) -> RingPoly:
+        return RingPoly(self.basis, [r[0] for r in _times_secret(sk, [a])])
 
     def _encode(self, plaintext) -> RingPoly:
         """Lift a mod-t message vector to ``Delta * m`` in the ciphertext ring."""
@@ -105,20 +146,35 @@ class BfvContext:
         a = uniform_poly(self.basis, rng)
         e = gaussian_poly(self.basis, rng, self.params.error_std)
         dm = self._encode(plaintext)
-        return Ciphertext(c0=-(a * sk.s) + e + dm, c1=a)
+        return Ciphertext(c0=-self._one_times_secret(sk, a) + e + dm, c1=a)
 
     # ------------------------------------------------------------------
     # Decryption and noise
     # ------------------------------------------------------------------
 
-    def _phase(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
-        """Decryption phase ``c0 + c1*s``, centered (int64 below q = 2**62)."""
-        phase = ct.c0 + ct.c1 * sk.s
-        return self.basis._crt(phase.residues, centered=True)
+    def _decrypt_rows(
+        self, sk: SecretKey, cts: Sequence[Ciphertext]
+    ) -> Tuple[np.ndarray, List[int]]:
+        """Messages and noise infinity norms of ``k`` ciphertexts, from one
+        stacked phase ``c0 + c1*s`` (centered, int64 below q = 2**62).
 
-    def _decode(self, phase: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Message ``round(t*x/q) mod t`` (ties away from zero) and the
-        infinity norm of the centered noise ``x - Delta*m`` of a phase.
+        The one decryption path: :meth:`decrypt_batch` and the single-
+        ciphertext calls (batches of one) all decode through it.
+        """
+        if not cts:
+            return np.zeros((0, self.params.n), dtype=np.int64), []
+        c0 = [
+            np.stack([ct.c0.residues[i] for ct in cts])
+            for i in range(len(self.basis))
+        ]
+        c1s = _times_secret(sk, [ct.c1 for ct in cts])
+        phase = self.basis._crt(self.basis.add(c0, c1s), centered=True)
+        return self._decode(phase)
+
+    def _decode(self, phase: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+        """Messages ``round(t*x/q) mod t`` (ties away from zero) and the
+        per-row infinity norm of the centered noise ``x - Delta*m`` of a
+        ``(k, n)`` stack of phases.
 
         With ``|x| = k*Delta + r`` and ``rho = q mod t``, ``round(t*|x|/q)
         = k + floor((2*r*t + q - 2*k*rho) / 2q)``; for the signed rounding
@@ -141,7 +197,7 @@ class BfvContext:
         # in magnitude (or on Python ints) with q > 0: exact, into [0, q)
         residual = (sign * (r - delta * carry) - rho * wraps) % q
         residual = np.where(residual > q // 2, residual - q, residual)
-        worst = int(np.max(np.abs(residual))) if residual.size else 0
+        worst = [int(v) for v in np.max(np.abs(residual), axis=-1)]
         return message.astype(np.int64), worst
 
     def _budget_bits(self, noise: int) -> float:
@@ -150,21 +206,24 @@ class BfvContext:
             return float(math.log2(ceiling))
         return float(math.log2(ceiling) - math.log2(noise))
 
+    def decrypt_batch(
+        self, sk: SecretKey, cts: Sequence[Ciphertext]
+    ) -> Tuple[np.ndarray, List[float]]:
+        """Decrypt ``k`` ciphertexts and measure their noise budgets.
+
+        Every phase ``c0 + c1*s`` comes from one stacked pass against the
+        key's cached spectrum.  Returns ``(messages, budgets)``: a
+        ``(k, n)`` int64 array of mod-t messages and one budget in bits
+        per ciphertext, row ``i`` bit-identical to ``decrypt`` and
+        ``noise_budget`` of ``cts[i]``.
+        """
+        with obs_trace.tracer.span("he.decrypt", ciphertexts=len(cts)):
+            messages, noise = self._decrypt_rows(sk, cts)
+            return messages, [self._budget_bits(v) for v in noise]
+
     def decrypt(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
         """Decrypt to the mod-t message vector (int64)."""
-        return self._decode(self._phase(sk, ct))[0]
-
-    @obs_trace.traced("he.decrypt")
-    def decrypt_with_budget(
-        self, sk: SecretKey, ct: Ciphertext
-    ) -> Tuple[np.ndarray, float]:
-        """:meth:`decrypt` and :meth:`noise_budget` from one phase.
-
-        Returns ``(message, budget_bits)``, bit-identical to the two
-        separate calls at half the cost (the phase is the expensive part).
-        """
-        message, noise = self._decode(self._phase(sk, ct))
-        return message, self._budget_bits(noise)
+        return self._decrypt_rows(sk, [ct])[0][0]
 
     def decrypt_signed(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
         """Decrypt and center the message into ``[-t/2, t/2)``."""
@@ -174,7 +233,7 @@ class BfvContext:
 
     def noise_infinity(self, sk: SecretKey, ct: Ciphertext) -> int:
         """Infinity norm of the noise ``(c0 + c1*s) - Delta*m`` (centered)."""
-        return self._decode(self._phase(sk, ct))[1]
+        return self._decrypt_rows(sk, [ct])[1][0]
 
     def noise_budget(self, sk: SecretKey, ct: Ciphertext) -> float:
         """Remaining noise budget in bits: ``log2(q/(2t) / |noise|_inf)``.

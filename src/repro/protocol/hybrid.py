@@ -491,29 +491,37 @@ class HybridConvProtocol(_ResilientProtocolMixin):
 
         # Partial products accumulate across channel tiles under encryption
         # (uniform tiles share extraction indices), so one masked
-        # ciphertext returns per output channel.
-        results: List[Tuple[np.ndarray, np.ndarray]] = []
-        oh, ow = enc.shape.out_height, enc.shape.out_width
+        # ciphertext returns per output channel.  Masks are drawn item by
+        # item, channel by channel; the client then decrypts everything
+        # the band returned in one batched phase.
+        masks, returned = [], []
         for item in range(batch):
-            y_client = np.zeros((out_channels, oh, ow), dtype=np.int64)
-            y_server = np.zeros_like(y_client)
             for m in range(out_channels):
                 acc = None
                 for tile in range(tiles):
                     prod = products[(item, m, tile)]
                     acc = prod if acc is None else ctx.add(acc, prod)
                 r = ring.random(self.params.n, rng)
+                masks.append(r)
                 ct_out = ctx.sub_plain(acc, r)
                 stats[item].ciphertexts_returned += 1
                 stats[item].bytes_received += ciphertext_bytes(self.params)
                 # Server -> client hop.
-                ct_out = self._transfer_ct(ct_out, stats[item])
-                message, budget = ctx.decrypt_with_budget(party.sk, ct_out)
+                returned.append(self._transfer_ct(ct_out, stats[item]))
+        messages, budgets = ctx.decrypt_batch(party.sk, returned)
+
+        results: List[Tuple[np.ndarray, np.ndarray]] = []
+        oh, ow = enc.shape.out_height, enc.shape.out_width
+        for item in range(batch):
+            y_client = np.zeros((out_channels, oh, ow), dtype=np.int64)
+            y_server = np.zeros_like(y_client)
+            for m in range(out_channels):
+                i = item * out_channels + m
                 stats[item].min_noise_budget = min(
-                    stats[item].min_noise_budget, budget
+                    stats[item].min_noise_budget, budgets[i]
                 )
-                y_client[m] = ring.reduce(enc.extract_output(message))
-                y_server[m] = ring.reduce(enc.extract_output(r))
+                y_client[m] = ring.reduce(enc.extract_output(messages[i]))
+                y_server[m] = ring.reduce(enc.extract_output(masks[i]))
             results.append((y_client, y_server))
         return results
 
@@ -636,13 +644,11 @@ class HybridLinearProtocol(_ResilientProtocolMixin):
         stats.ciphertexts_returned += len(masked)
         stats.bytes_received += len(masked) * ciphertext_bytes(self.params)
 
-        client_products = {}
-        for key, ct_out in masked.items():
-            # Server -> client hop.
-            ct_out = self._transfer_ct(ct_out, stats)
-            message, budget = ctx.decrypt_with_budget(party.sk, ct_out)
-            stats.min_noise_budget = min(stats.min_noise_budget, budget)
-            client_products[key] = message
+        # Server -> client hops, then one batched decryption.
+        returned = [self._transfer_ct(ct, stats) for ct in masked.values()]
+        messages, budgets = ctx.decrypt_batch(party.sk, returned)
+        stats.min_noise_budget = min([stats.min_noise_budget, *budgets])
+        client_products = dict(zip(masked, messages))
         y_client = ring.reduce(enc.decode_output(client_products))
         y_server = ring.reduce(enc.decode_output(masks))
 

@@ -1,5 +1,7 @@
 """Tests for the BFV scheme: correctness, homomorphism, noise, backends."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -401,6 +403,8 @@ class TestDecodeDifferential:
             assert ctx.noise_infinity(sk, ct) == noise
 
     def test_decrypt_with_budget_is_both_calls(self, diff_ctx):
+        """A batch of one through ``decrypt_batch`` (message and budget
+        from one phase) equals separate ``decrypt`` + ``noise_budget``."""
         ctx = diff_ctx
         rng = np.random.default_rng(52)
         sk, _ = ctx.keygen(rng)
@@ -409,10 +413,10 @@ class TestDecodeDifferential:
             ctx.encrypt_symmetric(sk, m, rng),
             _phase_ciphertext(ctx.basis, self._phases(ctx, 53)),
         ):
-            message, budget = ctx.decrypt_with_budget(sk, ct)
-            assert np.array_equal(message, ctx.decrypt(sk, ct))
-            assert message.dtype == np.int64
-            assert budget == ctx.noise_budget(sk, ct)
+            messages, budgets = ctx.decrypt_batch(sk, [ct])
+            assert np.array_equal(messages[0], ctx.decrypt(sk, ct))
+            assert messages.dtype == np.int64
+            assert budgets == [ctx.noise_budget(sk, ct)]
 
     def test_encode_matches_oracle(self, diff_ctx):
         ctx = diff_ctx
@@ -476,3 +480,114 @@ class TestFftLiftReduce:
         product[3] = np.inf
         with pytest.raises(OverflowError):
             round_to_ring(basis, product)
+
+
+# ---------------------------------------------------------------------------
+# Batched decryption and the cached key spectrum
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["cheetah", "q72-object"])
+def wide_ctx(request):
+    """The paper-scale preset and a q >= 2**61 context (object decode)."""
+    if request.param == "cheetah":
+        return BfvContext(cheetah_preset())
+    ctx = BfvContext(BfvParameters(n=256, plain_modulus=1 << 17,
+                                   q_bits=(36, 36)))
+    assert ctx.params.q >= 1 << 61 and not ctx._int64_decode
+    return ctx
+
+
+def _mixed_ciphertexts(ctx, sk, pk, k, seed):
+    """``k`` ciphertexts: symmetric and public-key encryptions plus the
+    hand-built edge phases of :class:`TestDecodeDifferential`."""
+    rng = np.random.default_rng(seed)
+    n, t = ctx.params.n, ctx.params.t
+    edges = TestDecodeDifferential._phases(ctx, seed)
+    cts = []
+    for i in range(k):
+        m = rng.integers(0, t, size=n)
+        if i % 3 == 0:
+            cts.append(ctx.encrypt_symmetric(sk, m, rng))
+        elif i % 3 == 1:
+            cts.append(_phase_ciphertext(ctx.basis, edges + [0] * (n - 64)))
+        else:
+            cts.append(ctx.encrypt(pk, m, rng))
+    return cts
+
+
+def _assert_batch_is_single_calls(ctx, k, seed):
+    sk, pk = ctx.keygen(np.random.default_rng(seed))
+    cts = _mixed_ciphertexts(ctx, sk, pk, k, seed + 1)
+    messages, budgets = ctx.decrypt_batch(sk, cts)
+    assert messages.shape == (k, ctx.params.n)
+    assert messages.dtype == np.int64
+    assert len(budgets) == k
+    for row, budget, ct in zip(messages, budgets, cts):
+        assert np.array_equal(row, ctx.decrypt(sk, ct))
+        assert budget.hex() == ctx.noise_budget(sk, ct).hex()
+
+
+class TestDecryptBatch:
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_rows_are_single_calls(self, diff_ctx, k):
+        _assert_batch_is_single_calls(diff_ctx, k, 70)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_rows_are_single_calls_wide(self, wide_ctx, k):
+        _assert_batch_is_single_calls(wide_ctx, k, 71)
+
+    def test_empty_batch(self, ctx, keys):
+        messages, budgets = ctx.decrypt_batch(keys[0], [])
+        assert messages.shape == (0, ctx.params.n)
+        assert budgets == []
+
+    @pytest.mark.parametrize("which", ["diff", "cheetah"])
+    def test_key_products_match_ringpoly_oracle(self, diff_ctx, which):
+        from repro.he.poly import gaussian_poly, ternary_poly, uniform_poly
+
+        ctx = diff_ctx if which == "diff" else BfvContext(cheetah_preset())
+        basis, std = ctx.basis, ctx.params.error_std
+        sk, pk = ctx.keygen(np.random.default_rng(72))
+        oracle = np.random.default_rng(72)
+        s = ternary_poly(basis, oracle)
+        a = uniform_poly(basis, oracle)
+        e = gaussian_poly(basis, oracle, std)
+        assert sk.s == s and pk.p1 == a
+        assert pk.p0 == -(a * s + e)
+
+        m = np.random.default_rng(73).integers(0, ctx.params.t, ctx.params.n)
+        ct = ctx.encrypt_symmetric(sk, m, np.random.default_rng(74))
+        oracle = np.random.default_rng(74)
+        a = uniform_poly(basis, oracle)
+        e = gaussian_poly(basis, oracle, std)
+        assert ct.c1 == a
+        assert ct.c0 == -(a * sk.s) + e + ctx._encode(m)
+
+    @pytest.mark.parametrize("kind", ["zero", "ternary"])
+    def test_directly_built_key_decrypts(self, ctx, kind):
+        from repro.he.poly import ternary_poly
+
+        rng = np.random.default_rng(75)
+        if kind == "zero":
+            s = RingPoly.zero(ctx.basis)
+        else:
+            s = ternary_poly(ctx.basis, rng)
+        sk = SecretKey(s)
+        m = _random_message(ctx, 76)
+        cts = [ctx.encrypt_symmetric(sk, m, rng) for _ in range(3)]
+        messages, budgets = ctx.decrypt_batch(sk, cts)
+        for row in messages:
+            assert np.array_equal(row, m)
+        assert min(budgets) > 0
+        assert sk == SecretKey(s.copy())  # the spectrum is not compared
+
+    def test_key_is_frozen(self, keys):
+        sk = keys[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sk.s = RingPoly.zero(sk.s.basis)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sk.spectrum = ()
+        with pytest.raises(ValueError):
+            sk.spectrum[0][0] = 1  # read-only limbs
+        assert "spectrum" not in repr(sk)

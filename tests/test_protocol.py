@@ -233,21 +233,31 @@ class TestHybridLinear:
             )
 
 
-def _separate_decrypt(ctx, sk, ct):
-    """The two-call form ``decrypt_with_budget`` replaces."""
-    return ctx.decrypt(sk, ct), ctx.noise_budget(sk, ct)
+def _separate_decrypt(ctx, sk, cts):
+    """The per-ciphertext form ``decrypt_batch`` replaces: one
+    ``decrypt`` + ``noise_budget`` pair per returned ciphertext."""
+    messages = [ctx.decrypt(sk, ct) for ct in cts]
+    budgets = [ctx.noise_budget(sk, ct) for ct in cts]
+    return np.array(messages, dtype=np.int64).reshape(len(cts), -1), budgets
 
 
 class TestFusedDecryption:
-    """Every protocol site's ``decrypt_with_budget`` equals separate
-    ``noise_budget`` + ``decrypt`` calls, bit for bit."""
+    """Every protocol site's batched ``decrypt_batch`` equals separate
+    ``decrypt`` + ``noise_budget`` calls per ciphertext, bit for bit."""
 
     @staticmethod
     def _both(monkeypatch, run):
         fused = run()
+        calls = []
+
+        def separate_decrypt(ctx, sk, cts):
+            calls.append(len(cts))
+            return _separate_decrypt(ctx, sk, cts)
+
         with monkeypatch.context() as patch:
-            patch.setattr(BfvContext, "decrypt_with_budget", _separate_decrypt)
+            patch.setattr(BfvContext, "decrypt_batch", separate_decrypt)
             separate = run()
+        assert calls  # the protocol really decrypted through the patch
         return fused, separate
 
     @staticmethod

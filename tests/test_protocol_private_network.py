@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.he import BfvParameters, flash_backend
+from repro.he.backend import SparseFftPolyMulBackend
 from repro.nn import (
     QuantizedCnn,
     make_mini_cnn,
@@ -108,20 +109,58 @@ def trace_digest(trace) -> str:
     return h.hexdigest()[:16]
 
 
+def _digest_backend(mode, params):
+    if mode == "ntt":
+        return None
+    flash = flash_backend(params.n, stage_widths=27, twiddle_k=5)
+    if mode == "flash":
+        return flash
+    return SparseFftPolyMulBackend(weight_config=flash.weight_config)
+
+
 class TestInferDigest:
-    """``PrivateCnnEvaluator.infer`` is pinned bit for bit on fixed seeds
-    (digests recorded from the original per-image layer loop)."""
+    """``PrivateCnnEvaluator.infer`` and ``infer_batch`` are pinned bit for
+    bit on fixed seeds.  The ntt/flash ``infer`` digests were recorded from
+    the original per-image layer loop; the sparse ``infer`` digest and the
+    three-image ``infer_batch`` digests were recorded from the code that
+    still decrypted each returned ciphertext on its own, before decryption
+    was batched per layer.  With more than one item per call they pin the
+    order in which masks are drawn and ciphertexts decrypted."""
 
     @pytest.mark.parametrize(
         "mode, digest",
-        [("ntt", "10594bd9f4b64d56"), ("flash", "646f0282a3612b26")],
-        ids=["ntt", "flash"],
+        [
+            ("ntt", "10594bd9f4b64d56"),
+            ("flash", "646f0282a3612b26"),
+            ("sparse", "bc2733e0ab2eb8d6"),
+        ],
+        ids=["ntt", "flash", "sparse"],
     )
     def test_infer_digest(self, setup, mode, digest):
         qnet, te, params = setup
-        backend = None
-        if mode == "flash":
-            backend = flash_backend(params.n, stage_widths=27, twiddle_k=5)
-        evaluator = PrivateCnnEvaluator(qnet, params, backend)
+        evaluator = PrivateCnnEvaluator(
+            qnet, params, _digest_backend(mode, params)
+        )
         trace = evaluator.infer(te.images[5], np.random.default_rng(31))
         assert trace_digest(trace) == digest
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("ntt", "980063fec8dd610e"),
+            ("flash", "c745bf50028d2564"),
+            ("sparse", "e99e8585c653915f"),
+        ],
+        ids=["ntt", "flash", "sparse"],
+    )
+    def test_infer_batch_digest(self, setup, mode, digest):
+        qnet, te, params = setup
+        evaluator = PrivateCnnEvaluator(
+            qnet, params, _digest_backend(mode, params)
+        )
+        traces = evaluator.infer_batch(
+            te.images[5:8], np.random.default_rng(32)
+        )
+        assert len(traces) == 3
+        joined = "".join(trace_digest(trace) for trace in traces)
+        assert hashlib.sha256(joined.encode()).hexdigest()[:16] == digest
