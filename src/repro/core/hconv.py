@@ -4,6 +4,12 @@ Clear-domain entry points that run the full coefficient-encoding path with
 a chosen polynomial-multiplication engine -- the quickest way to compare
 the three computation styles on a real convolution without paying for
 encryption (the encrypted path lives in :mod:`repro.protocol`).
+
+These per-call pipelines are the independent reference for the batched
+runtime (:class:`repro.runtime.engine.BatchedHConvEngine`): the runtime
+and sparse conformance tiers and ``bench-runtime``'s ``bit_identical``
+gate compare the engine against them, so they stay separate code rather
+than batch-of-one calls into the engine.
 """
 
 from __future__ import annotations
@@ -16,8 +22,9 @@ from repro.encoding.conv_encoding import ConvShape
 from repro.encoding.plain_eval import conv2d_via_polynomials
 from repro.fftcore.approx_pipeline import ApproxNegacyclic
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.ntt import find_ntt_primes, get_ntt
+from repro.ntt import get_ntt
 from repro.ntt.modmath import centered, from_centered
+from repro.runtime.engine import ntt_modulus
 
 
 def ntt_polymul_factory(n: int, value_bound: int) -> Callable:
@@ -28,10 +35,7 @@ def ntt_polymul_factory(n: int, value_bound: int) -> Callable:
         value_bound: bound on ``|result|`` coefficients, used to size the
             working modulus so no wrap-around occurs.
     """
-    bits = max(20, min(39, (2 * value_bound + 1).bit_length() + 1))
-    if (2 * value_bound + 1) >> 38:
-        raise ValueError("results exceed the single-prime NTT range")
-    (q,) = find_ntt_primes(bits, n)
+    q = ntt_modulus(n, value_bound)
     ntt = get_ntt(n, q)
 
     def polymul(a, w):

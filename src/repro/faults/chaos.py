@@ -1,7 +1,7 @@
 """Randomized fault campaign: ``python -m repro chaos``.
 
 Each iteration draws fault rates up to ``max_rate`` from a seeded PRNG and
-fires four probes at the stack (five with ``--cluster``):
+fires three probes at the stack (four with ``--cluster``):
 
 * **transport** -- a full private convolution (exact NTT) whose ciphertext
   traffic crosses a :class:`repro.faults.FaultyChannel` through a
@@ -11,14 +11,10 @@ fires four probes at the stack (five with ``--cluster``):
   under a ``"fallback"`` :class:`repro.faults.BudgetGuard`; alternating
   iterations undersize ``q`` (predicted exhaustion) or crank the FFT
   approximation (observed exhaustion); must finish bit-exact.
-* **runtime** -- ``multiply_many`` with a
-  :class:`repro.faults.WorkerFaultInjector` poisoning parallel jobs; the
-  output must be byte-identical to the fault-free run.
 * **sparse** -- the compiled-sparse-plan path
-  (:class:`repro.he.backend.SparseFftPolyMulBackend`) under the same worker
-  faults *plus* in-place corruption of cached plans/spectra; the
-  integrity-checked caches must detect, evict and recompute, and the
-  output must stay byte-identical.
+  (:class:`repro.he.backend.SparseFftPolyMulBackend`) under in-place
+  corruption of cached plans/spectra; the integrity-checked caches must
+  detect, evict and recompute, and the output must stay byte-identical.
 * **cluster** (``--cluster``) -- a batched convolution sharded across
   supervised worker *processes* (:mod:`repro.cluster`) while random
   workers are SIGKILLed and hung mid-run; the reassembled output must be
@@ -26,7 +22,7 @@ fires four probes at the stack (five with ``--cluster``):
 
 The campaign's verdict is binary: **zero silent corruptions** (a probe
 that completes with a wrong answer).  Detected-and-handled faults --
-retries, fallbacks, serial recoveries, respawns, even dead letters -- are
+retries, fallbacks, evictions, respawns, even dead letters -- are
 survival, and the report counts them.
 
 Heavy imports (protocol, runtime, cluster) stay inside the probes so
@@ -41,19 +37,17 @@ from typing import Dict, List, Optional
 
 from repro.faults.channel import FaultyChannel, TransportError
 from repro.faults.guard import BudgetGuard
-from repro.faults.inject import WorkerFaultInjector
 from repro.faults.session import ResilientSession
 
 
 @dataclass
 class ChaosIteration:
-    """Outcome of one campaign iteration (four or five probes)."""
+    """Outcome of one campaign iteration (three or four probes)."""
 
     index: int
     rates: Dict[str, float]
     transport_ok: bool = False
     degradation_ok: bool = False
-    runtime_ok: bool = False
     sparse_ok: bool = False
     #: ``None`` when the cluster probe did not run this campaign.
     cluster_ok: Optional[bool] = None
@@ -65,8 +59,6 @@ class ChaosIteration:
     dead_letters: int = 0
     injected_channel_faults: int = 0
     guard_events: int = 0
-    worker_faults_injected: int = 0
-    worker_faults_recovered: int = 0
     cache_corruptions_detected: int = 0
     cluster_kills: int = 0
     cluster_hangs: int = 0
@@ -78,7 +70,6 @@ class ChaosIteration:
         return (
             self.transport_ok
             and self.degradation_ok
-            and self.runtime_ok
             and self.sparse_ok
             and self.cluster_ok is not False
         )
@@ -94,10 +85,7 @@ class ChaosIteration:
     def describe(self) -> str:
         flags = "".join(
             "Y" if ok else "n"
-            for ok in (
-                self.transport_ok, self.degradation_ok, self.runtime_ok,
-                self.sparse_ok,
-            )
+            for ok in (self.transport_ok, self.degradation_ok, self.sparse_ok)
         )
         if self.cluster_ok is not None:
             flags += "Y" if self.cluster_ok else "n"
@@ -107,8 +95,6 @@ class ChaosIteration:
             f"injected={self.injected_channel_faults} retries={self.retries} "
             f"crc={self.checksum_failures} timeouts={self.timeouts} "
             f"dead={self.dead_letters} guard={self.guard_events} "
-            f"workers={self.worker_faults_injected}/"
-            f"{self.worker_faults_recovered} "
             f"cachecorrupt={self.cache_corruptions_detected}"
         )
         if self.cluster_ok is not None:
@@ -162,16 +148,12 @@ class ChaosReport:
         total_faults = sum(it.injected_channel_faults for it in self.iterations)
         total_retries = sum(it.retries for it in self.iterations)
         total_guard = sum(it.guard_events for it in self.iterations)
-        total_workers = sum(
-            it.worker_faults_injected for it in self.iterations
-        )
         total_corrupt = sum(
             it.cache_corruptions_detected for it in self.iterations
         )
         line = (
             f"  totals: {total_faults} channel faults injected, "
             f"{total_retries} retries, {total_guard} guard degradations, "
-            f"{total_workers} worker faults, "
             f"{total_corrupt} cache corruptions detected, "
             f"{self.loud_failures} loud failures, "
             f"{self.silent_corruptions} SILENT corruptions"
@@ -294,41 +276,6 @@ def _probe_degradation(it: ChaosIteration, n: int, seed: int) -> None:
         )
 
 
-def _probe_runtime(it: ChaosIteration, n: int, seed: int, workers: int) -> None:
-    """multiply_many under worker faults: byte-identical to fault-free."""
-    import numpy as np
-
-    from repro.he.backend import NttPolyMulBackend
-    from repro.he.params import toy_preset
-    from repro.he.poly import RingPoly
-
-    basis = toy_preset(n=n).basis
-    rng = np.random.default_rng(seed)
-    polys, weights = [], []
-    for _ in range(4):
-        coeffs = rng.integers(0, 1 << 29, size=basis.n)
-        polys.append(RingPoly(basis, basis.to_rns(coeffs)))
-        weights.append(rng.integers(-5, 6, size=basis.n))
-    reference = NttPolyMulBackend(max_workers=workers).multiply_many(
-        polys, weights
-    )
-    injector = WorkerFaultInjector(rate=it.rates["worker"], seed=seed)
-    faulty = NttPolyMulBackend(max_workers=workers, fault_injector=injector)
-    outs = faulty.multiply_many(polys, weights)
-    it.worker_faults_injected += injector.injected
-    it.worker_faults_recovered += faulty.last_stats.worker_faults
-    identical = all(
-        np.array_equal(a, b)
-        for out, ref in zip(outs, reference)
-        for a, b in zip(out.residues, ref.residues)
-    )
-    if identical:
-        it.runtime_ok = True
-    else:
-        it.silent_corruptions += 1
-        it.errors.append("runtime probe corrupted: recovered output differs")
-
-
 def _tamper_backend_caches(backend) -> int:
     """Flip one byte inside one cached array of each integrity-checked
     cache the backend owns (in place, simulating memory corruption).
@@ -360,7 +307,7 @@ def _tamper_backend_caches(backend) -> int:
 
 
 def _probe_sparse(it: ChaosIteration, n: int, seed: int, workers: int) -> None:
-    """Sparse-plan path under worker faults + cache corruption.
+    """Sparse-plan path under cache corruption.
 
     The compiled-plan and spectrum caches of a
     :class:`repro.he.backend.SparseFftPolyMulBackend` are corrupted in place
@@ -390,10 +337,7 @@ def _probe_sparse(it: ChaosIteration, n: int, seed: int, workers: int) -> None:
         weight_config=cfg, max_workers=workers
     ).multiply_many(polys, weights)
 
-    injector = WorkerFaultInjector(rate=it.rates["worker"], seed=seed)
-    faulty = SparseFftPolyMulBackend(
-        weight_config=cfg, max_workers=workers, fault_injector=injector
-    )
+    faulty = SparseFftPolyMulBackend(weight_config=cfg, max_workers=workers)
     first = faulty.multiply_many(polys, weights)
     corruptions_before = faulty.plan_cache.stats().get("corruptions", 0)
     _tamper_backend_caches(faulty)
@@ -403,8 +347,6 @@ def _probe_sparse(it: ChaosIteration, n: int, seed: int, workers: int) -> None:
         for attr in ("plan_cache", "_spectrum_cache", "_pipelines")
         if hasattr(faulty, attr)
     )
-    it.worker_faults_injected += injector.injected
-    it.worker_faults_recovered += faulty.last_stats.worker_faults
     it.cache_corruptions_detected += corruptions_after - corruptions_before
     identical = all(
         np.array_equal(a, b)
@@ -509,11 +451,11 @@ def run_campaign(
 
     Args:
         seed: master PRNG seed; campaigns replay bit-identically.
-        iterations: fault-rate draws (four probes each, five with
+        iterations: fault-rate draws (three probes each, four with
             ``cluster=True``).
         max_rate: upper bound on drop/corrupt/truncate/duplicate rates.
         n: polynomial degree of the probe parameters (tiny by design).
-        workers: thread-pool width for the runtime/sparse probes.
+        workers: thread-pool width for the sparse probe.
         cluster: also run the multi-process cluster probe (SIGKILLs and
             hangs random supervised workers mid-run).
         cluster_workers: pool width for the cluster probe.
@@ -533,7 +475,6 @@ def run_campaign(
             "truncate": master.uniform(0.0, max_rate),
             "duplicate": master.uniform(0.0, max_rate),
             "latency": master.uniform(0.0, 0.3),
-            "worker": master.uniform(0.2, 0.8),
             "cluster_kill": master.uniform(0.1, 0.5),
             "cluster_hang": master.uniform(0.0, 0.25),
         }
@@ -541,9 +482,8 @@ def run_campaign(
         it = ChaosIteration(index=index, rates=rates)
         _probe_transport(it, n, probe_seed)
         _probe_degradation(it, n, probe_seed + 1)
-        _probe_runtime(it, n, probe_seed + 2, workers)
-        _probe_sparse(it, n, probe_seed + 3, workers)
+        _probe_sparse(it, n, probe_seed + 2, workers)
         if cluster:
-            _probe_cluster(it, n, probe_seed + 4, cluster_workers)
+            _probe_cluster(it, n, probe_seed + 3, cluster_workers)
         report.iterations.append(it)
     return report

@@ -22,7 +22,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.inject import FaultRecovery
 from repro.fftcore.approx_pipeline import ApproxNegacyclic, ApproxSpectrum
 from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.he.poly import RingPoly
@@ -43,18 +42,13 @@ class PolyMulBackend:
     """Multiply ring polynomials by signed integer weights.
 
     Subclasses implement :meth:`_multiply_batch`; the single-product entry
-    point, the argument checks, cluster delegation and the worker /
-    fault-injection set-up are shared.
+    point, the argument checks, cluster delegation and the worker set-up
+    are shared.
 
     Args:
         max_workers: thread-pool width for independent jobs (RNS limbs,
             CRT lifts, reductions); ``None``/``0``/``1`` selects the serial
             fallback.
-        fault_injector: optional
-            :class:`repro.faults.inject.WorkerFaultInjector` poisoning pool
-            jobs (chaos testing).  A job that raises is retried serially --
-            bit-identical output, fault recorded in
-            ``last_stats.worker_faults``.
         cluster: optional :class:`repro.cluster.ClusterExecutor`; products
             then shard across its supervised worker processes and
             ``last_stats.cluster`` carries the per-call supervision counters.
@@ -63,20 +57,10 @@ class PolyMulBackend:
     #: ``RuntimeStats.mode`` of the backend and its cluster job kind.
     kind: str
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        fault_injector=None,
-        cluster=None,
-    ):
+    def __init__(self, max_workers: Optional[int] = None, cluster=None):
         self.max_workers = max_workers
-        self.fault_injector = fault_injector
         self.cluster = cluster
         self.last_stats = RuntimeStats(mode=self.kind)
-
-    def _maybe_poison(self, tag) -> None:
-        if self.fault_injector is not None:
-            self.fault_injector.poison(tag)
 
     def multiply(self, poly: RingPoly, weights: np.ndarray) -> RingPoly:
         """The product ``poly * weights``: a batch of one."""
@@ -155,7 +139,7 @@ class NttPolyMulBackend(PolyMulBackend):
         plan_cache: weight-spectrum store; when omitted, a bounded cache
             with entry-integrity checking (a tampered spectrum is evicted
             and recomputed rather than served).
-        max_workers, fault_injector, cluster: see :class:`PolyMulBackend`.
+        max_workers, cluster: see :class:`PolyMulBackend`.
     """
 
     kind = "ntt"
@@ -164,10 +148,9 @@ class NttPolyMulBackend(PolyMulBackend):
         self,
         plan_cache: Optional[PlanCache] = None,
         max_workers: Optional[int] = None,
-        fault_injector=None,
         cluster=None,
     ):
-        super().__init__(max_workers, fault_injector, cluster)
+        super().__init__(max_workers, cluster)
         self.plan_cache = (
             plan_cache if plan_cache is not None
             else PlanCache(
@@ -211,24 +194,20 @@ class NttPolyMulBackend(PolyMulBackend):
             )
 
         def limb_job(limb: int) -> np.ndarray:
-            self._maybe_poison(("limb", limb))
             prime = basis.primes[limb]
             plan = get_ntt(basis.n, prime)
             rows = np.stack([p.residues[limb] for p in polys])
             spec = mulmod(plan.forward_batch(rows), w_rows_per_limb[limb], prime)
             return plan.inverse_batch(spec)
 
-        recovery = FaultRecovery()
         limb_rows = fan_out(
-            range(len(basis.primes)), limb_job, self.max_workers,
-            recovery=recovery,
+            range(len(basis.primes)), limb_job, self.max_workers
         )
         self.last_stats = RuntimeStats(
             mode=self.kind,
             batch=count,
             products=count,
             workers=self.max_workers or 1,
-            worker_faults=recovery.faults,
         )
         return [
             RingPoly(basis, [limb_rows[l][i] for l in range(len(basis.primes))])
@@ -258,7 +237,7 @@ class FftPolyMulBackend(PolyMulBackend):
             (``None`` disables the bound); the cache never exceeds it.
             Entries are integrity-checked: a tampered cached spectrum is
             evicted and recomputed rather than served.
-        max_workers, fault_injector, cluster: see :class:`PolyMulBackend`.
+        max_workers, cluster: see :class:`PolyMulBackend`.
     """
 
     kind = "flash"
@@ -268,10 +247,9 @@ class FftPolyMulBackend(PolyMulBackend):
         weight_config: Optional[ApproxFftConfig] = None,
         spectrum_cache_bytes: Optional[int] = DEFAULT_SPECTRUM_CACHE_BYTES,
         max_workers: Optional[int] = None,
-        fault_injector=None,
         cluster=None,
     ):
-        super().__init__(max_workers, fault_injector, cluster)
+        super().__init__(max_workers, cluster)
         self.weight_config = weight_config
         self._pipelines = PlanCache(max_entries=16)
         self._spectrum_cache = PlanCache(
@@ -333,31 +311,17 @@ class FftPolyMulBackend(PolyMulBackend):
         pipe = self.pipeline(n)
         w_rows, mult_stats = self._weight_rows(n, weights_list)
 
-        def lift_job(index: int) -> np.ndarray:
-            self._maybe_poison(("lift", index))
-            return centered_lift(polys[index])
-
-        recovery = FaultRecovery()
-        lifts = fan_out(
-            range(len(polys)), lift_job, self.max_workers, recovery=recovery
-        )
+        lifts = fan_out(polys, centered_lift, self.max_workers)
         a_spec = pipe.activation_forward_batch(np.stack(lifts))
         products = pipe.multiply_spectra_batch(w_rows, a_spec)
-
-        def reduce_job(index: int) -> RingPoly:
-            self._maybe_poison(("reduce", index))
-            return round_to_ring(basis, products[index])
-
         out = fan_out(
-            range(len(products)), reduce_job, self.max_workers,
-            recovery=recovery,
+            products, lambda row: round_to_ring(basis, row), self.max_workers
         )
         self.last_stats = RuntimeStats(
             mode=self.kind,
             batch=len(polys),
             products=len(polys),
             workers=self.max_workers or 1,
-            worker_faults=recovery.faults,
             **mult_stats,
         )
         return out
@@ -389,14 +353,12 @@ class SparseFftPolyMulBackend(FftPolyMulBackend):
         pattern: Optional[Sequence[int]] = None,
         spectrum_cache_bytes: Optional[int] = DEFAULT_SPECTRUM_CACHE_BYTES,
         max_workers: Optional[int] = None,
-        fault_injector=None,
         cluster=None,
     ):
         if weight_config is None:
             raise ValueError("SparseFftPolyMulBackend needs a weight_config")
         super().__init__(
-            weight_config, spectrum_cache_bytes,
-            max_workers, fault_injector, cluster,
+            weight_config, spectrum_cache_bytes, max_workers, cluster
         )
         self.pattern = (
             None

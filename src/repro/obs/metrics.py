@@ -179,11 +179,6 @@ def absorb_runtime_stats(registry: MetricsRegistry, stats) -> None:
         "runtime_products_total", getattr(stats, "products", 0), mode=mode
     )
     registry.inc(
-        "runtime_worker_faults_total",
-        getattr(stats, "worker_faults", 0),
-        mode=mode,
-    )
-    registry.inc(
         "runtime_weight_transforms_total",
         getattr(stats, "weight_transforms", 0),
         mode=mode,

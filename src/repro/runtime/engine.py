@@ -58,52 +58,35 @@ _INT64_BOUND = float(1 << 63)
 _SPECTRA_CHUNK = 32
 
 
-def fan_out(
-    jobs: Sequence,
-    fn: Callable,
-    max_workers: Optional[int],
-    recovery: Optional["FaultRecovery"] = None,
-) -> list:
+def fan_out(jobs: Sequence, fn: Callable, max_workers: Optional[int]) -> list:
     """Run ``fn`` over ``jobs`` with deterministic result ordering.
 
     Serial fallback when ``max_workers`` is ``None``/``0``/``1`` or there is
     at most one job; otherwise a thread pool of ``max_workers`` threads.
     Results are collected in submission order, so the output list is
-    identical to the serial path for pure ``fn``.
-
-    With a :class:`repro.faults.inject.FaultRecovery`, a job whose first
-    execution raises (a dying worker, a poisoned task) is retried once in
-    the submitting thread and the fault is recorded; the kernels are pure,
-    so the retried result is bit-identical.  A job that fails its retry
-    too propagates -- faults are survived, real bugs are not masked.
+    identical to the serial path for pure ``fn``.  A job's exception
+    propagates; worker-process death is :mod:`repro.cluster`'s concern.
     """
     jobs = list(jobs)
-    if not jobs:
-        return []
-
-    def run_recovered(job):
-        try:
-            return fn(job)
-        except Exception as exc:
-            if recovery is None:
-                raise
-            recovery.record(exc)
-            return fn(job)
-
-    if not max_workers or max_workers <= 1 or len(jobs) == 1:
-        return [run_recovered(job) for job in jobs]
+    if not max_workers or max_workers <= 1 or len(jobs) <= 1:
+        return [fn(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         futures = [pool.submit(fn, job) for job in jobs]
-        results = []
-        for job, future in zip(jobs, futures):
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                if recovery is None:
-                    raise
-                recovery.record(exc)
-                results.append(fn(job))
-        return results
+        return [future.result() for future in futures]
+
+
+def ntt_modulus(n: int, value_bound: int) -> int:
+    """An NTT-friendly prime for degree ``n`` wide enough that products
+    with ``|coefficient| <= value_bound`` do not wrap around.
+
+    The prime has 20..39 bits; a ``2 * value_bound + 1`` wider than 38
+    bits raises :class:`ValueError`.
+    """
+    bits = max(20, min(39, (2 * value_bound + 1).bit_length() + 1))
+    if (2 * value_bound + 1) >> 38:
+        raise ValueError("results exceed the single-prime NTT range")
+    (q,) = find_ntt_primes(bits, n)
+    return q
 
 
 def _split_groups(items: Sequence, groups: int) -> List[list]:
@@ -131,7 +114,6 @@ class RuntimeStats:
     batch: int = 0
     products: int = 0
     workers: int = 1
-    worker_faults: int = 0
     weight_transforms: int = 0
     weight_mults_realized: int = 0
     weight_mults_dense: int = 0
@@ -168,11 +150,6 @@ class RuntimeStats:
         lines = [
             f"mode={self.mode} batch={self.batch} "
             f"products={self.products} workers={self.workers}"
-            + (
-                f" worker_faults={self.worker_faults} (recovered serially)"
-                if self.worker_faults
-                else ""
-            )
         ]
         for stage, seconds in sorted(
             self.stage_seconds.items(), key=lambda kv: -kv[1]
@@ -248,8 +225,10 @@ class BatchedHConvEngine:
     """Clear-domain batched HConv over the coefficient encoding.
 
     The batched counterpart of :func:`repro.core.hconv.hconv_ntt` /
-    ``hconv_fft`` / ``hconv_flash``: bit-identical results (exact engines)
-    computed in vectorized passes over the whole batch.
+    ``hconv_fft`` / ``hconv_flash`` / ``hconv_sparse``: bit-identical
+    results computed in vectorized passes over the whole batch.  Those
+    per-call pipelines are the reference the conformance tests and
+    ``bench-runtime`` hold this engine to.
 
     Weight spectra are computed inside the output-channel group jobs,
     ``_SPECTRA_CHUNK`` ``(tile, out_channel)`` pairs at a time.  Whether
@@ -283,10 +262,6 @@ class BatchedHConvEngine:
             spectrum is evicted and recomputed rather than served).
         max_workers: thread-pool width for the pointwise/inverse stage;
             ``None``/``0``/``1`` selects the serial fallback.
-        fault_injector: optional
-            :class:`repro.faults.inject.WorkerFaultInjector` poisoning
-            parallel jobs (chaos testing); recovered faults appear in
-            ``last_stats.worker_faults``.
         cluster: optional :class:`repro.cluster.ClusterExecutor`; batched
             calls shard across its supervised worker processes
             (bit-identical to the in-process path, crash recovery and
@@ -302,7 +277,6 @@ class BatchedHConvEngine:
         weight_config: Optional[ApproxFftConfig] = None,
         plan_cache: Optional[PlanCache] = None,
         max_workers: Optional[int] = None,
-        fault_injector=None,
         cluster=None,
     ):
         if mode not in self.MODES:
@@ -320,13 +294,8 @@ class BatchedHConvEngine:
             else PlanCache(capacity_bytes=64 << 20, check_integrity=True)
         )
         self.max_workers = max_workers
-        self.fault_injector = fault_injector
         self.cluster = cluster
         self.last_stats = RuntimeStats(mode=mode)
-
-    def _maybe_poison(self, tag) -> None:
-        if self.fault_injector is not None:
-            self.fault_injector.poison(tag)
 
     # -- plan helpers ---------------------------------------------------
 
@@ -341,14 +310,6 @@ class BatchedHConvEngine:
         return self.plan_cache.get_or_build(
             key, lambda: ApproxNegacyclic(n, cfg)
         )
-
-    @staticmethod
-    def _modulus_for(n: int, value_bound: int) -> int:
-        bits = max(20, min(39, (2 * value_bound + 1).bit_length() + 1))
-        if (2 * value_bound + 1) >> 38:
-            raise ValueError("results exceed the single-prime NTT range")
-        (q,) = find_ntt_primes(bits, n)
-        return q
 
     # -- batched convolution --------------------------------------------
 
@@ -516,7 +477,7 @@ class BatchedHConvEngine:
         # pair's cached spectrum and ``product(w_rows, a_rows)`` multiplies
         # and inverse-transforms.
         if self.mode == "ntt":
-            q = self._modulus_for(n, bound)
+            q = ntt_modulus(n, bound)
             plan = self._ntt_plan(n, q)
 
             def transform(chunk):
@@ -591,25 +552,11 @@ class BatchedHConvEngine:
             w_rows = np.tile(spectra(group), (batch, 1))
             return product(w_rows, a_spec[a_idx])
 
-        # Imported here: repro.faults imports repro.he, whose backends
-        # import this module.
-        from repro.faults.inject import FaultRecovery
-
         groups = _split_groups(
             pairs, max(self._workers(), -(-len(pairs) // _SPECTRA_CHUNK))
         )
-        recovery = FaultRecovery()
-
-        def indexed_job(group_index: int) -> np.ndarray:
-            self._maybe_poison(("group", group_index))
-            return group_job(groups[group_index])
-
         with _Timer(stats, "pointwise+inverse"):
-            group_rows = fan_out(
-                range(len(groups)), indexed_job, self.max_workers,
-                recovery=recovery,
-            )
-        stats.worker_faults += recovery.faults
+            group_rows = fan_out(groups, group_job, self.max_workers)
         stats.products += len(pairs) * batch
 
         with _Timer(stats, "decode"):

@@ -1,16 +1,12 @@
-"""Runtime fault tolerance: worker recovery and plan-cache integrity."""
+"""Runtime fault handling: job errors propagate, plan-cache integrity."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.encoding import ConvShape
-from repro.faults import (
-    FaultRecovery,
-    InjectedWorkerFault,
-    WorkerFaultInjector,
-)
-from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.he.backend import FftPolyMulBackend, NttPolyMulBackend
+from repro.he.backend import NttPolyMulBackend
 from repro.he.params import toy_preset
 from repro.he.poly import RingPoly
 from repro.runtime import (
@@ -21,9 +17,6 @@ from repro.runtime import (
 )
 
 BASIS = toy_preset(n=64).basis
-FLASH_CFG = ApproxFftConfig(
-    n=32, stage_widths=27, twiddle_k=18, twiddle_max_shift=24
-)
 
 
 def _random_products(seed, count=6):
@@ -44,52 +37,7 @@ def _identical(outs, refs):
     )
 
 
-class TestWorkerFaultInjector:
-    def test_poisoned_job_fails_then_recovers(self):
-        injector = WorkerFaultInjector(tags=[("limb", 0)])
-        with pytest.raises(InjectedWorkerFault):
-            injector.poison(("limb", 0))
-        injector.poison(("limb", 0))  # second attempt survives
-        injector.poison(("limb", 1))  # unpoisoned tags never fire
-        assert injector.injected == 1
-
-    def test_rate_based_decisions_are_deterministic(self):
-        counts = []
-        for _ in range(2):
-            injector = WorkerFaultInjector(rate=0.5, seed=3)
-            fired = 0
-            for tag in range(40):
-                try:
-                    injector.poison(("job", tag))
-                except InjectedWorkerFault:
-                    fired += 1
-            counts.append(fired)
-        assert counts[0] == counts[1] > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkerFaultInjector(rate=2.0)
-        with pytest.raises(ValueError):
-            WorkerFaultInjector(failures_per_job=0)
-
-
 class TestFanOutRecovery:
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_single_failure_recovered(self, workers):
-        failures = {2}
-
-        def job(i):
-            if i in failures:
-                failures.discard(i)
-                raise RuntimeError("worker died")
-            return i * i
-
-        recovery = FaultRecovery()
-        out = fan_out(range(5), job, workers, recovery=recovery)
-        assert out == [0, 1, 4, 9, 16]
-        assert recovery.faults == 1
-        assert "worker died" in recovery.errors[0]
-
     @pytest.mark.parametrize("workers", [1, 3])
     def test_without_recovery_failure_propagates(self, workers):
         def job(i):
@@ -100,55 +48,38 @@ class TestFanOutRecovery:
         with pytest.raises(RuntimeError, match="boom"):
             fan_out(range(3), job, workers)
 
-    def test_permanent_failure_propagates_through_recovery(self):
-        def job(i):
-            raise RuntimeError("always broken")
 
-        with pytest.raises(RuntimeError, match="always broken"):
-            fan_out(range(2), job, 2, recovery=FaultRecovery())
+def _fail_first_call(fn):
+    """``fn`` wrapped to raise on its first call only."""
+    calls = itertools.count()
+
+    def wrapper(*args, **kwargs):
+        if next(calls) == 0:
+            raise RuntimeError("job failed once")
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
-class TestBackendFaultTolerance:
+class TestJobErrorsPropagate:
+    """A job error leaves the runtime even when a rerun would succeed."""
+
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_ntt_multiply_many_byte_identical_under_faults(self, workers):
+    def test_ntt_limb_job(self, monkeypatch, workers):
+        import repro.he.backend as backend_module
+
         polys, weights = _random_products(0)
-        reference = NttPolyMulBackend(max_workers=workers).multiply_many(
-            polys, weights
+        monkeypatch.setattr(
+            backend_module, "mulmod", _fail_first_call(backend_module.mulmod)
         )
-        injector = WorkerFaultInjector(tags=[("limb", 0), ("limb", 1)])
-        backend = NttPolyMulBackend(
-            max_workers=workers, fault_injector=injector
-        )
-        outs = backend.multiply_many(polys, weights)
-        assert _identical(outs, reference)
-        assert injector.injected == 2
-        assert backend.last_stats.worker_faults == 2
-
-    def test_fft_multiply_many_byte_identical_under_faults(self):
-        polys, weights = _random_products(1, count=4)
-        reference = FftPolyMulBackend(
-            weight_config=FLASH_CFG, max_workers=2
-        ).multiply_many(polys, weights)
-        injector = WorkerFaultInjector(
-            tags=[("lift", 0), ("reduce", 3)]
-        )
-        backend = FftPolyMulBackend(
-            weight_config=FLASH_CFG, max_workers=2, fault_injector=injector
-        )
-        outs = backend.multiply_many(polys, weights)
-        assert _identical(outs, reference)
-        assert backend.last_stats.worker_faults == 2
-
-    def test_permanently_poisoned_job_propagates(self):
-        polys, weights = _random_products(2)
-        injector = WorkerFaultInjector(
-            tags=[("limb", 0)], failures_per_job=99
-        )
-        backend = NttPolyMulBackend(max_workers=2, fault_injector=injector)
-        with pytest.raises(InjectedWorkerFault):
+        backend = NttPolyMulBackend(max_workers=workers)
+        with pytest.raises(RuntimeError, match="job failed once"):
             backend.multiply_many(polys, weights)
 
-    def test_engine_conv_batch_identical_under_faults(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_group_job(self, monkeypatch, workers):
+        import repro.runtime.engine as engine_module
+
         shape = ConvShape(
             in_channels=2, height=6, width=6, out_channels=3,
             kernel_h=3, kernel_w=3, stride=1, padding=1,
@@ -156,17 +87,12 @@ class TestBackendFaultTolerance:
         rng = np.random.default_rng(3)
         xs = rng.integers(-7, 8, size=(2, 2, 6, 6))
         w = rng.integers(-3, 4, size=(3, 2, 3, 3))
-        reference = BatchedHConvEngine(mode="ntt", max_workers=2).conv2d_batch(
-            xs, w, shape, 64
+        monkeypatch.setattr(
+            engine_module, "mulmod", _fail_first_call(engine_module.mulmod)
         )
-        engine = BatchedHConvEngine(
-            mode="ntt",
-            max_workers=2,
-            fault_injector=WorkerFaultInjector(tags=[("group", 0)]),
-        )
-        got = engine.conv2d_batch(xs, w, shape, 64)
-        assert np.array_equal(got, reference)
-        assert engine.last_stats.worker_faults >= 1
+        engine = BatchedHConvEngine(mode="ntt", max_workers=workers)
+        with pytest.raises(RuntimeError, match="job failed once"):
+            engine.conv2d_batch(xs, w, shape, 64)
 
 
 class TestPlanCacheIntegrity:
