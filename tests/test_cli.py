@@ -227,3 +227,238 @@ class TestBenchCheckServe:
         baseline = self.report()
         current = {"params": baseline["params"], "modes": {}}
         assert self.run_check(tmp_path, baseline, current) == EXIT_USAGE
+
+
+class TestBenchCheckRuntime:
+    """Every runtime/tracing gate of ``bench-check``: one passing and one
+    failing trajectory each, with the failing one tripping that gate
+    alone."""
+
+    GATES = {
+        "min_speedup": {"ntt": 1.2, "sparse": 10.0},
+        "min_mult_reduction": {"sparse": 0.4},
+    }
+
+    def mode(self, speedup, realized, dense, reduction):
+        return {
+            "bit_identical": True,
+            "products": 8,
+            "speedup": speedup,
+            "weight_mults": {
+                "transforms": 2 if dense else 0,
+                "realized": realized,
+                "dense": dense,
+                "model": realized,
+                "realized_reduction": reduction,
+                "model_reduction": reduction,
+            },
+            "cluster": {"workers": 2, "dispatches": 2, "recoveries": 0},
+        }
+
+    def trajectory(self):
+        return {
+            "params": {"seed": 0, "batch": 4, "mode": "all"},
+            "modes": {
+                "ntt": self.mode(4.0, 0, 0, 0.0),
+                "sparse": self.mode(20.0, 524, 896, 0.4152),
+            },
+            "tracing": {
+                "bit_identical": True,
+                "noop_span_ns": 80.0,
+                "disabled_overhead_frac": 0.001,
+                "enabled_overhead_frac": 0.02,
+            },
+        }
+
+    def baseline(self, **gates):
+        baseline = self.trajectory()
+        baseline["gates"] = dict(self.GATES, **gates)
+        return baseline
+
+    def write(self, tmp_path, name, payload):
+        import json
+
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def run_check(self, tmp_path, capsys, baseline, current):
+        code = main([
+            "bench-check",
+            "--baseline", self.write(tmp_path, "baseline.json", baseline),
+            "--current", self.write(tmp_path, "current.json", current),
+        ])
+        lines = capsys.readouterr().out.splitlines()
+        fails = {
+            line.split("] ", 1)[1].split(":", 1)[0]
+            for line in lines if line.startswith("  [FAIL] ")
+        }
+        oks = {
+            line.split("] ", 1)[1].split(":", 1)[0]
+            for line in lines if line.startswith("  [ok  ] ")
+        }
+        return code, fails, oks
+
+    def test_clean_run_passes_every_gate(self, tmp_path, capsys):
+        from repro.cli import EXIT_OK
+
+        code, fails, oks = self.run_check(
+            tmp_path, capsys, self.baseline(), self.trajectory()
+        )
+        assert code == EXIT_OK
+        assert fails == set()
+        assert oks == {
+            "ntt/bit_identical", "ntt/products",
+            "ntt/weight_mults.transforms", "ntt/weight_mults.realized",
+            "ntt/weight_mults.dense", "ntt/weight_mults.model",
+            "ntt/speedup", "ntt/min_speedup", "ntt/cluster_recoveries",
+            "sparse/bit_identical", "sparse/products",
+            "sparse/weight_mults.transforms", "sparse/weight_mults.realized",
+            "sparse/weight_mults.dense", "sparse/weight_mults.model",
+            "sparse/realized_vs_model", "sparse/speedup",
+            "sparse/min_speedup", "sparse/min_mult_reduction",
+            "sparse/cluster_recoveries",
+            "tracing/bit_identical", "tracing/disabled_overhead",
+            "tracing/enabled_overhead",
+        }
+
+    @pytest.mark.parametrize("gate, tamper", [
+        ("sparse/bit_identical",
+         lambda t: t["modes"]["sparse"].update(bit_identical=False)),
+        ("sparse/products",
+         lambda t: t["modes"]["sparse"].update(products=9)),
+        ("sparse/weight_mults.transforms",
+         lambda t: t["modes"]["sparse"]["weight_mults"].update(transforms=3)),
+        ("sparse/weight_mults.realized",
+         lambda t: t["modes"]["sparse"]["weight_mults"].update(realized=525)),
+        ("sparse/weight_mults.dense",
+         lambda t: t["modes"]["sparse"]["weight_mults"].update(dense=897)),
+        ("sparse/weight_mults.model",
+         lambda t: t["modes"]["sparse"]["weight_mults"].update(model=523)),
+        ("ntt/cluster_recoveries",
+         lambda t: t["modes"]["ntt"]["cluster"].update(recoveries=1)),
+        ("tracing/bit_identical",
+         lambda t: t["tracing"].update(bit_identical=False)),
+    ])
+    def test_exact_gate_fails_alone(self, tmp_path, capsys, gate, tamper):
+        from repro.cli import EXIT_FAIL
+
+        current = self.trajectory()
+        tamper(current)
+        code, fails, _ = self.run_check(
+            tmp_path, capsys, self.baseline(), current
+        )
+        assert code == EXIT_FAIL
+        assert fails == {gate}
+
+    @pytest.mark.parametrize("gap, ok", [(0.019, True), (0.021, False)])
+    def test_realized_vs_model_tolerance(self, tmp_path, capsys, gap, ok):
+        current = self.trajectory()
+        current["modes"]["sparse"]["weight_mults"]["realized_reduction"] = (
+            0.4152 + gap
+        )
+        code, fails, oks = self.run_check(
+            tmp_path, capsys, self.baseline(), current
+        )
+        assert code == (0 if ok else 1)
+        assert "sparse/realized_vs_model" in (oks if ok else fails)
+        assert fails == (set() if ok else {"sparse/realized_vs_model"})
+
+    @pytest.mark.parametrize("speedup, ok", [(1.7, True), (1.5, False)])
+    def test_relative_speedup_floor(self, tmp_path, capsys, speedup, ok):
+        # ntt baseline 4.0x; the floor is 60% below it, 1.6x.
+        current = self.trajectory()
+        current["modes"]["ntt"]["speedup"] = speedup
+        code, fails, oks = self.run_check(
+            tmp_path, capsys, self.baseline(), current
+        )
+        assert code == (0 if ok else 1)
+        assert fails == (set() if ok else {"ntt/speedup"})
+        assert "ntt/speedup" in (oks if ok else fails)
+
+    @pytest.mark.parametrize("speedup, ok", [(10.5, True), (9.0, False)])
+    def test_per_mode_min_speedup(self, tmp_path, capsys, speedup, ok):
+        # 9.0x clears the relative floor (8.0x) but not the 10x floor.
+        current = self.trajectory()
+        current["modes"]["sparse"]["speedup"] = speedup
+        code, fails, oks = self.run_check(
+            tmp_path, capsys, self.baseline(), current
+        )
+        assert code == (0 if ok else 1)
+        assert fails == (set() if ok else {"sparse/min_speedup"})
+        assert "sparse/min_speedup" in (oks if ok else fails)
+
+    @pytest.mark.parametrize("floor, ok", [(1.0, True), (5.0, False)])
+    def test_wildcard_min_speedup(self, tmp_path, capsys, floor, ok):
+        # "*" covers modes without their own floor; sparse keeps its 10x.
+        baseline = self.baseline(
+            min_speedup={"*": floor, "sparse": 10.0}
+        )
+        code, fails, oks = self.run_check(
+            tmp_path, capsys, baseline, self.trajectory()
+        )
+        assert code == (0 if ok else 1)
+        assert fails == (set() if ok else {"ntt/min_speedup"})
+        assert {"ntt/min_speedup", "sparse/min_speedup"} <= (oks | fails)
+
+    @pytest.mark.parametrize("reduction, ok", [(0.41, True), (0.39, False)])
+    def test_min_mult_reduction(self, tmp_path, capsys, reduction, ok):
+        current = self.trajectory()
+        current["modes"]["sparse"]["weight_mults"].update(
+            realized_reduction=reduction, model_reduction=reduction
+        )
+        code, fails, oks = self.run_check(
+            tmp_path, capsys, self.baseline(), current
+        )
+        assert code == (0 if ok else 1)
+        assert fails == (set() if ok else {"sparse/min_mult_reduction"})
+        assert "sparse/min_mult_reduction" in (oks if ok else fails)
+
+    def test_missing_mode_fails(self, tmp_path, capsys):
+        from repro.cli import EXIT_FAIL
+
+        current = self.trajectory()
+        del current["modes"]["ntt"]
+        code, fails, oks = self.run_check(
+            tmp_path, capsys, self.baseline(), current
+        )
+        assert code == EXIT_FAIL
+        assert fails == {"ntt/present"}
+        assert not any(label.startswith("ntt/") for label in oks)
+
+    @pytest.mark.parametrize("key, gate, value, ok", [
+        ("disabled_overhead_frac", "tracing/disabled_overhead", 0.029, True),
+        ("disabled_overhead_frac", "tracing/disabled_overhead", 0.031, False),
+        ("enabled_overhead_frac", "tracing/enabled_overhead", 0.09, True),
+        ("enabled_overhead_frac", "tracing/enabled_overhead", 0.11, False),
+    ])
+    def test_tracing_overhead_ceilings(
+        self, tmp_path, capsys, key, gate, value, ok
+    ):
+        current = self.trajectory()
+        current["tracing"][key] = value
+        code, fails, oks = self.run_check(
+            tmp_path, capsys, self.baseline(), current
+        )
+        assert code == (0 if ok else 1)
+        assert fails == (set() if ok else {gate})
+        assert gate in (oks if ok else fails)
+
+    def test_no_tracing_section_skips_tracing_gates(self, tmp_path, capsys):
+        current = self.trajectory()
+        del current["tracing"]
+        code, _, oks = self.run_check(
+            tmp_path, capsys, self.baseline(), current
+        )
+        assert code == 0
+        assert not any(label.startswith("tracing/") for label in oks)
+
+    def test_params_mismatch_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import EXIT_USAGE
+
+        current = self.trajectory()
+        current["params"]["batch"] = 99
+        code, _, _ = self.run_check(
+            tmp_path, capsys, self.baseline(), current
+        )
+        assert code == EXIT_USAGE
