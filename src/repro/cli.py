@@ -458,18 +458,22 @@ def _cmd_bench_runtime(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    """Compare a ``bench-runtime --json`` trajectory against a baseline.
+# bench-check's fixed bounds; per-baseline floors and ceilings live in the
+# baseline's "gates" section.
+_MULT_TOLERANCE = 0.02  # max |realized - model| mult-reduction gap
+_SPEED_TOLERANCE = 0.6  # allowed relative speedup drop vs the baseline
+_MAX_TRACE_OVERHEAD_DISABLED = 0.03
+_MAX_TRACE_OVERHEAD_ENABLED = 0.10
 
-    The standing perf-regression gate: deterministic metrics
-    (bit-identity, product counts, weight-transform mult counts) must
-    match exactly; the realized mult reduction must stay within
-    ``--mult-tolerance`` of the analytical opcount model; timings gate
-    relatively through ``--speed-tolerance`` (generous by default -- CI
-    machines vary, silent 10x regressions do not) *and* absolutely
-    through explicit speedup floors -- the baseline's ``gates`` section
-    (``min_speedup`` / ``min_mult_reduction`` per mode), overridable via
-    ``--min-speedup [MODE=]X``.  Any violation fails the build (exit 1).
+
+def _cmd_bench_check(args: argparse.Namespace) -> int:
+    """Gate a ``bench-runtime`` or ``loadgen`` ``--json`` trajectory
+    against a committed baseline.
+
+    One engine for both trajectory kinds: :func:`_runtime_gates` or
+    :func:`_serve_gates` yields ``(group, label, ok, detail)`` per gate,
+    each gate is printed as it comes, and any failed gate fails the
+    build (exit 1).
     """
     import json
 
@@ -488,208 +492,168 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
         print(f"  current:  {current.get('params')}", file=sys.stderr)
         return EXIT_USAGE
 
-    if "serve" in baseline or "serve" in current:
-        return _bench_check_serve(args, baseline, current)
-
-    gates = baseline.get("gates", {})
-    speedup_floors = dict(gates.get("min_speedup", {}))
-    reduction_floors = dict(gates.get("min_mult_reduction", {}))
-    for spec in args.min_speedup or []:
-        mode_name, sep, value = spec.partition("=")
-        if not sep:
-            mode_name, value = "*", spec
-        try:
-            speedup_floors[mode_name] = float(value)
-        except ValueError:
-            return usage_error(
-                "bench-check",
-                f"bad --min-speedup {spec!r} (expected X or MODE=X)",
-            )
-
+    serve = "serve" in baseline or "serve" in current
+    if serve and "serve" not in current:
+        return usage_error(
+            "bench-check",
+            "baseline is a serve trajectory but current is not",
+        )
+    gates = _serve_gates if serve else _runtime_gates
     failures = []
-
-    def check(mode: str, label: str, ok: bool, detail: str) -> None:
-        status = "ok  " if ok else "FAIL"
-        print(f"  [{status}] {mode}/{label}: {detail}")
+    for group, label, ok, detail in gates(baseline, current):
+        print(f"  [{'ok  ' if ok else 'FAIL'}] {group}/{label}: {detail}")
         if not ok:
-            failures.append(f"{mode}/{label}: {detail}")
+            failures.append(f"{group}/{label}: {detail}")
 
+    if failures:
+        noun = "serve regression(s)" if serve else "regression(s)"
+        print(f"\nbench-check: {len(failures)} {noun}:")
+        for failure in failures:
+            print(f"  - {failure}")
+        return EXIT_FAIL
+    scope = "serve" if serve else "all"
+    print(f"\nbench-check: {scope} metrics within thresholds")
+    return EXIT_OK
+
+
+def _runtime_gates(baseline: dict, current: dict):
+    """Gates of a ``bench-runtime`` trajectory, mode by mode, then tracing.
+
+    Deterministic work counts (bit-identity, products, weight-transform
+    mults) must match the baseline exactly, and the realized mult
+    reduction must stay within ``_MULT_TOLERANCE`` of the opcount model.
+    Speedups gate relatively, ``_SPEED_TOLERANCE`` below the baseline
+    (generous: CI machines vary, silent 10x regressions do not), and
+    absolutely through the baseline's ``gates`` floors (``min_speedup``
+    per mode or ``"*"``, ``min_mult_reduction`` per mode).  A cluster run
+    must record zero recoveries, and a traced run must stay bit-identical
+    under the fixed tracing-overhead ceilings.  Each group's heading is
+    printed as the group starts.
+    """
+    gates = baseline.get("gates", {})
+    speedup_floors = gates.get("min_speedup", {})
+    reduction_floors = gates.get("min_mult_reduction", {})
     for mode, base in sorted(baseline.get("modes", {}).items()):
         cur = current.get("modes", {}).get(mode)
         print(f"mode={mode}")
         if cur is None:
-            check(mode, "present", False, "missing from current run")
+            yield mode, "present", False, "missing from current run"
             continue
-        check(
+        yield (
             mode, "bit_identical", bool(cur.get("bit_identical")),
             f"batched vs per-call: {cur.get('bit_identical')}",
         )
-        check(
-            mode, "products", cur.get("products") == base.get("products"),
-            f"{cur.get('products')} (baseline {base.get('products')})",
-        )
         base_wm = base.get("weight_mults", {})
         cur_wm = cur.get("weight_mults", {})
+        exact = [("products", cur.get("products"), base.get("products"))]
         for field in ("transforms", "realized", "dense", "model"):
-            check(
-                mode, f"weight_mults.{field}",
-                cur_wm.get(field) == base_wm.get(field),
-                f"{cur_wm.get(field)} (baseline {base_wm.get(field)})",
+            exact.append(
+                (f"weight_mults.{field}", cur_wm.get(field), base_wm.get(field))
             )
+        for label, got, want in exact:
+            yield mode, label, got == want, f"{got} (baseline {want})"
         if cur_wm.get("dense"):
             gap = abs(
                 cur_wm.get("realized_reduction", 0.0)
                 - cur_wm.get("model_reduction", 0.0)
             )
-            check(
-                mode, "realized_vs_model",
-                gap <= args.mult_tolerance,
-                f"reduction gap {gap:.4f} "
-                f"(tolerance {args.mult_tolerance})",
+            yield (
+                mode, "realized_vs_model", gap <= _MULT_TOLERANCE,
+                f"reduction gap {gap:.4f} (tolerance {_MULT_TOLERANCE})",
             )
-        floor = base.get("speedup", 0.0) * (1.0 - args.speed_tolerance)
-        check(
-            mode, "speedup",
-            cur.get("speedup", 0.0) >= floor,
-            f"{cur.get('speedup', 0.0):.2f}x "
-            f"(floor {floor:.2f}x = baseline "
-            f"{base.get('speedup', 0.0):.2f}x - {args.speed_tolerance:.0%})",
+        speedup = cur.get("speedup", 0.0)
+        floor = base.get("speedup", 0.0) * (1.0 - _SPEED_TOLERANCE)
+        yield (
+            mode, "speedup", speedup >= floor,
+            f"{speedup:.2f}x (floor {floor:.2f}x = baseline "
+            f"{base.get('speedup', 0.0):.2f}x - {_SPEED_TOLERANCE:.0%})",
         )
         abs_floor = speedup_floors.get(mode, speedup_floors.get("*"))
         if abs_floor is not None:
-            check(
-                mode, "min_speedup",
-                cur.get("speedup", 0.0) >= abs_floor,
-                f"{cur.get('speedup', 0.0):.2f}x "
-                f"(explicit floor {abs_floor:.2f}x)",
+            yield (
+                mode, "min_speedup", speedup >= abs_floor,
+                f"{speedup:.2f}x (explicit floor {abs_floor:.2f}x)",
             )
         red_floor = reduction_floors.get(mode)
         if red_floor is not None:
-            check(
-                mode, "min_mult_reduction",
-                cur_wm.get("realized_reduction", 0.0) >= red_floor,
-                f"{cur_wm.get('realized_reduction', 0.0):.4f} "
-                f"(explicit floor {red_floor:.4f})",
+            reduction = cur_wm.get("realized_reduction", 0.0)
+            yield (
+                mode, "min_mult_reduction", reduction >= red_floor,
+                f"{reduction:.4f} (explicit floor {red_floor:.4f})",
             )
         if cur.get("cluster"):
             recoveries = cur["cluster"].get("recoveries", 0)
-            check(
+            yield (
                 mode, "cluster_recoveries", recoveries == 0,
                 f"{recoveries} recovery events in a clean bench run",
             )
 
     tracing = current.get("tracing")
-    if tracing is not None:
-        # Tracing-overhead gate (ISSUE 10): tracing must be
-        # off-by-default-cheap and bit-transparent when on.
-        max_disabled = gates.get(
-            "max_trace_overhead_disabled", args.max_trace_overhead
-        )
-        max_enabled = gates.get(
-            "max_trace_overhead_enabled", args.max_traced_overhead
-        )
-        print("tracing")
-        check(
-            "tracing", "bit_identical",
-            bool(tracing.get("bit_identical")),
-            f"traced vs untraced results: {tracing.get('bit_identical')}",
-        )
-        disabled_frac = float(tracing.get("disabled_overhead_frac", 1.0))
-        check(
-            "tracing", "disabled_overhead",
-            disabled_frac <= max_disabled,
-            f"{disabled_frac:.4%} projected from "
-            f"{tracing.get('noop_span_ns', 0.0):.0f} ns noop spans "
-            f"(ceiling {max_disabled:.0%})",
-        )
-        enabled_frac = float(tracing.get("enabled_overhead_frac", 1.0))
-        check(
-            "tracing", "enabled_overhead",
-            enabled_frac <= max_enabled,
-            f"{enabled_frac:.2%} measured traced-vs-untraced "
-            f"(ceiling {max_enabled:.0%})",
-        )
-
-    if failures:
-        print(f"\nbench-check: {len(failures)} regression(s):")
-        for failure in failures:
-            print(f"  - {failure}")
-        return EXIT_FAIL
-    print("\nbench-check: all metrics within thresholds")
-    return EXIT_OK
+    if tracing is None:
+        return
+    # Tracing must be off-by-default-cheap and bit-transparent when on.
+    print("tracing")
+    yield (
+        "tracing", "bit_identical", bool(tracing.get("bit_identical")),
+        f"traced vs untraced results: {tracing.get('bit_identical')}",
+    )
+    disabled = float(tracing.get("disabled_overhead_frac", 1.0))
+    yield (
+        "tracing", "disabled_overhead",
+        disabled <= _MAX_TRACE_OVERHEAD_DISABLED,
+        f"{disabled:.4%} projected from "
+        f"{tracing.get('noop_span_ns', 0.0):.0f} ns noop spans "
+        f"(ceiling {_MAX_TRACE_OVERHEAD_DISABLED:.0%})",
+    )
+    enabled = float(tracing.get("enabled_overhead_frac", 1.0))
+    yield (
+        "tracing", "enabled_overhead",
+        enabled <= _MAX_TRACE_OVERHEAD_ENABLED,
+        f"{enabled:.2%} measured traced-vs-untraced "
+        f"(ceiling {_MAX_TRACE_OVERHEAD_ENABLED:.0%})",
+    )
 
 
-def _bench_check_serve(
-    args: argparse.Namespace, baseline: dict, current: dict
-) -> int:
-    """Gate a ``loadgen --json`` serve trajectory against a baseline.
+def _serve_gates(baseline: dict, current: dict):
+    """Gates of a ``loadgen`` serve trajectory.
 
-    The baseline's ``gates`` section sets absolute ceilings --
-    ``max_p50_ms`` / ``max_p99_ms`` (latency SLO), ``max_shed_rate``
-    (admission headroom on a clean run) and ``max_breaker_trips``
-    (a clean run must not trip the breaker) -- and the current run's own
-    verdict (zero silent drops, bit-identical replay) must hold.
+    The run's own verdict (ok, zero silent drops, bit-identical replay)
+    must hold, and the baseline's ``gates`` section sets absolute
+    ceilings: ``max_p50_ms`` / ``max_p99_ms`` (latency SLO),
+    ``max_shed_rate`` (admission headroom on a clean run) and
+    ``max_breaker_trips`` (a clean run must not trip the breaker).
     """
-    if "serve" not in current:
-        return usage_error(
-            "bench-check",
-            "baseline is a serve trajectory but current is not",
-        )
     gates = baseline.get("gates", {})
     serve = current.get("serve", {})
     verdict = current.get("verdict", {})
-    failures = []
-
-    def check(label: str, ok: bool, detail: str) -> None:
-        status = "ok  " if ok else "FAIL"
-        print(f"  [{status}] serve/{label}: {detail}")
-        if not ok:
-            failures.append(f"serve/{label}: {detail}")
-
-    check(
-        "verdict", bool(verdict.get("ok")),
+    yield (
+        "serve", "verdict", bool(verdict.get("ok")),
         f"loadgen verdict ok={verdict.get('ok')}",
     )
-    check(
-        "silent_drops", verdict.get("silent_drops", 1) == 0,
+    yield (
+        "serve", "silent_drops", verdict.get("silent_drops", 1) == 0,
         f"{verdict.get('silent_drops')} unaccounted requests",
     )
-    check(
-        "replay", verdict.get("replay_mismatches", 1) == 0,
+    yield (
+        "serve", "replay", verdict.get("replay_mismatches", 1) == 0,
         f"{verdict.get('replay_mismatches')} mismatches over "
         f"{verdict.get('replay_checked')} replayed results",
     )
-    for gate, key, unit in (
-        ("max_p50_ms", "p50_ms", "ms"),
-        ("max_p99_ms", "p99_ms", "ms"),
+    # (label, value, value format, ceiling format); the ceiling is the
+    # baseline's "max_<label>" gate, skipped when the baseline has none.
+    inf = float("inf")
+    for label, value, shown, limit in (
+        ("p50_ms", serve.get("p50_ms", inf), "{:.1f} ms", "{:.1f} ms"),
+        ("p99_ms", serve.get("p99_ms", inf), "{:.1f} ms", "{:.1f} ms"),
+        ("shed_rate", verdict.get("shed_rate", 1.0), "{:.3f}", "{:.3f}"),
+        ("breaker_trips", verdict.get("breaker_trips", 0), "{} trips", "{}"),
     ):
-        ceiling = gates.get(gate)
+        ceiling = gates.get(f"max_{label}")
         if ceiling is not None:
-            value = serve.get(key, float("inf"))
-            check(
-                key, value <= ceiling,
-                f"{value:.1f} {unit} (ceiling {ceiling:.1f} {unit})",
+            yield (
+                "serve", label, value <= ceiling,
+                f"{shown.format(value)} (ceiling {limit.format(ceiling)})",
             )
-    if gates.get("max_shed_rate") is not None:
-        rate = verdict.get("shed_rate", 1.0)
-        check(
-            "shed_rate", rate <= gates["max_shed_rate"],
-            f"{rate:.3f} (ceiling {gates['max_shed_rate']:.3f})",
-        )
-    if gates.get("max_breaker_trips") is not None:
-        trips = verdict.get("breaker_trips", 0)
-        check(
-            "breaker_trips", trips <= gates["max_breaker_trips"],
-            f"{trips} trips (ceiling {gates['max_breaker_trips']})",
-        )
-
-    if failures:
-        print(f"\nbench-check: {len(failures)} serve regression(s):")
-        for failure in failures:
-            print(f"  - {failure}")
-        return EXIT_FAIL
-    print("\nbench-check: serve metrics within thresholds")
-    return EXIT_OK
 
 
 def _trace_artifact_path(json_path: str) -> str:
@@ -1091,7 +1055,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench-check",
-        help="gate a bench-runtime --json trajectory against a baseline",
+        help="gate a bench-runtime or loadgen --json trajectory against "
+             "a baseline",
     )
     p.add_argument(
         "--baseline", required=True, metavar="PATH",
@@ -1100,32 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--current", required=True, metavar="PATH",
         help="freshly recorded trajectory to check",
-    )
-    p.add_argument(
-        "--mult-tolerance", type=float, default=0.02,
-        help="max |realized - model| mult-reduction gap (default 0.02)",
-    )
-    p.add_argument(
-        "--speed-tolerance", type=float, default=0.6,
-        help="allowed relative speedup regression vs baseline "
-             "(default 0.6: generous, catches order-of-magnitude drops)",
-    )
-    p.add_argument(
-        "--min-speedup", action="append", default=None, metavar="[MODE=]X",
-        help="explicit absolute speedup floor (repeatable; MODE=X for one "
-             "mode, bare X for all); extends the baseline's 'gates' "
-             "section and fails the build when violated",
-    )
-    p.add_argument(
-        "--max-trace-overhead", type=float, default=0.03,
-        help="ceiling on the projected disabled-tracing overhead "
-             "fraction when the current run carries a 'tracing' section "
-             "(default 0.03)",
-    )
-    p.add_argument(
-        "--max-traced-overhead", type=float, default=0.10,
-        help="ceiling on the measured enabled-tracing overhead fraction "
-             "(default 0.10)",
     )
 
     p = sub.add_parser(

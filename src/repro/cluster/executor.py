@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.obs import trace as obs_trace
+from repro.runtime.engine import RuntimeStats
 
 from repro.cluster.jobs import (
     MSG_JOB_CONV,
@@ -29,15 +30,6 @@ from repro.cluster.supervisor import (
     ClusterPolicy,
     ClusterSupervisor,
 )
-
-_JOB_STAT_KEYS = (
-    "products",
-    "weight_transforms",
-    "weight_mults_realized",
-    "weight_mults_dense",
-    "weight_mults_model",
-)
-
 
 def _split_indices(total: int, shards: int) -> List[Tuple[int, int]]:
     """Contiguous ``[start, stop)`` shard bounds (at most ``shards``)."""
@@ -72,8 +64,9 @@ class ClusterExecutor:
         #: per-call supervision counters (delta of the last run), the dict
         #: that flows into ``RuntimeStats.cluster`` / ``bench-runtime --json``.
         self.last_cluster: Dict[str, float] = {}
-        #: per-call sums of the worker-side job stats of the last run.
-        self.last_job_stats: Dict[str, int] = {}
+        #: the last call's stats: its jobs' summed work counters plus
+        #: ``last_cluster``; engines and backends report it as theirs.
+        self.last_stats = RuntimeStats()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -97,15 +90,19 @@ class ClusterExecutor:
 
     # -- internals -------------------------------------------------------
 
-    def _run(self, kind: str, payloads: List[Dict[str, Any]]) -> List[dict]:
+    def _run(
+        self, kind: str, payloads: List[Dict[str, Any]], mode: str, batch: int
+    ) -> List[dict]:
         before = self.supervisor.stats.to_dict()
         replies = self.supervisor.run_jobs(kind, payloads)
         self.last_cluster = self.supervisor.stats.snapshot_delta(before)
-        totals = {key: 0 for key in _JOB_STAT_KEYS}
-        for reply in replies:
-            for key in _JOB_STAT_KEYS:
-                totals[key] += int(reply.get("stats", {}).get(key, 0))
-        self.last_job_stats = totals
+        self.last_stats = RuntimeStats.summed(
+            (reply.get("stats", {}) for reply in replies),
+            mode=mode,
+            batch=batch,
+            workers=self.policy.workers,
+            cluster=dict(self.last_cluster),
+        )
         return replies
 
     # -- sharded entry points --------------------------------------------
@@ -170,7 +167,9 @@ class ClusterExecutor:
             ],
             deadline_s,
         )
-        replies = self._run(MSG_JOB_CONV, self._stamp_trace(payloads))
+        replies = self._run(
+            MSG_JOB_CONV, self._stamp_trace(payloads), mode, len(xs)
+        )
         return np.concatenate([reply["out"] for reply in replies])
 
     def multiply_many(
@@ -240,7 +239,9 @@ class ClusterExecutor:
             ],
             deadline_s,
         )
-        replies = self._run(MSG_JOB_MUL, self._stamp_trace(payloads))
+        replies = self._run(
+            MSG_JOB_MUL, self._stamp_trace(payloads), backend, len(blobs)
+        )
         outs: List[bytes] = []
         for reply in replies:
             outs.extend(reply["polys"])

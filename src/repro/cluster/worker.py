@@ -175,18 +175,8 @@ def _execute_conv(payload: Dict[str, Any], state: WorkerState) -> dict:
     engine = state.engine(payload["mode"], payload["config"])
     shape = shape_from_wire(payload["shape"])
     out = engine.conv2d_batch(payload["x"], payload["w"], shape, payload["n"])
-    stats = engine.last_stats
     state.jobs_done += 1
-    return {
-        "out": out,
-        "stats": {
-            "products": stats.products,
-            "weight_transforms": stats.weight_transforms,
-            "weight_mults_realized": stats.weight_mults_realized,
-            "weight_mults_dense": stats.weight_mults_dense,
-            "weight_mults_model": stats.weight_mults_model,
-        },
-    }
+    return {"out": out, "stats": engine.last_stats.work()}
 
 
 def _execute_mul(payload: Dict[str, Any], state: WorkerState) -> dict:
@@ -208,17 +198,10 @@ def _execute_mul(payload: Dict[str, Any], state: WorkerState) -> dict:
         payload["backend"], payload["config"], payload["pattern"]
     )
     outs = backend.multiply_many(polys, payload["weights"])
-    stats = backend.last_stats
     state.jobs_done += 1
     return {
         "polys": [serialize_poly(p) for p in outs],
-        "stats": {
-            "products": stats.products,
-            "weight_transforms": stats.weight_transforms,
-            "weight_mults_realized": stats.weight_mults_realized,
-            "weight_mults_dense": stats.weight_mults_dense,
-            "weight_mults_model": stats.weight_mults_model,
-        },
+        "stats": backend.last_stats.work(),
     }
 
 

@@ -94,8 +94,8 @@ class PolyMulBackend:
         """Shard the products across the cluster's worker processes.
 
         The polynomials cross the protocol wire format; ``last_stats`` is
-        rebuilt from the worker-side job stats plus the per-call
-        supervision counters.
+        the executor's record of the call (summed worker-side work
+        counters plus the per-call supervision counters).
         """
         cluster = self.cluster
         outs = cluster.multiply_many(
@@ -105,18 +105,7 @@ class PolyMulBackend:
             polys,
             weights_list,
         )
-        job_stats = cluster.last_job_stats
-        self.last_stats = RuntimeStats(
-            mode=self.kind,
-            batch=len(polys),
-            products=job_stats.get("products", 0),
-            workers=cluster.policy.workers,
-            weight_transforms=job_stats.get("weight_transforms", 0),
-            weight_mults_realized=job_stats.get("weight_mults_realized", 0),
-            weight_mults_dense=job_stats.get("weight_mults_dense", 0),
-            weight_mults_model=job_stats.get("weight_mults_model", 0),
-            cluster=dict(cluster.last_cluster),
-        )
+        self.last_stats = cluster.last_stats
         return outs
 
 

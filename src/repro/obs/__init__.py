@@ -16,8 +16,7 @@ Three pieces, designed to stay out of the hot path unless asked:
 - :mod:`repro.obs.metrics` -- a lock-disciplined
   :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
   histograms with fixed bucket boundaries) plus adapters that *absorb*
-  the existing per-layer stats objects (``RuntimeStats``,
-  ``ProtocolStats``, ``ClusterStats``, ``ServeStats``) instead of
+  the serve front end's ``ClusterStats`` and ``ServeStats`` instead of
   replacing them.
 
 - :mod:`repro.obs.export` -- Chrome-trace (``chrome://tracing``) and
@@ -29,8 +28,6 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
     MetricsRegistry,
     absorb_cluster_stats,
-    absorb_protocol_stats,
-    absorb_runtime_stats,
     absorb_serve_stats,
 )
 from repro.obs.trace import (
@@ -51,8 +48,6 @@ __all__ = [
     "TRACE_CTX_KEY",
     "Tracer",
     "absorb_cluster_stats",
-    "absorb_protocol_stats",
-    "absorb_runtime_stats",
     "absorb_serve_stats",
     "pop_trace_context",
     "reset_for_fork",

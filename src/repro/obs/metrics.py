@@ -2,10 +2,10 @@
 
 One :class:`MetricsRegistry` instance is the single metrics surface of a
 process (the serve front end owns one and exposes it through
-``health()``).  It does **not** replace the existing per-layer stats
-objects -- ``RuntimeStats``, ``ProtocolStats``, ``ClusterStats``,
-``ServeStats`` keep their invariants and tests -- instead the
-``absorb_*`` adapters project those objects into the registry on demand.
+``health()``).  It does **not** replace the per-layer stats objects;
+:func:`absorb_cluster_stats` and :func:`absorb_serve_stats` project the
+serve front end's ``ClusterStats`` and ``ServeStats`` into the registry
+on demand (``InferenceServer.metrics_dict``).
 
 Determinism rules:
 
@@ -171,42 +171,6 @@ class MetricsRegistry:
 # ---------------------------------------------------------------------------
 
 
-def absorb_runtime_stats(registry: MetricsRegistry, stats) -> None:
-    """Project one :class:`repro.runtime.engine.RuntimeStats` run."""
-    mode = getattr(stats, "mode", "unknown")
-    registry.inc("runtime_runs_total", 1, mode=mode)
-    registry.inc(
-        "runtime_products_total", getattr(stats, "products", 0), mode=mode
-    )
-    registry.inc(
-        "runtime_weight_transforms_total",
-        getattr(stats, "weight_transforms", 0),
-        mode=mode,
-    )
-    total = 0.0
-    for stage, seconds in sorted(
-        getattr(stats, "stage_seconds", {}).items()
-    ):
-        registry.inc(
-            "runtime_stage_seconds_total", seconds, mode=mode, stage=stage
-        )
-        registry.observe("runtime_stage_ms", seconds * 1e3, stage=stage)
-        total += seconds
-    registry.observe("runtime_run_ms", total * 1e3, mode=mode)
-
-
-def absorb_protocol_stats(registry: MetricsRegistry, stats) -> None:
-    """Project a cumulative :class:`repro.protocol.hybrid.ProtocolStats`."""
-    for field in (
-        "bytes_sent", "bytes_received", "ciphertexts_sent",
-        "ciphertexts_returned", "retries", "timeouts",
-        "checksum_failures", "dead_letters",
-    ):
-        value = getattr(stats, field, None)
-        if isinstance(value, (int, float)):
-            registry.set_gauge("protocol_" + field, float(value))
-
-
 def absorb_cluster_stats(registry: MetricsRegistry, stats) -> None:
     """Project :class:`repro.cluster.supervisor.ClusterStats` totals."""
     data = stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
@@ -243,7 +207,5 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
     "MetricsRegistry",
     "absorb_cluster_stats",
-    "absorb_protocol_stats",
-    "absorb_runtime_stats",
     "absorb_serve_stats",
 ]

@@ -37,10 +37,11 @@ from repro.he.params import BfvParameters
 from repro.obs import trace as obs_trace
 from repro.protocol.secret_sharing import ShareRing
 from repro.protocol.wire import ciphertext_bytes
+from repro.runtime.engine import MultReductions
 
 
 @dataclass
-class ProtocolStats:
+class ProtocolStats(MultReductions):
     """Traffic and workload accounting for one protocol run."""
 
     ciphertexts_sent: int = 0
@@ -85,19 +86,6 @@ class ProtocolStats:
     @property
     def total_bytes(self) -> int:
         return self.bytes_sent + self.bytes_received
-
-    @property
-    def realized_mult_reduction(self) -> float:
-        """Fraction of dense weight-FFT mults removed by executed plans."""
-        if not self.weight_mults_dense:
-            return 0.0
-        return 1.0 - self.weight_mults_realized / self.weight_mults_dense
-
-    @property
-    def model_mult_reduction(self) -> float:
-        if not self.weight_mults_dense:
-            return 0.0
-        return 1.0 - self.weight_mults_model / self.weight_mults_dense
 
 
 @dataclass
@@ -192,16 +180,12 @@ class _ResilientProtocolMixin:
         -- like ``weight_transforms`` -- each item of a batch is charged
         the full shared-transform count.
         """
-        last = getattr(self.backend, "last_stats", None)
-        if last is None:
-            return
-        cluster = getattr(last, "cluster", None) or {}
+        last = self.backend.last_stats
+        cluster = last.cluster
         for st in stats:
-            st.weight_mults_realized += getattr(
-                last, "weight_mults_realized", 0
-            )
-            st.weight_mults_dense += getattr(last, "weight_mults_dense", 0)
-            st.weight_mults_model += getattr(last, "weight_mults_model", 0)
+            st.weight_mults_realized += last.weight_mults_realized
+            st.weight_mults_dense += last.weight_mults_dense
+            st.weight_mults_model += last.weight_mults_model
             st.cluster_dispatches += int(cluster.get("dispatches", 0))
             st.cluster_worker_deaths += int(cluster.get("worker_deaths", 0))
             st.cluster_jobs_requeued += int(cluster.get("jobs_requeued", 0))
@@ -217,7 +201,9 @@ class HybridConvProtocol(_ResilientProtocolMixin):
     Args:
         params: BFV parameters; ``t`` must be a power of two.
         shape: convolution shape (stride/padding supported).
-        backend: polynomial multiplication backend (exact NTT default).
+        backend: polynomial multiplication backend; by default one exact
+            :class:`NttPolyMulBackend`, built here and kept for every run,
+            so its weight spectra stay cached across runs.
         transport: optional :class:`repro.faults.ResilientSession`; all
             ciphertext traffic (client->server activations, server->client
             results) then crosses its checksummed channel with bounded
@@ -242,7 +228,7 @@ class HybridConvProtocol(_ResilientProtocolMixin):
     ):
         self.params = params
         self.shape = shape
-        self.backend = backend
+        self.backend = backend or NttPolyMulBackend()
         self.transport = transport
         self.guard = guard
         self.layer_name = layer_name
@@ -481,8 +467,7 @@ class HybridConvProtocol(_ResilientProtocolMixin):
             ct, w_poly = all_full_cts[item][tile], w_polys[(tile, m)]
             polys.extend((ct.c0, ct.c1))
             weights.extend((w_poly, w_poly))
-        backend = self.backend or NttPolyMulBackend()
-        outs = backend.multiply_many(polys, weights)
+        outs = self.backend.multiply_many(polys, weights)
         self._absorb_backend_mults(*stats)
         products = {
             key: Ciphertext(outs[2 * i], outs[2 * i + 1])
@@ -543,7 +528,7 @@ class HybridLinearProtocol(_ResilientProtocolMixin):
     ):
         self.params = params
         self.shape = shape
-        self.backend = backend
+        self.backend = backend or NttPolyMulBackend()
         self.transport = transport
         self.guard = guard
         self.layer_name = layer_name
@@ -630,8 +615,7 @@ class HybridLinearProtocol(_ResilientProtocolMixin):
         for chunk, group in keys:
             polys.extend((fulls[chunk].c0, fulls[chunk].c1))
             weights.extend((w_polys[(chunk, group)],) * 2)
-        backend = self.backend or NttPolyMulBackend()
-        outs = backend.multiply_many(polys, weights)
+        outs = self.backend.multiply_many(polys, weights)
         self._absorb_backend_mults(stats)
 
         masked = {}

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.encoding.conv_encoding import ConvShape
 from repro.encoding.linear_encoding import LinearShape
-from repro.he.backend import PolyMulBackend
+from repro.he.backend import NttPolyMulBackend, PolyMulBackend
 from repro.he.params import BfvParameters
 from repro.nn.model import QuantizedCnn
 from repro.nn.quant import requantize_shift
@@ -81,8 +81,9 @@ class PrivateCnnEvaluator:
         net: the quantized network.
         params: BFV parameters; the plaintext ring must hold every layer's
             worst-case sum-product (checked at construction).
-        backend: polynomial-multiplication backend (exact NTT default;
-            pass a FLASH backend for the approximate datapath).
+        backend: polynomial-multiplication backend shared by every layer
+            (one exact NTT backend by default; pass a FLASH backend for
+            the approximate datapath).
         transport: optional :class:`repro.faults.ResilientSession`; every
             layer's ciphertext traffic then crosses its checksummed
             channel with bounded retry (counts appear in the trace's
@@ -105,7 +106,7 @@ class PrivateCnnEvaluator:
 
         self.net = net
         self.params = params
-        self.backend = backend
+        self.backend = backend or NttPolyMulBackend()
         self.transport = transport
         self.guard = guard
         worst = sum_product_bits(

@@ -30,7 +30,9 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -99,8 +101,27 @@ def _split_groups(items: Sequence, groups: int) -> List[list]:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
+class MultReductions:
+    """Weight-mult reductions of a stats record carrying the
+    ``weight_mults_{realized,dense,model}`` counters."""
+
+    @property
+    def realized_mult_reduction(self) -> float:
+        """Fraction of dense weight-FFT mults removed by the executed plans."""
+        if not self.weight_mults_dense:
+            return 0.0
+        return 1.0 - self.weight_mults_realized / self.weight_mults_dense
+
+    @property
+    def model_mult_reduction(self) -> float:
+        """The :mod:`repro.sparse.opcount` prediction for the same transforms."""
+        if not self.weight_mults_dense:
+            return 0.0
+        return 1.0 - self.weight_mults_model / self.weight_mults_dense
+
+
 @dataclass
-class RuntimeStats:
+class RuntimeStats(MultReductions):
     """Per-run accounting: stage timings, work counts, cache behaviour.
 
     The ``weight_mults_*`` counters track weight-transform multiplication
@@ -109,6 +130,13 @@ class RuntimeStats:
     ``dense`` is the dense-butterfly count for the same transforms, and
     ``model`` is the analytical :mod:`repro.sparse.opcount` prediction.
     """
+
+    #: the work counters: what a cluster job ships back (:meth:`work`)
+    #: and what the executor sums over a call's jobs (:meth:`summed`).
+    WORK_COUNTERS: ClassVar[Tuple[str, ...]] = (
+        "products", "weight_transforms",
+        "weight_mults_realized", "weight_mults_dense", "weight_mults_model",
+    )
 
     mode: str = "ntt"
     batch: int = 0
@@ -125,26 +153,26 @@ class RuntimeStats:
     #: respawns, requeues, serial fallbacks, ...); empty on in-process runs.
     cluster: Dict[str, float] = field(default_factory=dict)
 
+    def work(self) -> Dict[str, int]:
+        """The work counters alone, by name."""
+        return {name: getattr(self, name) for name in self.WORK_COUNTERS}
+
+    @classmethod
+    def summed(cls, works: Iterable[Dict[str, int]], **fields) -> "RuntimeStats":
+        """A record built from ``fields`` whose work counters are the sums
+        of ``works`` (per-job :meth:`work` dicts)."""
+        stats = cls(**fields)
+        for work in works:
+            for name in cls.WORK_COUNTERS:
+                setattr(stats, name, getattr(stats, name) + int(work.get(name, 0)))
+        return stats
+
     def add(self, stage: str, seconds: float) -> None:
         self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
 
     @property
     def total_seconds(self) -> float:
         return sum(self.stage_seconds.values())
-
-    @property
-    def realized_mult_reduction(self) -> float:
-        """Fraction of dense weight-FFT mults removed by the executed plans."""
-        if not self.weight_mults_dense:
-            return 0.0
-        return 1.0 - self.weight_mults_realized / self.weight_mults_dense
-
-    @property
-    def model_mult_reduction(self) -> float:
-        """The :mod:`repro.sparse.opcount` prediction for the same transforms."""
-        if not self.weight_mults_dense:
-            return 0.0
-        return 1.0 - self.weight_mults_model / self.weight_mults_dense
 
     def describe(self) -> str:
         lines = [
@@ -424,25 +452,15 @@ class BatchedHConvEngine:
 
         Each worker runs this same engine code on its contiguous batch
         shard (items are independent), so the reassembled output is
-        bit-identical to the in-process call; ``last_stats`` sums the
-        worker-side job stats and carries the supervision counters.
+        bit-identical to the in-process call; ``last_stats`` is the
+        executor's record of the call (summed worker-side work counters
+        plus the supervision counters).
         """
         out = self.cluster.conv2d_batch(
             self.mode, self.weight_config, xs, w, shape, n,
             deadline_s=deadline_s,
         )
-        job_stats = self.cluster.last_job_stats
-        self.last_stats = RuntimeStats(
-            mode=self.mode,
-            batch=xs.shape[0],
-            workers=self.cluster.policy.workers,
-            products=job_stats.get("products", 0),
-            weight_transforms=job_stats.get("weight_transforms", 0),
-            weight_mults_realized=job_stats.get("weight_mults_realized", 0),
-            weight_mults_dense=job_stats.get("weight_mults_dense", 0),
-            weight_mults_model=job_stats.get("weight_mults_model", 0),
-            cluster=dict(self.cluster.last_cluster),
-        )
+        self.last_stats = self.cluster.last_stats
         return out
 
     def _run_band(

@@ -190,6 +190,36 @@ class TestHybridConv:
             _PartyPair(odd, np.random.default_rng(0))
 
 
+class TestDefaultBackend:
+    """``backend=None`` resolves to one exact backend per protocol, so a
+    second run reuses the first run's weight spectra."""
+
+    def test_conv_second_run_hits_cached_spectra(self, params, session):
+        rng = np.random.default_rng(5)
+        shape = ConvShape.square(2, 4, 2, 3)
+        x = rng.integers(-8, 8, size=(2, 4, 4))
+        w = rng.integers(-8, 8, size=(2, 2, 3, 3))
+        protocol = HybridConvProtocol(params, shape)
+        assert protocol.run(x, w, rng, session).exact
+        cache = protocol.backend.plan_cache
+        hits, misses = cache.hits, cache.misses
+        assert protocol.run(x, w, rng, session).exact
+        assert cache.misses == misses
+        assert cache.hits > hits
+
+    def test_linear_second_run_hits_cached_spectra(self, params, session):
+        rng = np.random.default_rng(14)
+        shape = LinearShape(16, 6)
+        x = rng.integers(-20, 20, size=16)
+        w = rng.integers(-8, 8, size=(6, 16))
+        protocol = HybridLinearProtocol(params, shape)
+        assert protocol.run(x, w, rng, session).exact
+        cache = protocol.backend.plan_cache
+        misses = cache.misses
+        assert protocol.run(x, w, rng, session).exact
+        assert cache.misses == misses
+
+
 class TestHybridLinear:
     def test_exact_matvec(self, params, session):
         rng = np.random.default_rng(10)
