@@ -78,7 +78,7 @@ class FlashConfig:
     def batched_exact_backend(
         self, max_workers: Optional[int] = None, cluster=None
     ) -> NttPolyMulBackend:
-        """The exact NTT backend (baseline accelerators)."""
+        """The exact backend: certified folded FFT, NTT fallback."""
         return NttPolyMulBackend(max_workers=max_workers, cluster=cluster)
 
     def batched_sparse_backend(

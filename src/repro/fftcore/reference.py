@@ -14,7 +14,13 @@ import numpy as np
 from repro.ntt.modmath import bit_reverse_indices
 
 
-def stage_twiddles(n: int, stage: int, sign: int = -1) -> np.ndarray:
+#: pi to long-double precision (``np.pi`` is only the float64 value).
+PI_LONGDOUBLE = 4 * np.arctan(np.longdouble(1))
+
+
+def stage_twiddles(
+    n: int, stage: int, sign: int = -1, dtype=np.complex128
+) -> np.ndarray:
     """Twiddle factors of one DIT stage.
 
     At stage ``s`` (1-based) the network is partitioned into blocks of
@@ -25,15 +31,18 @@ def stage_twiddles(n: int, stage: int, sign: int = -1) -> np.ndarray:
         n: transform length (power of two).
         stage: 1-based stage index, ``1 <= stage <= log2(n)``.
         sign: -1 for the forward transform, +1 for the inverse.
+        dtype: ``complex128``, or ``clongdouble`` to compute the angles
+            and roots in long double.
 
     Returns:
-        complex128 array of length ``2**(stage-1)``.
+        ``dtype`` array of length ``2**(stage-1)``.
     """
     if stage < 1 or (1 << stage) > n:
         raise ValueError(f"stage {stage} out of range for n={n}")
     m = 1 << stage
     j = np.arange(m // 2)
-    return np.exp(sign * 2j * np.pi * j / m)
+    pi = PI_LONGDOUBLE if np.dtype(dtype) == np.clongdouble else np.pi
+    return np.exp(sign * 2j * pi * j / m)
 
 
 def twiddle_exponent(n: int, stage: int, j: int) -> int:
@@ -86,8 +95,18 @@ def fft_dit_batch(x, sign: int = -1) -> np.ndarray:
     row, so the whole batch runs through the same ``log2(n)`` vectorized
     stage passes and each row's output is bit-identical to a per-row
     :func:`fft_dit` call (the butterfly arithmetic is element-wise).
+
+    Runs in the input's precision: ``longdouble``/``clongdouble`` input is
+    transformed in ``clongdouble`` with long-double twiddles, anything else
+    in ``complex128``.
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.asarray(x)
+    dtype = (
+        np.clongdouble
+        if x.dtype in (np.longdouble, np.clongdouble)
+        else np.complex128
+    )
+    x = x.astype(dtype, copy=False)
     n = x.shape[-1]
     if n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
@@ -97,12 +116,11 @@ def fft_dit_batch(x, sign: int = -1) -> np.ndarray:
     for s in range(1, stages + 1):
         m = 1 << s
         half = m >> 1
-        w = stage_twiddles(n, s, sign)
+        w = stage_twiddles(n, s, sign, dtype)
         out = out.reshape(-1, m)
-        lo = out[:, :half].copy()
         hi = out[:, half:] * w
-        out[:, :half] = lo + hi
-        out[:, half:] = lo - hi
+        np.subtract(out[:, :half], hi, out=out[:, half:])
+        out[:, :half] += hi
         out = out.reshape(-1)
     return out.reshape(lead + (n,))
 

@@ -23,6 +23,11 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fftcore.approx_pipeline import ApproxNegacyclic, ApproxSpectrum
+from repro.fftcore.exact import (
+    CERTIFIED_BELOW,
+    ExactNegacyclic,
+    get_exact_negacyclic,
+)
 from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.he.poly import RingPoly
 from repro.ntt import get_ntt
@@ -110,19 +115,31 @@ class PolyMulBackend:
 
 
 class NttPolyMulBackend(PolyMulBackend):
-    """Exact product via the per-prime negacyclic NTT (the baseline).
+    """Exact product: folded-FFT kernel, NTT fallback.
 
-    A batch stacks every polynomial's residues per RNS limb and runs one
-    ``forward_batch`` / ``inverse_batch`` pass per limb, with limbs fanned
-    across the worker pool.  Weight spectra are cached per
-    ``(degree, prime, weight-bytes)`` in ``plan_cache``.
+    Each product runs one RNS limb at a time on the float64 folded FFT
+    (:mod:`repro.fftcore.exact`): a limb's centered residues go through one
+    ``forward_batch``, a pointwise product with the weight's cached
+    spectrum, one ``inverse_batch``, ``np.rint`` and ``np.mod p``.  One
+    spectrum (``8 * n`` bytes, built once in long double) serves every
+    limb.  A (weight, prime) pair runs on the FFT only when its a-priori
+    certificate bound is below 1/2, which makes the rounding exact; the
+    other rows of the same call run the per-prime negacyclic NTT (the
+    oracle), in order.  Limbs are fanned across the worker pool; spectra
+    are cached in ``plan_cache`` under ``("exact-wspec", n, weight-bytes)``
+    and, for rejected pairs, ``("rns-wspec", n, prime, weight-bytes)``.
 
-    Stored NTT-domain weights are Figure 1's trade: "it is possible to
-    pre-compute and store the weight polynomials in the NTT domain, but it
-    incurs significant memory overhead ... 23 GB for a 4-bit ResNet-50,
+    Stored transform-domain weights are Figure 1's trade: "it is possible
+    to pre-compute and store the weight polynomials in the NTT domain, but
+    it incurs significant memory overhead ... 23 GB for a 4-bit ResNet-50,
     more than 1000x higher".  A ``plan_cache`` with a byte budget and
     ``on_full="error"`` models that memory wall: a spectrum that exceeds
     the budget raises :class:`MemoryError`.
+
+    Each call sets ``rounding_worst`` (the realized worst ``|x - rint(x)|``
+    of its FFT rows), ``rounding_bound`` (their largest certificate bound)
+    and ``ntt_fallback`` (limb products run on the NTT) on its
+    ``runtime.multiply_many`` span.
 
     Args:
         plan_cache: weight-spectrum store; when omitted, a bounded cache
@@ -151,7 +168,6 @@ class NttPolyMulBackend(PolyMulBackend):
     def _weight_residue_spectrum(
         self, n: int, prime: int, weights: np.ndarray
     ) -> np.ndarray:
-        weights = np.ascontiguousarray(weights, dtype=np.int64)
         key = ("rns-wspec", n, prime, weights.tobytes())
         plan = get_ntt(n, prime)
         return self.plan_cache.get_or_build(
@@ -161,36 +177,78 @@ class NttPolyMulBackend(PolyMulBackend):
             ),
         )
 
+    def _exact_spectrum(
+        self, kernel: ExactNegacyclic, weights: np.ndarray, key: bytes
+    ) -> np.ndarray:
+        return self.plan_cache.get_or_build(
+            ("exact-wspec", kernel.n, key), lambda: kernel.spectrum(weights)
+        )
+
     def _multiply_batch(
         self, polys: List[RingPoly], weights_list: List[np.ndarray]
     ) -> List[RingPoly]:
         basis = polys[0].basis
+        primes = basis.primes
         count = len(polys)
+        kernel = get_exact_negacyclic(basis.n)
         weights_list = [
             np.ascontiguousarray(w, dtype=np.int64) for w in weights_list
         ]
-        # Weight spectra are built serially (deterministic cache order);
-        # limb jobs below only read plain arrays.
-        w_rows_per_limb = []
-        for prime in basis.primes:
-            w_rows_per_limb.append(
-                np.stack(
-                    [
-                        self._weight_residue_spectrum(basis.n, prime, w)
-                        for w in weights_list
-                    ]
+        # Spectra and certificates are built serially (deterministic cache
+        # order); limb jobs below only read plain arrays.
+        certs: Dict[bytes, Tuple[Optional[np.ndarray], Tuple[float, ...]]] = {}
+        for w in weights_list:
+            key = w.tobytes()
+            if key not in certs:
+                certs[key] = kernel.certify(
+                    primes, w, lambda: self._exact_spectrum(kernel, w, key)
                 )
-            )
+        spectra, bounds = zip(*(certs[w.tobytes()] for w in weights_list))
+        fft_rows, ntt_rows = [], []
+        for limb in range(len(primes)):
+            certified = [bound[limb] < CERTIFIED_BELOW for bound in bounds]
+            fft_rows.append([i for i in range(count) if certified[i]])
+            ntt_rows.append([i for i in range(count) if not certified[i]])
+        # One stack of FFT spectra serves every limb certifying the same rows.
+        fft_spectra = {
+            tuple(rows): np.stack([spectra[i] for i in rows])
+            for rows in fft_rows if rows
+        }
+        ntt_spectra = [
+            np.stack([
+                self._weight_residue_spectrum(basis.n, prime, weights_list[i])
+                for i in rows
+            ]) if rows else None
+            for prime, rows in zip(primes, ntt_rows)
+        ]
 
-        def limb_job(limb: int) -> np.ndarray:
-            prime = basis.primes[limb]
-            plan = get_ntt(basis.n, prime)
-            rows = np.stack([p.residues[limb] for p in polys])
-            spec = mulmod(plan.forward_batch(rows), w_rows_per_limb[limb], prime)
-            return plan.inverse_batch(spec)
+        def limb_job(limb: int) -> Tuple[np.ndarray, float]:
+            prime = primes[limb]
+            out = np.empty((count, basis.n), dtype=np.uint64)
+            worst = 0.0
+            rows = fft_rows[limb]
+            if rows:
+                stack = np.stack([polys[i].residues[limb] for i in rows])
+                out[rows], worst = exact_fft_products(
+                    kernel, stack, fft_spectra[tuple(rows)], prime
+                )
+            rows = ntt_rows[limb]
+            if rows:
+                plan = get_ntt(basis.n, prime)
+                stack = np.stack([polys[i].residues[limb] for i in rows])
+                spec = mulmod(plan.forward_batch(stack), ntt_spectra[limb], prime)
+                out[rows] = plan.inverse_batch(spec)
+            return out, worst
 
-        limb_rows = fan_out(
-            range(len(basis.primes)), limb_job, self.max_workers
+        limbs = fan_out(range(len(primes)), limb_job, self.max_workers)
+        obs_trace.tracer.current_span().set(
+            rounding_worst=max(worst for _, worst in limbs),
+            rounding_bound=max(
+                (bounds[i][limb] for limb, rows in enumerate(fft_rows)
+                 for i in rows),
+                default=0.0,
+            ),
+            ntt_fallback=sum(len(rows) for rows in ntt_rows),
         )
         self.last_stats = RuntimeStats(
             mode=self.kind,
@@ -199,9 +257,38 @@ class NttPolyMulBackend(PolyMulBackend):
             workers=self.max_workers or 1,
         )
         return [
-            RingPoly(basis, [limb_rows[l][i] for l in range(len(basis.primes))])
+            RingPoly(basis, [limbs[l][0][i] for l in range(len(primes))])
             for i in range(count)
         ]
+
+
+def exact_fft_products(
+    kernel: ExactNegacyclic,
+    residues: np.ndarray,
+    spectra: np.ndarray,
+    prime: int,
+) -> Tuple[np.ndarray, float]:
+    """Exact negacyclic products of one limb on the float64 folded FFT.
+
+    ``residues`` is a ``(k, n)`` stack mod ``prime``; ``spectra`` are the
+    ``(k, n/2)`` (or one shared ``(n/2,)``) cached weight spectra, every
+    one certified for ``prime``.  Returns the ``(k, n)`` products mod
+    ``prime`` and the worst realized rounding distance ``|x - rint(x)|``.
+    The certificate keeps every ``|x|`` below ``2**53``, so the rounded
+    products are exact integers in float64 and in int64.
+    """
+    # repro-lint: disable=DTYPE001  exact: residues r < p < 2**30 at
+    # 30-bit primes (centered, |r| < 2**29 < 2**53); any certified prime
+    # is far below 2**53, since the certificate bound grows with p
+    lifted = residues.astype(np.float64)
+    lifted -= (lifted > prime // 2) * float(prime)  # centered, |r| <= p/2
+    product = kernel.fft.inverse_batch(kernel.fft.forward_batch(lifted) * spectra)
+    rounded = np.rint(product)
+    product -= rounded
+    worst = float(np.max(np.abs(product, out=product)))
+    ints = rounded.astype(np.int64)
+    ints %= prime
+    return ints.view(np.uint64), worst
 
 
 class FftPolyMulBackend(PolyMulBackend):

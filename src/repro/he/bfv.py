@@ -3,10 +3,13 @@
 Implements the subset of BFV the hybrid HE/2PC protocol needs -- public /
 secret-key encryption, decryption, ciphertext addition/subtraction,
 plaintext addition and plaintext-ciphertext multiplication -- plus noise
-budget measurement.  The secret key carries its NTT spectrum, and a stack
-of ciphertexts decrypts in one batched phase against it.  Plaintext-ciphertext multiplication accepts pluggable
+budget measurement.  The secret key carries its cached spectrum -- one
+folded-FFT spectrum for every limb the exact-FFT certificate admits, NTT
+spectra for the rest -- and a stack of ciphertexts decrypts in one batched
+phase against it.  Plaintext-ciphertext multiplication accepts pluggable
 polynomial-multiplication backends (:mod:`repro.he.backend`): the exact
-NTT (baseline accelerators) or the approximate FFT pipeline (FLASH).
+backend (certified folded FFT, NTT fallback) or the approximate FFT
+pipeline (FLASH).
 """
 
 from __future__ import annotations
@@ -17,52 +20,91 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.fftcore.exact import CERTIFIED_BELOW, get_exact_negacyclic
+from repro.he.backend import (
+    NttPolyMulBackend,
+    PolyMulBackend,
+    exact_fft_products,
+)
 from repro.he.params import BfvParameters
 from repro.he.poly import RingPoly, gaussian_poly, ternary_poly, uniform_poly
-from repro.ntt.modmath import mulmod
+from repro.ntt.modmath import centered, mulmod
 from repro.ntt.ntt import get_ntt
 from repro.obs import trace as obs_trace
+from repro.obs.trace import NOOP_SPAN
 
 
 @dataclass(frozen=True)
 class SecretKey:
-    """Secret key ``s`` and its per-prime negacyclic NTT spectrum.
+    """Secret key ``s`` and the per-limb state its products run on.
 
-    The spectrum is derived from ``s`` at construction; the key is frozen
-    so the two cannot disagree.
+    ``bounds[l]`` is the exact-FFT certificate bound of ``s`` at prime
+    ``l``.  Below 1/2 the limb multiplies on the folded FFT and
+    ``spectrum[l]`` is the key's complex128 FFT spectrum (one array shared
+    by every such limb); otherwise ``spectrum[l]`` is the limb's NTT
+    spectrum.  Both are derived from ``s`` at construction; the key is
+    frozen so they cannot disagree.
     """
 
     s: RingPoly
     spectrum: Tuple[np.ndarray, ...] = field(
         init=False, compare=False, repr=False
     )
+    bounds: Tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         basis = self.s.basis
+        primes = basis.primes
+        kernel = get_exact_negacyclic(basis.n)
+        lifts = [centered(r, p) for p, r in zip(primes, self.s.residues)]
+        # Every limb's centered residues agree exactly when s is a small
+        # integer polynomial (ternary keys are); only then is one FFT
+        # spectrum valid for all limbs.
+        fft_spectrum, bounds = (
+            kernel.certify(primes, lifts[0])
+            if all(np.array_equal(lift, lifts[0]) for lift in lifts)
+            else (None, (math.inf,) * len(primes))
+        )
         spectrum = tuple(
-            get_ntt(basis.n, p).forward(r)
-            for p, r in zip(basis.primes, self.s.residues)
+            fft_spectrum if bound < CERTIFIED_BELOW
+            else get_ntt(basis.n, p).forward(r)
+            for p, r, bound in zip(primes, self.s.residues, bounds)
         )
         for limb in spectrum:
             limb.setflags(write=False)
         object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "bounds", bounds)
 
 
-def _times_secret(sk: SecretKey, polys: Sequence[RingPoly]) -> List[np.ndarray]:
+def _times_secret(
+    sk: SecretKey, polys: Sequence[RingPoly]
+) -> Tuple[List[np.ndarray], float]:
     """Negacyclic products ``poly * s`` of a stack of ring polynomials.
 
-    Returns one ``(k, n)`` residue stack per basis prime.  Per limb: one
-    batched forward NTT of the ``k`` rows, a pointwise product with the
-    key's cached spectrum and one batched inverse -- bit-identical to
-    ``poly * sk.s`` row by row, without transforming ``s`` again.
+    Returns one ``(k, n)`` residue stack per basis prime, plus the worst
+    realized rounding distance of the limbs run on the FFT.  Per limb: the
+    certified FFT kernel against the key's cached spectrum, or one batched
+    forward NTT, a pointwise product with the key's NTT spectrum and one
+    batched inverse -- bit-identical to ``poly * sk.s`` row by row either
+    way, without transforming ``s`` again.
     """
     basis = sk.s.basis
-    out = []
-    for i, (p, s_hat) in enumerate(zip(basis.primes, sk.spectrum)):
-        ntt = get_ntt(basis.n, p)
+    kernel = get_exact_negacyclic(basis.n)
+    out, worst = [], 0.0
+    for i, (p, s_hat, bound) in enumerate(
+        zip(basis.primes, sk.spectrum, sk.bounds)
+    ):
         rows = np.stack([poly.residues[i] for poly in polys])
-        out.append(ntt.inverse_batch(mulmod(ntt.forward_batch(rows), s_hat, p)))
-    return out
+        if bound < CERTIFIED_BELOW:
+            limb, limb_worst = exact_fft_products(kernel, rows, s_hat, p)
+            out.append(limb)
+            worst = max(worst, limb_worst)
+        else:
+            ntt = get_ntt(basis.n, p)
+            out.append(
+                ntt.inverse_batch(mulmod(ntt.forward_batch(rows), s_hat, p))
+            )
+    return out, worst
 
 
 @dataclass
@@ -83,15 +125,21 @@ class Ciphertext:
 
 
 class BfvContext:
-    """Stateless BFV operation set bound to one parameter set.
+    """BFV operation set bound to one parameter set.
 
     Args:
         params: the :class:`repro.he.params.BfvParameters` to operate under.
+
+    Attributes:
+        backend: the exact :class:`NttPolyMulBackend` that
+            :meth:`multiply_plain` uses when given none; one per context,
+            so repeated weights hit its spectrum cache.
     """
 
     def __init__(self, params: BfvParameters):
         self.params = params
         self.basis = params.basis
+        self.backend = NttPolyMulBackend()
         q, t = params.q, params.t
         # _decode in int64 keeps 2*t*r + q - 2*k*rho (r < Delta, k <= q/2
         # / Delta) and the noise residual below 2**63.
@@ -111,7 +159,7 @@ class BfvContext:
         return sk, PublicKey(p0=p0, p1=a)
 
     def _one_times_secret(self, sk: SecretKey, a: RingPoly) -> RingPoly:
-        return RingPoly(self.basis, [r[0] for r in _times_secret(sk, [a])])
+        return RingPoly(self.basis, [r[0] for r in _times_secret(sk, [a])[0]])
 
     def _encode(self, plaintext) -> RingPoly:
         """Lift a mod-t message vector to ``Delta * m`` in the ciphertext ring."""
@@ -153,13 +201,15 @@ class BfvContext:
     # ------------------------------------------------------------------
 
     def _decrypt_rows(
-        self, sk: SecretKey, cts: Sequence[Ciphertext]
+        self, sk: SecretKey, cts: Sequence[Ciphertext], span=NOOP_SPAN
     ) -> Tuple[np.ndarray, List[int]]:
         """Messages and noise infinity norms of ``k`` ciphertexts, from one
         stacked phase ``c0 + c1*s`` (centered, int64 below q = 2**62).
 
         The one decryption path: :meth:`decrypt_batch` and the single-
-        ciphertext calls (batches of one) all decode through it.
+        ciphertext calls (batches of one) all decode through it.  The
+        key product's realized worst rounding distance and the largest
+        certificate bound of its FFT limbs go on ``span``.
         """
         if not cts:
             return np.zeros((0, self.params.n), dtype=np.int64), []
@@ -167,7 +217,13 @@ class BfvContext:
             np.stack([ct.c0.residues[i] for ct in cts])
             for i in range(len(self.basis))
         ]
-        c1s = _times_secret(sk, [ct.c1 for ct in cts])
+        c1s, worst = _times_secret(sk, [ct.c1 for ct in cts])
+        span.set(
+            rounding_worst=worst,
+            rounding_bound=max(
+                (b for b in sk.bounds if b < CERTIFIED_BELOW), default=0.0
+            ),
+        )
         phase = self.basis._crt(self.basis.add(c0, c1s), centered=True)
         return self._decode(phase)
 
@@ -217,8 +273,8 @@ class BfvContext:
         per ciphertext, row ``i`` bit-identical to ``decrypt`` and
         ``noise_budget`` of ``cts[i]``.
         """
-        with obs_trace.tracer.span("he.decrypt", ciphertexts=len(cts)):
-            messages, noise = self._decrypt_rows(sk, cts)
+        with obs_trace.tracer.span("he.decrypt", ciphertexts=len(cts)) as span:
+            messages, noise = self._decrypt_rows(sk, cts, span)
             return messages, [self._budget_bits(v) for v in noise]
 
     def decrypt(self, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
@@ -264,7 +320,7 @@ class BfvContext:
         return Ciphertext(ct.c0 - self._encode(plaintext), ct.c1.copy())
 
     def multiply_plain(
-        self, ct: Ciphertext, weights, backend: Optional["PolyMulBackend"] = None
+        self, ct: Ciphertext, weights, backend: Optional[PolyMulBackend] = None
     ) -> Ciphertext:
         """Multiply by a plaintext polynomial with *signed small* coefficients.
 
@@ -277,12 +333,10 @@ class BfvContext:
             ct: input ciphertext.
             weights: signed integer coefficient vector of length n.
             backend: a :class:`repro.he.backend.PolyMulBackend`; defaults
-                to the exact NTT backend.
+                to the context's exact backend (:attr:`backend`).
         """
-        from repro.he.backend import NttPolyMulBackend
-
         if backend is None:
-            backend = NttPolyMulBackend()
+            backend = self.backend
         weights = np.asarray(weights)
         if weights.shape != (self.params.n,):
             raise ValueError(f"expected {self.params.n} weight coefficients")

@@ -365,6 +365,14 @@ class Tracer:
             return stack[-1].context()
         return None
 
+    def current_span(self):
+        """The calling thread's innermost open span, for attaching results
+        computed inside it (the no-op span when idle or disabled)."""
+        if not self._enabled:
+            return NOOP_SPAN
+        stack = getattr(self._local, "stack", None)
+        return stack[-1] if stack else NOOP_SPAN
+
     def records(self) -> List[dict]:
         with self._lock:
             return list(self._records)

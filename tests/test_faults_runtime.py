@@ -66,11 +66,14 @@ class TestJobErrorsPropagate:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_ntt_limb_job(self, monkeypatch, workers):
+        """The exact backend's limb job runs the certified FFT kernel."""
         import repro.he.backend as backend_module
 
         polys, weights = _random_products(0)
         monkeypatch.setattr(
-            backend_module, "mulmod", _fail_first_call(backend_module.mulmod)
+            backend_module,
+            "exact_fft_products",
+            _fail_first_call(backend_module.exact_fft_products),
         )
         backend = NttPolyMulBackend(max_workers=workers)
         with pytest.raises(RuntimeError, match="job failed once"):

@@ -290,11 +290,13 @@ class TestNttSpectrumStore:
         out = ctx.decrypt(sk, ctx.multiply_plain(ct, w, backend))
         expected = negacyclic_convolution_naive(m, w, modulus=t)
         assert np.array_equal(out.astype(np.uint64), expected)
-        # Entries are per RNS prime: c0 misses once per prime, c1 hits.
+        # One FFT spectrum per weight serves every prime, and c0/c1 share
+        # it: one miss, then one hit per later multiply_plain.
         cache = backend.plan_cache
-        assert (cache.misses, cache.hits) == (primes, primes)
+        assert primes == 2
+        assert (cache.misses, cache.hits) == (1, 0)
         ctx.multiply_plain(ct, w, backend)
-        assert (cache.misses, cache.hits) == (primes, 3 * primes)
+        assert (cache.misses, cache.hits) == (1, 1)
 
     def test_memory_accounting(self, ctx, keys):
         _, pk = keys
@@ -305,9 +307,26 @@ class TestNttSpectrumStore:
         w = np.zeros(n, dtype=np.int64)
         w[0] = 1
         ctx.multiply_plain(ct, w, backend)
-        # One cached polynomial: n words per RNS prime, 8 bytes each.
-        primes = len(ctx.params.basis.primes)
-        assert backend.plan_cache.cached_bytes == 8 * n * primes
+        # One cached complex128 spectrum of n/2 points for all RNS primes.
+        assert len(ctx.params.basis.primes) == 2
+        assert backend.plan_cache.cached_bytes == 8 * n
+
+    def test_default_backend_resolved_once_per_context(self, keys):
+        sk, pk = keys
+        local_ctx = BfvContext(toy_preset())
+        rng = np.random.default_rng(45)
+        m = _random_message(local_ctx, 46)
+        ct = local_ctx.encrypt(pk, m, rng)
+        w = np.zeros(local_ctx.params.n, dtype=np.int64)
+        w[:3] = [2, -1, 3]
+        first = local_ctx.multiply_plain(ct, w)
+        cache = local_ctx.backend.plan_cache
+        misses, hits = cache.misses, cache.hits
+        second = local_ctx.multiply_plain(ct, w)  # the cached spectrum
+        assert cache.misses == misses and cache.hits > hits
+        assert np.array_equal(
+            local_ctx.decrypt(sk, first), local_ctx.decrypt(sk, second)
+        )
 
     def test_capacity_enforced(self, ctx, keys):
         _, pk = keys

@@ -172,12 +172,14 @@ class TestBoundedBackendCaches:
         basis = RnsBasis.generate(64, [30, 30])
         rng = np.random.default_rng(2)
         poly = RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 20, 64)))
-        # Room for three weights' spectra: one 64-word entry per prime.
-        cache = PlanCache(capacity_bytes=3 * 2 * 64 * 8, on_full="error")
+        # Room for three weights' spectra: one 8*n-byte FFT spectrum per
+        # weight, shared by both primes.
+        cache = PlanCache(capacity_bytes=3 * 8 * 64, on_full="error")
         backend = NttPolyMulBackend(plan_cache=cache)
         for i in range(3):
             backend.multiply(poly, rng.integers(-5, 6, size=64))
-        assert cache.misses == 3 * 2 and cache.hits == 0
+        assert cache.misses == 3 and cache.hits == 0
+        assert cache.cached_bytes == 3 * 8 * 64
         with pytest.raises(MemoryError):
             backend.multiply(poly, rng.integers(-5, 6, size=64))
         cache.clear()
@@ -191,7 +193,7 @@ class TestBoundedBackendCaches:
         cache = PlanCache(on_full="error")
         backend = NttPolyMulBackend(plan_cache=cache)
         first = backend.multiply(poly, w)
-        second = backend.multiply(poly, w)  # cache hit, one per prime
-        assert cache.hits == 2
+        second = backend.multiply(poly, w)  # one hit: the shared spectrum
+        assert (cache.misses, cache.hits) == (1, 1)
         for a, b in zip(first.residues, second.residues):
             assert np.array_equal(a, b)
