@@ -375,6 +375,7 @@ def _bad_fft(params):
 # breaks them.
 _STRIDED = ConvShape.square(1, 7, 2, 3, stride=2, padding=1)
 _TWO_TILE = ConvShape.square(8, 4, 2, 3)
+_FC = LinearShape(150, 4)
 _DIGEST_CASES = {
     "ntt-strided": (_STRIDED, None, False, "b15c97b8ed006a98"),
     "ntt-two-tile": (_TWO_TILE, None, False, "dac433ad6d7d99b8"),
@@ -386,30 +387,65 @@ _DIGEST_CASES = {
     "sparse-strided": (_STRIDED, _sparse, False, "badb23c2121b781f"),
     "sparse-two-tile": (_TWO_TILE, _sparse, False, "65e2408369fa6e6a"),
     "guarded-fallback": (_STRIDED, _bad_fft, True, "4271f405898b6c5d"),
+    # FC layers (a LinearShape picks HybridLinearProtocol): 3 input chunks
+    # in the 64-degree ring.  Recorded before the conv and FC protocols
+    # shared one round implementation.
+    "fc-ntt": (_FC, None, False, "579a6a9dea723f21"),
+    "fc-flash": (_FC, _flash_k5, False, "00e6689009f878cd"),
+    "fc-guarded-fallback": (_FC, _bad_fft, True, "4e5e883eddf06fc4"),
+    "fc-faulty-transport": (_FC, None, False, "4e8c7e8a998d9edc"),
 }
 
 
+def _digest_protocol(params, case, shape, factory, guarded):
+    from repro.faults import BudgetGuard, FaultyChannel, ResilientSession
+
+    guard = BudgetGuard(params, policy="fallback") if guarded else None
+    transport = None
+    if case.endswith("faulty-transport"):
+        transport = ResilientSession(
+            channel=FaultyChannel(
+                seed=24, drop=0.2, corrupt=0.2, truncate=0.1, duplicate=0.1
+            ),
+            seed=24,
+        )
+    cls = (
+        HybridLinearProtocol
+        if isinstance(shape, LinearShape)
+        else HybridConvProtocol
+    )
+    return cls(
+        params, shape, factory and factory(params),
+        transport=transport, guard=guard,
+    )
+
+
+def _digest_inputs(shape, rng):
+    if isinstance(shape, LinearShape):
+        x = rng.integers(-8, 8, size=shape.in_features)
+        w = rng.integers(-8, 8, size=(shape.out_features, shape.in_features))
+        return x, w
+    x = rng.integers(
+        -8, 8, size=(shape.in_channels, shape.height, shape.width)
+    )
+    w = rng.integers(
+        -8, 8, size=(shape.out_channels, shape.in_channels, 3, 3)
+    )
+    return x, w
+
+
 class TestConvRunDigest:
-    """``HybridConvProtocol.run`` is pinned bit for bit on fixed seeds."""
+    """``HybridConvProtocol.run`` and ``HybridLinearProtocol.run`` are
+    pinned bit for bit on fixed seeds."""
 
     @pytest.mark.parametrize("case", sorted(_DIGEST_CASES))
     def test_run_digest(self, params, session, case):
-        from repro.faults import BudgetGuard
-
         shape, factory, guarded, digest = _DIGEST_CASES[case]
-        rng = np.random.default_rng(21)
-        x = rng.integers(
-            -8, 8, size=(shape.in_channels, shape.height, shape.width)
-        )
-        w = rng.integers(
-            -8, 8, size=(shape.out_channels, shape.in_channels, 3, 3)
-        )
-        guard = BudgetGuard(params, policy="fallback") if guarded else None
-        protocol = HybridConvProtocol(
-            params, shape, factory and factory(params), guard=guard
-        )
+        x, w = _digest_inputs(shape, np.random.default_rng(21))
+        protocol = _digest_protocol(params, case, shape, factory, guarded)
         result = protocol.run(x, w, np.random.default_rng(22), session)
         assert result.stats.degraded == guarded
+        assert (result.stats.retries > 0) == (protocol.transport is not None)
         assert protocol_digest(result) == digest
 
     @pytest.mark.parametrize(

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.encoding import ConvShape
+from repro.encoding import ConvShape, LinearShape
 from repro.he import BfvContext, toy_preset
 from repro.he.poly import RingPoly, uniform_poly
-from repro.protocol import HybridConvProtocol, ShareRing
+from repro.protocol import HybridConvProtocol, HybridLinearProtocol, ShareRing
 
 
 class TestBfvTampering:
@@ -142,11 +142,23 @@ class TestNoiseBudgetGuard:
         kernel_h=3, kernel_w=3, stride=1, padding=1,
     )
 
-    def _inputs(self, seed=0):
+    FC_SHAPE = LinearShape(in_features=16, out_features=2)
+
+    def _inputs(self, seed=0, kind="conv"):
         rng = np.random.default_rng(seed)
+        if kind == "fc":
+            x = rng.integers(-3, 4, size=16)
+            w = rng.integers(-2, 3, size=(2, 16))
+            return x, w
         x = rng.integers(-3, 4, size=(1, 4, 4))
         w = rng.integers(-2, 3, size=(1, 1, 3, 3))
         return x, w
+
+    def _protocol(self, kind, params, **kwargs):
+        """The guarded conv layer, or the same guard on an FC layer."""
+        if kind == "fc":
+            return HybridLinearProtocol(params, self.FC_SHAPE, **kwargs)
+        return HybridConvProtocol(params, self.SHAPE, **kwargs)
 
     def _undersized_params(self):
         from repro.he import BfvParameters
@@ -167,24 +179,25 @@ class TestNoiseBudgetGuard:
         )
         return FftPolyMulBackend(weight_config=cfg)
 
-    def test_undersized_q_triggers_predicted_fallback_bit_exact(self):
+    @pytest.mark.parametrize("kind", ["conv", "fc"])
+    def test_undersized_q_triggers_predicted_fallback_bit_exact(self, kind):
         from repro.faults import BudgetGuard
         from repro.he.backend import FftPolyMulBackend
         from repro.protocol import make_session
 
         params = self._undersized_params()
-        x, w = self._inputs()
+        x, w = self._inputs(kind=kind)
         from repro.he.noise import conv_budget_margin_bits
 
         assert conv_budget_margin_bits(params, w, 1) < 1.0
 
         guard = BudgetGuard(params, policy="fallback")
-        guarded = HybridConvProtocol(
-            params, self.SHAPE, backend=FftPolyMulBackend(),
+        guarded = self._protocol(
+            kind, params, backend=FftPolyMulBackend(),
             guard=guard, layer_name="conv0",
         ).run(x, w, np.random.default_rng(42),
               session=make_session(params, np.random.default_rng(9)))
-        exact = HybridConvProtocol(params, self.SHAPE).run(
+        exact = self._protocol(kind, params).run(
             x, w, np.random.default_rng(42),
             session=make_session(params, np.random.default_rng(9)),
         )
@@ -195,15 +208,16 @@ class TestNoiseBudgetGuard:
         assert np.array_equal(guarded.reconstructed, exact.reconstructed)
         assert np.array_equal(guarded.client_share, exact.client_share)
 
-    def test_observed_error_triggers_fallback_to_exact_result(self):
+    @pytest.mark.parametrize("kind", ["conv", "fc"])
+    def test_observed_error_triggers_fallback_to_exact_result(self, kind):
         from repro.faults import BudgetGuard
         from repro.he import toy_preset as preset
 
         params = preset(n=64)
-        x, w = self._inputs(1)
+        x, w = self._inputs(1, kind)
         guard = BudgetGuard(params, policy="fallback")
-        result = HybridConvProtocol(
-            params, self.SHAPE, backend=self._bad_fft_backend(),
+        result = self._protocol(
+            kind, params, backend=self._bad_fft_backend(),
             guard=guard, layer_name="conv0",
         ).run(x, w, np.random.default_rng(1))
         assert result.exact  # the fallback rerun is exact
@@ -226,41 +240,44 @@ class TestNoiseBudgetGuard:
         assert all(r.exact and r.stats.degraded for r in results)
         assert len(guard.events) == 1  # one degradation for the batch
 
-    def test_raise_policy_aborts_with_noise_budget_error(self):
+    @pytest.mark.parametrize("kind", ["conv", "fc"])
+    def test_raise_policy_aborts_with_noise_budget_error(self, kind):
         from repro.faults import BudgetGuard, NoiseBudgetError
         from repro.he.backend import FftPolyMulBackend
 
         params = self._undersized_params()
-        x, w = self._inputs()
+        x, w = self._inputs(kind=kind)
         guard = BudgetGuard(params, policy="raise")
         with pytest.raises(NoiseBudgetError, match="predicted"):
-            HybridConvProtocol(
-                params, self.SHAPE, backend=FftPolyMulBackend(), guard=guard,
+            self._protocol(
+                kind, params, backend=FftPolyMulBackend(), guard=guard,
             ).run(x, w, np.random.default_rng(0))
 
-    def test_warn_policy_keeps_approximate_result(self):
+    @pytest.mark.parametrize("kind", ["conv", "fc"])
+    def test_warn_policy_keeps_approximate_result(self, kind):
         from repro.faults import BudgetGuard
         from repro.he import toy_preset as preset
 
         params = preset(n=64)
-        x, w = self._inputs(3)
+        x, w = self._inputs(3, kind)
         guard = BudgetGuard(params, policy="warn")
         with pytest.warns(RuntimeWarning, match="observed"):
-            result = HybridConvProtocol(
-                params, self.SHAPE, backend=self._bad_fft_backend(),
+            result = self._protocol(
+                kind, params, backend=self._bad_fft_backend(),
                 guard=guard,
             ).run(x, w, np.random.default_rng(3))
         assert not result.stats.degraded  # kept the approximate output
         assert result.max_error > 0
 
-    def test_guard_ignores_exact_backends(self):
+    @pytest.mark.parametrize("kind", ["conv", "fc"])
+    def test_guard_ignores_exact_backends(self, kind):
         from repro.faults import BudgetGuard
 
         params = self._undersized_params()
-        x, w = self._inputs()
+        x, w = self._inputs(kind=kind)
         guard = BudgetGuard(params, policy="raise")
         # Exact NTT backend: no fallback exists, the guard stays silent.
-        HybridConvProtocol(params, self.SHAPE, guard=guard).run(
+        self._protocol(kind, params, guard=guard).run(
             x, w, np.random.default_rng(4)
         )
         assert guard.events == []
