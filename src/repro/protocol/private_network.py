@@ -135,13 +135,15 @@ class PrivateCnnEvaluator:
     ) -> List[PrivateInferenceTrace]:
         """Privately classify a batch of float images in one pass.
 
-        Convolution layers run through
-        :meth:`repro.protocol.hybrid.HybridConvProtocol.run_batch`, so
+        Every compute layer runs through its protocol's ``run_batch``.
+        A convolution runs the whole batch in one round
+        (:meth:`repro.protocol.hybrid.HybridConvProtocol.run_batch`), so
         weight encodings are shared across the batch and -- with a batched
         backend such as :class:`repro.he.backend.FftPolyMulBackend` -- all
-        transform work executes in vectorized batch passes.  Non-linear
-        layers apply to the whole activation stack at once.  An empty
-        batch returns ``[]`` without key generation or rng draws.
+        transform work executes in vectorized batch passes; an FC layer
+        runs one round per item, in order.  Non-linear layers apply to the
+        whole activation stack at once.  An empty batch returns ``[]``
+        without key generation or rng draws.
         """
         images = np.asarray(images)
         if images.ndim == 3:
@@ -154,23 +156,10 @@ class PrivateCnnEvaluator:
         x = self.net.input_params.quantize(images)
         layer_stats: List[List[ProtocolStats]] = [[] for _ in images]
         for op in self.net.ops:
-            if op[0] == "conv":
+            if op[0] in ("conv", "linear"):
                 spec = op[1]
-                m, c, kh, kw = spec.weight_q.shape
-                shape = ConvShape(
-                    in_channels=c,
-                    height=x.shape[2],
-                    width=x.shape[3],
-                    out_channels=m,
-                    kernel_h=kh,
-                    kernel_w=kw,
-                    stride=spec.stride,
-                    padding=spec.padding,
-                )
-                protocol = HybridConvProtocol(
-                    self.params, shape, self.backend,
-                    transport=self.transport, guard=self.guard,
-                    layer_name=f"layer{len(layer_stats[0])}:conv",
+                protocol = self._layer_protocol(
+                    spec, x, f"layer{len(layer_stats[0])}:{op[0]}"
                 )
                 results = protocol.run_batch(
                     x, spec.weight_q, rng, session=session
@@ -178,34 +167,9 @@ class PrivateCnnEvaluator:
                 for item, result in enumerate(results):
                     layer_stats[item].append(result.stats)
                 sp = np.stack(
-                    [
-                        self.net._add_bias(r.reconstructed, spec)
-                        for r in results
-                    ]
+                    [self.net._add_bias(r.reconstructed, spec) for r in results]
                 )
                 x = requantize_shift(sp, spec.requant_shift, spec.act_bits)
-            elif op[0] == "linear":
-                spec = op[1]
-                shape = LinearShape(
-                    in_features=spec.weight_q.shape[1],
-                    out_features=spec.weight_q.shape[0],
-                )
-                protocol = HybridLinearProtocol(
-                    self.params, shape, self.backend,
-                    transport=self.transport, guard=self.guard,
-                    layer_name=f"layer{len(layer_stats[0])}:linear",
-                )
-                outs = []
-                for item in range(len(x)):
-                    result = protocol.run(
-                        x[item], spec.weight_q, rng, session=session
-                    )
-                    layer_stats[item].append(result.stats)
-                    sp = self.net._add_bias(result.reconstructed, spec)
-                    outs.append(
-                        requantize_shift(sp, spec.requant_shift, spec.act_bits)
-                    )
-                x = np.stack(outs)
             else:
                 # Non-linear layers: evaluated by the 2PC sub-protocols in
                 # the hybrid scheme; computed on the reconstructed shares
@@ -219,6 +183,28 @@ class PrivateCnnEvaluator:
             )
             for item in range(len(images))
         ]
+
+    def _layer_protocol(self, spec, x: np.ndarray, layer_name: str):
+        """The hybrid protocol of one compute layer on activations ``x``."""
+        if spec.kind == "conv":
+            m, c, kh, kw = spec.weight_q.shape
+            shape = ConvShape(
+                in_channels=c, height=x.shape[2], width=x.shape[3],
+                out_channels=m, kernel_h=kh, kernel_w=kw,
+                stride=spec.stride, padding=spec.padding,
+            )
+            cls = HybridConvProtocol
+        else:
+            shape = LinearShape(
+                in_features=spec.weight_q.shape[1],
+                out_features=spec.weight_q.shape[0],
+            )
+            cls = HybridLinearProtocol
+        return cls(
+            self.params, shape, self.backend,
+            transport=self.transport, guard=self.guard,
+            layer_name=layer_name,
+        )
 
     def accuracy(
         self,
