@@ -197,38 +197,6 @@ class ClusterExecutor:
             return []
         basis = polys[0].basis
         blobs = [serialize_poly(p) for p in polys]
-        out_blobs = self.multiply_many_blobs(
-            backend, weight_config, pattern, basis, blobs, weights_list,
-            deadline_s=deadline_s,
-        )
-        params = WireBasisParams(basis)
-        outs = []
-        for blob in out_blobs:
-            poly, _ = deserialize_poly(blob, params)
-            outs.append(poly)
-        return outs
-
-    def multiply_many_blobs(
-        self,
-        backend: str,
-        weight_config,
-        pattern,
-        basis,
-        blobs: List[bytes],
-        weights_list: List[np.ndarray],
-        deadline_s: Optional[float] = None,
-    ) -> List[bytes]:
-        """:meth:`multiply_many` over already-serialized polynomials.
-
-        The serving layer receives polynomials as wire blobs and returns
-        them as wire blobs; this entry point avoids a pointless
-        deserialize/re-serialize round-trip at the coalescer.  Outputs
-        are the workers' serialized result polynomials, in input order.
-        """
-        if len(blobs) != len(weights_list):
-            raise ValueError("blobs and weights_list must have equal length")
-        if not blobs:
-            return []
         payloads = self._stamp_deadline(
             [
                 mul_job_payload(
@@ -242,10 +210,12 @@ class ClusterExecutor:
         replies = self._run(
             MSG_JOB_MUL, self._stamp_trace(payloads), backend, len(blobs)
         )
-        outs: List[bytes] = []
-        for reply in replies:
-            outs.extend(reply["polys"])
-        return outs
+        params = WireBasisParams(basis)
+        return [
+            deserialize_poly(blob, params)[0]
+            for reply in replies
+            for blob in reply["polys"]
+        ]
 
 
 def make_executor(

@@ -114,17 +114,7 @@ def stride1_phase(shape: ConvShape) -> ConvShape:
     """
     from repro.encoding.conv_encoding import decompose_strided
 
-    padded = ConvShape(
-        in_channels=shape.in_channels,
-        height=shape.padded_height,
-        width=shape.padded_width,
-        out_channels=shape.out_channels,
-        kernel_h=shape.kernel_h,
-        kernel_w=shape.kernel_w,
-        stride=shape.stride,
-        padding=0,
-    )
-    phase, _, _ = decompose_strided(padded)[0]
+    phase, _, _ = decompose_strided(shape)[0]
     return phase
 
 

@@ -160,17 +160,16 @@ def iter_row_bands(
 
 
 def decompose_strided(shape: ConvShape) -> List[Tuple[ConvShape, int, int]]:
-    """Split a strided convolution into ``stride**2`` stride-1 phases.
+    """Split a (strided) convolution into ``stride**2`` stride-1 phases.
 
     Returns ``(phase_shape, a, b)`` triples; phase ``(a, b)`` consumes the
     sub-sampled input ``x_pad[:, a::s, b::s]`` and kernel ``w[:, :, a::s,
-    b::s]``.  The phase shapes already include the original padding (the
-    input must be padded *before* sub-sampling) and produce ``out_height x
+    b::s]``.  At every stride the phase shapes are padding-free shapes over
+    the *padded* input (pad before sub-sampling; at stride 1 the one phase
+    is the padded layer itself) and produce at least ``out_height x
     out_width`` outputs each; summing all phases gives the strided result.
     """
     s = shape.stride
-    if s == 1:
-        return [(shape, 0, 0)]
     phases = []
     for a in range(s):
         for b in range(s):

@@ -67,20 +67,10 @@ def conv2d_via_polynomials(
     xp = pad_input(x, shape.padding)
     # Padding is applied exactly once, here; the per-phase encoders see a
     # padding-free shape over the padded tensor.
-    padded_shape = ConvShape(
-        in_channels=shape.in_channels,
-        height=shape.padded_height,
-        width=shape.padded_width,
-        out_channels=shape.out_channels,
-        kernel_h=shape.kernel_h,
-        kernel_w=shape.kernel_w,
-        stride=shape.stride,
-        padding=0,
-    )
     total = np.zeros(
         (shape.out_channels, shape.out_height, shape.out_width), dtype=np.int64
     )
-    for phase, a, b in decompose_strided(padded_shape):
+    for phase, a, b in decompose_strided(shape):
         x_phase = xp[:, a :: shape.stride, b :: shape.stride]
         w_phase = w[:, :, a :: shape.stride, b :: shape.stride]
         # Guard against ragged sub-sampling (phase shapes are exact).

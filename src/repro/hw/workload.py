@@ -109,18 +109,8 @@ def conv_layer_workload(
             per returned ciphertext / inverse transform (Cheetah-style);
             disable to model one inverse per output channel.
     """
-    padded = ConvShape(
-        in_channels=shape.in_channels,
-        height=shape.padded_height,
-        width=shape.padded_width,
-        out_channels=shape.out_channels,
-        kernel_h=shape.kernel_h,
-        kernel_w=shape.kernel_w,
-        stride=shape.stride,
-        padding=0,
-    )
     total = LayerWorkload(name=name, weight_mults_dense=dense_fft_mults(n // 2))
-    for phase, _, _ in decompose_strided(padded):
+    for phase, _, _ in decompose_strided(shape):
         band, band_count = spatial_tiles(phase, n)
         enc = Conv2dEncoder(band, n)
         counts = enc.transforms_per_hconv()

@@ -386,16 +386,6 @@ class BatchedHConvEngine:
 
         bound = int(np.abs(w).sum() * max(1, int(np.abs(xs).max() if xs.size else 1)))
         xp = np.stack([pad_input(x, shape.padding) for x in xs])
-        padded_shape = ConvShape(
-            in_channels=shape.in_channels,
-            height=shape.padded_height,
-            width=shape.padded_width,
-            out_channels=shape.out_channels,
-            kernel_h=shape.kernel_h,
-            kernel_w=shape.kernel_w,
-            stride=shape.stride,
-            padding=0,
-        )
         total = np.zeros(
             (batch, shape.out_channels, shape.out_height, shape.out_width),
             dtype=np.int64,
@@ -403,7 +393,7 @@ class BatchedHConvEngine:
         s = shape.stride
         bands = [
             (a, b, phase.width, row_start, band)
-            for phase, a, b in decompose_strided(padded_shape)
+            for phase, a, b in decompose_strided(shape)
             for row_start, band in iter_row_bands(phase, n)
         ]
         cache_spectra = self._spectra_fit(bands, n)

@@ -125,7 +125,6 @@ class PlanCache:
         on_full: ``"evict"`` (LRU eviction, the runtime default) or
             ``"error"`` (raise :class:`MemoryError` when the byte budget is
             exceeded -- the paper's memory-wall model).
-        sizeof: override for the byte estimator.
         check_integrity: digest each entry's array content at insert
             (:func:`value_digest`) and re-verify on every hit; a tampered
             entry is evicted and counted in ``corruptions`` instead of
@@ -137,7 +136,6 @@ class PlanCache:
         capacity_bytes: Optional[int] = None,
         max_entries: Optional[int] = None,
         on_full: str = "evict",
-        sizeof: Optional[Callable[[Any], int]] = None,
         check_integrity: bool = False,
     ):
         if on_full not in ("evict", "error"):
@@ -149,7 +147,6 @@ class PlanCache:
         self.capacity_bytes = capacity_bytes
         self.max_entries = max_entries
         self.on_full = on_full
-        self._sizeof = sizeof or estimate_nbytes
         self.check_integrity = check_integrity
         self._entries: "OrderedDict[Hashable, Tuple[Any, int, Optional[int]]]" = (
             OrderedDict()
@@ -252,7 +249,7 @@ class PlanCache:
         Returns the value (possibly without retaining it, when a single
         entry exceeds the whole byte budget under the eviction policy).
         """
-        size = self._sizeof(value) if nbytes is None else int(nbytes)
+        size = estimate_nbytes(value) if nbytes is None else int(nbytes)
         digest = value_digest(value) if self.check_integrity else None
         with self._lock:
             if (

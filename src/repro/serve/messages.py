@@ -4,8 +4,8 @@ Serve traffic reuses the cluster envelope codec
 (:func:`repro.cluster.jobs.encode_message` /
 :func:`~repro.cluster.jobs.decode_message`): one CRC32-checksummed frame
 per message holding a pickled ``(kind, request_id, payload)`` envelope,
-with the same plain-tuple wire forms for :class:`ApproxFftConfig`,
-:class:`ConvShape` and :class:`RnsBasis` that cluster jobs use.  A
+with the same plain-tuple wire forms for :class:`ApproxFftConfig` and
+:class:`ConvShape` that cluster jobs use.  A
 corrupted client frame therefore surfaces as
 :class:`~repro.faults.channel.ChecksumError` at decode time -- counted as
 a wire error, never executed.
@@ -14,12 +14,10 @@ Requests
     - ``serve-conv``: one logical conv2d request (a batch-of-one input
       plus its weight tensor), carrying ``tenant``, requested ``mode``
       and an absolute ``deadline_at`` on the shared monotonic clock.
-    - ``serve-mul``: one ``multiply_many`` request (serialized ring
-      polynomials + weight vectors).
     - ``serve-ping``: health probe; answered inline by the acceptor.
 
 Replies (exactly one per received request -- the no-silent-drop rule)
-    - ``serve-result``: output tensor/polys plus the *effective* mode the
+    - ``serve-result``: output tensor plus the *effective* mode the
       request ran at, whether the ladder or guard degraded it, and which
       path (cluster/serial) executed the batch.
     - ``serve-shed``: explicit backpressure; names one of
@@ -32,12 +30,11 @@ Replies (exactly one per received request -- the no-silent-drop rule)
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.jobs import (
-    basis_to_wire,
     config_to_wire,
     decode_message,
     encode_message,
@@ -45,9 +42,8 @@ from repro.cluster.jobs import (
 )
 
 REQ_CONV = "serve-conv"
-REQ_MUL = "serve-mul"
 REQ_PING = "serve-ping"
-REQUEST_KINDS = (REQ_CONV, REQ_MUL, REQ_PING)
+REQUEST_KINDS = (REQ_CONV, REQ_PING)
 
 REP_RESULT = "serve-result"
 REP_SHED = "serve-shed"
@@ -85,33 +81,6 @@ def conv_request(
         "deadline_at": None if deadline_at is None else float(deadline_at),
     }
     return encode_message(REQ_CONV, request_id, payload)
-
-
-def mul_request(
-    request_id: int,
-    tenant: str,
-    backend: str,
-    config,
-    pattern,
-    basis,
-    poly_blobs: List[bytes],
-    weights: List[np.ndarray],
-    deadline_at: Optional[float] = None,
-) -> bytes:
-    """One ``multiply_many`` request over already-serialized polynomials."""
-    payload = {
-        "tenant": str(tenant),
-        "backend": str(backend),
-        "config": config_to_wire(config),
-        "pattern": None if pattern is None else [int(v) for v in pattern],
-        "basis": basis_to_wire(basis),
-        "polys": list(poly_blobs),
-        "weights": [
-            np.ascontiguousarray(w, dtype=np.int64) for w in weights
-        ],
-        "deadline_at": None if deadline_at is None else float(deadline_at),
-    }
-    return encode_message(REQ_MUL, request_id, payload)
 
 
 def ping_request(request_id: int, tenant: str = "probe") -> bytes:
@@ -178,7 +147,6 @@ __all__ = [
     "REP_SHED",
     "REPLY_KINDS",
     "REQ_CONV",
-    "REQ_MUL",
     "REQ_PING",
     "REQUEST_KINDS",
     "conv_request",
@@ -186,7 +154,6 @@ __all__ = [
     "decode_request",
     "deadline_reply",
     "error_reply",
-    "mul_request",
     "ping_request",
     "pong_reply",
     "result_reply",

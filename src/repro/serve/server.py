@@ -21,7 +21,7 @@ Request life cycle::
     enqueue + wait on event  --->    take head, coalesce same-key requests
                                      ladder clamp + BudgetGuard preflight
                                      breaker.allow() ? cluster : serial
-                                     run_batch / multiply_many (one call)
+                                     conv2d_batch (one call)
                                      per-request: result | deadline notice
     reply bytes  <---------------    fulfill event
 
@@ -47,8 +47,6 @@ import numpy as np
 from repro.cluster import ClusterError, ClusterExecutor
 from repro.cluster.jobs import (
     MSG_JOB_CONV,
-    MSG_JOB_MUL,
-    basis_from_wire,
     config_from_wire,
     shape_from_wire,
 )
@@ -64,8 +62,6 @@ from repro.obs.metrics import (
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.messages import (
-    REQ_CONV,
-    REQ_MUL,
     REQ_PING,
     decode_request,
     deadline_reply,
@@ -209,9 +205,7 @@ class _ServiceEstimator:
 
 def _estimate_key(kind: str, payload: Dict[str, Any]) -> tuple:
     """Feasibility-estimator key: requested execution context, pre-ladder."""
-    if kind == REQ_CONV:
-        return (kind, payload["mode"], payload["n"], tuple(payload["shape"]))
-    return (kind, payload["backend"], payload["basis"][0])
+    return (kind, payload["mode"], payload["n"], tuple(payload["shape"]))
 
 
 class InferenceServer:
@@ -508,15 +502,12 @@ class InferenceServer:
     ) -> Tuple[str, bool, tuple]:
         """Ladder-clamped + guard-checked execution mode for one request.
 
-        Returns ``(effective_mode_or_backend, degraded, batch_key)``.
+        Returns ``(effective_mode, degraded, batch_key)``.
         Runs only on the coalescer thread: per-tenant guards are
         single-threaded by construction.
         """
         payload = pending.payload
-        if pending.kind == REQ_CONV:
-            requested = payload["mode"]
-        else:
-            requested = payload["backend"]
+        requested = payload["mode"]
         effective = self.admission.effective_mode(pending.tenant, requested)
         if effective != "ntt" and self.config.guard_params is not None:
             guard = self._guards.get(pending.tenant)
@@ -527,37 +518,19 @@ class InferenceServer:
                     min_margin_bits=self.config.guard_min_margin_bits,
                 )
                 self._guards[pending.tenant] = guard
-            if pending.kind == REQ_CONV:
-                shape = shape_from_wire(payload["shape"])
-                exact = guard.preflight(
-                    payload["w"],
-                    num_accumulated=shape.in_channels,
-                    layer=f"{pending.tenant}/req{pending.request_id}",
-                )
-            else:
-                exact = any(
-                    guard.preflight(
-                        w, num_accumulated=1,
-                        layer=f"{pending.tenant}/req{pending.request_id}",
-                    )
-                    for w in payload["weights"]
-                )
-            if exact:
+            shape = shape_from_wire(payload["shape"])
+            if guard.preflight(
+                payload["w"],
+                num_accumulated=shape.in_channels,
+                layer=f"{pending.tenant}/req{pending.request_id}",
+            ):
                 effective = "ntt"
                 self.admission.degrade(pending.tenant)
         degraded = effective != requested
-        if pending.kind == REQ_CONV:
-            key = (
-                pending.kind, effective, payload["config"], payload["n"],
-                tuple(payload["shape"]), payload["w"].tobytes(),
-            )
-        else:
-            key = (
-                pending.kind, effective, payload["config"],
-                None if payload["pattern"] is None
-                else tuple(payload["pattern"]),
-                tuple(payload["basis"][1]), payload["basis"][0],
-            )
+        key = (
+            pending.kind, effective, payload["config"], payload["n"],
+            tuple(payload["shape"]), payload["w"].tobytes(),
+        )
         return effective, degraded, key
 
     def _gather_batch(
@@ -681,10 +654,7 @@ class InferenceServer:
             size=len(live),
             kind=live[0][0].kind,
         ):
-            if live[0][0].kind == REQ_CONV:
-                self._execute_conv_batch(live, deadline_s)
-            else:
-                self._execute_mul_batch(live, deadline_s)
+            self._execute_conv_batch(live, deadline_s)
         elapsed = self._clock() - started
         self._estimator.update(live[0][0].group_key, elapsed)
         tracer = obs_trace.tracer
@@ -760,63 +730,6 @@ class InferenceServer:
             self._finish_result(
                 pending,
                 {"out": out[i], "mode": eff_mode, "path": path},
-                degraded,
-                now,
-            )
-
-    def _execute_mul_batch(self, live, deadline_s: Optional[float]) -> None:
-        head, backend, _ = live[0]
-        payload = head.payload
-        blobs: List[bytes] = []
-        weights: List[np.ndarray] = []
-        counts: List[int] = []
-        for pending, _, _ in live:
-            blobs.extend(pending.payload["polys"])
-            weights.extend(pending.payload["weights"])
-            counts.append(len(pending.payload["polys"]))
-        recoveries = 0
-        path = "serial"
-        out_blobs = None
-        if self._cluster_allowed():
-            try:
-                out_blobs = self.cluster.multiply_many_blobs(
-                    backend,
-                    config_from_wire(payload["config"]),
-                    payload["pattern"],
-                    basis_from_wire(payload["basis"]),
-                    blobs,
-                    weights,
-                    deadline_s=deadline_s,
-                )
-                path = "cluster"
-                recoveries = self._observe_cluster()
-            except ClusterError as exc:
-                self.breaker.record_failure(str(exc))
-                out_blobs = None
-        if out_blobs is None:
-            job = {
-                "backend": backend,
-                "config": payload["config"],
-                "pattern": payload["pattern"],
-                "basis": payload["basis"],
-                "polys": blobs,
-                "weights": weights,
-            }
-            out_blobs = execute_job(MSG_JOB_MUL, job, self._serial_state)[
-                "polys"
-            ]
-        self.stats.record_batch(len(live), path, recoveries=recoveries)
-        now = self._clock()
-        offset = 0
-        for (pending, eff_backend, degraded), count in zip(live, counts):
-            share = out_blobs[offset:offset + count]
-            offset += count
-            if pending.deadline_at is not None and now > pending.deadline_at:
-                self._finish_deadline(pending, now)
-                continue
-            self._finish_result(
-                pending,
-                {"polys": share, "backend": eff_backend, "path": path},
                 degraded,
                 now,
             )

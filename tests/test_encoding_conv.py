@@ -219,6 +219,14 @@ class TestDecomposeStrided:
         s = ConvShape.square(1, 4, 1, 3)
         assert decompose_strided(s) == [(s, 0, 0)]
 
+    def test_stride1_padded_phase_is_padding_free(self):
+        # The one phase covers the padded input, with no padding of its own.
+        s = ConvShape.square(2, 4, 3, 3, padding=1)
+        [(phase, a, b)] = decompose_strided(s)
+        assert (a, b) == (0, 0)
+        assert phase == ConvShape.square(2, 6, 3, 3)
+        assert (phase.out_height, phase.out_width) == (4, 4)
+
     def test_stride2_has_four_phases(self):
         s = ConvShape.square(1, 8, 1, 3, stride=2)
         phases = decompose_strided(s)

@@ -14,12 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterExecutor, ClusterFaultInjector, ClusterPolicy
-from repro.cluster.jobs import (
-    MSG_JOB_MUL,
-    basis_to_wire,
-    config_to_wire,
-)
-from repro.cluster.worker import WorkerState, execute_job
+from repro.cluster.jobs import config_to_wire
 from repro.encoding import ConvShape
 from repro.faults.channel import ChecksumError
 from repro.fftcore.fixed_point import ApproxFftConfig
@@ -34,7 +29,6 @@ from repro.serve.messages import (
     conv_request,
     decode_reply,
     decode_request,
-    mul_request,
     ping_request,
 )
 
@@ -82,10 +76,23 @@ class TestMessages:
             decode_request(bytes(frame))
 
     def test_reply_kinds_are_rejected_as_requests(self):
+        from repro.cluster.jobs import encode_message
         from repro.serve.messages import shed_reply
 
-        with pytest.raises(ValueError, match="unknown serve request"):
-            decode_request(shed_reply(1, "rate"))
+        # A reply kind, and the retired serve-mul request kind.
+        frames = [
+            shed_reply(1, "rate"),
+            encode_message("serve-mul", 2, {"tenant": "t"}),
+        ]
+        for frame in frames:
+            with pytest.raises(ValueError, match="unknown serve request"):
+                decode_request(frame)
+        with serve() as server:
+            for frame in frames:
+                kind, _, body = decode_reply(server.submit(frame))
+                assert kind == REP_ERROR
+                assert body["error"].startswith("wire error")
+            assert server.stats_dict()["wire_errors"] == len(frames)
 
     def test_request_kinds_are_rejected_as_replies(self):
         with pytest.raises(ValueError, match="unknown serve reply"):
@@ -156,37 +163,6 @@ class TestServerConv:
         assert stats["largest_batch"] >= 2
         assert stats["batched_requests"] == 4
         assert stats["accounting"]["unaccounted"] == 0
-
-    def test_mul_request_matches_serial_oracle(self):
-        from repro.he import toy_preset
-        from repro.he.poly import uniform_poly
-        from repro.protocol.wire import serialize_poly
-
-        params = toy_preset(n=N)
-        rng = np.random.default_rng(5)
-        blobs = [
-            serialize_poly(uniform_poly(params.basis, rng)) for _ in range(3)
-        ]
-        weights = [rng.integers(-3, 4, size=N) for _ in range(3)]
-        expected = execute_job(
-            MSG_JOB_MUL,
-            {
-                "backend": "ntt",
-                "config": None,
-                "pattern": None,
-                "basis": basis_to_wire(params.basis),
-                "polys": list(blobs),
-                "weights": [np.ascontiguousarray(w_) for w_ in weights],
-            },
-            WorkerState(),
-        )["polys"]
-        with serve() as server:
-            kind, _, body = decode_reply(server.submit(mul_request(
-                9, "t", "ntt", None, None, params.basis, blobs, weights,
-            )))
-        assert kind == REP_RESULT
-        assert body["backend"] == "ntt"
-        assert body["polys"] == expected
 
 
 class TestAdmissionReplies:
