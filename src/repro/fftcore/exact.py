@@ -24,6 +24,9 @@ The analysis (docs/algorithms.md, "Exact products on the folded FFT"):
   once, so its own error is ``u * peak`` plus a long-double FFT term far
   below a float64 one (about ``1e-11`` for the ternary key at n = 4096,
   enough on its own to push the key's bound past 1/2).
+  :meth:`ExactNegacyclic.float64_bound` covers a spectrum built in float64
+  instead (the clear-domain engine's streamed weights), with the peak
+  bounded a priori by ``||w||_1``.
 
 Table errors ``mu`` of the float64 twiddles and twists are measured once
 per ``n`` against long-double tables, each of which lies within
@@ -126,6 +129,10 @@ class ExactNegacyclic:
         self._spectrum_rel = math.sqrt(half) * (
             twist_ld + rho_ld * (1 + twist_ld)
         )
+        # The same for a spectrum built in float64 on ``fft`` itself.
+        self._spectrum_rel64 = math.sqrt(half) * (
+            self._twist + self._rho * (1 + self._twist)
+        )
 
     def spectrum(self, weights) -> np.ndarray:
         """Folded spectrum of an integer weight vector: computed in long
@@ -150,9 +157,30 @@ class ExactNegacyclic:
         # max_k |spectrum_k - W_k|: the long-double transform's error plus
         # the rounding to complex128.
         d = self._spectrum_rel * norm + self._u * peak / (1 - self._u)
+        return self._bound(prime, peak, d)
+
+    def float64_bound(self, prime: int, norm: float, l1: int) -> float:
+        """:meth:`bound` for a weight spectrum built in float64 by
+        ``fft.forward_batch``, from a-priori quantities alone.
+
+        Every exact spectrum value has ``|W_k| <= ||w||_1``, so no
+        spectrum is needed: the computed peak is at most ``l1 + d``.
+
+        Args:
+            prime: as in :meth:`bound`.
+            norm: an upper bound on ``||w||_2``.
+            l1: an upper bound on ``||w||_1``.
+        """
+        # The float64 transform's error, as the activation's below.
+        d = self._spectrum_rel64 * norm
+        return self._bound(prime, l1 + d, d)
+
+    def _bound(self, prime: int, peak: float, d: float) -> float:
+        """The certificate for a spectrum of peak ``peak`` within ``d``
+        of the exact one (docs/algorithms.md, section 7)."""
         u_twist, rho, mult = self._twist, self._rho, self._mult
-        # Per unit ||a||_2 (docs/algorithms.md): the forward transform's
-        # error, the pointwise product's, then inverse and unfold.
+        # Per unit ||a||_2: the forward transform's error, the pointwise
+        # product's, then inverse and unfold.
         forward = u_twist + rho * (1 + u_twist)
         pointwise = peak * forward + d + mult * peak * (1 + forward)
         exact_peak = peak + d

@@ -44,6 +44,9 @@ from repro.encoding.conv_encoding import (
     pad_input,
 )
 from repro.fftcore.approx_pipeline import ApproxNegacyclic
+from repro.fftcore.exact import (
+    CERTIFIED_BELOW, get_exact_negacyclic, weight_norm,
+)
 from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.ntt import find_ntt_primes, get_ntt
 from repro.ntt.modmath import centered, from_centered, mulmod
@@ -236,17 +239,46 @@ class _Timer:
         return False
 
 
-def _round_rows_exact(rows: np.ndarray) -> np.ndarray:
+def _round_rows_exact(rows: np.ndarray, residual: bool = False):
     """Round a float ``(J, n)`` batch to int64, bit-compatible with the
     per-call path's ``int(round(float(v)))`` (both round half-to-even).
 
     Float64 values at or above ``2**53`` are already integers, so the cast
     is exact at every magnitude int64 can hold; larger values raise.
+    With ``residual``, returns ``(ints, worst)``: ``worst`` is the largest
+    ``|x - rint(x)|`` (``rows`` is overwritten).
     """
     rounded = np.rint(rows)
     if rounded.size and not float(np.max(np.abs(rounded))) < _INT64_BOUND:
         raise OverflowError("rounded HConv output does not fit in int64")
-    return rounded.astype(np.int64)
+    ints = rounded.astype(np.int64)
+    if not residual:
+        return ints
+    rows -= rounded
+    return ints, float(np.max(np.abs(rows, out=rows), initial=0.0))
+
+
+def _encoded_weight_norms(
+    w: np.ndarray, stride: int, bands, n: int
+) -> Tuple[float, int]:
+    """Upper bounds on the largest ``||.||_2`` and ``||.||_1`` over a
+    call's encoded weight polynomials.
+
+    The polynomial of ``(tile, m)`` holds exactly the taps
+    ``w[m, tile channels]`` of its stride phase, so the norms come from
+    the kernel without encoding it.
+    """
+    norm2, norm1 = 0.0, 0
+    for a, b, band in dict.fromkeys((a, b, band) for a, b, _, _, band in bands):
+        per_tile = Conv2dEncoder(band, n).channels_per_tile
+        phase = w[:, :, a::stride, b::stride]
+        virtual = -phase.shape[1] % per_tile  # zero-padded channels
+        rows = np.pad(phase, ((0, 0), (0, virtual), (0, 0), (0, 0)))
+        rows = rows.reshape(-1, per_tile * phase[0, 0].size)
+        squares = np.einsum("ij,ij->i", rows, rows)
+        norm2 = max(norm2, weight_norm(rows[int(np.argmax(squares))]))
+        norm1 = max(norm1, int(np.abs(rows).sum(axis=1).max()))
+    return norm2, norm1
 
 
 class BatchedHConvEngine:
@@ -274,8 +306,19 @@ class BatchedHConvEngine:
     close over locals.  The only state shared *with* workers is
     ``plan_cache``, which synchronizes internally.
 
+    Mode ``"ntt"`` is exact: certified FFT, NTT fallback.  Each call
+    bounds its float64 round-off a priori (:meth:`repro.fftcore.exact
+    .ExactNegacyclic.float64_bound` at the call's prime, from the largest
+    ``||w||_2`` and ``||w||_1`` of its encoded weight polynomials); below
+    1/2 the call runs the ``"fft"`` branch, whose rounding is then exact,
+    otherwise the single-prime NTT.  The call's ``runtime.conv2d_batch``
+    span carries ``rounding_bound``, ``rounding_worst`` (the realized
+    worst ``|x - rint(x)|``, 0 on the NTT) and ``ntt_fallback`` (1 when
+    the call ran the NTT).
+
     Args:
-        mode: ``"ntt"`` (exact), ``"fft"`` (float64 folded FFT),
+        mode: ``"ntt"`` (exact; certified FFT, NTT fallback), ``"fft"``
+            (float64 folded FFT),
             ``"flash"`` (approximate fixed-point weight transforms) or
             ``"sparse"`` (flash with compiled sparse weight plans: the
             structural zero pattern of each channel tile drives the
@@ -397,13 +440,28 @@ class BatchedHConvEngine:
             for row_start, band in iter_row_bands(phase, n)
         ]
         cache_spectra = self._spectra_fit(bands, n)
+        arm, q = self.mode, None
+        if arm == "ntt":
+            q = ntt_modulus(n, bound)
+            certificate = get_exact_negacyclic(n).float64_bound(
+                q, *_encoded_weight_norms(w, s, bands, n)
+            )
+            if certificate < CERTIFIED_BELOW:
+                arm = "fft"
+        worst = 0.0
         for a, b, width, row_start, band in bands:
             x_band = xp[:, :, a::s, b::s][
                 :, :, row_start : row_start + band.height, :width
             ]
-            self._run_band(
-                x_band, w[:, :, a::s, b::s], band, n, bound, shape,
+            worst = max(worst, self._run_band(
+                x_band, w[:, :, a::s, b::s], band, n, q, arm, shape,
                 row_start, total, stats, cache_spectra,
+            ))
+        if q is not None:
+            obs_trace.tracer.current_span().set(
+                rounding_bound=certificate,
+                rounding_worst=worst,
+                ntt_fallback=int(arm == "ntt"),
             )
         stats.cache = self.plan_cache.stats()
         self.last_stats = stats
@@ -459,13 +517,17 @@ class BatchedHConvEngine:
         w_phase: np.ndarray,
         band: ConvShape,
         n: int,
-        bound: int,
+        q: Optional[int],
+        arm: str,
         shape: ConvShape,
         row_start: int,
         total: np.ndarray,
         stats: RuntimeStats,
         cache_spectra: bool,
-    ) -> None:
+    ) -> float:
+        """Run one row band on ``arm``'s transforms, adding its outputs
+        into ``total``; returns the band's worst ``|x - rint(x)|`` on the
+        certified arm of mode ``"ntt"``, else 0."""
         batch = x_band.shape[0]
         with _Timer(stats, "encode"):
             enc = Conv2dEncoder(band, n)
@@ -480,12 +542,13 @@ class BatchedHConvEngine:
         def stack(chunk) -> np.ndarray:
             return np.stack([w_polys[pair] for pair in chunk])
 
-        # Per mode: ``transform(chunk)`` batch-transforms the weights of a
+        # Per arm: ``transform(chunk)`` batch-transforms the weights of a
         # chunk of pairs into spectrum rows, ``key_of(pair)`` names the
         # pair's cached spectrum and ``product(w_rows, a_rows)`` multiplies
-        # and inverse-transforms.
-        if self.mode == "ntt":
-            q = ntt_modulus(n, bound)
+        # and inverse-transforms.  Mode "ntt" runs the "fft" arm when its
+        # certificate holds and then reports the rounding residual.
+        residual = self.mode == "ntt" and arm == "fft"
+        if arm == "ntt":
             plan = self._ntt_plan(n, q)
 
             def transform(chunk):
@@ -503,7 +566,7 @@ class BatchedHConvEngine:
 
         else:
             pipe = self._fft_pipeline(n)
-            if self.mode == "sparse":
+            if arm == "sparse":
                 with _Timer(stats, "weight_transform"):
                     transform, key_of = self._sparse_weight_source(
                         n, enc, w_polys, pairs, stats
@@ -517,7 +580,7 @@ class BatchedHConvEngine:
                 def key_of(pair):
                     return ("fft-wspec", n, cfg_key, w_polys[pair].tobytes())
 
-                if self.mode == "flash":
+                if arm == "flash":
                     # Dense fixed-point weight FFT: every butterfly
                     # multiplies, so realized == dense == model.
                     stages = (n // 2).bit_length() - 1
@@ -531,9 +594,9 @@ class BatchedHConvEngine:
                     a_stack.astype(np.float64)
                 )
 
-            def product(w_rows: np.ndarray, a_rows: np.ndarray) -> np.ndarray:
+            def product(w_rows: np.ndarray, a_rows: np.ndarray):
                 return _round_rows_exact(
-                    pipe.multiply_spectra_batch(w_rows, a_rows)
+                    pipe.multiply_spectra_batch(w_rows, a_rows), residual
                 )
 
         cache = self.plan_cache
@@ -566,6 +629,10 @@ class BatchedHConvEngine:
         with _Timer(stats, "pointwise+inverse"):
             group_rows = fan_out(groups, group_job, self.max_workers)
         stats.products += len(pairs) * batch
+        worst = 0.0
+        if residual:
+            group_rows, worsts = zip(*group_rows)
+            worst = max(worsts)
 
         with _Timer(stats, "decode"):
             oh, ow = shape.out_height, shape.out_width
@@ -579,6 +646,7 @@ class BatchedHConvEngine:
                 r0 = row_start
                 r1 = min(r0 + y.shape[1], oh)
                 total[item, :, r0:r1, :ow] += y[:, : r1 - r0, :ow]
+        return worst
 
     def _sparse_weight_source(self, n, enc, w_polys, pairs, stats):
         """``(transform, key_of)`` of a band's sparse weight spectra.

@@ -6,11 +6,26 @@ on the float64 folded FFT only when an a-priori round-off bound is below
 the realized rounding stays under the bound, that rejected products fall
 back in order, and that every output is bit-identical to the NTT oracle
 (``RingPoly`` products, which run ``RnsBasis.mul``).
+
+The clear-domain engine's exact mode (``BatchedHConvEngine(mode="ntt")``)
+decides once per call, from a certificate for weight spectra built in
+float64: certified calls run the engine's ``"fft"`` branch, the others
+its NTT branch; both stay bit-identical to ``hconv_ntt`` and the integer
+convolution.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core.hconv import hconv_ntt
+from repro.encoding import ConvShape
+from repro.encoding.conv_encoding import (
+    Conv2dEncoder,
+    decompose_strided,
+    iter_row_bands,
+)
 from repro.fftcore.exact import (
     CERTIFIED_BELOW,
     get_exact_negacyclic,
@@ -21,10 +36,15 @@ from repro.he.backend import NttPolyMulBackend
 from repro.he.bfv import BfvContext
 from repro.he.params import cham_preset, cheetah_preset
 from repro.he.poly import RingPoly, uniform_poly
+from repro.nn.model import conv2d_int_batch
+from repro.nn.resnet import resnet18_conv_layers
 from repro.obs import trace as obs_trace
+from repro.runtime import BatchedHConvEngine
+from repro.runtime.engine import _encoded_weight_norms, ntt_modulus
 
 CHEETAH = cheetah_preset()
 CHAM = cham_preset()
+RESNET18 = {layer.name: layer.shape for layer in resnet18_conv_layers()}
 
 
 def _conv_weight(rng, n):
@@ -72,6 +92,48 @@ def _traced_multiply(backend, polys, weights):
         tracer.disable()
     (span,) = [r for r in records if r["name"] == "runtime.multiply_many"]
     return outs, span["attrs"]
+
+
+def _traced_conv(engine, xs, w, shape, n):
+    """``conv2d_batch`` under tracing: outputs and the span's attrs."""
+    tracer = obs_trace.tracer
+    tracer.enable()
+    tracer.clear()
+    try:
+        out = engine.conv2d_batch(xs, w, shape, n)
+        records = tracer.drain()
+    finally:
+        tracer.disable()
+    (span,) = [r for r in records if r["name"] == "runtime.conv2d_batch"]
+    return out, span["attrs"]
+
+
+#: A small padded 3x3 layer; at n = 64 each weight polynomial holds one
+#: channel's nine taps.
+SMALL_CONV = ConvShape(
+    in_channels=2, height=6, width=6, out_channels=3,
+    kernel_h=3, kernel_w=3, stride=1, padding=1,
+)
+
+
+def rejected_conv_inputs(seed=0):
+    """13-bit inputs and weights for ``SMALL_CONV`` at n = 64: their 31-bit
+    prime is within ``ntt_modulus``'s range, but the float64-spectrum
+    certificate rejects them (bound about 4.6)."""
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(-4096, 4097, size=(2, 2, 6, 6))
+    w = rng.integers(-4096, 4097, size=(3, 2, 3, 3))
+    return xs, w
+
+
+def _negacyclic_exact(a, w):
+    """The exact negacyclic product of two int64 vectors (no overflow for
+    ``|a| < 2**30`` against 8-bit weights at n = 4096)."""
+    n = a.shape[0]
+    full = np.convolve(a, w)
+    out = full[:n].copy()
+    out[: n - 1] -= full[n:]
+    return out
 
 
 def _traced_decrypt(ctx, sk, cts):
@@ -280,3 +342,125 @@ class TestFallback:
         assert np.array_equal(messages, oracle[0])
         assert [b.hex() for b in budgets] == [b.hex() for b in oracle[1]]
         assert attrs["rounding_worst"] == attrs["rounding_bound"] == 0.0
+
+
+class TestEngineExactArm:
+    """``BatchedHConvEngine(mode="ntt")``: certified FFT, NTT fallback."""
+
+    @pytest.mark.parametrize(
+        "name", ["layer2.1.conv1", "layer3.0.downsample"]
+    )
+    def test_resnet18_band_is_certified_and_bit_identical(self, name):
+        """A 3x3 and a 1x1/stride-2 ResNet-18 layer at n = 4096 (two
+        output channels): realized <= bound < 1/2 and bit-identical."""
+        n = 4096
+        shape = replace(RESNET18[name], out_channels=2)
+        rng = np.random.default_rng(12)
+        xs = rng.integers(
+            -8, 8, size=(2, shape.in_channels, shape.height, shape.width)
+        )
+        w = rng.integers(
+            -8, 8,
+            size=(2, shape.in_channels, shape.kernel_h, shape.kernel_w),
+        )
+        engine = BatchedHConvEngine(mode="ntt", max_workers=2)
+        out, attrs = _traced_conv(engine, xs, w, shape, n)
+        assert attrs["ntt_fallback"] == 0
+        assert 0 < attrs["rounding_worst"] <= attrs["rounding_bound"]
+        assert attrs["rounding_bound"] < CERTIFIED_BELOW
+        assert np.array_equal(
+            out, conv2d_int_batch(xs, w, shape.stride, shape.padding)
+        )
+        assert np.array_equal(
+            out, np.stack([hconv_ntt(x, w, shape, n) for x in xs])
+        )
+        # The certified arm is the "fft" branch: its spectra, no NTT plan,
+        # and the "ntt" mode's work counters.
+        keys = engine.plan_cache.keys()
+        assert {key[0] for key in keys} == {"fft-plan", "fft-wspec"}
+        stats = engine.last_stats
+        assert stats.products > 0
+        assert stats.weight_transforms == stats.weight_mults_dense == 0
+
+    def test_weight_norms_are_the_encoded_polynomials(self):
+        """Strided, padded, with a zero-padded virtual channel: the norms
+        the certificate takes equal those of the encoded polynomials."""
+        n, s = 128, 2
+        shape = ConvShape(
+            in_channels=5, height=9, width=9, out_channels=4,
+            kernel_h=3, kernel_w=3, stride=s, padding=1,
+        )
+        w = np.random.default_rng(15).integers(-8, 8, size=(4, 5, 3, 3))
+        bands = [
+            (a, b, phase.width, row, band)
+            for phase, a, b in decompose_strided(shape)
+            for row, band in iter_row_bands(phase, n)
+        ]
+        polys = [
+            poly
+            for a, b, _, _, band in bands
+            for poly in Conv2dEncoder(band, n).encode_weights(
+                w[:, :, a::s, b::s]
+            ).values()
+        ]
+        assert Conv2dEncoder(bands[0][4], n).num_tiles == 2
+        norm2, norm1 = _encoded_weight_norms(w, s, bands, n)
+        assert norm1 == max(int(np.abs(p).sum()) for p in polys)
+        squares = max(int(np.dot(p, p)) for p in polys)
+        assert norm2 ** 2 >= squares
+        assert norm2 == pytest.approx(squares ** 0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("taps", [36, 512])
+    def test_float64_spectrum_bound_is_sound(self, bits, taps):
+        """Worst-case centered residues at the prime the engine picks:
+        the float64 product is within the bound of the exact one."""
+        n = 4096
+        kernel = get_exact_negacyclic(n)
+        rng = np.random.default_rng(13 + bits + taps)
+        half = 1 << (bits - 1)
+        w = np.zeros(n, dtype=np.int64)
+        w[rng.choice(n, size=taps, replace=False)] = rng.integers(
+            -half, half, size=taps
+        )
+        l1 = int(np.abs(w).sum())
+        prime = ntt_modulus(n, l1 * half)
+        bound = kernel.float64_bound(prime, weight_norm(w), l1)
+        a = rng.integers(-(prime // 2), prime // 2 + 1, size=(3, n))
+        product = kernel.fft.inverse_batch(
+            kernel.fft.forward_batch(a) * kernel.fft.forward_batch(w)
+        )
+        exact = np.stack([_negacyclic_exact(row, w) for row in a])
+        realized = float(np.max(np.abs(product - exact)))
+        assert 0 < realized <= bound
+        if bits == 4 and taps == 36:
+            assert bound < CERTIFIED_BELOW  # a 3x3, 4-channel 4-bit weight
+
+    def test_float64_bound_exceeds_the_long_double_one(self):
+        kernel = get_exact_negacyclic(CHEETAH.n)
+        w = _fc_weight(np.random.default_rng(14), CHEETAH.n)
+        norm, l1 = weight_norm(w), int(np.abs(w).sum())
+        prime = CHEETAH.basis.primes[0]
+        peak = float(np.max(np.abs(kernel.spectrum(w))))
+        assert kernel.bound(prime, norm, peak) < kernel.float64_bound(
+            prime, norm, l1
+        )
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_rejected_call_runs_the_ntt(self, workers):
+        n = 64
+        xs, w = rejected_conv_inputs()
+        engine = BatchedHConvEngine(mode="ntt", max_workers=workers)
+        out, attrs = _traced_conv(engine, xs, w, SMALL_CONV, n)
+        assert attrs["ntt_fallback"] == 1
+        assert attrs["rounding_worst"] == 0.0
+        assert attrs["rounding_bound"] >= CERTIFIED_BELOW
+        assert np.array_equal(out, conv2d_int_batch(xs, w, 1, 1))
+        assert np.array_equal(
+            out, np.stack([hconv_ntt(x, w, SMALL_CONV, n) for x in xs])
+        )
+        keys = engine.plan_cache.keys()
+        assert {key[0] for key in keys} == {"ntt-plan", "ntt-wspec"}
+        # The same call with 4-bit weights certifies.
+        _, small = _traced_conv(engine, xs % 16 - 8, w % 16 - 8, SMALL_CONV, n)
+        assert small["ntt_fallback"] == 0

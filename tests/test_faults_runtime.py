@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.encoding import ConvShape
 from repro.he.backend import NttPolyMulBackend
 from repro.he.params import toy_preset
 from repro.he.poly import RingPoly
@@ -15,6 +14,7 @@ from repro.runtime import (
     fan_out,
     value_digest,
 )
+from tests.test_exact_fft import SMALL_CONV, rejected_conv_inputs
 
 BASIS = toy_preset(n=64).basis
 
@@ -79,23 +79,37 @@ class TestJobErrorsPropagate:
         with pytest.raises(RuntimeError, match="job failed once"):
             backend.multiply_many(polys, weights)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_engine_group_job(self, monkeypatch, workers):
+    @pytest.mark.parametrize(
+        "arm, workers",
+        [
+            # Ids 1/2 are the certified arm, the path small inputs take.
+            pytest.param("certified", 1, id="1"),
+            pytest.param("certified", 2, id="2"),
+            pytest.param("ntt-fallback", 1, id="ntt-fallback-1"),
+            pytest.param("ntt-fallback", 2, id="ntt-fallback-2"),
+        ],
+    )
+    def test_engine_group_job(self, monkeypatch, arm, workers):
+        """Mode "ntt" runs the float64 product when its certificate holds
+        and the NTT's ``mulmod`` when it rejects; either job's error
+        propagates."""
         import repro.runtime.engine as engine_module
+        from repro.fftcore.approx_pipeline import ApproxNegacyclic
 
-        shape = ConvShape(
-            in_channels=2, height=6, width=6, out_channels=3,
-            kernel_h=3, kernel_w=3, stride=1, padding=1,
-        )
-        rng = np.random.default_rng(3)
-        xs = rng.integers(-7, 8, size=(2, 2, 6, 6))
-        w = rng.integers(-3, 4, size=(3, 2, 3, 3))
+        if arm == "certified":
+            rng = np.random.default_rng(3)
+            xs = rng.integers(-7, 8, size=(2, 2, 6, 6))
+            w = rng.integers(-3, 4, size=(3, 2, 3, 3))
+            owner, name = ApproxNegacyclic, "multiply_spectra_batch"
+        else:
+            xs, w = rejected_conv_inputs()
+            owner, name = engine_module, "mulmod"
         monkeypatch.setattr(
-            engine_module, "mulmod", _fail_first_call(engine_module.mulmod)
+            owner, name, _fail_first_call(getattr(owner, name))
         )
         engine = BatchedHConvEngine(mode="ntt", max_workers=workers)
         with pytest.raises(RuntimeError, match="job failed once"):
-            engine.conv2d_batch(xs, w, shape, 64)
+            engine.conv2d_batch(xs, w, SMALL_CONV, 64)
 
 
 class TestPlanCacheIntegrity:
