@@ -1126,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requests", type=int, default=25,
                    help="requests per client")
     p.add_argument("--tenants", type=int, default=2)
-    p.add_argument("--mode", choices=["ntt", "fft", "flash", "sparse"],
+    p.add_argument("--mode", choices=["ntt", "flash", "sparse"],
                    default="sparse")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--channels", type=int, default=1)

@@ -176,7 +176,6 @@ class ClusterExecutor:
         self,
         backend: str,
         weight_config,
-        pattern,
         polys: List,
         weights_list: List[np.ndarray],
         deadline_s: Optional[float] = None,
@@ -200,7 +199,7 @@ class ClusterExecutor:
         payloads = self._stamp_deadline(
             [
                 mul_job_payload(
-                    backend, weight_config, pattern, basis,
+                    backend, weight_config, basis,
                     blobs[lo:hi], weights_list[lo:hi],
                 )
                 for lo, hi in _split_indices(len(blobs), self.policy.workers)

@@ -169,7 +169,6 @@ def conv_job_payload(
 def mul_job_payload(
     backend: str,
     config,
-    pattern,
     basis,
     poly_blobs: List[bytes],
     weights: List[np.ndarray],
@@ -178,7 +177,6 @@ def mul_job_payload(
     return {
         "backend": backend,
         "config": config_to_wire(config),
-        "pattern": None if pattern is None else [int(v) for v in pattern],
         "basis": basis_to_wire(basis),
         "polys": list(poly_blobs),
         "weights": [

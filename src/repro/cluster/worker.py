@@ -24,8 +24,6 @@ from __future__ import annotations
 import time
 from typing import Any, Dict
 
-import numpy as np
-
 from repro.cluster.jobs import (
     MSG_ERROR,
     MSG_JOB_CONV,
@@ -44,6 +42,7 @@ from repro.cluster.jobs import (
     encode_message,
     shape_from_wire,
 )
+from repro.faults import corrupt_cache_entry
 from repro.faults.channel import ChecksumError
 from repro.obs import trace as obs_trace
 
@@ -71,9 +70,8 @@ class WorkerState:
             )
         return self._engines[key]
 
-    def backend(self, kind: str, config_wire, pattern):
-        key = ("backend", kind, config_wire,
-               None if pattern is None else tuple(pattern))
+    def backend(self, kind: str, config_wire):
+        key = ("backend", kind, config_wire)
         if key not in self._backends:
             from repro.he.backend import (
                 FftPolyMulBackend,
@@ -89,8 +87,7 @@ class WorkerState:
                 )
             elif kind == "sparse":
                 backend = SparseFftPolyMulBackend(
-                    weight_config=config_from_wire(config_wire),
-                    pattern=pattern,
+                    weight_config=config_from_wire(config_wire)
                 )
             else:
                 raise ValueError(f"unknown backend kind {kind!r}")
@@ -99,18 +96,14 @@ class WorkerState:
 
     # -- fault counters ---------------------------------------------------
 
-    def _caches(self):
-        for engine in self._engines.values():
-            yield engine.plan_cache
-        for backend in self._backends.values():
-            for attr in ("plan_cache", "_spectrum_cache", "_pipelines"):
-                cache = getattr(backend, attr, None)
-                if cache is not None and hasattr(cache, "stats"):
-                    yield cache
+    def caches(self):
+        """The ``plan_cache`` of every engine and backend in this process."""
+        for owner in (*self._engines.values(), *self._backends.values()):
+            yield owner.plan_cache
 
     def cache_corruptions(self) -> int:
         """Total integrity evictions across every cache this process owns."""
-        return sum(cache.stats().get("corruptions", 0) for cache in self._caches())
+        return sum(cache.corruptions for cache in self.caches())
 
     def counters(self) -> Dict[str, int]:
         """Cumulative per-process counter snapshot (attached to replies)."""
@@ -119,35 +112,6 @@ class WorkerState:
             "wire_errors": self.wire_errors,
             "cache_corruptions": self.cache_corruptions(),
         }
-
-    def tamper_one_cache_entry(self) -> int:
-        """Chaos/test hook: flip bytes inside cached arrays in place.
-
-        Returns how many entries were mutated.  The next integrity-checked
-        lookup of each mutated entry must detect the damage, evict it and
-        recompute -- which the campaign verifies by bit-comparing results.
-        """
-        tampered = 0
-        for cache in self._caches():
-            if not getattr(cache, "check_integrity", False):
-                continue
-            for key in cache.keys():
-                value = cache.get(key)
-                arrays = []
-                if isinstance(value, np.ndarray):
-                    arrays.append(value)
-                values = getattr(value, "values", None)
-                if isinstance(values, np.ndarray):
-                    arrays.append(values)
-                for arr in arrays:
-                    if arr.size:
-                        flat = arr.view(np.uint8).reshape(-1)
-                        flat[0] ^= 0xFF
-                        tampered += 1
-                        break
-                if arrays:
-                    break
-        return tampered
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +158,7 @@ def _execute_mul(payload: Dict[str, Any], state: WorkerState) -> dict:
                 f"job polynomial {i} failed wire validation: {exc}"
             ) from exc
         polys.append(poly)
-    backend = state.backend(
-        payload["backend"], payload["config"], payload["pattern"]
-    )
+    backend = state.backend(payload["backend"], payload["config"])
     outs = backend.multiply_many(polys, payload["weights"])
     state.jobs_done += 1
     return {
@@ -246,7 +208,9 @@ def worker_main(conn, slot: int, incarnation: int) -> None:
             }))
             continue
         if kind == MSG_TAMPER:
-            tampered = state.tamper_one_cache_entry()
+            tampered = sum(
+                corrupt_cache_entry(cache) for cache in state.caches()
+            )
             _safe_send(conn, encode_message(MSG_RESULT, job_id, {
                 "data": {"tampered": tampered}, "counters": state.counters(),
             }))

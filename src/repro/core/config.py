@@ -82,19 +82,14 @@ class FlashConfig:
         return NttPolyMulBackend(max_workers=max_workers, cluster=cluster)
 
     def batched_sparse_backend(
-        self,
-        max_workers: Optional[int] = None,
-        pattern: Optional[List[int]] = None,
-        cluster=None,
+        self, max_workers: Optional[int] = None, cluster=None
     ) -> SparseFftPolyMulBackend:
         """Approximate backend running compiled sparse weight plans.
 
-        Per-weight structural patterns are inferred from each weight's
-        support unless a fixed layer ``pattern`` is given.
+        Each weight's structural pattern is inferred from its support.
         """
         return SparseFftPolyMulBackend(
             weight_config=self.weight_fft_config(),
-            pattern=pattern,
             max_workers=max_workers,
             cluster=cluster,
         )

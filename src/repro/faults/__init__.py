@@ -25,7 +25,12 @@ from repro.faults.channel import (
     decode_frame,
     encode_frame,
 )
-from repro.faults.chaos import ChaosIteration, ChaosReport, run_campaign
+from repro.faults.chaos import (
+    ChaosIteration,
+    ChaosReport,
+    corrupt_cache_entry,
+    run_campaign,
+)
 from repro.faults.guard import BudgetGuard, DegradationEvent
 from repro.faults.session import ResilientSession, RetryPolicy
 from repro.he.noise import NoiseBudgetError
@@ -46,6 +51,7 @@ __all__ = [
     "RetryPolicy",
     "TransportError",
     "TransportStats",
+    "corrupt_cache_entry",
     "decode_frame",
     "encode_frame",
     "run_campaign",

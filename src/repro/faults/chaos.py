@@ -276,41 +276,32 @@ def _probe_degradation(it: ChaosIteration, n: int, seed: int) -> None:
         )
 
 
-def _tamper_backend_caches(backend) -> int:
-    """Flip one byte inside one cached array of each integrity-checked
-    cache the backend owns (in place, simulating memory corruption).
+def corrupt_cache_entry(cache) -> int:
+    """Flip one byte of the first cached array of an integrity-checked
+    :class:`repro.runtime.PlanCache`, in place (simulated memory
+    corruption).
 
-    Returns how many entries were mutated; subsequent lookups must detect
-    the damage via the entry digests, evict and recompute.
+    Returns how many entries were mutated (0 or 1); the next lookup of the
+    entry must detect the damage via its digest, evict and recompute it.
     """
     import numpy as np
 
-    tampered = 0
-    for attr in ("plan_cache", "_spectrum_cache", "_pipelines"):
-        cache = getattr(backend, attr, None)
-        if cache is None or not getattr(cache, "check_integrity", False):
-            continue
-        for key in cache.keys():
-            value = cache.get(key)
-            arrays = [
-                arr
-                for arr in (value, getattr(value, "values", None))
-                if isinstance(arr, np.ndarray) and arr.size
-            ]
-            if not arrays:
-                continue
-            flat = arrays[0].view(np.uint8).reshape(-1)
-            flat[0] ^= 0xFF
-            tampered += 1
-            break
-    return tampered
+    if not cache.check_integrity:
+        return 0
+    for key in cache.keys():
+        value = cache.get(key)
+        for arr in (value, getattr(value, "values", None)):
+            if isinstance(arr, np.ndarray) and arr.size:
+                arr.view(np.uint8).reshape(-1)[0] ^= 0xFF
+                return 1
+    return 0
 
 
 def _probe_sparse(it: ChaosIteration, n: int, seed: int, workers: int) -> None:
     """Sparse-plan path under cache corruption.
 
-    The compiled-plan and spectrum caches of a
-    :class:`repro.he.backend.SparseFftPolyMulBackend` are corrupted in place
+    One cached spectrum in the ``plan_cache`` of a
+    :class:`repro.he.backend.SparseFftPolyMulBackend` is corrupted in place
     between two runs; the integrity digests must evict the damage and the
     second run must stay byte-identical to the fault-free reference.
     """
@@ -339,15 +330,12 @@ def _probe_sparse(it: ChaosIteration, n: int, seed: int, workers: int) -> None:
 
     faulty = SparseFftPolyMulBackend(weight_config=cfg, max_workers=workers)
     first = faulty.multiply_many(polys, weights)
-    corruptions_before = faulty.plan_cache.stats().get("corruptions", 0)
-    _tamper_backend_caches(faulty)
+    corruptions_before = faulty.plan_cache.corruptions
+    corrupt_cache_entry(faulty.plan_cache)
     second = faulty.multiply_many(polys, weights)
-    corruptions_after = sum(
-        getattr(faulty, attr).stats().get("corruptions", 0)
-        for attr in ("plan_cache", "_spectrum_cache", "_pipelines")
-        if hasattr(faulty, attr)
+    it.cache_corruptions_detected += (
+        faulty.plan_cache.corruptions - corruptions_before
     )
-    it.cache_corruptions_detected += corruptions_after - corruptions_before
     identical = all(
         np.array_equal(a, b)
         for out, ref in zip(first + second, reference + reference)

@@ -18,11 +18,11 @@ one.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fftcore.approx_pipeline import ApproxNegacyclic, ApproxSpectrum
 from repro.fftcore.exact import (
     CERTIFIED_BELOW,
     ExactNegacyclic,
@@ -35,11 +35,17 @@ from repro.ntt.modmath import mulmod
 from repro.ntt.rns import RnsBasis
 from repro.obs import trace as obs_trace
 from repro.runtime.engine import RuntimeStats, fan_out
-from repro.runtime.plan_cache import PlanCache, approx_config_key, sparse_plan
+from repro.runtime.plan_cache import (
+    PlanCache,
+    approx_config_key,
+    fft_pipeline,
+    sparse_pipeline,
+    sparse_weight_spectra,
+)
 
-#: Default byte budget for the bounded weight-spectrum caches.  Generous for
-#: every test/benchmark workload, but finite: the old ad-hoc dict caches
-#: grew without bound across a long-running inference service.
+#: Default byte budget of a backend's ``plan_cache``.  Generous for every
+#: test/benchmark workload, but finite: the old ad-hoc dict caches grew
+#: without bound across a long-running inference service.
 DEFAULT_SPECTRUM_CACHE_BYTES = 64 << 20
 
 
@@ -51,6 +57,10 @@ class PolyMulBackend:
     are shared.
 
     Args:
+        plan_cache: the backend's one store of plans and weight spectra;
+            when omitted, a ``DEFAULT_SPECTRUM_CACHE_BYTES`` cache with
+            entry-integrity checking (a tampered spectrum is evicted and
+            recomputed rather than served).
         max_workers: thread-pool width for independent jobs (RNS limbs,
             CRT lifts, reductions); ``None``/``0``/``1`` selects the serial
             fallback.
@@ -62,7 +72,21 @@ class PolyMulBackend:
     #: ``RuntimeStats.mode`` of the backend and its cluster job kind.
     kind: str
 
-    def __init__(self, max_workers: Optional[int] = None, cluster=None):
+    def __init__(
+        self,
+        plan_cache: Optional[PlanCache] = None,
+        max_workers: Optional[int] = None,
+        cluster=None,
+    ):
+        # Note: "plan_cache or ..." would discard an *empty* shared cache
+        # (PlanCache defines __len__), so test identity explicitly.
+        self.plan_cache = (
+            plan_cache if plan_cache is not None
+            else PlanCache(
+                capacity_bytes=DEFAULT_SPECTRUM_CACHE_BYTES,
+                check_integrity=True,
+            )
+        )
         self.max_workers = max_workers
         self.cluster = cluster
         self.last_stats = RuntimeStats(mode=self.kind)
@@ -104,11 +128,7 @@ class PolyMulBackend:
         """
         cluster = self.cluster
         outs = cluster.multiply_many(
-            self.kind,
-            getattr(self, "weight_config", None),
-            getattr(self, "pattern", None),
-            polys,
-            weights_list,
+            self.kind, getattr(self, "weight_config", None), polys, weights_list
         )
         self.last_stats = cluster.last_stats
         return outs
@@ -142,28 +162,10 @@ class NttPolyMulBackend(PolyMulBackend):
     ``runtime.multiply_many`` span.
 
     Args:
-        plan_cache: weight-spectrum store; when omitted, a bounded cache
-            with entry-integrity checking (a tampered spectrum is evicted
-            and recomputed rather than served).
-        max_workers, cluster: see :class:`PolyMulBackend`.
+        plan_cache, max_workers, cluster: see :class:`PolyMulBackend`.
     """
 
     kind = "ntt"
-
-    def __init__(
-        self,
-        plan_cache: Optional[PlanCache] = None,
-        max_workers: Optional[int] = None,
-        cluster=None,
-    ):
-        super().__init__(max_workers, cluster)
-        self.plan_cache = (
-            plan_cache if plan_cache is not None
-            else PlanCache(
-                capacity_bytes=DEFAULT_SPECTRUM_CACHE_BYTES,
-                check_integrity=True,
-            )
-        )
 
     def _weight_residue_spectrum(
         self, n: int, prime: int, weights: np.ndarray
@@ -303,17 +305,15 @@ class FftPolyMulBackend(PolyMulBackend):
     both ciphertext components of every input tile, so hardware computes
     the weight transform once (this is also why the second approach of
     Section III-B wins -- activation transforms are shared along output
-    channels).
+    channels).  A call's missing spectra are built in one batched weight
+    transform (:meth:`PlanCache.get_or_build_many`).
 
     Args:
         weight_config: fixed-point configuration for the weight-transform
             butterflies; ``None`` runs the weight path in float64 (the
             "FFT (FP)" ablation arm).
-        spectrum_cache_bytes: LRU byte budget for cached weight spectra
-            (``None`` disables the bound); the cache never exceeds it.
-            Entries are integrity-checked: a tampered cached spectrum is
-            evicted and recomputed rather than served.
-        max_workers, cluster: see :class:`PolyMulBackend`.
+        plan_cache, max_workers, cluster: see :class:`PolyMulBackend`;
+            the cache holds the pipeline and the weight spectra.
     """
 
     kind = "flash"
@@ -321,48 +321,15 @@ class FftPolyMulBackend(PolyMulBackend):
     def __init__(
         self,
         weight_config: Optional[ApproxFftConfig] = None,
-        spectrum_cache_bytes: Optional[int] = DEFAULT_SPECTRUM_CACHE_BYTES,
+        plan_cache: Optional[PlanCache] = None,
         max_workers: Optional[int] = None,
         cluster=None,
     ):
-        super().__init__(max_workers, cluster)
+        super().__init__(plan_cache, max_workers, cluster)
         self.weight_config = weight_config
-        self._pipelines = PlanCache(max_entries=16)
-        self._spectrum_cache = PlanCache(
-            capacity_bytes=spectrum_cache_bytes, check_integrity=True
-        )
-
-    def pipeline(self, n: int) -> ApproxNegacyclic:
-        cfg = self.weight_config
-        if cfg is not None and cfg.n != n // 2:
-            raise ValueError(
-                f"weight core is {cfg.n}-point but ring needs {n // 2}"
-            )
-        return self._pipelines.get_or_build(
-            ("fft-plan", n, approx_config_key(cfg)),
-            lambda: ApproxNegacyclic(n, cfg),
-        )
-
-    @obs_trace.traced("he.weight_spectrum")
-    def weight_spectrum(self, n: int, weights: np.ndarray) -> ApproxSpectrum:
-        """Cached approximate forward transform of a weight polynomial."""
-        weights = np.ascontiguousarray(weights, dtype=np.int64)
-        pipeline = self.pipeline(n)
-        return self._spectrum_cache.get_or_build(
-            (n, weights.tobytes()),
-            lambda: pipeline.weight_forward(weights),
-        )
-
-    @property
-    def cache_stats(self) -> dict:
-        """Hit/miss/byte statistics of the weight-spectrum cache."""
-        return self._spectrum_cache.stats()
-
-    def clear_cache(self) -> None:
-        self._spectrum_cache.clear()
 
     def _weight_rows(
-        self, n: int, weights_list: List[np.ndarray]
+        self, n: int, weights: List[np.ndarray]
     ) -> Tuple[np.ndarray, Dict[str, int]]:
         """Stacked weight spectra plus mult accounting for one call.
 
@@ -371,21 +338,24 @@ class FftPolyMulBackend(PolyMulBackend):
         ``last_stats`` and is returned (not stored on ``self``) so
         concurrent calls stay race-free.
         """
-        rows = np.stack(
-            [
-                self.weight_spectrum(n, np.asarray(w)).values
-                for w in weights_list
-            ]
+        pipe = fft_pipeline(self.plan_cache, n, self.weight_config)
+        cfg_key = approx_config_key(self.weight_config)
+        rows = self.plan_cache.get_or_build_many(
+            weights,
+            lambda w: ("fft-wspec", n, cfg_key, w.tobytes()),
+            lambda ws: pipe.weight_forward_batch(np.stack(ws)).values,
         )
-        return rows, {}
+        return np.stack(rows), {}
 
     def _multiply_batch(
         self, polys: List[RingPoly], weights_list: List[np.ndarray]
     ) -> List[RingPoly]:
         basis = polys[0].basis
         n = basis.n
-        pipe = self.pipeline(n)
-        w_rows, mult_stats = self._weight_rows(n, weights_list)
+        pipe = fft_pipeline(self.plan_cache, n, self.weight_config)
+        w_rows, mult_stats = self._weight_rows(n, [
+            np.ascontiguousarray(w, dtype=np.int64) for w in weights_list
+        ])
 
         lifts = fan_out(polys, centered_lift, self.max_workers)
         a_spec = pipe.activation_forward_batch(np.stack(lifts))
@@ -408,12 +378,13 @@ class SparseFftPolyMulBackend(FftPolyMulBackend):
 
     Identical to :class:`FftPolyMulBackend` except that each weight's
     spectrum is produced by a :class:`repro.sparse.plan.SparsePlan`
-    compiled for its structural zero pattern -- by default the weight's
-    own support (``np.nonzero``), optionally a fixed layer ``pattern``.
-    Weights sharing a folded pattern share one plan and are transformed
-    in one batched execution; every spectrum is bit-identical to per-call
+    compiled for its structural zero pattern, the weight's own support
+    (``np.nonzero``).  Weights sharing a folded pattern share one plan and
+    are transformed in one batched execution
+    (:func:`repro.runtime.plan_cache.sparse_weight_spectra`); every
+    spectrum is bit-identical to per-call
     :meth:`repro.sparse.sparse_fxp.SparseApproxNegacyclic.weight_forward`
-    with the same pattern.
+    with the same pattern.  Plans and spectra share ``plan_cache``.
 
     ``last_stats`` reports realized/dense/model multiplication counts per
     *distinct* weight in the call (c0/c1 and cross-item repeats dedupe by
@@ -426,96 +397,57 @@ class SparseFftPolyMulBackend(FftPolyMulBackend):
     def __init__(
         self,
         weight_config: Optional[ApproxFftConfig] = None,
-        pattern: Optional[Sequence[int]] = None,
-        spectrum_cache_bytes: Optional[int] = DEFAULT_SPECTRUM_CACHE_BYTES,
+        plan_cache: Optional[PlanCache] = None,
         max_workers: Optional[int] = None,
         cluster=None,
     ):
         if weight_config is None:
             raise ValueError("SparseFftPolyMulBackend needs a weight_config")
-        super().__init__(
-            weight_config, spectrum_cache_bytes, max_workers, cluster
-        )
-        self.pattern = (
-            None
-            if pattern is None
-            else np.array(sorted({int(v) for v in pattern}), dtype=np.int64)
-        )
-        # Compiled plans get their own byte-accounted, digest-checked cache:
-        # per-weight support inference can produce many more patterns than
-        # the small ``_pipelines`` entry bound was sized for.
-        self.plan_cache = PlanCache(
-            capacity_bytes=32 << 20, check_integrity=True
-        )
+        super().__init__(weight_config, plan_cache, max_workers, cluster)
 
     def _weight_rows(
-        self, n: int, weights_list: List[np.ndarray]
+        self, n: int, weights: List[np.ndarray]
     ) -> Tuple[np.ndarray, Dict[str, int]]:
         from repro.sparse.opcount import sparse_fft_mults
         from repro.sparse.patterns import fold_valid_indices
-        from repro.sparse.plan import SparseWeightPipeline
 
-        weights = [
-            np.ascontiguousarray(w, dtype=np.int64) for w in weights_list
-        ]
-        folded = []
+        cfg = self.weight_config
+        cfg_key = approx_config_key(cfg)
+        # One (weight, pipeline) item per distinct weight: repeated weights
+        # (c0/c1 of one ciphertext, shared kernels across a batch) are
+        # transformed and counted once; a folded pattern has one pipeline.
+        pipes: Dict[bytes, object] = {}
+        items: Dict[bytes, tuple] = {}
         for w in weights:
-            support = self.pattern if self.pattern is not None else (
-                np.nonzero(w)[0]
-            )
-            folded.append(fold_valid_indices(support, n))
-        # Group indices by folded pattern; within a group, dedupe weights
-        # by bytes so repeated weights (c0/c1 of one ciphertext, shared
-        # kernels across a batch) are transformed and counted once.
-        groups: Dict[bytes, List[int]] = {}
-        for i, fp in enumerate(folded):
-            groups.setdefault(fp.tobytes(), []).append(i)
-        rows = np.empty((len(weights), n // 2), dtype=np.complex128)
-        realized = dense = model = transforms = 0
-        for idxs in groups.values():
-            fp = folded[idxs[0]]
-            plan = sparse_plan(self.plan_cache, n, self.weight_config, fp)
-            pipe_s = SparseWeightPipeline(
-                n, self.weight_config, fp, plan=plan
-            )
-            keys = {
-                i: ("sparse-wspec", n, fp.tobytes(), weights[i].tobytes())
-                for i in idxs
-            }
-            unique: Dict[Hashable, List[int]] = {}
-            for i in idxs:
-                unique.setdefault(keys[i], []).append(i)
-            missing = [
-                key for key in unique if key not in self._spectrum_cache
-            ]
-            built: Dict[Hashable, ApproxSpectrum] = {}
-            if missing:
-                stack = np.stack([weights[unique[k][0]] for k in missing])
-                spec = pipe_s.weight_forward_batch(stack)
-                built = {
-                    k: ApproxSpectrum(
-                        values=spec.values[j], scale=float(spec.scale[j])
+            if w.tobytes() not in items:
+                fp = fold_valid_indices(np.nonzero(w)[0], n)
+                if fp.tobytes() not in pipes:
+                    pipes[fp.tobytes()] = sparse_pipeline(
+                        self.plan_cache, n, cfg, fp
                     )
-                    for j, k in enumerate(missing)
-                }
-            for key, shared in unique.items():
-                value = self._spectrum_cache.get_or_build(
-                    key,
-                    lambda k=key, i=shared[0]: built[k]
-                    if k in built
-                    else pipe_s.weight_forward(weights[i]),
-                )
-                for i in shared:
-                    rows[i] = value.values
-            mults_model = sparse_fft_mults(
-                tuple(int(v) for v in fp), n // 2
-            )
-            transforms += len(unique)
-            realized += plan.mults * len(unique)
-            dense += plan.dense_mults * len(unique)
-            model += mults_model * len(unique)
-        return rows, {
-            "weight_transforms": transforms,
+                items[w.tobytes()] = (w, pipes[fp.tobytes()])
+        rows = self.plan_cache.get_or_build_many(
+            [items[w.tobytes()] for w in weights],
+            lambda item: (
+                "sparse-wspec", n, cfg_key, item[1].pattern.tobytes(),
+                item[0].tobytes(),
+            ),
+            lambda missing: sparse_weight_spectra(
+                [pipe for _, pipe in missing],
+                np.stack([w for w, _ in missing]),
+            ),
+        )
+        counts = Counter(pipe.pattern.tobytes() for _, pipe in items.values())
+        realized = dense = model = 0
+        for key, count in counts.items():
+            pipe = pipes[key]
+            realized += pipe.mults * count
+            dense += pipe.dense_mults * count
+            model += sparse_fft_mults(
+                tuple(int(v) for v in pipe.pattern), n // 2
+            ) * count
+        return np.stack(rows), {
+            "weight_transforms": len(items),
             "weight_mults_realized": realized,
             "weight_mults_dense": dense,
             "weight_mults_model": model,

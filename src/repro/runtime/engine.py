@@ -25,7 +25,6 @@ deterministic and byte-identical to the serial fallback.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +42,6 @@ from repro.encoding.conv_encoding import (
     iter_row_bands,
     pad_input,
 )
-from repro.fftcore.approx_pipeline import ApproxNegacyclic
 from repro.fftcore.exact import (
     CERTIFIED_BELOW, get_exact_negacyclic, weight_norm,
 )
@@ -51,7 +49,10 @@ from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.ntt import find_ntt_primes, get_ntt
 from repro.ntt.modmath import centered, from_centered, mulmod
 from repro.obs import trace as obs_trace
-from repro.runtime.plan_cache import PlanCache, approx_config_key, sparse_plan
+from repro.runtime.plan_cache import (
+    PlanCache, approx_config_key, fft_pipeline, sparse_pipeline,
+    sparse_weight_spectra,
+)
 
 #: Magnitude from which a rounded float no longer fits in int64.
 _INT64_BOUND = float(1 << 63)
@@ -310,15 +311,14 @@ class BatchedHConvEngine:
     bounds its float64 round-off a priori (:meth:`repro.fftcore.exact
     .ExactNegacyclic.float64_bound` at the call's prime, from the largest
     ``||w||_2`` and ``||w||_1`` of its encoded weight polynomials); below
-    1/2 the call runs the ``"fft"`` branch, whose rounding is then exact,
-    otherwise the single-prime NTT.  The call's ``runtime.conv2d_batch``
-    span carries ``rounding_bound``, ``rounding_worst`` (the realized
+    1/2 the call runs the float64 folded FFT, whose rounding is then
+    exact, otherwise the single-prime NTT.  The call's
+    ``runtime.conv2d_batch`` span carries ``rounding_bound``, ``rounding_worst`` (the realized
     worst ``|x - rint(x)|``, 0 on the NTT) and ``ntt_fallback`` (1 when
     the call ran the NTT).
 
     Args:
-        mode: ``"ntt"`` (exact; certified FFT, NTT fallback), ``"fft"``
-            (float64 folded FFT),
+        mode: ``"ntt"`` (exact; certified FFT, NTT fallback),
             ``"flash"`` (approximate fixed-point weight transforms) or
             ``"sparse"`` (flash with compiled sparse weight plans: the
             structural zero pattern of each channel tile drives the
@@ -340,7 +340,7 @@ class BatchedHConvEngine:
             carries the per-call supervision counters.
     """
 
-    MODES = ("ntt", "fft", "flash", "sparse")
+    MODES = ("ntt", "flash", "sparse")
 
     def __init__(
         self,
@@ -354,7 +354,7 @@ class BatchedHConvEngine:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
         if mode in ("flash", "sparse") and weight_config is None:
             raise ValueError(f"mode={mode!r} needs a weight_config")
-        if mode not in ("flash", "sparse"):
+        if mode == "ntt":
             weight_config = None
         self.mode = mode
         self.weight_config = weight_config
@@ -373,13 +373,6 @@ class BatchedHConvEngine:
     def _ntt_plan(self, n: int, q: int):
         return self.plan_cache.get_or_build(
             ("ntt-plan", n, q), lambda: get_ntt(n, q)
-        )
-
-    def _fft_pipeline(self, n: int) -> ApproxNegacyclic:
-        cfg = self.weight_config
-        key = ("fft-plan", n, approx_config_key(cfg))
-        return self.plan_cache.get_or_build(
-            key, lambda: ApproxNegacyclic(n, cfg)
         )
 
     # -- batched convolution --------------------------------------------
@@ -545,9 +538,9 @@ class BatchedHConvEngine:
         # Per arm: ``transform(chunk)`` batch-transforms the weights of a
         # chunk of pairs into spectrum rows, ``key_of(pair)`` names the
         # pair's cached spectrum and ``product(w_rows, a_rows)`` multiplies
-        # and inverse-transforms.  Mode "ntt" runs the "fft" arm when its
-        # certificate holds and then reports the rounding residual.
-        residual = self.mode == "ntt" and arm == "fft"
+        # and inverse-transforms.  Mode "ntt" runs the float64 "fft" arm
+        # when its certificate holds and then reports the rounding residual.
+        residual = arm == "fft"
         if arm == "ntt":
             plan = self._ntt_plan(n, q)
 
@@ -565,7 +558,7 @@ class BatchedHConvEngine:
                 return centered(plan.inverse_batch(spec), q)
 
         else:
-            pipe = self._fft_pipeline(n)
+            pipe = fft_pipeline(self.plan_cache, n, self.weight_config)
             if arm == "sparse":
                 with _Timer(stats, "weight_transform"):
                     transform, key_of = self._sparse_weight_source(
@@ -605,14 +598,7 @@ class BatchedHConvEngine:
             """The chunk's weight spectra, one row per pair."""
             if not cache_spectra:
                 return transform(chunk)
-            keys = [key_of(pair) for pair in chunk]
-            found = [cache.get(key) for key in keys]
-            missing = [i for i, value in enumerate(found) if value is None]
-            if missing:
-                built = transform([chunk[i] for i in missing])
-                for row, i in enumerate(missing):
-                    found[i] = cache.put(keys[i], built[row])
-            return np.stack(found)
+            return np.stack(cache.get_or_build_many(chunk, key_of, transform))
 
         def group_job(group: List[Tuple[int, int]]) -> np.ndarray:
             a_idx = [
@@ -653,36 +639,32 @@ class BatchedHConvEngine:
 
         All output channels of a tile share one structural pattern
         (:meth:`Conv2dEncoder.weight_valid_indices`), hence one compiled
-        plan; a chunk's weights run through their tile's plan in one
-        batched execution.  Mult counters are charged here, per requested
-        transform, so the accounting is cache-warmth independent.
+        pipeline; :func:`sparse_weight_spectra` runs a chunk's weights in
+        one batched execution per pattern.  Mult counters are charged
+        here, per requested transform, so the accounting is cache-warmth
+        independent.
         """
         from repro.sparse.opcount import sparse_fft_mults
         from repro.sparse.patterns import fold_valid_indices
-        from repro.sparse.plan import SparseWeightPipeline
 
         cfg = self.weight_config
-        pipes: Dict[int, SparseWeightPipeline] = {}
-        patterns: Dict[int, bytes] = {}
+        pipes, patterns = {}, {}
         for tile, count in Counter(tile for tile, _ in pairs).items():
             pattern = fold_valid_indices(enc.weight_valid_indices(tile), n)
-            plan = sparse_plan(self.plan_cache, n, cfg, pattern)
-            pipes[tile] = SparseWeightPipeline(n, cfg, pattern, plan=plan)
+            pipe = pipes[tile] = sparse_pipeline(self.plan_cache, n, cfg, pattern)
             patterns[tile] = pattern.tobytes()
             stats.weight_transforms += count
-            stats.weight_mults_realized += plan.mults * count
-            stats.weight_mults_dense += plan.dense_mults * count
+            stats.weight_mults_realized += pipe.mults * count
+            stats.weight_mults_dense += pipe.dense_mults * count
             stats.weight_mults_model += sparse_fft_mults(
                 tuple(int(v) for v in pattern), n // 2
             ) * count
 
         def transform(chunk):
-            return np.concatenate([
-                pipes[tile].weight_forward_batch(
-                    np.stack([w_polys[pair] for pair in group])
-                ).values
-                for tile, group in itertools.groupby(chunk, key=lambda p: p[0])
-            ])
+            return sparse_weight_spectra(
+                [pipes[tile] for tile, _ in chunk],
+                np.stack([w_polys[pair] for pair in chunk]),
+            )
 
         cfg_key = approx_config_key(cfg)
 

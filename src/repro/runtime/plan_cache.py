@@ -8,6 +8,13 @@ tuples -- typically ``(kind, degree, modulus)`` for NTT plans and
 ``(kind, degree, config_key, weights_bytes)`` for weight spectra -- and
 evicted least-recently-used when a capacity is exceeded.
 
+Each weight-spectrum consumer (:class:`repro.runtime.BatchedHConvEngine`
+and every :mod:`repro.he.backend` backend) owns one ``plan_cache`` and
+fills it through one path: :func:`fft_pipeline` and :func:`sparse_pipeline`
+for plans, :meth:`PlanCache.get_or_build_many` for spectra (one lookup
+per distinct key, one batched build of the misses) and
+:func:`sparse_weight_spectra` for every sparse weight transform.
+
 Two full-cache policies exist because the paper needs both:
 
 * ``on_full="evict"`` -- the runtime behaviour: never hold more than
@@ -26,7 +33,9 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
+)
 
 
 def estimate_nbytes(value: Any) -> int:
@@ -320,6 +329,32 @@ class PlanCache:
                 return self._entries[key][0]
         return self.put(key, value, nbytes=nbytes)
 
+    def get_or_build_many(
+        self,
+        items: Sequence,
+        key: Callable[[Any], Hashable],
+        build: Callable[[list], Sequence],
+    ) -> List[Any]:
+        """The cached values of ``items``, in order, building all misses
+        in one call.
+
+        Each distinct ``key(item)`` is looked up once; ``build`` receives
+        the first item of every missing key, in order, and returns one
+        value per item (e.g. the rows of one batched transform).  The new
+        values are put in the cache; items sharing a key share its value.
+        """
+        keys = [key(item) for item in items]
+        values = {k: self.get(k) for k in dict.fromkeys(keys)}
+        missing = [k for k, value in values.items() if value is None]
+        if missing:
+            first: Dict[Hashable, Any] = {}
+            for k, item in zip(keys, items):
+                first.setdefault(k, item)
+            built = build([first[k] for k in missing])
+            for k, value in zip(missing, built):
+                values[k] = self.put(k, value)
+        return [values[k] for k in keys]
+
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""
         with self._lock:
@@ -352,10 +387,23 @@ def approx_config_key(config) -> tuple:
     )
 
 
-def sparse_plan(cache: PlanCache, n: int, config, folded_pattern):
-    """The compiled :class:`repro.sparse.plan.SparsePlan` of one folded
-    weight pattern for ring degree ``n``, built once per ``cache``."""
-    from repro.sparse.plan import SparsePlan
+def fft_pipeline(cache: PlanCache, n: int, config):
+    """The :class:`repro.fftcore.approx_pipeline.ApproxNegacyclic` of ring
+    degree ``n`` with weight-path ``config`` (``None``: float64), built
+    once per ``cache``."""
+    from repro.fftcore.approx_pipeline import ApproxNegacyclic
+
+    return cache.get_or_build(
+        ("fft-plan", n, approx_config_key(config)),
+        lambda: ApproxNegacyclic(n, config),
+    )
+
+
+def sparse_pipeline(cache: PlanCache, n: int, config, folded_pattern):
+    """The :class:`repro.sparse.plan.SparseWeightPipeline` of one folded
+    weight pattern for ring degree ``n``; its compiled
+    :class:`repro.sparse.plan.SparsePlan` is built once per ``cache``."""
+    from repro.sparse.plan import SparsePlan, SparseWeightPipeline
 
     key = (
         "sparse-plan",
@@ -363,6 +411,26 @@ def sparse_plan(cache: PlanCache, n: int, config, folded_pattern):
         approx_config_key(config),
         folded_pattern.tobytes(),
     )
-    return cache.get_or_build(
+    plan = cache.get_or_build(
         key, lambda: SparsePlan(config, folded_pattern, sign=+1)
     )
+    return SparseWeightPipeline(n, config, folded_pattern, plan=plan)
+
+
+def sparse_weight_spectra(pipes: Sequence, weights):
+    """Sparse approximate spectra of a ``(B, n)`` weight stack.
+
+    Row ``i`` runs ``pipes[i]``, the :func:`sparse_pipeline` of its folded
+    pattern; rows sharing a pipeline run in one batched execution.
+    Returns the ``(B, n/2)`` spectra, each bit-identical to a per-weight
+    transform.
+    """
+    import numpy as np
+
+    groups: Dict[int, List[int]] = {}
+    for i, pipe in enumerate(pipes):
+        groups.setdefault(id(pipe), []).append(i)
+    rows = np.empty((len(weights), weights.shape[1] // 2), dtype=np.complex128)
+    for idxs in groups.values():
+        rows[idxs] = pipes[idxs[0]].weight_forward_batch(weights[idxs]).values
+    return rows

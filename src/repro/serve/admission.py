@@ -38,7 +38,7 @@ def ladder_level(mode: str) -> int:
     try:
         return LADDER.index(mode)
     except ValueError:
-        return len(LADDER) - 1  # "ntt"/"fft" and anything exact-equivalent
+        return len(LADDER) - 1  # modes outside the ladder sit with "ntt"
 
 
 def clamp_mode(requested: str, level: int) -> str:

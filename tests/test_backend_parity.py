@@ -4,8 +4,11 @@ For each of the three transforms, ``multiply(p, w)`` must equal
 ``multiply_many([p], [w])[0]`` (and every row of a larger batch) bit for
 bit, on dense and on sparse weights; ``BfvContext.multiply_plain`` runs
 its c0/c1 products through the same path and decrypts to the plaintext
-convolution.
+convolution.  The products and work counters of every backend, the
+float64 ``fp_fft_backend()`` included, are pinned to digests.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from repro.he.backend import (
     FftPolyMulBackend,
     NttPolyMulBackend,
     SparseFftPolyMulBackend,
+    fp_fft_backend,
 )
 from repro.he.poly import RingPoly
 from repro.ntt import negacyclic_convolution_naive
@@ -85,3 +89,54 @@ def test_multiply_plain_round_trip(kind, sparse):
     out = ctx.decrypt(sk, prod).astype(np.int64)
     expected = negacyclic_convolution_naive(m, w, modulus=t).astype(np.int64)
     assert np.array_equal(out, expected)
+
+
+#: sha256 prefixes of two ``multiply_many`` calls on one backend (cold, then
+#: warm cache; products, then ``last_stats.work()``) per backend, weights
+#: and twiddle level.  Recorded before the FFT backends' caches merged into
+#: one ``plan_cache``, which changes no product and no counter.
+DIGESTS = {
+    ("flash", "dense", 5): "429c3fc44d372bf3",
+    ("flash", "dense", 18): "6a00b07e017819a9",
+    ("flash", "sparse", 5): "37be3d8fdd44be33",
+    ("flash", "sparse", 18): "b02256333be9035f",
+    ("fp", "dense", 5): "35fb1f7403c3e380",
+    ("fp", "dense", 18): "75a1a9fc0596b594",
+    ("fp", "sparse", 5): "e9c7d03719ed4828",
+    ("fp", "sparse", 18): "26c844908a558855",
+    ("ntt", "dense", 5): "8ec40482d378285b",
+    ("ntt", "dense", 18): "7936e867802cb415",
+    ("ntt", "sparse", 5): "73f110dbaf4fd05f",
+    ("ntt", "sparse", 18): "6086bbad7b57cbc6",
+    ("sparse", "dense", 5): "3ff2cbe1561e9730",
+    ("sparse", "dense", 18): "88d9798f523bd139",
+    ("sparse", "sparse", 5): "0d8412fe637b9894",
+    ("sparse", "sparse", 18): "d0a3595ca3e3a431",
+}
+DIGEST_BACKENDS = dict(BACKENDS, fp=lambda k: fp_fft_backend())
+
+
+@pytest.mark.parametrize("twiddle_k", [5, 18])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("kind", sorted(DIGEST_BACKENDS))
+def test_products_and_counters_are_pinned(kind, sparse, twiddle_k):
+    """Three weights, each shared by two products (c0/c1-style repeats),
+    run twice on one backend: a cold and a warm cache."""
+    basis = PARAMS.basis
+    rng = np.random.default_rng(100 + twiddle_k)
+    polys = [
+        RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 60, basis.n)))
+        for _ in range(6)
+    ]
+    weights = [_weights(rng, sparse) for _ in range(3)]
+    weights = weights + weights[::-1]
+    backend = DIGEST_BACKENDS[kind](twiddle_k)
+    digest = hashlib.sha256()
+    for _ in range(2):
+        for out in backend.multiply_many(polys, weights):
+            for residues in out.residues:
+                digest.update(np.ascontiguousarray(residues).tobytes())
+        work = sorted(backend.last_stats.work().items())
+        digest.update(repr(work).encode())
+    label = "sparse" if sparse else "dense"
+    assert digest.hexdigest()[:16] == DIGESTS[(kind, label, twiddle_k)]

@@ -147,7 +147,7 @@ class TestMultiplyManyDifferential:
     def test_ntt_backend_sharded_matches_serial(self, executor, basis):
         polys, weights = self._polys(basis, 0, hi=1 << 62)
         serial = NttPolyMulBackend()
-        got = executor.multiply_many("ntt", None, None, polys, weights)
+        got = executor.multiply_many("ntt", None, polys, weights)
         self._assert_same(got, serial.multiply_many(polys, weights))
 
     def test_flash_backend_sharded_matches_serial(self, executor, basis):
@@ -157,7 +157,7 @@ class TestMultiplyManyDifferential:
         )
         polys, weights = self._polys(basis, 1)
         serial = FftPolyMulBackend(weight_config=cfg)
-        got = executor.multiply_many("flash", cfg, None, polys, weights)
+        got = executor.multiply_many("flash", cfg, polys, weights)
         self._assert_same(got, serial.multiply_many(polys, weights))
 
     def test_sparse_backend_sharded_matches_serial(self, executor, basis):
@@ -167,16 +167,16 @@ class TestMultiplyManyDifferential:
         )
         polys, weights = self._polys(basis, 2)
         serial = SparseFftPolyMulBackend(weight_config=cfg)
-        got = executor.multiply_many("sparse", cfg, None, polys, weights)
+        got = executor.multiply_many("sparse", cfg, polys, weights)
         self._assert_same(got, serial.multiply_many(polys, weights))
 
     def test_empty_input_returns_empty(self, executor):
-        assert executor.multiply_many("ntt", None, None, [], []) == []
+        assert executor.multiply_many("ntt", None, [], []) == []
 
     def test_length_mismatch_rejected(self, executor, basis):
         polys, weights = self._polys(basis, 3, count=2)
         with pytest.raises(ValueError, match="equal length"):
-            executor.multiply_many("ntt", None, None, polys, weights[:1])
+            executor.multiply_many("ntt", None, polys, weights[:1])
 
 
 class TestFacadeDifferential:

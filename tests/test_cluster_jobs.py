@@ -133,21 +133,13 @@ class TestJobPayloads:
     def test_mul_payload_structure(self):
         basis = RnsBasis.generate(64, [30, 31])
         payload = mul_job_payload(
-            "ntt", None, None, basis, [b"blob0", b"blob1"],
+            "ntt", None, basis, [b"blob0", b"blob1"],
             [np.zeros(64), np.ones(64)],
         )
         assert payload["backend"] == "ntt"
-        assert payload["pattern"] is None
         assert payload["basis"] == basis_to_wire(basis)
         assert payload["polys"] == [b"blob0", b"blob1"]
         assert all(w.dtype == np.int64 for w in payload["weights"])
-
-    def test_mul_payload_pattern_normalized(self):
-        basis = RnsBasis.generate(64, [30, 31])
-        payload = mul_job_payload(
-            "sparse", CFG, np.array([1, 0, 1]), basis, [], [],
-        )
-        assert payload["pattern"] == [1, 0, 1]
 
 
 class TestWarmupKeys:
@@ -171,8 +163,8 @@ class TestWarmupKeys:
 
     def test_mul_key_uses_backend_and_degree(self):
         basis = RnsBasis.generate(64, [30, 31])
-        a = mul_job_payload("ntt", None, None, basis, [], [])
-        b = mul_job_payload("flash", CFG, None, basis, [], [])
+        a = mul_job_payload("ntt", None, basis, [], [])
+        b = mul_job_payload("flash", CFG, basis, [], [])
         assert warmup_key(MSG_JOB_MUL, a) != warmup_key(MSG_JOB_MUL, b)
         assert warmup_key(MSG_JOB_MUL, a) != warmup_key(MSG_JOB_CONV, {
             "mode": "ntt", "n": 64, "config": None,

@@ -180,7 +180,7 @@ class TestDegradation:
         blob = bytearray(serialize_poly(poly))
         blob[0] ^= 0xFF  # break the wire header: structurally invalid
         payload = mul_job_payload(
-            "ntt", None, None, basis, [bytes(blob)],
+            "ntt", None, basis, [bytes(blob)],
             [rng.integers(-5, 6, size=64)],
         )
         policy = ClusterPolicy(

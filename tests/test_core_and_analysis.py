@@ -122,9 +122,9 @@ class TestFlashFacade:
         w = rng.integers(-8, 8, size=(4, 16))
         flash.private_linear(x, w, rng)
         backend = flash._batched_backend("flash", None)
-        before = backend.cache_stats
+        before = backend.plan_cache.stats()
         flash.private_linear(x, w, rng)
-        after = backend.cache_stats
+        after = backend.plan_cache.stats()
         assert after["misses"] == before["misses"]
         assert after["hits"] > before["hits"]
 

@@ -248,12 +248,16 @@ class TestMultiplyPlain:
         w = np.zeros(n)
         w[0] = 1
         ct = ctx.encrypt(pk, _random_message(ctx, 31), np.random.default_rng(32))
+        cache = backend.plan_cache
         ctx.multiply_plain(ct, w, backend)
-        assert len(backend._spectrum_cache) == 1
+        # c0 and c1 share the weight: its spectrum is looked up (and
+        # built) once, next to the pipeline.
+        assert [key[0] for key in cache.keys()] == ["fft-plan", "fft-wspec"]
+        assert cache.misses == 2
         ctx.multiply_plain(ct, w, backend)
-        assert len(backend._spectrum_cache) == 1
-        backend.clear_cache()
-        assert len(backend._spectrum_cache) == 0
+        assert cache.misses == 2 and len(cache) == 2
+        cache.clear()
+        assert len(cache) == 0
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=8, deadline=None)

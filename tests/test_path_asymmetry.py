@@ -17,9 +17,12 @@ and record the finding:
   nearly all the energy while the few FP paths stay exact.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.he.backend as he_backend
 from repro.fftcore import ApproxFftConfig, ApproxNegacyclic
 from repro.he import BfvContext, FftPolyMulBackend, toy_preset
 from repro.ntt import negacyclic_convolution_naive
@@ -45,15 +48,10 @@ def _decrypt_error(bfv, **pipe_kwargs):
     """Worst decrypted-message error with per-path FXP configurations."""
     params, ctx, sk, ct, w, expected = bfv
 
-    class _Backend(FftPolyMulBackend):
-        def pipeline(self, n):
-            if n not in self._pipelines:
-                self._pipelines[n] = ApproxNegacyclic(n, **pipe_kwargs)
-            return self._pipelines[n]
-
-    out = ctx.decrypt(sk, ctx.multiply_plain(ct, w, _Backend())).astype(
-        np.int64
-    )
+    pipe = ApproxNegacyclic(params.n, **pipe_kwargs)
+    with mock.patch.object(he_backend, "fft_pipeline", lambda *_: pipe):
+        prod = ctx.multiply_plain(ct, w, FftPolyMulBackend())
+    out = ctx.decrypt(sk, prod).astype(np.int64)
     diff = np.abs(out - expected)
     t = params.t
     return int(np.minimum(diff, t - diff).max())

@@ -99,12 +99,16 @@ class TestClearDomainDifferential:
 
     @pytest.mark.parametrize("batch", [1, 4])
     def test_batched_fft_bit_identical_to_per_call(self, batch):
-        engine = BatchedHConvEngine(mode="fft")
+        """Mode ``"ntt"`` on certified shapes runs the float64 FFT branch,
+        which must equal per-call ``hconv_fft``."""
         rng = np.random.default_rng(batch + 10)
         for shape in random_shape_grid(seed=13, count=4):
+            engine = BatchedHConvEngine(mode="ntt")
             xs = random_batch(rng, shape, batch)
             w = random_kernel(rng, shape)
             got = engine.conv2d_batch(xs, w, shape, N)
+            kinds = {key[0] for key in engine.plan_cache.keys()}
+            assert kinds == {"fft-plan", "fft-wspec"}, shape  # certified
             ref = np.stack([hconv_fft(x, w, shape, N) for x in xs])
             assert np.array_equal(got, ref), shape
 

@@ -137,25 +137,70 @@ class TestPlanCacheProperties:
         assert approx_config_key(None) == ("fp64",)
 
 
+class TestGetOrBuildMany:
+    """The one fill path of weight spectra: lookup, one batched build."""
+
+    def test_one_lookup_per_distinct_key_and_one_build(self):
+        cache = PlanCache()
+        cache.put("b", "B")
+        calls = []
+
+        def build(items):
+            calls.append(list(items))
+            return [item.upper() for item in items]
+
+        out = cache.get_or_build_many(list("abcab"), lambda x: x, build)
+        assert out == list("ABCAB")
+        assert calls == [["a", "c"]]  # misses only, first occurrence order
+        assert (cache.hits, cache.misses) == (1, 2)
+        assert cache.get_or_build_many(list("ca"), lambda x: x, build) == [
+            "C", "A",
+        ]
+        assert len(calls) == 1  # a warm call builds nothing
+        assert cache.get_or_build_many([], lambda x: x, build) == []
+
+
+def _fft_backend(kind: str, cache=None):
+    from repro.fftcore.fixed_point import ApproxFftConfig
+    from repro.he.backend import SparseFftPolyMulBackend
+
+    cfg = ApproxFftConfig(
+        n=32, stage_widths=27, twiddle_k=18, twiddle_max_shift=24
+    )
+    cls = {"flash": FftPolyMulBackend, "sparse": SparseFftPolyMulBackend}
+    return cls[kind](weight_config=cfg, plan_cache=cache)
+
+
+def _products(seed: int, count: int):
+    basis = RnsBasis.generate(64, [30, 30])
+    rng = np.random.default_rng(seed)
+    polys = [
+        RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 20, 64)))
+        for _ in range(count)
+    ]
+    weights = []
+    for _ in range(count):
+        w = rng.integers(-5, 6, size=64)
+        w[rng.random(64) < 0.5] = 0
+        weights.append(w)
+    return polys, weights
+
+
 class TestBoundedBackendCaches:
-    """Regression: the ad-hoc unbounded dict caches in repro.he.backend
-    are gone; spectra now live in capacity-honoring PlanCaches."""
+    """Every backend keeps one capacity-honoring ``plan_cache`` holding
+    its pipeline, sparse plans and weight spectra."""
 
     def test_fft_spectrum_cache_honors_capacity(self):
-        basis = RnsBasis.generate(64, [30, 30])
-        one_spectrum = 64 // 2 * 16 + 8  # complex128 half-spectrum + scale
-        backend = FftPolyMulBackend(
-            spectrum_cache_bytes=3 * one_spectrum
-        )
-        rng = np.random.default_rng(0)
-        poly = RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 20, 64)))
-        for i in range(10):
-            backend.multiply(poly, rng.integers(-5, 6, size=64))
-            assert (
-                backend._spectrum_cache.cached_bytes <= 3 * one_spectrum
-            )
-        assert len(backend._spectrum_cache) <= 3
-        assert backend.cache_stats["evictions"] > 0
+        one_spectrum = 64 // 2 * 16  # one complex128 half-spectrum row
+        for kind in ("flash", "sparse"):
+            capacity = 1024 + 3 * one_spectrum  # pipeline + 3 spectra
+            cache = PlanCache(capacity_bytes=capacity, check_integrity=True)
+            backend = _fft_backend(kind, cache)
+            polys, weights = _products(0, 10)
+            for poly, w in zip(polys, weights):
+                backend.multiply(poly, w)
+                assert cache.cached_bytes <= capacity
+            assert cache.evictions > 0
 
     def test_fft_backend_clear_cache(self):
         basis = RnsBasis.generate(64, [30, 30])
@@ -163,10 +208,33 @@ class TestBoundedBackendCaches:
         rng = np.random.default_rng(1)
         poly = RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 20, 64)))
         backend.multiply(poly, rng.integers(-5, 6, size=64))
-        assert len(backend._spectrum_cache) == 1
-        backend.clear_cache()
-        assert len(backend._spectrum_cache) == 0
-        assert backend._spectrum_cache.cached_bytes == 0
+        assert len(backend.plan_cache) == 2  # the pipeline and one spectrum
+        backend.plan_cache.clear()
+        assert len(backend.plan_cache) == 0
+        assert backend.plan_cache.cached_bytes == 0
+
+    @pytest.mark.parametrize("kind", ["flash", "sparse"])
+    def test_warm_call_makes_no_misses(self, kind):
+        backend = _fft_backend(kind)
+        polys, weights = _products(4, 6)
+        first = backend.multiply_many(polys, weights)
+        misses = backend.plan_cache.misses
+        second = backend.multiply_many(polys, weights)
+        assert backend.plan_cache.misses == misses
+        for a, b in zip(first, second):
+            assert all(np.array_equal(x, y) for x, y in zip(a.residues, b.residues))
+
+    @pytest.mark.parametrize("kind", ["flash", "sparse"])
+    def test_shared_weight_is_looked_up_once(self, kind):
+        """c0 and c1 of one ciphertext share their weight: one spectrum
+        key, missed once, built once."""
+        backend = _fft_backend(kind)
+        polys, weights = _products(5, 2)
+        backend.multiply_many(polys, [weights[0], weights[0]])
+        cache = backend.plan_cache
+        spectra = [k for k in cache.keys() if k[0].endswith("-wspec")]
+        assert len(spectra) == 1
+        assert cache.misses == len(cache)  # every key missed exactly once
 
     def test_cached_ntt_backend_memory_wall_preserved(self):
         basis = RnsBasis.generate(64, [30, 30])

@@ -34,7 +34,7 @@ SHAPE = ConvShape(
 #: Holds every plan (the sparse plans of the four phases are ~29 KiB) but
 #: not the layer's spectra.
 SMALL_CACHE_BYTES = 48 << 10
-MODES = ("ntt", "fft", "flash", "sparse")
+MODES = ("ntt", "flash", "sparse")
 COUNTERS = (
     "products", "weight_transforms", "weight_mults_realized",
     "weight_mults_dense", "weight_mults_model",

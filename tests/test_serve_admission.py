@@ -76,8 +76,9 @@ class TestLadder:
         assert clamp_mode("ntt", 0) == "ntt"
 
     def test_modes_outside_ladder_are_untouched(self):
-        # "fft" is not a ladder mode: degradation never rewrites it.
-        assert clamp_mode("fft", 2) == "fft"
+        # An unknown mode is not on the ladder: degradation never
+        # rewrites it.
+        assert clamp_mode("custom", 2) == "custom"
 
 
 class TestAdmissionController:

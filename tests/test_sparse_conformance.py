@@ -269,26 +269,6 @@ class TestEncryptedSparseDifferential:
             for a, b in zip(out.residues, ref.residues):
                 assert np.array_equal(a, b)
 
-    def test_fixed_pattern_matches_inferred(self, basis, cfg):
-        """A fixed layer pattern covering every support gives the same
-        words as per-weight inference when the supports coincide."""
-        rng = np.random.default_rng(9)
-        pattern = np.sort(rng.choice(basis.n, size=12, replace=False))
-        polys, weights = [], []
-        for _ in range(4):
-            coeffs = rng.integers(0, 1 << 20, size=basis.n)
-            polys.append(RingPoly(basis, basis.to_rns(coeffs)))
-            w = np.zeros(basis.n, dtype=np.int64)
-            w[pattern] = rng.integers(1, 5, size=pattern.size)
-            weights.append(w)
-        inferred = SparseFftPolyMulBackend(weight_config=cfg)
-        fixed = SparseFftPolyMulBackend(weight_config=cfg, pattern=pattern)
-        a_outs = inferred.multiply_many(polys, weights)
-        b_outs = fixed.multiply_many(polys, weights)
-        for a, b in zip(a_outs, b_outs):
-            for ra, rb in zip(a.residues, b.residues):
-                assert np.array_equal(ra, rb)
-
     def test_backend_stats_match_oracle_counts(self, basis, cfg):
         polys, weights = self._workload(basis, seed=4, count=4)
         backend = SparseFftPolyMulBackend(weight_config=cfg)
