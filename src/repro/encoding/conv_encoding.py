@@ -257,16 +257,45 @@ class Conv2dEncoder:
                 f"expected {(s.in_channels, s.height, s.width)}, got {x.shape}"
             )
         xp = pad_input(x, s.padding)
-        polys = []
-        for tile in range(self.num_tiles):
-            poly = np.zeros(self.n, dtype=np.int64)
-            for local, c in enumerate(self.tile_channels(tile)):
-                if c >= s.in_channels:
-                    continue  # zero-padded virtual channel
-                base = local * self.plane
-                poly[base : base + self.plane] = xp[c].reshape(-1)
-            polys.append(poly)
-        return polys
+        cw, tiles = self.channels_per_tile, self.num_tiles
+        virtual = tiles * cw - s.in_channels  # zero-padded channels
+        planes = np.pad(xp.reshape(s.in_channels, -1), ((0, virtual), (0, 0)))
+        polys = np.zeros((tiles, self.n), dtype=np.int64)
+        polys[:, : cw * self.plane] = planes.reshape(tiles, -1)
+        return list(polys)
+
+    def weight_slots(self) -> np.ndarray:
+        """Coefficient index of each weight tap, in the tap order of
+        :meth:`weight_taps`: ``(local channel, u, v)`` row-major, so
+        ``(cw-1-local)*plane + (kh-1-u)*Wp + (kw-1-v)`` (strictly
+        decreasing)."""
+        s = self.shape
+        local = np.arange(self.channels_per_tile)[:, None, None]
+        u = np.arange(s.kernel_h)[None, :, None]
+        v = np.arange(s.kernel_w)[None, None, :]
+        slots = (
+            (self.channels_per_tile - 1 - local) * self.plane
+            + (s.kernel_h - 1 - u) * s.padded_width
+            + (s.kernel_w - 1 - v)
+        )
+        return slots.reshape(-1).astype(np.int64)
+
+    def weight_taps(self, w: np.ndarray) -> np.ndarray:
+        """The ``(tiles, M, cw*kh*kw)`` tap values of an ``M x C x kh x kw``
+        kernel: row ``(tile, m)`` is the weight polynomial of ``(tile, m)``
+        at :meth:`weight_slots` (zero for virtual channels)."""
+        s = self.shape
+        w = np.asarray(w)
+        if w.shape != (s.out_channels, s.in_channels, s.kernel_h, s.kernel_w):
+            raise ValueError(
+                f"expected {(s.out_channels, s.in_channels, s.kernel_h, s.kernel_w)},"
+                f" got {w.shape}"
+            )
+        cw, tiles = self.channels_per_tile, self.num_tiles
+        virtual = tiles * cw - s.in_channels
+        w = np.pad(w, ((0, 0), (0, virtual), (0, 0), (0, 0)))
+        taps = w.reshape(s.out_channels, tiles, -1)
+        return taps.transpose(1, 0, 2).astype(np.int64)
 
     def encode_weights(self, w: np.ndarray) -> Dict[Tuple[int, int], np.ndarray]:
         """Encode an ``M x C x kh x kw`` kernel into weight polynomials.
@@ -275,31 +304,14 @@ class Conv2dEncoder:
         a tile holding ``cw`` channels has exactly ``cw * kh * kw`` valid
         (possibly zero-valued) coefficient slots.
         """
-        s = self.shape
-        w = np.asarray(w)
-        if w.shape != (s.out_channels, s.in_channels, s.kernel_h, s.kernel_w):
-            raise ValueError(
-                f"expected {(s.out_channels, s.in_channels, s.kernel_h, s.kernel_w)},"
-                f" got {w.shape}"
-            )
-        wp = s.padded_width
-        out: Dict[Tuple[int, int], np.ndarray] = {}
-        for tile in range(self.num_tiles):
-            cw = self._tile_width(tile)
-            for m in range(s.out_channels):
-                poly = np.zeros(self.n, dtype=np.int64)
-                for local, c in enumerate(self.tile_channels(tile)):
-                    if c >= s.in_channels:
-                        continue  # zero-padded virtual channel
-                    base = (cw - 1 - local) * self.plane
-                    for u in range(s.kernel_h):
-                        for v in range(s.kernel_w):
-                            idx = base + (s.kernel_h - 1 - u) * wp + (
-                                s.kernel_w - 1 - v
-                            )
-                            poly[idx] = w[m, c, u, v]
-                out[(tile, m)] = poly
-        return out
+        taps = self.weight_taps(w)
+        polys = np.zeros(taps.shape[:2] + (self.n,), dtype=np.int64)
+        polys[..., self.weight_slots()] = taps
+        return {
+            (tile, m): polys[tile, m]
+            for tile in range(self.num_tiles)
+            for m in range(self.shape.out_channels)
+        }
 
     def weight_valid_indices(self, tile: int) -> np.ndarray:
         """Coefficient slots a weight polynomial of ``tile`` may occupy.
@@ -308,16 +320,8 @@ class Conv2dEncoder:
         exactly the structural sparsity the skipping/merging dataflow is
         configured with (one dataflow per layer, Section IV-B).
         """
-        s = self.shape
-        cw = self._tile_width(tile)
-        wp = s.padded_width
-        idx = []
-        for local in range(cw):
-            base = (cw - 1 - local) * self.plane
-            for u in range(s.kernel_h):
-                for v in range(s.kernel_w):
-                    idx.append(base + u * wp + v)
-        return np.array(sorted(idx), dtype=np.int64)
+        self.tile_channels(tile)  # range check
+        return np.sort(self.weight_slots())
 
     def weight_sparsity(self, tile: int = 0) -> float:
         """Fraction of zero slots in a weight polynomial of ``tile``."""
@@ -340,14 +344,10 @@ class Conv2dEncoder:
     def output_indices(self, tile: int) -> np.ndarray:
         """All output coefficient indices of ``tile`` (out_h*out_w vector)."""
         s = self.shape
-        return np.array(
-            [
-                self.output_index(tile, i, j)
-                for i in range(s.out_height)
-                for j in range(s.out_width)
-            ],
-            dtype=np.int64,
-        )
+        rows = np.arange(s.out_height, dtype=np.int64)[:, None]
+        cols = np.arange(s.out_width, dtype=np.int64)[None, :]
+        first = self.output_index(tile, 0, 0)
+        return (first + rows * s.padded_width + cols).reshape(-1)
 
     def decode_output(
         self, products: Dict[Tuple[int, int], np.ndarray], signed: bool = True

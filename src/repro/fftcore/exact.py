@@ -26,7 +26,9 @@ The analysis (docs/algorithms.md, "Exact products on the folded FFT"):
   enough on its own to push the key's bound past 1/2).
   :meth:`ExactNegacyclic.float64_bound` covers a spectrum built in float64
   instead (the clear-domain engine's streamed weights), with the peak
-  bounded a priori by ``||w||_1``.
+  bounded a priori by ``||w||_1``, activations bounded by their known
+  magnitude rather than a prime, and a sum of channel-tile products taken
+  in the spectral domain before one inverse transform.
 
 Table errors ``mu`` of the float64 twiddles and twists are measured once
 per ``n`` against long-double tables, each of which lies within
@@ -157,37 +159,49 @@ class ExactNegacyclic:
         # max_k |spectrum_k - W_k|: the long-double transform's error plus
         # the rounding to complex128.
         d = self._spectrum_rel * norm + self._u * peak / (1 - self._u)
-        return self._bound(prime, peak, d)
+        return self._bound(math.sqrt(self.n) * (prime // 2), peak, d)
 
-    def float64_bound(self, prime: int, norm: float, l1: int) -> float:
-        """:meth:`bound` for a weight spectrum built in float64 by
-        ``fft.forward_batch``, from a-priori quantities alone.
+    def float64_bound(
+        self, norm: float, l1: int, activation_max: int, tiles: int = 1
+    ) -> float:
+        """A-priori worst ``|computed - exact|`` over every coefficient of
+        ``sum_t a_t * w_t``: ``tiles`` products of weight spectra built in
+        float64 by ``fft.forward_batch``, summed in the spectral domain
+        before one inverse transform.
 
         Every exact spectrum value has ``|W_k| <= ||w||_1``, so no
         spectrum is needed: the computed peak is at most ``l1 + d``.
 
         Args:
-            prime: as in :meth:`bound`.
-            norm: an upper bound on ``||w||_2``.
-            l1: an upper bound on ``||w||_1``.
+            norm: an upper bound on every ``||w_t||_2``.
+            l1: an upper bound on every ``||w_t||_1``.
+            activation_max: an upper bound on every ``|a_t[j]|``, so
+                ``||a_t||_2 <= sqrt(n) activation_max``.
+            tiles: the number of products summed.
         """
         # The float64 transform's error, as the activation's below.
         d = self._spectrum_rel64 * norm
-        return self._bound(prime, l1 + d, d)
+        a_norms = tiles * math.sqrt(self.n) * activation_max
+        return self._bound(a_norms, l1 + d, d, tiles)
 
-    def _bound(self, prime: int, peak: float, d: float) -> float:
-        """The certificate for a spectrum of peak ``peak`` within ``d``
-        of the exact one (docs/algorithms.md, section 7)."""
+    def _bound(
+        self, a_norms: float, peak: float, d: float, tiles: int = 1
+    ) -> float:
+        """The certificate for ``tiles`` activations with ``sum_t
+        ||a_t||_2 <= a_norms`` against spectra of peak ``peak`` within
+        ``d`` of the exact ones (docs/algorithms.md, section 7)."""
         u_twist, rho, mult = self._twist, self._rho, self._mult
-        # Per unit ||a||_2: the forward transform's error, the pointwise
-        # product's, then inverse and unfold.
+        # Per unit ||a_t||_2: the forward transform's error, the pointwise
+        # product's, then the tile sum's T - 1 complex additions, inverse
+        # and unfold.
         forward = u_twist + rho * (1 + u_twist)
         pointwise = peak * forward + d + mult * peak * (1 + forward)
         exact_peak = peak + d
+        pointwise += _gamma(tiles - 1, self._u) * (exact_peak + pointwise)
         per_unit = (1 + u_twist) * (
             pointwise + rho * (exact_peak + pointwise)
         ) + u_twist * exact_peak
-        return math.sqrt(self.n) * (prime // 2) * per_unit
+        return a_norms * per_unit
 
     def certify(
         self,

@@ -9,6 +9,7 @@ moduli without arbitrary-precision arithmetic in the hot path.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -242,11 +243,13 @@ def _prime_factors(n: int) -> list:
     return factors
 
 
+@functools.lru_cache(maxsize=None)
 def bit_reverse_indices(n: int) -> np.ndarray:
     """Permutation ``p`` with ``p[i]`` = bit-reversal of ``i`` in ``log2(n)`` bits.
 
     This is the input reordering of the decimation-in-time FFT/NTT
-    (Figure 3 of the paper: index ``(110)b -> (011)b``).
+    (Figure 3 of the paper: index ``(110)b -> (011)b``).  Built once per
+    ``n`` and shared by every caller, so the array is read-only.
     """
     if n < 1 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
@@ -256,7 +259,9 @@ def bit_reverse_indices(n: int) -> np.ndarray:
     for _ in range(bits):
         rev = (rev << _U64(1)) | (idx & _U64(1))
         idx >>= _U64(1)
-    return rev.astype(np.int64)
+    rev = rev.astype(np.int64)
+    rev.setflags(write=False)
+    return rev
 
 
 def bit_reverse(a: np.ndarray) -> np.ndarray:

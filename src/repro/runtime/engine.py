@@ -12,10 +12,13 @@ vectorized numpy passes, amortizing:
 * **weight transforms** -- streamed through the output-channel group jobs
   (the Section III-B dataflow that shares activation transforms and
   computes weight transforms as they are consumed): each job transforms
-  its chunk of ``(tile, out_channel)`` weights in one batch, multiplies,
+  the weights of its output channels, all tiles, in one batch, multiplies,
   inverse-transforms and drops the spectra.  Only when all of a call's
   distinct weight spectra fit the plan cache are they cached, so a warm
-  layer reuses them across calls.
+  layer reuses them across calls;
+* **inverse transforms** -- on the exact arms the tile products of an
+  output channel are summed in the spectral domain, leaving one inverse
+  per ``(item, out_channel)``.
 
 Independent RNS limbs and output-channel groups fan out across a
 ``concurrent.futures`` thread pool (numpy releases the GIL inside the
@@ -26,7 +29,6 @@ deterministic and byte-identical to the serial fallback.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
@@ -57,10 +59,11 @@ from repro.runtime.plan_cache import (
 #: Magnitude from which a rounded float no longer fits in int64.
 _INT64_BOUND = float(1 << 63)
 
-#: Most ``(tile, out_channel)`` pairs one group job transforms, multiplies
-#: and inverse-transforms at a time.  32 spectra are 1 MiB at n=4096; on a
-#: 3x3 ResNet-18 layer 32-64 ran fastest, 256 was ~20% and 2048 (half the
-#: layer) ~2.3x slower.
+#: About how many weight spectra one group job transforms and multiplies
+#: at a time: a job owns ``ceil(_SPECTRA_CHUNK / tiles)`` whole output
+#: channels (at least one) with all of their tiles.  32 spectra are 1 MiB
+#: at n=4096; on a 3x3 ResNet-18 layer 32-64 ran fastest, 256 was ~20% and
+#: 2048 (half the layer) ~2.3x slower.
 _SPECTRA_CHUNK = 32
 
 
@@ -263,23 +266,32 @@ def _encoded_weight_norms(
     w: np.ndarray, stride: int, bands, n: int
 ) -> Tuple[float, int]:
     """Upper bounds on the largest ``||.||_2`` and ``||.||_1`` over a
-    call's encoded weight polynomials.
-
-    The polynomial of ``(tile, m)`` holds exactly the taps
-    ``w[m, tile channels]`` of its stride phase, so the norms come from
-    the kernel without encoding it.
-    """
+    call's encoded weight polynomials, from their taps alone."""
     norm2, norm1 = 0.0, 0
     for a, b, band in dict.fromkeys((a, b, band) for a, b, _, _, band in bands):
-        per_tile = Conv2dEncoder(band, n).channels_per_tile
-        phase = w[:, :, a::stride, b::stride]
-        virtual = -phase.shape[1] % per_tile  # zero-padded channels
-        rows = np.pad(phase, ((0, 0), (0, virtual), (0, 0), (0, 0)))
-        rows = rows.reshape(-1, per_tile * phase[0, 0].size)
+        taps = Conv2dEncoder(band, n).weight_taps(w[:, :, a::stride, b::stride])
+        rows = taps.reshape(-1, taps.shape[-1])
         squares = np.einsum("ij,ij->i", rows, rows)
         norm2 = max(norm2, weight_norm(rows[int(np.argmax(squares))]))
         norm1 = max(norm1, int(np.abs(rows).sum(axis=1).max()))
     return norm2, norm1
+
+
+def _poly_keys(slots: np.ndarray, taps: np.ndarray) -> List[bytes]:
+    """Compact cache keys of a band's weight polynomials, row ``tile * M
+    + m`` of the ``(tiles, M, taps)`` ``taps``.
+
+    A key is the bytes of the polynomial's nonzero ``(coefficient index,
+    value)`` pairs in tap order, a few hundred bytes instead of ``8 n``.
+    :meth:`Conv2dEncoder.weight_slots` strictly decrease in tap order, so
+    equal polynomials get equal keys whatever band encoded them.
+    """
+    flat = taps.reshape(-1, taps.shape[-1])
+    rows, cols = np.nonzero(flat)
+    entries = np.stack([slots[cols], flat[rows, cols]], axis=1)
+    ends = np.cumsum(np.bincount(rows, minlength=len(flat)))
+    starts = np.concatenate([[0], ends[:-1]])
+    return [entries[a:b].tobytes() for a, b in zip(starts, ends)]
 
 
 class BatchedHConvEngine:
@@ -292,7 +304,8 @@ class BatchedHConvEngine:
     ``bench-runtime`` hold this engine to.
 
     Weight spectra are computed inside the output-channel group jobs,
-    ``_SPECTRA_CHUNK`` ``(tile, out_channel)`` pairs at a time.  Whether
+    each owning whole output channels with all of their tiles (about
+    ``_SPECTRA_CHUNK`` spectra per job).  Whether
     they are kept is decided once per :meth:`conv2d_batch` call: if all
     of the call's distinct spectra (every stride phase and row band) fit
     ``plan_cache.capacity_bytes``, jobs read the cache and fill in their
@@ -307,15 +320,20 @@ class BatchedHConvEngine:
     close over locals.  The only state shared *with* workers is
     ``plan_cache``, which synchronizes internally.
 
-    Mode ``"ntt"`` is exact: certified FFT, NTT fallback.  Each call
-    bounds its float64 round-off a priori (:meth:`repro.fftcore.exact
-    .ExactNegacyclic.float64_bound` at the call's prime, from the largest
-    ``||w||_2`` and ``||w||_1`` of its encoded weight polynomials); below
-    1/2 the call runs the float64 folded FFT, whose rounding is then
-    exact, otherwise the single-prime NTT.  The call's
-    ``runtime.conv2d_batch`` span carries ``rounding_bound``, ``rounding_worst`` (the realized
-    worst ``|x - rint(x)|``, 0 on the NTT) and ``ntt_fallback`` (1 when
-    the call ran the NTT).
+    Mode ``"ntt"`` is exact: certified FFT, NTT fallback.  Both sum an
+    output channel's tile products in the spectral domain and run one
+    inverse transform per ``(item, out_channel)``.  Each call bounds its
+    float64 round-off a priori (:meth:`repro.fftcore.exact
+    .ExactNegacyclic.float64_bound` from the largest ``|x|`` of its
+    inputs, its tile count and the largest ``||w||_2`` and ``||w||_1`` of
+    its encoded weight polynomials); below 1/2 the call runs the float64
+    folded FFT, whose rounding is then exact, otherwise the single-prime
+    NTT, whose modulus covers the whole tile sum.  The call's
+    ``runtime.conv2d_batch`` span carries ``rounding_bound``,
+    ``rounding_worst`` (the realized worst ``|x - rint(x)|``, 0 on the
+    NTT) and ``ntt_fallback`` (1 when the call ran the NTT).  Flash and
+    sparse round each tile product and sum the integers, bit-identical
+    to their per-call references.
 
     Args:
         mode: ``"ntt"`` (exact; certified FFT, NTT fallback),
@@ -420,7 +438,8 @@ class BatchedHConvEngine:
         batch = xs.shape[0]
         stats.batch = batch
 
-        bound = int(np.abs(w).sum() * max(1, int(np.abs(xs).max() if xs.size else 1)))
+        x_max = max(1, int(np.abs(xs).max() if xs.size else 1))
+        bound = int(np.abs(w).sum() * x_max)
         xp = np.stack([pad_input(x, shape.padding) for x in xs])
         total = np.zeros(
             (batch, shape.out_channels, shape.out_height, shape.out_width),
@@ -436,8 +455,9 @@ class BatchedHConvEngine:
         arm, q = self.mode, None
         if arm == "ntt":
             q = ntt_modulus(n, bound)
+            tiles = max(Conv2dEncoder(band, n).num_tiles for *_, band in bands)
             certificate = get_exact_negacyclic(n).float64_bound(
-                q, *_encoded_weight_norms(w, s, bands, n)
+                *_encoded_weight_norms(w, s, bands, n), x_max, tiles
             )
             if certificate < CERTIFIED_BELOW:
                 arm = "fft"
@@ -520,65 +540,76 @@ class BatchedHConvEngine:
     ) -> float:
         """Run one row band on ``arm``'s transforms, adding its outputs
         into ``total``; returns the band's worst ``|x - rint(x)|`` on the
-        certified arm of mode ``"ntt"``, else 0."""
+        certified arm of mode ``"ntt"``, else 0.
+
+        Each group job owns whole output channels with all of their tiles
+        and returns one int64 row per ``(item, channel)``: the exact arms
+        sum the tile products in the spectral domain (complex128, or mod
+        ``q``) before one inverse transform per row; flash and sparse round
+        each tile product, as their per-call references do, and sum the
+        integers.
+        """
         batch = x_band.shape[0]
         with _Timer(stats, "encode"):
             enc = Conv2dEncoder(band, n)
-            in_rows = []
-            for item in range(batch):
-                in_rows.extend(enc.encode_input(x_band[item]))
-            tiles = len(in_rows) // batch
-            a_stack = np.stack(in_rows)  # (B * tiles, n)
-            w_polys = enc.encode_weights(w_phase)
-        pairs = sorted(w_polys.keys())  # (tile, m), deterministic order
+            a_stack = np.stack(
+                [row for x in x_band for row in enc.encode_input(x)]
+            )  # (B * tiles, n)
+            slots = enc.weight_slots()
+            taps = enc.weight_taps(w_phase)  # (tiles, M, taps)
+        tiles, channels = taps.shape[:2]
 
-        def stack(chunk) -> np.ndarray:
-            return np.stack([w_polys[pair] for pair in chunk])
+        def encode(chunk) -> np.ndarray:
+            """The weight polynomials of a chunk of ``(tile, m)`` pairs."""
+            tile_idx, m_idx = np.array(chunk).T
+            rows = np.zeros((len(chunk), n), dtype=np.int64)
+            rows[:, slots] = taps[tile_idx, m_idx]
+            return rows
 
         # Per arm: ``transform(chunk)`` batch-transforms the weights of a
-        # chunk of pairs into spectrum rows, ``key_of(pair)`` names the
-        # pair's cached spectrum and ``product(w_rows, a_rows)`` multiplies
-        # and inverse-transforms.  Mode "ntt" runs the float64 "fft" arm
-        # when its certificate holds and then reports the rounding residual.
-        residual = arm == "fft"
+        # chunk of pairs into spectrum rows, ``key`` names the kind of
+        # their cached spectra and ``product(w_rows, a_rows)`` takes a
+        # job's ``(channels, tiles, .)`` weight spectra against the
+        # ``(B, tiles, .)`` activation spectra to ``(B, channels, n)``
+        # int64 outputs.  Mode "ntt" runs the float64 "fft" arm when its
+        # certificate holds and then reports the rounding residual.
         if arm == "ntt":
             plan = self._ntt_plan(n, q)
+            key = ("ntt-wspec", n, q)
 
             def transform(chunk):
-                return plan.forward_batch(from_centered(stack(chunk), q))
-
-            def key_of(pair):
-                return ("ntt-wspec", n, q, w_polys[pair].tobytes())
+                return plan.forward_batch(from_centered(encode(chunk), q))
 
             with _Timer(stats, "activation_transform"):
                 a_spec = plan.forward_batch(from_centered(a_stack, q))
 
-            def product(w_rows: np.ndarray, a_rows: np.ndarray) -> np.ndarray:
-                spec = mulmod(a_rows, w_rows, q)
+            def product(w_rows: np.ndarray, a_rows: np.ndarray):
+                # Residues are below q < 2**40: a sum over fewer than
+                # 2**24 tiles fits uint64.
+                spec = mulmod(a_rows[:, None], w_rows[None], q).sum(axis=2)
+                spec %= np.uint64(q)
                 return centered(plan.inverse_batch(spec), q)
 
         else:
             pipe = fft_pipeline(self.plan_cache, n, self.weight_config)
+            key = ("fft-wspec", n, approx_config_key(self.weight_config))
             if arm == "sparse":
                 with _Timer(stats, "weight_transform"):
-                    transform, key_of = self._sparse_weight_source(
-                        n, enc, w_polys, pairs, stats
+                    transform, pattern = self._sparse_weight_source(
+                        n, enc, encode, tiles * channels, stats
                     )
+                key = ("sparse-wspec",) + key[1:] + (pattern,)
             else:
-                cfg_key = approx_config_key(self.weight_config)
 
                 def transform(chunk):
-                    return pipe.weight_forward_batch(stack(chunk)).values
-
-                def key_of(pair):
-                    return ("fft-wspec", n, cfg_key, w_polys[pair].tobytes())
+                    return pipe.weight_forward_batch(encode(chunk)).values
 
                 if arm == "flash":
                     # Dense fixed-point weight FFT: every butterfly
                     # multiplies, so realized == dense == model.
                     stages = (n // 2).bit_length() - 1
-                    dense = (n // 4) * stages * len(pairs)
-                    stats.weight_transforms += len(pairs)
+                    dense = (n // 4) * stages * tiles * channels
+                    stats.weight_transforms += tiles * channels
                     stats.weight_mults_realized += dense
                     stats.weight_mults_dense += dense
                     stats.weight_mults_model += dense
@@ -587,91 +618,92 @@ class BatchedHConvEngine:
                     a_stack.astype(np.float64)
                 )
 
-            def product(w_rows: np.ndarray, a_rows: np.ndarray):
-                return _round_rows_exact(
-                    pipe.multiply_spectra_batch(w_rows, a_rows), residual
-                )
+            if arm == "fft":
 
+                def product(w_rows: np.ndarray, a_rows: np.ndarray):
+                    spec = (w_rows[None] * a_rows[:, None]).sum(axis=2)
+                    return _round_rows_exact(
+                        pipe.base.inverse_batch(spec), residual=True
+                    )
+
+            else:
+
+                def product(w_rows: np.ndarray, a_rows: np.ndarray):
+                    # One row per (item, channel, tile) product.
+                    shape = (len(a_rows),) + w_rows.shape
+                    return _round_rows_exact(
+                        pipe.multiply_spectra_batch(
+                            np.broadcast_to(w_rows, shape),
+                            np.broadcast_to(a_rows[:, None], shape),
+                        )
+                    ).sum(axis=2)
+
+        a_spec = a_spec.reshape(batch, tiles, -1)
         cache = self.plan_cache
+        if cache_spectra:
+            poly_keys = _poly_keys(slots, taps)
 
-        def spectra(chunk: List[Tuple[int, int]]) -> np.ndarray:
-            """The chunk's weight spectra, one row per pair."""
-            if not cache_spectra:
-                return transform(chunk)
-            return np.stack(cache.get_or_build_many(chunk, key_of, transform))
+            def key_of(pair):
+                return key + (poly_keys[pair[0] * channels + pair[1]],)
 
-        def group_job(group: List[Tuple[int, int]]) -> np.ndarray:
-            a_idx = [
-                item * tiles + tile
-                for item in range(batch)
-                for tile, _ in group
-            ]
-            w_rows = np.tile(spectra(group), (batch, 1))
-            return product(w_rows, a_spec[a_idx])
+        def group_job(group: range):
+            chunk = [(tile, m) for m in group for tile in range(tiles)]
+            if cache_spectra:
+                rows = np.stack(cache.get_or_build_many(chunk, key_of, transform))
+            else:
+                rows = transform(chunk)
+            return product(rows.reshape(len(group), tiles, -1), a_spec)
 
+        per_job = max(1, -(-_SPECTRA_CHUNK // tiles))
         groups = _split_groups(
-            pairs, max(self._workers(), -(-len(pairs) // _SPECTRA_CHUNK))
+            range(channels), max(self._workers(), -(-channels // per_job))
         )
         with _Timer(stats, "pointwise+inverse"):
             group_rows = fan_out(groups, group_job, self.max_workers)
-        stats.products += len(pairs) * batch
+        stats.products += tiles * channels * batch
         worst = 0.0
-        if residual:
+        if arm == "fft":
             group_rows, worsts = zip(*group_rows)
             worst = max(worsts)
 
         with _Timer(stats, "decode"):
-            oh, ow = shape.out_height, shape.out_width
-            for item in range(batch):
-                products: Dict[Tuple[int, int], np.ndarray] = {}
-                for group, rows in zip(groups, group_rows):
-                    base = item * len(group)
-                    for offset, pair in enumerate(group):
-                        products[pair] = rows[base + offset]
-                y = enc.decode_output(products)
-                r0 = row_start
-                r1 = min(r0 + y.shape[1], oh)
-                total[item, :, r0:r1, :ow] += y[:, : r1 - r0, :ow]
+            # Uniform tiles: every tile's outputs sit at the same indices.
+            idx = enc.output_indices(0)
+            r1 = min(row_start + band.out_height, shape.out_height)
+            ow = shape.out_width
+            for group, rows in zip(groups, group_rows):
+                y = rows[..., idx].reshape(
+                    batch, len(group), band.out_height, band.out_width
+                )
+                total[:, group[0] : group[-1] + 1, row_start:r1, :ow] += (
+                    y[:, :, : r1 - row_start, :ow]
+                )
         return worst
 
-    def _sparse_weight_source(self, n, enc, w_polys, pairs, stats):
-        """``(transform, key_of)`` of a band's sparse weight spectra.
+    def _sparse_weight_source(self, n, enc, encode, count, stats):
+        """``(transform, pattern)`` of a band's ``count`` sparse weight
+        spectra.
 
-        All output channels of a tile share one structural pattern
-        (:meth:`Conv2dEncoder.weight_valid_indices`), hence one compiled
-        pipeline; :func:`sparse_weight_spectra` runs a chunk's weights in
-        one batched execution per pattern.  Mult counters are charged
-        here, per requested transform, so the accounting is cache-warmth
-        independent.
+        Uniform tiles give every tile of a band the same structural
+        pattern (:meth:`Conv2dEncoder.weight_valid_indices`), hence one
+        compiled pipeline: :func:`sparse_weight_spectra` runs a chunk's
+        weights, whatever their tiles, in one batched execution.  Mult
+        counters are charged here, per requested transform, so the
+        accounting is cache-warmth independent.
         """
         from repro.sparse.opcount import sparse_fft_mults
         from repro.sparse.patterns import fold_valid_indices
 
-        cfg = self.weight_config
-        pipes, patterns = {}, {}
-        for tile, count in Counter(tile for tile, _ in pairs).items():
-            pattern = fold_valid_indices(enc.weight_valid_indices(tile), n)
-            pipe = pipes[tile] = sparse_pipeline(self.plan_cache, n, cfg, pattern)
-            patterns[tile] = pattern.tobytes()
-            stats.weight_transforms += count
-            stats.weight_mults_realized += pipe.mults * count
-            stats.weight_mults_dense += pipe.dense_mults * count
-            stats.weight_mults_model += sparse_fft_mults(
-                tuple(int(v) for v in pattern), n // 2
-            ) * count
+        pattern = fold_valid_indices(enc.weight_valid_indices(0), n)
+        pipe = sparse_pipeline(self.plan_cache, n, self.weight_config, pattern)
+        stats.weight_transforms += count
+        stats.weight_mults_realized += pipe.mults * count
+        stats.weight_mults_dense += pipe.dense_mults * count
+        stats.weight_mults_model += sparse_fft_mults(
+            tuple(int(v) for v in pattern), n // 2
+        ) * count
 
         def transform(chunk):
-            return sparse_weight_spectra(
-                [pipes[tile] for tile, _ in chunk],
-                np.stack([w_polys[pair] for pair in chunk]),
-            )
+            return sparse_weight_spectra([pipe] * len(chunk), encode(chunk))
 
-        cfg_key = approx_config_key(cfg)
-
-        def key_of(pair):
-            return (
-                "sparse-wspec", n, cfg_key, patterns[pair[0]],
-                w_polys[pair].tobytes(),
-            )
-
-        return transform, key_of
+        return transform, pattern.tobytes()

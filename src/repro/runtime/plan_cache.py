@@ -77,13 +77,14 @@ def value_digest(value: Any) -> Optional[int]:
     containers of arrays, spectrum objects with ``values`` arrays) and
     folds their raw bytes, dtypes and shapes into one CRC32.  Returns
     ``None`` for values with no digestible content (e.g. opaque transform
-    plans), which the integrity check then skips.
+    plans), which the integrity check then skips.  A C-contiguous array's
+    buffer is read in place, without a copy.
     """
     import numpy as np
 
     state = {"crc": 0, "found": False}
 
-    def mix(data: bytes) -> None:
+    def mix(data) -> None:
         state["crc"] = zlib.crc32(data, state["crc"])
         state["found"] = True
 
@@ -91,7 +92,9 @@ def value_digest(value: Any) -> Optional[int]:
         if v is None:
             return
         if isinstance(v, np.ndarray):
-            mix(np.ascontiguousarray(v).tobytes())
+            data = np.ascontiguousarray(v)
+            # Object arrays export no buffer; their bytes are pointers.
+            mix(data.tobytes() if data.dtype.hasobject else data)
             mix(repr((v.dtype.str, v.shape)).encode())
             return
         if isinstance(v, (list, tuple)):
@@ -103,7 +106,7 @@ def value_digest(value: Any) -> Optional[int]:
                 walk(item)
             return
         if isinstance(v, (bytes, bytearray)):
-            mix(bytes(v))
+            mix(v)
             return
         if isinstance(v, (bool, int, float, complex, str, np.generic)):
             mix(repr(v).encode())

@@ -9,9 +9,10 @@ back in order, and that every output is bit-identical to the NTT oracle
 
 The clear-domain engine's exact mode (``BatchedHConvEngine(mode="ntt")``)
 decides once per call, from a certificate for weight spectra built in
-float64: certified calls run the engine's ``"fft"`` branch, the others
-its NTT branch; both stay bit-identical to ``hconv_ntt`` and the integer
-convolution.
+float64, activations of known magnitude and a spectral-domain sum over
+channel tiles: certified calls run the engine's ``"fft"`` branch, the
+others its NTT branch; both run one inverse transform per output channel
+and stay bit-identical to ``hconv_ntt`` and the integer convolution.
 """
 
 from dataclasses import replace
@@ -116,14 +117,23 @@ SMALL_CONV = ConvShape(
 )
 
 
+#: Four one-channel tiles of a 1x1 layer at n = 4096 (a 48x48 plane
+#: fills more than half the ring): each weight polynomial is one tap.
+REJECTED_CONV = ConvShape(
+    in_channels=4, height=48, width=48, out_channels=2,
+    kernel_h=1, kernel_w=1,
+)
+
+
 def rejected_conv_inputs(seed=0):
-    """13-bit inputs and weights for ``SMALL_CONV`` at n = 64: their 31-bit
-    prime is within ``ntt_modulus``'s range, but the float64-spectrum
-    certificate rejects them (bound about 4.6)."""
+    """18-bit inputs and weights for ``REJECTED_CONV`` at n = 4096, as
+    ``(xs, w, shape, n)``: their tile sums need a 37-bit prime, within
+    ``ntt_modulus``'s range, but the certificate for the spectral-domain
+    tile sum rejects them (bound about 2.1)."""
     rng = np.random.default_rng(seed)
-    xs = rng.integers(-4096, 4097, size=(2, 2, 6, 6))
-    w = rng.integers(-4096, 4097, size=(3, 2, 3, 3))
-    return xs, w
+    xs = rng.integers(-(1 << 17), (1 << 17) + 1, size=(2, 4, 48, 48))
+    w = rng.integers(-(1 << 17), (1 << 17) + 1, size=(2, 4, 1, 1))
+    return xs, w, REJECTED_CONV, 4096
 
 
 def _negacyclic_exact(a, w):
@@ -425,7 +435,7 @@ class TestEngineExactArm:
         )
         l1 = int(np.abs(w).sum())
         prime = ntt_modulus(n, l1 * half)
-        bound = kernel.float64_bound(prime, weight_norm(w), l1)
+        bound = kernel.float64_bound(weight_norm(w), l1, prime // 2)
         a = rng.integers(-(prime // 2), prime // 2 + 1, size=(3, n))
         product = kernel.fft.inverse_batch(
             kernel.fft.forward_batch(a) * kernel.fft.forward_batch(w)
@@ -443,24 +453,131 @@ class TestEngineExactArm:
         prime = CHEETAH.basis.primes[0]
         peak = float(np.max(np.abs(kernel.spectrum(w))))
         assert kernel.bound(prime, norm, peak) < kernel.float64_bound(
-            prime, norm, l1
+            norm, l1, prime // 2
+        )
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("tiles", [1, 7, 32])
+    def test_tile_sum_bound_is_sound(self, bits, tiles):
+        """Activations at +-max|x| in every coefficient against 3x3,
+        4-channel weights on ``tiles`` tiles: the spectral-domain sum of
+        the float64 products, after one inverse, is within the bound of
+        the exact integer sum."""
+        n = 4096
+        kernel = get_exact_negacyclic(n)
+        rng = np.random.default_rng(16 + bits + tiles)
+        half = 1 << (bits - 1)
+        w = np.zeros((tiles, n), dtype=np.int64)
+        for row in w:
+            row[rng.choice(n, size=36, replace=False)] = rng.integers(
+                -half, half, size=36
+            )
+        a = rng.choice([-half, half], size=(tiles, n))
+        norm = max(weight_norm(row) for row in w)
+        l1 = int(np.abs(w).sum(axis=1).max())
+        bound = kernel.float64_bound(norm, l1, half, tiles)
+        spectra = kernel.fft.forward_batch(w) * kernel.fft.forward_batch(a)
+        product = kernel.fft.inverse_batch(spectra.sum(axis=0))
+        exact = sum(_negacyclic_exact(a[t], w[t]) for t in range(tiles))
+        realized = float(np.max(np.abs(product - exact)))
+        assert 0 < realized <= bound < CERTIFIED_BELOW
+
+    def test_tile_sum_bound_covers_every_tile(self):
+        """A sum over T tiles is bounded by more than T single products:
+        the T - 1 complex additions add their own term."""
+        kernel = get_exact_negacyclic(CHEETAH.n)
+        w = _conv_weight(np.random.default_rng(17), CHEETAH.n)
+        norm, l1 = weight_norm(w), int(np.abs(w).sum())
+        single = kernel.float64_bound(norm, l1, 128)
+        assert kernel.float64_bound(norm, l1, 128, tiles=32) > 32 * single
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_multi_tile_band_is_certified_at_8_bits(self, bits):
+        """``layer2.1.conv1`` at n = 4096 has 32 tiles per output channel.
+        With the inputs' known magnitude in the certificate, 8-bit inputs
+        and weights certify too (bounded by q/2 they ran the NTT)."""
+        n = 4096
+        shape = replace(RESNET18["layer2.1.conv1"], out_channels=2)
+        rng = np.random.default_rng(18)
+        half = 1 << (bits - 1)
+        xs = rng.integers(
+            -half, half, size=(1, shape.in_channels, shape.height, shape.width)
+        )
+        w = rng.integers(
+            -half, half,
+            size=(2, shape.in_channels, shape.kernel_h, shape.kernel_w),
+        )
+        (phase, _, _), = decompose_strided(shape)
+        (_, band), = iter_row_bands(phase, n)
+        assert Conv2dEncoder(band, n).num_tiles == 32
+        engine = BatchedHConvEngine(mode="ntt", max_workers=2)
+        out, attrs = _traced_conv(engine, xs, w, shape, n)
+        assert attrs["ntt_fallback"] == 0
+        assert 0 < attrs["rounding_worst"] <= attrs["rounding_bound"]
+        assert attrs["rounding_bound"] < CERTIFIED_BELOW
+        assert np.array_equal(
+            out, conv2d_int_batch(xs, w, shape.stride, shape.padding)
+        )
+        assert np.array_equal(out, hconv_ntt(xs[0], w, shape, n)[None])
+
+    @pytest.mark.parametrize("arm", ["certified", "ntt-fallback"])
+    def test_one_inverse_per_output_channel(self, monkeypatch, arm):
+        """Both exact arms run B * M inverse rows on a one-band layer:
+        ``transforms_per_hconv()["inverse"]`` per item."""
+        from repro.fftcore.negacyclic import NegacyclicFft
+        from repro.ntt.ntt import NegacyclicNtt
+
+        if arm == "certified":
+            n = 4096
+            shape = replace(RESNET18["layer3.0.downsample"], out_channels=3)
+            rng = np.random.default_rng(19)
+            xs = rng.integers(
+                -8, 8, size=(2, shape.in_channels, shape.height, shape.width)
+            )
+            w = rng.integers(-8, 8, size=(3, shape.in_channels, 1, 1))
+            owner = NegacyclicFft
+        else:
+            xs, w, shape, n = rejected_conv_inputs()
+            owner = NegacyclicNtt
+        rows = []
+        inverse = owner.inverse_batch
+
+        def counting(plan, spectrum):
+            rows.append(int(np.prod(np.shape(spectrum)[:-1])))
+            return inverse(plan, spectrum)
+
+        monkeypatch.setattr(owner, "inverse_batch", counting)
+        out, attrs = _traced_conv(
+            BatchedHConvEngine(mode="ntt"), xs, w, shape, n
+        )
+        assert attrs["ntt_fallback"] == int(arm == "ntt-fallback")
+        (phase, _, _), = decompose_strided(shape)
+        (_, band), = iter_row_bands(phase, n)
+        enc = Conv2dEncoder(band, n)
+        assert enc.num_tiles > 1
+        assert sum(rows) == len(xs) * enc.transforms_per_hconv()["inverse"]
+        assert np.array_equal(
+            out, conv2d_int_batch(xs, w, shape.stride, shape.padding)
         )
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_rejected_call_runs_the_ntt(self, workers):
-        n = 64
-        xs, w = rejected_conv_inputs()
+        """Multi-tile inputs near ``ntt_modulus``'s limit: the NTT sums
+        the tile products mod q and stays bit-identical."""
+        xs, w, shape, n = rejected_conv_inputs()
         engine = BatchedHConvEngine(mode="ntt", max_workers=workers)
-        out, attrs = _traced_conv(engine, xs, w, SMALL_CONV, n)
+        out, attrs = _traced_conv(engine, xs, w, shape, n)
         assert attrs["ntt_fallback"] == 1
         assert attrs["rounding_worst"] == 0.0
         assert attrs["rounding_bound"] >= CERTIFIED_BELOW
-        assert np.array_equal(out, conv2d_int_batch(xs, w, 1, 1))
         assert np.array_equal(
-            out, np.stack([hconv_ntt(x, w, SMALL_CONV, n) for x in xs])
+            out, conv2d_int_batch(xs, w, shape.stride, shape.padding)
+        )
+        assert np.array_equal(
+            out, np.stack([hconv_ntt(x, w, shape, n) for x in xs])
         )
         keys = engine.plan_cache.keys()
         assert {key[0] for key in keys} == {"ntt-plan", "ntt-wspec"}
-        # The same call with 4-bit weights certifies.
-        _, small = _traced_conv(engine, xs % 16 - 8, w % 16 - 8, SMALL_CONV, n)
+        # The same call with 4-bit inputs and weights certifies.
+        _, small = _traced_conv(engine, xs % 16 - 8, w % 16 - 8, shape, n)
         assert small["ntt_fallback"] == 0

@@ -90,26 +90,27 @@ class TestJobErrorsPropagate:
         ],
     )
     def test_engine_group_job(self, monkeypatch, arm, workers):
-        """Mode "ntt" runs the float64 product when its certificate holds
-        and the NTT's ``mulmod`` when it rejects; either job's error
-        propagates."""
+        """Mode "ntt" runs the float64 inverse of the tile sum when its
+        certificate holds and the NTT's ``mulmod`` when it rejects; either
+        job's error propagates."""
         import repro.runtime.engine as engine_module
-        from repro.fftcore.approx_pipeline import ApproxNegacyclic
+        from repro.fftcore.negacyclic import NegacyclicFft
 
         if arm == "certified":
             rng = np.random.default_rng(3)
             xs = rng.integers(-7, 8, size=(2, 2, 6, 6))
             w = rng.integers(-3, 4, size=(3, 2, 3, 3))
-            owner, name = ApproxNegacyclic, "multiply_spectra_batch"
+            shape, n = SMALL_CONV, 64
+            owner, name = NegacyclicFft, "inverse_batch"
         else:
-            xs, w = rejected_conv_inputs()
+            xs, w, shape, n = rejected_conv_inputs()
             owner, name = engine_module, "mulmod"
         monkeypatch.setattr(
             owner, name, _fail_first_call(getattr(owner, name))
         )
         engine = BatchedHConvEngine(mode="ntt", max_workers=workers)
         with pytest.raises(RuntimeError, match="job failed once"):
-            engine.conv2d_batch(xs, w, SMALL_CONV, 64)
+            engine.conv2d_batch(xs, w, shape, n)
 
 
 class TestPlanCacheIntegrity:
@@ -119,6 +120,30 @@ class TestPlanCacheIntegrity:
         assert value_digest(a) != value_digest(a + 1)
         assert value_digest([a, 2.5]) != value_digest([a, 3.5])
         assert value_digest(object()) is None  # opaque: skipped
+
+    def test_digest_values_are_pinned(self):
+        """Digests read arrays in place; the values are those of the
+        earlier copy-to-bytes implementation, layout cases included."""
+        a = np.arange(8, dtype=np.int64)
+        cases = {
+            "int": (a, 320436674),
+            "complex": (np.arange(6, dtype=np.complex128) * (1 + 2j), 129943072),
+            "strided": (
+                np.arange(20, dtype=np.float64).reshape(4, 5)[:, ::2],
+                4048826272,
+            ),
+            "fortran": (
+                np.asfortranarray(np.arange(12.0).reshape(3, 4)), 3276254171,
+            ),
+            "bool": (np.array([True, False, True]), 2598823853),
+            "0-d": (np.array(3.5), 704809210),
+            "empty": (np.zeros((0, 4)), 3116124269),
+            "nested": (
+                [a, 2.5, b"xy", None, {"k": np.ones(3)}], 4083261626,
+            ),
+        }
+        for name, (value, digest) in cases.items():
+            assert value_digest(value) == digest, name
 
     def test_tampered_entry_evicted_and_rebuilt(self):
         cache = PlanCache(check_integrity=True)

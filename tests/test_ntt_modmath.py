@@ -240,6 +240,12 @@ class TestBitReverse:
         with pytest.raises(ValueError):
             modmath.bit_reverse_indices(12)
 
+    def test_table_is_shared_and_read_only(self):
+        rev = modmath.bit_reverse_indices(64)
+        assert modmath.bit_reverse_indices(64) is rev
+        with pytest.raises(ValueError):
+            rev[0] = 1
+
 
 class TestInvPow:
     @given(a=st.integers(min_value=1, max_value=PRIME_30 - 1))
