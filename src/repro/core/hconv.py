@@ -24,7 +24,7 @@ from repro.fftcore.approx_pipeline import ApproxNegacyclic
 from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.ntt import get_ntt
 from repro.ntt.modmath import centered, from_centered
-from repro.runtime.engine import ntt_modulus
+from repro.runtime.engine import channel_value_bound, ntt_modulus
 
 
 def ntt_polymul_factory(n: int, value_bound: int) -> Callable:
@@ -64,7 +64,7 @@ def hconv_ntt(x, w, shape: ConvShape, n: int) -> np.ndarray:
     """Convolution through coefficient encoding with exact NTT products."""
     x = np.asarray(x, dtype=np.int64)
     w = np.asarray(w, dtype=np.int64)
-    bound = int(np.abs(w).sum() * max(1, int(np.abs(x).max())))
+    bound = channel_value_bound(w, max(1, int(np.abs(x).max())))
     return conv2d_via_polynomials(
         x, w, shape, n, polymul=ntt_polymul_factory(n, bound)
     )

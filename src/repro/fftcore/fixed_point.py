@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.fftcore.reference import stage_twiddles
+from repro.fftcore.reference import butterfly_stage, stage_twiddles
 from repro.fftcore.twiddle_quant import TwiddleRom
 from repro.ntt.modmath import bit_reverse_indices
 
@@ -64,16 +64,22 @@ class FxpFormat:
         unchanged (both steps are exact).
         """
         x = np.asarray(x, dtype=np.complex128)
-        limit = 2.0**self.frac_bits
         # Scaling by a power of two is exact, so this equals x / ulp.
+        limit = 2.0**self.frac_bits
         parts = np.ascontiguousarray(x).view(np.float64) * limit
+        return self.round_scaled(parts.view(np.complex128)).reshape(x.shape)
+
+    def round_scaled(self, scaled: np.ndarray) -> np.ndarray:
+        """The rest of :meth:`quantize_complex`, in place on a contiguous
+        complex128 array already divided by :attr:`ulp`."""
+        limit = 2.0**self.frac_bits
+        parts = scaled.view(np.float64)
         np.rint(parts, out=parts)
         np.clip(parts, -limit, limit - 1, out=parts)
         parts *= self.ulp
-        out = parts.view(np.complex128)
-        np.multiply(out, complex(1.0, -0.0), out=out)
-        np.add(out, complex(-0.0, 0.0), out=out)
-        return out.reshape(x.shape)
+        np.multiply(scaled, complex(1.0, -0.0), out=scaled)
+        np.add(scaled, complex(-0.0, 0.0), out=scaled)
+        return scaled
 
 
 @dataclass
@@ -179,8 +185,10 @@ class FixedPointFft:
     def batch(self, x) -> np.ndarray:
         """Batched bit-true transform over the last axis of ``(..., n)``.
 
-        Quantization and the scaled butterflies are element-wise, so each
-        row's output is bit-identical to a per-row :meth:`__call__`.
+        Runs the stages batch-innermost, as
+        :func:`repro.fftcore.reference.fft_dit_batch` does; quantization
+        and the scaled butterflies are element-wise, so each row's output
+        is bit-identical to a per-row :meth:`__call__`.
         """
         cfg = self.config
         x = np.asarray(x, dtype=np.complex128)
@@ -188,22 +196,28 @@ class FixedPointFft:
             raise ValueError(
                 f"batch must have last axis {cfg.n}, got shape {x.shape}"
             )
-        lead = x.shape[:-1]
         if self._input_format is not None:
             x = self._input_format.quantize_complex(x)
-        out = x[..., self._rev].reshape(-1)
-        for s in range(1, cfg.stages + 1):
-            m = 1 << s
-            half = m >> 1
-            w = self._stage_tw[s - 1]
-            out = out.reshape(-1, m)
-            lo = out[:, :half].copy()
-            hi = out[:, half:] * w
-            # Halving keeps magnitudes in [-1, 1) regardless of stage count.
-            out[:, :half] = (lo + hi) * 0.5
-            out[:, half:] = (lo - hi) * 0.5
-            out = self._formats[s - 1].quantize_complex(out.reshape(-1))
-        return out.reshape(lead + (cfg.n,))
+        rows = x.reshape(-1, cfg.n)
+        out = rows.T[self._rev]
+        hi = np.empty((cfg.n // 2, rows.shape[0]), np.complex128)
+        for s, (w, fmt) in enumerate(zip(self._stage_tw, self._formats), 1):
+            butterfly_stage(out, hi, s, w)
+            # Halving keeps magnitudes in [-1, 1) regardless of stage
+            # count.  ``out * 0.5`` is a complex multiply by ``0.5 + 0j``;
+            # on grid values (every stage after the first, and the first
+            # when inputs are quantized) ``out * (0.5 / ulp)`` rounds no
+            # differently and sets the same signed zeros, so the halving
+            # folds into the scale.  Raw inputs may be subnormal, where
+            # halving rounds.
+            if s > 1 or self._input_format is not None:
+                np.multiply(out, 2.0 ** (fmt.frac_bits - 1), out=out)
+            else:
+                np.multiply(out, 0.5, out=out)
+                parts = out.view(np.float64)
+                parts *= 2.0**fmt.frac_bits
+            fmt.round_scaled(out)
+        return np.ascontiguousarray(out.T).reshape(x.shape)
 
     @property
     def plan_bytes(self) -> int:

@@ -20,6 +20,8 @@ polynomial products.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.fftcore.reference import fft_dit, fft_dit_batch
@@ -90,6 +92,8 @@ class NegacyclicFft:
         j = np.arange(self.half)
         self._fold_twist = np.exp(1j * np.pi * j / n)
         self._unfold_twist = np.exp(-1j * np.pi * j / n)
+        self._fold_twist.setflags(write=False)
+        self._unfold_twist.setflags(write=False)
 
     def fold(self, a) -> np.ndarray:
         """Pack real length-n ``a`` into the twisted complex length-n/2 vector."""
@@ -164,6 +168,13 @@ class NegacyclicFft:
     def plan_bytes(self) -> int:
         """Memory held by this plan's twist tables."""
         return self._fold_twist.nbytes + self._unfold_twist.nbytes
+
+
+@functools.lru_cache(maxsize=None)
+def get_negacyclic_fft(n: int) -> NegacyclicFft:
+    """The :class:`NegacyclicFft` of length ``n``, built once and shared
+    (its tables are read-only)."""
+    return NegacyclicFft(n)
 
 
 def negacyclic_multiply_folded(a, b) -> np.ndarray:

@@ -9,6 +9,8 @@ stages.  The same stage structure is reused by the fixed-point simulator
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.ntt.modmath import bit_reverse_indices
@@ -18,6 +20,7 @@ from repro.ntt.modmath import bit_reverse_indices
 PI_LONGDOUBLE = 4 * np.arctan(np.longdouble(1))
 
 
+@functools.lru_cache(maxsize=None)
 def stage_twiddles(
     n: int, stage: int, sign: int = -1, dtype=np.complex128
 ) -> np.ndarray:
@@ -35,14 +38,17 @@ def stage_twiddles(
             and roots in long double.
 
     Returns:
-        ``dtype`` array of length ``2**(stage-1)``.
+        ``dtype`` array of length ``2**(stage-1)``, built once per
+        argument tuple and shared by every caller, so read-only.
     """
     if stage < 1 or (1 << stage) > n:
         raise ValueError(f"stage {stage} out of range for n={n}")
     m = 1 << stage
     j = np.arange(m // 2)
     pi = PI_LONGDOUBLE if np.dtype(dtype) == np.clongdouble else np.pi
-    return np.exp(sign * 2j * pi * j / m)
+    w = np.exp(sign * 2j * pi * j / m)
+    w.setflags(write=False)
+    return w
 
 
 def twiddle_exponent(n: int, stage: int, j: int) -> int:
@@ -63,38 +69,26 @@ def fft_dit(x, sign: int = -1) -> np.ndarray:
     """Iterative radix-2 DIT FFT (complex128, no normalization).
 
     ``sign=-1`` matches :func:`numpy.fft.fft`; ``sign=+1`` gives the
-    unnormalized inverse (divide by ``n`` afterwards to invert).
+    unnormalized inverse (divide by ``n`` afterwards to invert).  A batch
+    of one :func:`fft_dit_batch` call.
 
     Args:
         x: input vector, length a power of two.
         sign: twiddle sign convention.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[0]
-    if n & (n - 1):
-        raise ValueError(f"length must be a power of two, got {n}")
-    out = x[bit_reverse_indices(n)].copy()
-    stages = n.bit_length() - 1
-    for s in range(1, stages + 1):
-        m = 1 << s
-        half = m >> 1
-        w = stage_twiddles(n, s, sign)
-        out = out.reshape(-1, m)
-        lo = out[:, :half].copy()
-        hi = out[:, half:] * w
-        out[:, :half] = lo + hi
-        out[:, half:] = lo - hi
-        out = out.reshape(-1)
-    return out
+    return fft_dit_batch(np.asarray(x, dtype=np.complex128), sign)
 
 
 def fft_dit_batch(x, sign: int = -1) -> np.ndarray:
     """Batched :func:`fft_dit` over the last axis of a ``(..., n)`` array.
 
-    Row-major flattening keeps every length-``m`` butterfly block inside one
-    row, so the whole batch runs through the same ``log2(n)`` vectorized
-    stage passes and each row's output is bit-identical to a per-row
-    :func:`fft_dit` call (the butterfly arithmetic is element-wise).
+    The ``B`` rows are gathered once, bit-reversed, into an ``(n, B)``
+    array, and stage ``s`` (block ``m = 2**s``) runs on its
+    ``(n/m, 2, m/2, B)`` view: each butterfly's ufuncs span the whole
+    batch, however short the stage's blocks.  Every element still gets the
+    same IEEE operations in the same order -- ``hi = b * w``, then
+    ``a - hi`` and ``a + hi`` -- so each row's output is bit-identical to a
+    per-row transform.
 
     Runs in the input's precision: ``longdouble``/``clongdouble`` input is
     transformed in ``clongdouble`` with long-double twiddles, anything else
@@ -110,19 +104,24 @@ def fft_dit_batch(x, sign: int = -1) -> np.ndarray:
     n = x.shape[-1]
     if n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
-    lead = x.shape[:-1]
-    out = x[..., bit_reverse_indices(n)].reshape(-1)
-    stages = n.bit_length() - 1
-    for s in range(1, stages + 1):
-        m = 1 << s
-        half = m >> 1
-        w = stage_twiddles(n, s, sign, dtype)
-        out = out.reshape(-1, m)
-        hi = out[:, half:] * w
-        np.subtract(out[:, :half], hi, out=out[:, half:])
-        out[:, :half] += hi
-        out = out.reshape(-1)
-    return out.reshape(lead + (n,))
+    rows = x.reshape(-1, n)
+    out = rows.T[bit_reverse_indices(n)]
+    hi = np.empty((n // 2, rows.shape[0]), dtype)
+    for s in range(1, n.bit_length()):
+        butterfly_stage(out, hi, s, stage_twiddles(n, s, sign, dtype))
+    return np.ascontiguousarray(out.T).reshape(x.shape)
+
+
+def butterfly_stage(out: np.ndarray, hi: np.ndarray, stage: int, w) -> None:
+    """Stage ``stage`` of the DIT network, in place on an ``(n, B)``
+    array, through the ``(n/2, B)`` scratch ``hi``."""
+    n, b = out.shape
+    half = 1 << (stage - 1)
+    pairs = out.reshape(n // (2 * half), 2, half, b)
+    t = hi.reshape(n // (2 * half), half, b)
+    np.multiply(pairs[:, 1], w[:, None], out=t)
+    np.subtract(pairs[:, 0], t, out=pairs[:, 1])
+    pairs[:, 0] += t
 
 
 def ifft_dit(x) -> np.ndarray:

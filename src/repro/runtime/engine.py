@@ -98,6 +98,15 @@ def ntt_modulus(n: int, value_bound: int) -> int:
     return q
 
 
+def channel_value_bound(w: np.ndarray, x_max: int) -> int:
+    """A bound on every coefficient of one output channel's products,
+    summed over its input-channel tiles: ``max_m sum|w[m]| * x_max`` for
+    an ``M x C x kh x kw`` kernel ``w`` and inputs ``|x| <= x_max`` (an
+    ``ntt_modulus`` argument)."""
+    per_channel = np.abs(w).reshape(len(w), -1).sum(axis=1)
+    return int(per_channel.max(initial=0)) * x_max
+
+
 def _split_groups(items: Sequence, groups: int) -> List[list]:
     """Split ``items`` into at most ``groups`` contiguous non-empty chunks."""
     items = list(items)
@@ -439,7 +448,6 @@ class BatchedHConvEngine:
         stats.batch = batch
 
         x_max = max(1, int(np.abs(xs).max() if xs.size else 1))
-        bound = int(np.abs(w).sum() * x_max)
         xp = np.stack([pad_input(x, shape.padding) for x in xs])
         total = np.zeros(
             (batch, shape.out_channels, shape.out_height, shape.out_width),
@@ -454,7 +462,7 @@ class BatchedHConvEngine:
         cache_spectra = self._spectra_fit(bands, n)
         arm, q = self.mode, None
         if arm == "ntt":
-            q = ntt_modulus(n, bound)
+            q = ntt_modulus(n, channel_value_bound(w, x_max))
             tiles = max(Conv2dEncoder(band, n).num_tiles for *_, band in bands)
             certificate = get_exact_negacyclic(n).float64_bound(
                 *_encoded_weight_norms(w, s, bands, n), x_max, tiles

@@ -25,9 +25,8 @@ def fold_valid_indices(valid: Sequence[int], n: int) -> np.ndarray:
     complex sample, so a weight slot at either position makes folded index
     ``j mod n/2`` valid.
     """
-    half = n // 2
-    idx = {int(v) % n % half for v in valid}
-    return np.array(sorted(idx), dtype=np.int64)
+    valid = np.asarray(valid, dtype=np.int64).reshape(-1)
+    return np.unique(valid % n % (n // 2))
 
 
 def bit_reversed_positions(valid: Sequence[int], n: int) -> np.ndarray:

@@ -533,7 +533,7 @@ class SparseWeightPipeline:
         weight_config: fixed-point configuration of the core.
         valid_pattern: structural non-zero pattern, natural coefficient
             order (already-folded core indices are accepted too: folding
-            is idempotent).
+            is idempotent).  With ``plan``, the folded pattern itself.
         plan: pre-compiled plan for the folded pattern (e.g. from a
             :class:`repro.runtime.PlanCache`); compiled here when omitted.
     """
@@ -545,7 +545,7 @@ class SparseWeightPipeline:
         valid_pattern: Sequence[int],
         plan: Optional[SparsePlan] = None,
     ):
-        from repro.fftcore.negacyclic import NegacyclicFft
+        from repro.fftcore.negacyclic import get_negacyclic_fft
         from repro.sparse.patterns import fold_valid_indices
 
         if weight_config.n != n // 2:
@@ -553,15 +553,15 @@ class SparseWeightPipeline:
                 f"weight core must be {n // 2}-point, got {weight_config.n}"
             )
         self.n = n
-        self.base = NegacyclicFft(n)
-        self.pattern = fold_valid_indices(valid_pattern, n)
-        self.plan = (
-            plan
-            if plan is not None
-            else SparsePlan(weight_config, self.pattern, sign=+1)
-        )
-        if not np.array_equal(self.plan.valid, self.pattern):
+        self.base = get_negacyclic_fft(n)
+        if plan is None:
+            self.pattern = fold_valid_indices(valid_pattern, n)
+            plan = SparsePlan(weight_config, self.pattern, sign=+1)
+        elif not np.array_equal(plan.valid, valid_pattern):
             raise ValueError("plan was compiled for a different pattern")
+        else:
+            self.pattern = plan.valid
+        self.plan = plan
 
     @property
     def mults(self) -> int:

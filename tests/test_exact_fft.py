@@ -41,7 +41,11 @@ from repro.nn.model import conv2d_int_batch
 from repro.nn.resnet import resnet18_conv_layers
 from repro.obs import trace as obs_trace
 from repro.runtime import BatchedHConvEngine
-from repro.runtime.engine import _encoded_weight_norms, ntt_modulus
+from repro.runtime.engine import (
+    _encoded_weight_norms,
+    channel_value_bound,
+    ntt_modulus,
+)
 
 CHEETAH = cheetah_preset()
 CHAM = cham_preset()
@@ -559,6 +563,25 @@ class TestEngineExactArm:
         assert np.array_equal(
             out, conv2d_int_batch(xs, w, shape.stride, shape.padding)
         )
+
+    def test_ntt_prime_is_sized_per_output_channel(self):
+        """Eight output channels of 18-bit weights: the whole kernel's
+        ``sum|w| * max|x|`` needs a prime above ``ntt_modulus``'s 38-bit
+        range, each channel's fits.  Every coefficient of one channel's
+        tile sum is within its own bound, so the NTT stays exact."""
+        xs, _, shape, n = rejected_conv_inputs()
+        shape = replace(shape, out_channels=8)
+        rng = np.random.default_rng(5)
+        w = rng.choice([-(1 << 17), 1 << 17], size=(8, 4, 1, 1))
+        x_max = int(np.abs(xs).max())
+        with pytest.raises(ValueError, match="NTT range"):
+            ntt_modulus(n, int(np.abs(w).sum()) * x_max)
+        assert channel_value_bound(w, x_max) == 4 * (1 << 17) * x_max
+        out, attrs = _traced_conv(BatchedHConvEngine(mode="ntt"), xs, w, shape, n)
+        assert attrs["ntt_fallback"] == 1
+        expected = conv2d_int_batch(xs, w, shape.stride, shape.padding)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(hconv_ntt(xs[0], w, shape, n), expected[0])
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_rejected_call_runs_the_ntt(self, workers):

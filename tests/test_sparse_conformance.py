@@ -161,6 +161,31 @@ class TestWeightPipelineVsNegacyclicOracle:
         assert np.array_equal(sa.values, sb.values)
 
 
+    def test_cached_plan_is_not_refolded(self, monkeypatch):
+        """``sparse_pipeline`` hands over a folded pattern and its plan:
+        the pipeline takes both as they are and shares one read-only
+        ``NegacyclicFft`` per ring degree."""
+        import repro.sparse.patterns as patterns
+        from repro.runtime import PlanCache
+        from repro.runtime.plan_cache import sparse_pipeline
+
+        folded = fold_valid_indices(contiguous_block_pattern(N, N // 6), N)
+        cache = PlanCache()
+        first = sparse_pipeline(cache, N, CORE_CFG, folded)
+
+        def no_fold(*args):
+            raise AssertionError("an already folded pattern was re-folded")
+
+        monkeypatch.setattr(patterns, "fold_valid_indices", no_fold)
+        second = sparse_pipeline(cache, N, CORE_CFG, folded)
+        assert second.plan is first.plan
+        assert np.array_equal(second.pattern, folded)
+        assert second.base is first.base
+        assert not second.base._fold_twist.flags.writeable
+        with pytest.raises(ValueError, match="different pattern"):
+            SparseWeightPipeline(N, CORE_CFG, folded[1:], plan=first.plan)
+
+
 class TestClearSparseDifferential:
     """Engine mode="sparse" vs per-call hconv_sparse over the shape grid."""
 

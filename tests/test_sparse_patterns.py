@@ -28,6 +28,21 @@ class TestFolding:
         out = fold_valid_indices([0, 1, 2], 64)
         assert out.tolist() == [0, 1, 2]
 
+    @pytest.mark.parametrize("n", [4, 64, 4096])
+    def test_fold_matches_set_comprehension(self, n):
+        """The vectorized fold equals the per-index set comprehension it
+        replaced, on random index sets (negative and >= n ones included)."""
+        rng = np.random.default_rng(n)
+        for size in (0, 1, 5, n // 3, 2 * n):
+            valid = rng.integers(-2 * n, 3 * n, size=size)
+            old = np.array(
+                sorted({int(v) % n % (n // 2) for v in valid}), dtype=np.int64
+            )
+            out = fold_valid_indices(valid, n)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, old)
+            assert np.array_equal(fold_valid_indices(valid.tolist(), n), old)
+
 
 class TestBitReversedPositions:
     def test_power_of_two_strides_become_contiguous(self):
