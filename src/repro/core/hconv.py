@@ -22,9 +22,31 @@ from repro.encoding.conv_encoding import ConvShape
 from repro.encoding.plain_eval import conv2d_via_polynomials
 from repro.fftcore.approx_pipeline import ApproxNegacyclic
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.ntt import get_ntt
+from repro.ntt import find_ntt_primes, get_ntt
 from repro.ntt.modmath import centered, from_centered
-from repro.runtime.engine import channel_value_bound, ntt_modulus
+
+
+def ntt_modulus(n: int, value_bound: int) -> int:
+    """An NTT-friendly prime for degree ``n`` wide enough that products
+    with ``|coefficient| <= value_bound`` do not wrap around.
+
+    The prime has 20..39 bits; a ``2 * value_bound + 1`` wider than 38
+    bits raises :class:`ValueError`.
+    """
+    bits = max(20, min(39, (2 * value_bound + 1).bit_length() + 1))
+    if (2 * value_bound + 1) >> 38:
+        raise ValueError("results exceed the single-prime NTT range")
+    (q,) = find_ntt_primes(bits, n)
+    return q
+
+
+def channel_value_bound(w: np.ndarray, x_max: int) -> int:
+    """A bound on every coefficient of one output channel's products,
+    summed over its input-channel tiles: ``max_m sum|w[m]| * x_max`` for
+    an ``M x C x kh x kw`` kernel ``w`` and inputs ``|x| <= x_max`` (an
+    ``ntt_modulus`` argument)."""
+    per_channel = np.abs(w).reshape(len(w), -1).sum(axis=1)
+    return int(per_channel.max(initial=0)) * x_max
 
 
 def ntt_polymul_factory(n: int, value_bound: int) -> Callable:

@@ -1,13 +1,23 @@
 """Certified exact negacyclic products on the float64 folded FFT.
 
 Klemsa's error-free negacyclic integer convolution, made a decision rather
-than a hope: for a centered residue vector ``a`` (``|a_j| <= floor(p/2)``)
-and a small integer weight ``w``, the folded-FFT product ``a * w`` lands
-within 1/2 of the exact integer in every coefficient whenever the a-priori
-bound :meth:`ExactNegacyclic.bound` is below 1/2; ``np.rint`` then returns
-the exact product.  The bound depends only on ``n``, ``p``, ``||w||_2`` and
-the peak of the weight's cached spectrum -- never on ``a`` -- so callers
-decide FFT or NTT per (weight, prime) before running anything.
+than a hope: for a centered vector ``a`` with ``|a_j| <= A`` and a small
+integer weight ``w``, the folded-FFT product ``a * w`` lands within 1/2 of
+the exact integer in every coefficient whenever the a-priori bound
+(:meth:`ExactNegacyclic.bound`) is below 1/2; ``np.rint`` then returns the
+exact product.  The bound depends only on ``n``, ``A``, ``||w||_2`` and the
+peak of the weight's cached spectrum -- never on ``a`` -- so callers decide
+before running anything.
+
+The bound is linear in ``A``.  Where it rejects ``A`` (a centered residue
+mod a wide prime, ``A = floor(p/2)``, or a wide activation), the product
+runs on digits: ``a = sum_d a_d 2**(b*d)`` with ``D`` centered digits of
+magnitude at most ``2**(b-1)`` (:func:`digit_split`, :func:`split_digits`).
+Each digit product is certified with the digit magnitude in place of ``A``
+and the exact integer products are recombined; the smallest ``D`` that
+certifies is used (:func:`certified_digits`), and ``D = 1`` is the plain
+product.  A product that no digit count certifies raises
+:class:`ValueError`; it never runs uncertified.
 
 The analysis (docs/algorithms.md, "Exact products on the folded FFT"):
 
@@ -19,7 +29,7 @@ The analysis (docs/algorithms.md, "Exact products on the folded FFT"):
   (Higham Lemma 3.5); ``gamma_k = k u / (1 - k u)``.
 * The fold/unfold twists and the pointwise product each add one complex
   multiply; division by ``n/2`` is exact.  Worst-case input
-  ``||a||_2 = sqrt(n) floor(p/2)``.
+  ``||a||_2 = sqrt(n) A``.
 * The weight spectrum is computed in long double and rounded to complex128
   once, so its own error is ``u * peak`` plus a long-double FFT term far
   below a float64 one (about ``1e-11`` for the ternary key at n = 4096,
@@ -34,8 +44,8 @@ Table errors ``mu`` of the float64 twiddles and twists are measured once
 per ``n`` against long-double tables, each of which lies within
 ``LONGDOUBLE_TABLE_EPS`` long-double epsilons of the exact root.  Unit
 roundoffs come from ``np.finfo``: where ``longdouble`` is plain double the
-spectra are only float64-accurate, the bounds grow accordingly and more
-products fall back to the NTT -- never to a wrong answer.
+spectra are only float64-accurate, the bounds grow accordingly and products
+take more digits -- never a wrong answer.
 """
 
 from __future__ import annotations
@@ -144,30 +154,46 @@ class ExactNegacyclic:
         folded = (x[..., :half] + 1j * x[..., half:]) * self._fold_twist_ld
         return fft_dit_batch(folded, sign=+1).astype(np.complex128)
 
-    def bound(self, prime: int, norm: float, peak: Optional[float] = None):
+    def bound(
+        self,
+        prime: int,
+        norm: float,
+        peak: Optional[float] = None,
+        digits: int = 1,
+    ) -> float:
         """A-priori worst ``|computed - exact|`` over every coefficient of
-        ``a * w`` and every centered residue vector ``a`` mod ``prime``.
+        ``a_d * w`` and every digit ``a_d`` of every centered residue
+        vector mod ``prime`` split into ``digits`` digits (one digit: the
+        residues themselves, ``||a||_2 <= sqrt(n) floor(p/2)``).
 
         Args:
-            prime: the limb's modulus; ``||a||_2 <= sqrt(n) floor(p/2)``.
+            prime: the limb's modulus.
             norm: an upper bound on ``||w||_2``.
             peak: ``max_k |spectrum_k|`` of the cached spectrum; omitted,
                 the smallest possible peak ``norm`` (Parseval) gives a lower
                 bound, so a weight failing it needs no spectrum at all.
+            digits: the digit count ``D`` (:func:`digit_split`).
         """
         peak = norm if peak is None else peak
         # max_k |spectrum_k - W_k|: the long-double transform's error plus
         # the rounding to complex128.
         d = self._spectrum_rel * norm + self._u * peak / (1 - self._u)
-        return self._bound(math.sqrt(self.n) * (prime // 2), peak, d)
+        magnitude = digit_split(prime // 2, digits)[1]
+        return self._bound(math.sqrt(self.n) * magnitude, peak, d)
 
     def float64_bound(
-        self, norm: float, l1: int, activation_max: int, tiles: int = 1
+        self,
+        norm: float,
+        l1: int,
+        activation_max: int,
+        tiles: int = 1,
+        digits: int = 1,
     ) -> float:
         """A-priori worst ``|computed - exact|`` over every coefficient of
         ``sum_t a_t * w_t``: ``tiles`` products of weight spectra built in
         float64 by ``fft.forward_batch``, summed in the spectral domain
-        before one inverse transform.
+        before one inverse transform, for every digit of activations split
+        into ``digits`` digits (:func:`digit_split`).
 
         Every exact spectrum value has ``|W_k| <= ||w||_1``, so no
         spectrum is needed: the computed peak is at most ``l1 + d``.
@@ -175,13 +201,16 @@ class ExactNegacyclic:
         Args:
             norm: an upper bound on every ``||w_t||_2``.
             l1: an upper bound on every ``||w_t||_1``.
-            activation_max: an upper bound on every ``|a_t[j]|``, so
-                ``||a_t||_2 <= sqrt(n) activation_max``.
+            activation_max: an upper bound on every ``|a_t[j]|``; a digit
+                ``a_d`` then has ``||a_d||_2 <= sqrt(n) M`` with ``M`` its
+                digit magnitude.
             tiles: the number of products summed.
+            digits: the digit count ``D``.
         """
         # The float64 transform's error, as the activation's below.
         d = self._spectrum_rel64 * norm
-        a_norms = tiles * math.sqrt(self.n) * activation_max
+        magnitude = digit_split(activation_max, digits)[1]
+        a_norms = tiles * math.sqrt(self.n) * magnitude
         return self._bound(a_norms, l1 + d, d, tiles)
 
     def _bound(
@@ -208,19 +237,84 @@ class ExactNegacyclic:
         primes: Sequence[int],
         weights: np.ndarray,
         build: Optional[Callable[[], np.ndarray]] = None,
-    ) -> Tuple[Optional[np.ndarray], Tuple[float, ...]]:
-        """A weight's spectrum and its certificate bound at each prime.
+    ) -> Tuple[np.ndarray, Tuple[int, ...], Tuple[float, ...]]:
+        """A weight's spectrum and, at each prime, the digit count its
+        products run on and their certificate bound (:func:`certified_digits`).
 
         ``build`` returns the spectrum (default :meth:`spectrum`; callers
-        pass a cache lookup).  A weight that fails the lower bound at every
-        prime is not transformed: ``(None, (inf, ...))``.
+        pass a cache lookup).  A weight that no digit count certifies
+        raises :class:`ValueError`: before its spectrum is built when the
+        lower bound already fails (one-bit digits have magnitude 1 at every
+        prime, so the smallest prime decides), after it when the real peak
+        fails at some prime.
         """
         norm = weight_norm(weights)
-        if self.bound(min(primes), norm) >= CERTIFIED_BELOW:
-            return None, (math.inf,) * len(primes)
+        low = min(primes)
+        certified_digits(
+            low // 2, lambda digits: self.bound(low, norm, None, digits)
+        )
         spectrum = build() if build is not None else self.spectrum(weights)
         peak = float(np.max(np.abs(spectrum)))
-        return spectrum, tuple(self.bound(p, norm, peak) for p in primes)
+        digits, bounds = zip(*(
+            certified_digits(
+                p // 2, lambda digits: self.bound(p, norm, peak, digits)
+            )
+            for p in primes
+        ))
+        return spectrum, digits, bounds
+
+
+def digit_split(magnitude: int, digits: int) -> Tuple[int, int]:
+    """``(b, M)`` of the split of integers ``|x| <= magnitude`` into
+    ``digits`` centered base-``2**b`` digits (:func:`split_digits`).
+
+    ``b = ceil((bit_length(magnitude) + 1) / digits)``, so ``magnitude <
+    2**(b*digits - 1)`` and every digit, the top one included, has ``|x_d|
+    <= M = min(magnitude, 2**(b-1))``.  One digit is ``x`` itself.
+    """
+    width = -(-(int(magnitude).bit_length() + 1) // digits)
+    return width, min(int(magnitude), 1 << (width - 1))
+
+
+def split_digits(values: np.ndarray, width: int, digits: int) -> np.ndarray:
+    """The ``(digits,) + values.shape`` stack of centered base-``2**width``
+    digits of integer-valued ``values`` (int64, or float64 below
+    ``2**53``), least significant first, in ``values``' dtype: ``values
+    == sum_d out[d] * 2**(width*d)``.  Every digit but the top one lies in
+    ``[-2**(width-1), 2**(width-1))``; the top one within
+    :func:`digit_split`'s ``M``.  One digit is a view of ``values``.
+    """
+    if digits == 1:
+        return values[None]
+    out = np.empty((digits,) + values.shape, dtype=np.int64)
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    rest = values.astype(np.int64)  # exact: integers below 2**53
+    for d in range(digits - 1):
+        low = rest & mask  # in [0, 2**width); a carry centers it
+        carry = low >= half
+        out[d] = low - (carry.astype(np.int64) << width)
+        rest = (rest >> width) + carry
+    out[-1] = rest
+    return out.astype(values.dtype, copy=False)
+
+
+def certified_digits(
+    magnitude: int, bound_of: Callable[[int], float]
+) -> Tuple[int, float]:
+    """The smallest digit count ``D`` whose certificate ``bound_of(D)`` is
+    below :data:`CERTIFIED_BELOW`, and that bound.
+
+    ``D`` runs up to one-bit digits (magnitude 1); a product they do not
+    certify either raises :class:`ValueError`.
+    """
+    for digits in range(1, int(magnitude).bit_length() + 2):
+        bound = bound_of(digits)
+        if bound < CERTIFIED_BELOW:
+            return digits, bound
+    raise ValueError(
+        f"no digit split certifies the product: one-bit digits bound "
+        f"{bound:.3g} >= {CERTIFIED_BELOW}"
+    )
 
 
 def weight_norm(weights: np.ndarray) -> float:

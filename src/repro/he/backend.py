@@ -24,14 +24,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.fftcore.exact import (
-    CERTIFIED_BELOW,
     ExactNegacyclic,
+    digit_split,
     get_exact_negacyclic,
+    split_digits,
 )
 from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.he.poly import RingPoly
-from repro.ntt import get_ntt
-from repro.ntt.modmath import mulmod
+from repro.ntt.modmath import addmod, mulmod
 from repro.ntt.rns import RnsBasis
 from repro.obs import trace as obs_trace
 from repro.runtime.engine import RuntimeStats, fan_out
@@ -135,19 +135,21 @@ class PolyMulBackend:
 
 
 class NttPolyMulBackend(PolyMulBackend):
-    """Exact product: folded-FFT kernel, NTT fallback.
+    """Exact product on the certified folded FFT, digit-split where needed.
 
     Each product runs one RNS limb at a time on the float64 folded FFT
     (:mod:`repro.fftcore.exact`): a limb's centered residues go through one
     ``forward_batch``, a pointwise product with the weight's cached
     spectrum, one ``inverse_batch``, ``np.rint`` and ``np.mod p``.  One
     spectrum (``8 * n`` bytes, built once in long double) serves every
-    limb.  A (weight, prime) pair runs on the FFT only when its a-priori
-    certificate bound is below 1/2, which makes the rounding exact; the
-    other rows of the same call run the per-prime negacyclic NTT (the
-    oracle), in order.  Limbs are fanned across the worker pool; spectra
-    are cached in ``plan_cache`` under ``("exact-wspec", n, weight-bytes)``
-    and, for rejected pairs, ``("rns-wspec", n, prime, weight-bytes)``.
+    limb.  Each (weight, prime) pair runs on the smallest digit count
+    ``D`` whose a-priori certificate bound is below 1/2, which makes the
+    rounding exact: the residues split into ``D`` centered digits stacked
+    along the batch axis of the same three passes, and the exact digit
+    products recombine mod ``p``.  ``D = 1`` is the plain product; a
+    weight no ``D`` certifies raises :class:`ValueError`.  Limbs are
+    fanned across the worker pool; spectra are cached in ``plan_cache``
+    under ``("exact-wspec", n, weight-bytes)``.
 
     Stored transform-domain weights are Figure 1's trade: "it is possible
     to pre-compute and store the weight polynomials in the NTT domain, but
@@ -157,8 +159,8 @@ class NttPolyMulBackend(PolyMulBackend):
     the budget raises :class:`MemoryError`.
 
     Each call sets ``rounding_worst`` (the realized worst ``|x - rint(x)|``
-    of its FFT rows), ``rounding_bound`` (their largest certificate bound)
-    and ``ntt_fallback`` (limb products run on the NTT) on its
+    of its digit rows), ``rounding_bound`` (their largest certificate
+    bound) and ``digits`` (the largest ``D``) on its
     ``runtime.multiply_many`` span.
 
     Args:
@@ -166,18 +168,6 @@ class NttPolyMulBackend(PolyMulBackend):
     """
 
     kind = "ntt"
-
-    def _weight_residue_spectrum(
-        self, n: int, prime: int, weights: np.ndarray
-    ) -> np.ndarray:
-        key = ("rns-wspec", n, prime, weights.tobytes())
-        plan = get_ntt(n, prime)
-        return self.plan_cache.get_or_build(
-            key,
-            lambda: plan.forward(
-                (weights % np.int64(prime)).astype(np.uint64)
-            ),
-        )
 
     def _exact_spectrum(
         self, kernel: ExactNegacyclic, weights: np.ndarray, key: bytes
@@ -198,59 +188,46 @@ class NttPolyMulBackend(PolyMulBackend):
         ]
         # Spectra and certificates are built serially (deterministic cache
         # order); limb jobs below only read plain arrays.
-        certs: Dict[bytes, Tuple[Optional[np.ndarray], Tuple[float, ...]]] = {}
+        certs: Dict[bytes, tuple] = {}
         for w in weights_list:
             key = w.tobytes()
             if key not in certs:
                 certs[key] = kernel.certify(
                     primes, w, lambda: self._exact_spectrum(kernel, w, key)
                 )
-        spectra, bounds = zip(*(certs[w.tobytes()] for w in weights_list))
-        fft_rows, ntt_rows = [], []
+        spectra, digits, bounds = zip(
+            *(certs[w.tobytes()] for w in weights_list)
+        )
+        # Per limb, the rows of each digit count, in order.
+        groups: List[Dict[int, List[int]]] = []
         for limb in range(len(primes)):
-            certified = [bound[limb] < CERTIFIED_BELOW for bound in bounds]
-            fft_rows.append([i for i in range(count) if certified[i]])
-            ntt_rows.append([i for i in range(count) if not certified[i]])
-        # One stack of FFT spectra serves every limb certifying the same rows.
-        fft_spectra = {
+            by_digits: Dict[int, List[int]] = {}
+            for i in range(count):
+                by_digits.setdefault(digits[i][limb], []).append(i)
+            groups.append(by_digits)
+        # One stack of spectra serves every limb grouping the same rows.
+        stacks = {
             tuple(rows): np.stack([spectra[i] for i in rows])
-            for rows in fft_rows if rows
+            for by_digits in groups for rows in by_digits.values()
         }
-        ntt_spectra = [
-            np.stack([
-                self._weight_residue_spectrum(basis.n, prime, weights_list[i])
-                for i in rows
-            ]) if rows else None
-            for prime, rows in zip(primes, ntt_rows)
-        ]
 
         def limb_job(limb: int) -> Tuple[np.ndarray, float]:
             prime = primes[limb]
             out = np.empty((count, basis.n), dtype=np.uint64)
             worst = 0.0
-            rows = fft_rows[limb]
-            if rows:
+            for limb_digits, rows in groups[limb].items():
                 stack = np.stack([polys[i].residues[limb] for i in rows])
-                out[rows], worst = exact_fft_products(
-                    kernel, stack, fft_spectra[tuple(rows)], prime
+                out[rows], rows_worst = exact_fft_products(
+                    kernel, stack, stacks[tuple(rows)], prime, limb_digits
                 )
-            rows = ntt_rows[limb]
-            if rows:
-                plan = get_ntt(basis.n, prime)
-                stack = np.stack([polys[i].residues[limb] for i in rows])
-                spec = mulmod(plan.forward_batch(stack), ntt_spectra[limb], prime)
-                out[rows] = plan.inverse_batch(spec)
+                worst = max(worst, rows_worst)
             return out, worst
 
         limbs = fan_out(range(len(primes)), limb_job, self.max_workers)
         obs_trace.tracer.current_span().set(
             rounding_worst=max(worst for _, worst in limbs),
-            rounding_bound=max(
-                (bounds[i][limb] for limb, rows in enumerate(fft_rows)
-                 for i in rows),
-                default=0.0,
-            ),
-            ntt_fallback=sum(len(rows) for rows in ntt_rows),
+            rounding_bound=max(max(bound) for bound in bounds),
+            digits=max(max(d) for d in digits),
         )
         self.last_stats = RuntimeStats(
             mode=self.kind,
@@ -269,28 +246,43 @@ def exact_fft_products(
     residues: np.ndarray,
     spectra: np.ndarray,
     prime: int,
+    digits: int,
 ) -> Tuple[np.ndarray, float]:
     """Exact negacyclic products of one limb on the float64 folded FFT.
 
     ``residues`` is a ``(k, n)`` stack mod ``prime``; ``spectra`` are the
     ``(k, n/2)`` (or one shared ``(n/2,)``) cached weight spectra, every
-    one certified for ``prime``.  Returns the ``(k, n)`` products mod
-    ``prime`` and the worst realized rounding distance ``|x - rint(x)|``.
-    The certificate keeps every ``|x|`` below ``2**53``, so the rounded
-    products are exact integers in float64 and in int64.
+    one certified for ``prime`` at ``digits`` digits.  The centered
+    residues split into ``digits`` digits (:func:`split_digits`), stacked
+    along the batch axis of one forward transform, pointwise product and
+    inverse; the rounded digit products are reduced mod ``prime`` and
+    recombined with ``mulmod`` by ``2**(b*d)``.  Returns the ``(k, n)``
+    products mod ``prime`` and the worst realized rounding distance
+    ``|x - rint(x)|``.  The certificate keeps every ``|x|`` below
+    ``2**53``, so the rounded products are exact integers in float64 and
+    in int64.
     """
-    # repro-lint: disable=DTYPE001  exact: residues r < p < 2**30 at
-    # 30-bit primes (centered, |r| < 2**29 < 2**53); any certified prime
-    # is far below 2**53, since the certificate bound grows with p
+    count, n = residues.shape
+    width = digit_split(prime // 2, digits)[0]
+    # repro-lint: disable=DTYPE001  exact: residues r < p < 2**40 at every
+    # prime mulmod admits (centered, |r| < 2**39 < 2**53)
     lifted = residues.astype(np.float64)
     lifted -= (lifted > prime // 2) * float(prime)  # centered, |r| <= p/2
-    product = kernel.fft.inverse_batch(kernel.fft.forward_batch(lifted) * spectra)
+    stack = split_digits(lifted, width, digits).reshape(-1, n)
+    fft = kernel.fft
+    spectrum = fft.forward_batch(stack).reshape(digits, count, -1) * spectra
+    product = fft.inverse_batch(spectrum.reshape(digits * count, -1))
     rounded = np.rint(product)
     product -= rounded
     worst = float(np.max(np.abs(product, out=product)))
     ints = rounded.astype(np.int64)
     ints %= prime
-    return ints.view(np.uint64), worst
+    ints = ints.view(np.uint64).reshape(digits, count, n)
+    out = ints[0]
+    for d in range(1, digits):
+        shifted = mulmod(ints[d], pow(2, width * d, prime), prime)
+        out = addmod(out, shifted, prime)
+    return out, worst
 
 
 class FftPolyMulBackend(PolyMulBackend):

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fftcore.exact import CERTIFIED_BELOW, get_exact_negacyclic
+from repro.fftcore.exact import get_exact_negacyclic
 from repro.he.backend import (
     NttPolyMulBackend,
     PolyMulBackend,
@@ -29,50 +29,42 @@ from repro.he.backend import (
 from repro.he.params import BfvParameters
 from repro.he.poly import RingPoly, gaussian_poly, ternary_poly, uniform_poly
 from repro.ntt.modmath import centered, mulmod
-from repro.ntt.ntt import get_ntt
 from repro.obs import trace as obs_trace
 from repro.obs.trace import NOOP_SPAN
 
 
 @dataclass(frozen=True)
 class SecretKey:
-    """Secret key ``s`` and the per-limb state its products run on.
+    """Secret key ``s`` and the state its products run on.
 
-    ``bounds[l]`` is the exact-FFT certificate bound of ``s`` at prime
-    ``l``.  Below 1/2 the limb multiplies on the folded FFT and
-    ``spectrum[l]`` is the key's complex128 FFT spectrum (one array shared
-    by every such limb); otherwise ``spectrum[l]`` is the limb's NTT
-    spectrum.  Both are derived from ``s`` at construction; the key is
-    frozen so they cannot disagree.
+    ``s`` must be one small integer polynomial: every limb's centered
+    residues equal (ternary keys are); otherwise, or when no digit count
+    certifies it, construction raises :class:`ValueError`.  ``spectrum``
+    is the key's complex128 folded-FFT spectrum, shared by every limb;
+    ``digits[l]`` and ``bounds[l]`` are the digit count and certificate
+    bound of its products at prime ``l``
+    (:meth:`repro.fftcore.exact.ExactNegacyclic.certify`).  All are derived
+    from ``s`` at construction; the key is frozen so they cannot disagree.
     """
 
     s: RingPoly
-    spectrum: Tuple[np.ndarray, ...] = field(
-        init=False, compare=False, repr=False
-    )
+    spectrum: np.ndarray = field(init=False, compare=False, repr=False)
+    digits: Tuple[int, ...] = field(init=False, compare=False, repr=False)
     bounds: Tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         basis = self.s.basis
-        primes = basis.primes
-        kernel = get_exact_negacyclic(basis.n)
-        lifts = [centered(r, p) for p, r in zip(primes, self.s.residues)]
-        # Every limb's centered residues agree exactly when s is a small
-        # integer polynomial (ternary keys are); only then is one FFT
-        # spectrum valid for all limbs.
-        fft_spectrum, bounds = (
-            kernel.certify(primes, lifts[0])
-            if all(np.array_equal(lift, lifts[0]) for lift in lifts)
-            else (None, (math.inf,) * len(primes))
+        lifts = [centered(r, p) for p, r in zip(basis.primes, self.s.residues)]
+        if not all(np.array_equal(lift, lifts[0]) for lift in lifts):
+            raise ValueError(
+                "secret key limbs are not one small integer polynomial"
+            )
+        spectrum, digits, bounds = get_exact_negacyclic(basis.n).certify(
+            basis.primes, lifts[0]
         )
-        spectrum = tuple(
-            fft_spectrum if bound < CERTIFIED_BELOW
-            else get_ntt(basis.n, p).forward(r)
-            for p, r, bound in zip(primes, self.s.residues, bounds)
-        )
-        for limb in spectrum:
-            limb.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "bounds", bounds)
 
 
@@ -82,28 +74,21 @@ def _times_secret(
     """Negacyclic products ``poly * s`` of a stack of ring polynomials.
 
     Returns one ``(k, n)`` residue stack per basis prime, plus the worst
-    realized rounding distance of the limbs run on the FFT.  Per limb: the
-    certified FFT kernel against the key's cached spectrum, or one batched
-    forward NTT, a pointwise product with the key's NTT spectrum and one
-    batched inverse -- bit-identical to ``poly * sk.s`` row by row either
-    way, without transforming ``s`` again.
+    realized rounding distance.  Per limb, the certified FFT kernel runs
+    against the key's cached spectrum at the limb's digit count --
+    bit-identical to ``poly * sk.s`` row by row, without transforming
+    ``s`` again.
     """
     basis = sk.s.basis
     kernel = get_exact_negacyclic(basis.n)
     out, worst = [], 0.0
-    for i, (p, s_hat, bound) in enumerate(
-        zip(basis.primes, sk.spectrum, sk.bounds)
-    ):
+    for i, (p, digits) in enumerate(zip(basis.primes, sk.digits)):
         rows = np.stack([poly.residues[i] for poly in polys])
-        if bound < CERTIFIED_BELOW:
-            limb, limb_worst = exact_fft_products(kernel, rows, s_hat, p)
-            out.append(limb)
-            worst = max(worst, limb_worst)
-        else:
-            ntt = get_ntt(basis.n, p)
-            out.append(
-                ntt.inverse_batch(mulmod(ntt.forward_batch(rows), s_hat, p))
-            )
+        limb, limb_worst = exact_fft_products(
+            kernel, rows, sk.spectrum, p, digits
+        )
+        out.append(limb)
+        worst = max(worst, limb_worst)
     return out, worst
 
 
@@ -208,8 +193,9 @@ class BfvContext:
 
         The one decryption path: :meth:`decrypt_batch` and the single-
         ciphertext calls (batches of one) all decode through it.  The
-        key product's realized worst rounding distance and the largest
-        certificate bound of its FFT limbs go on ``span``.
+        key product's realized worst rounding distance, the largest
+        certificate bound and the largest digit count of its limbs go on
+        ``span``.
         """
         if not cts:
             return np.zeros((0, self.params.n), dtype=np.int64), []
@@ -220,9 +206,8 @@ class BfvContext:
         c1s, worst = _times_secret(sk, [ct.c1 for ct in cts])
         span.set(
             rounding_worst=worst,
-            rounding_bound=max(
-                (b for b in sk.bounds if b < CERTIFIED_BELOW), default=0.0
-            ),
+            rounding_bound=max(sk.bounds),
+            digits=max(sk.digits),
         )
         phase = self.basis._crt(self.basis.add(c0, c1s), centered=True)
         return self._decode(phase)

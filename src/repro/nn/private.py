@@ -8,7 +8,10 @@ message error is ``relative_fft_error x t`` (t = plaintext modulus).
 Running the same FFT pipeline over *secret shares* (uniform mod t) yields
 the same relative error against magnitude-t data, hence the same
 message-domain error distribution -- without any big-integer work.
-Tests cross-validate this equivalence against the real BFV protocol.
+This models the message-domain error only: the shares' errors cancel down
+to ``a * (w~ - w)``, while on the encrypted path the same weight error
+also multiplies the ``q``-multiples of the phase.  It has not been checked
+against BFV decryptions, and no test compares the two.
 """
 
 from __future__ import annotations

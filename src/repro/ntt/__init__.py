@@ -18,7 +18,6 @@ from repro.ntt.modmath import (
     root_of_unity,
     submod,
 )
-from repro.ntt.merged import MergedNtt, get_merged_ntt
 from repro.ntt.ntt import (
     NegacyclicNtt,
     NttPlan,
@@ -30,7 +29,6 @@ from repro.ntt.rns import RnsBasis
 __all__ = [
     "MAX_MODULUS_BITS",
     "ModulusError",
-    "MergedNtt",
     "NegacyclicNtt",
     "NttPlan",
     "RnsBasis",
@@ -40,7 +38,6 @@ __all__ = [
     "centered",
     "find_ntt_primes",
     "from_centered",
-    "get_merged_ntt",
     "get_ntt",
     "invmod",
     "is_prime",

@@ -2,7 +2,7 @@
 
 Every HConv used to run one ciphertext at a time through freshly built FFT
 plans.  This module stacks many polynomial pairs into 2-D arrays and runs
-the NTT / approximate-FFT butterflies over the batch axis in single
+the exact or approximate folded-FFT butterflies over the batch axis in single
 vectorized numpy passes, amortizing:
 
 * **plans** -- twiddle tables and pipelines come from a bounded
@@ -45,11 +45,10 @@ from repro.encoding.conv_encoding import (
     pad_input,
 )
 from repro.fftcore.exact import (
-    CERTIFIED_BELOW, get_exact_negacyclic, weight_norm,
+    certified_digits, digit_split, get_exact_negacyclic, split_digits,
+    weight_norm,
 )
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.ntt import find_ntt_primes, get_ntt
-from repro.ntt.modmath import centered, from_centered, mulmod
 from repro.obs import trace as obs_trace
 from repro.runtime.plan_cache import (
     PlanCache, approx_config_key, fft_pipeline, sparse_pipeline,
@@ -82,29 +81,6 @@ def fan_out(jobs: Sequence, fn: Callable, max_workers: Optional[int]) -> list:
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         futures = [pool.submit(fn, job) for job in jobs]
         return [future.result() for future in futures]
-
-
-def ntt_modulus(n: int, value_bound: int) -> int:
-    """An NTT-friendly prime for degree ``n`` wide enough that products
-    with ``|coefficient| <= value_bound`` do not wrap around.
-
-    The prime has 20..39 bits; a ``2 * value_bound + 1`` wider than 38
-    bits raises :class:`ValueError`.
-    """
-    bits = max(20, min(39, (2 * value_bound + 1).bit_length() + 1))
-    if (2 * value_bound + 1) >> 38:
-        raise ValueError("results exceed the single-prime NTT range")
-    (q,) = find_ntt_primes(bits, n)
-    return q
-
-
-def channel_value_bound(w: np.ndarray, x_max: int) -> int:
-    """A bound on every coefficient of one output channel's products,
-    summed over its input-channel tiles: ``max_m sum|w[m]| * x_max`` for
-    an ``M x C x kh x kw`` kernel ``w`` and inputs ``|x| <= x_max`` (an
-    ``ntt_modulus`` argument)."""
-    per_channel = np.abs(w).reshape(len(w), -1).sum(axis=1)
-    return int(per_channel.max(initial=0)) * x_max
 
 
 def _split_groups(items: Sequence, groups: int) -> List[list]:
@@ -329,23 +305,25 @@ class BatchedHConvEngine:
     close over locals.  The only state shared *with* workers is
     ``plan_cache``, which synchronizes internally.
 
-    Mode ``"ntt"`` is exact: certified FFT, NTT fallback.  Both sum an
-    output channel's tile products in the spectral domain and run one
+    Mode ``"ntt"`` is exact, on the certified float64 folded FFT: it sums
+    an output channel's tile products in the spectral domain and runs one
     inverse transform per ``(item, out_channel)``.  Each call bounds its
-    float64 round-off a priori (:meth:`repro.fftcore.exact
-    .ExactNegacyclic.float64_bound` from the largest ``|x|`` of its
-    inputs, its tile count and the largest ``||w||_2`` and ``||w||_1`` of
-    its encoded weight polynomials); below 1/2 the call runs the float64
-    folded FFT, whose rounding is then exact, otherwise the single-prime
-    NTT, whose modulus covers the whole tile sum.  The call's
+    round-off a priori (:meth:`repro.fftcore.exact.ExactNegacyclic
+    .float64_bound` from the largest ``|x|`` of its inputs, its tile count
+    and the largest ``||w||_2`` and ``||w||_1`` of its encoded weight
+    polynomials) and runs on the smallest digit count ``D`` that brings
+    the bound below 1/2, which makes the rounding exact: the inputs split
+    into ``D`` centered digits stacked along the batch axis, and the exact
+    digit outputs recombine in int64.  A call no ``D`` certifies raises
+    :class:`ValueError`; one whose outputs may exceed int64 raises
+    :class:`OverflowError`, both before any transform.  The call's
     ``runtime.conv2d_batch`` span carries ``rounding_bound``,
-    ``rounding_worst`` (the realized worst ``|x - rint(x)|``, 0 on the
-    NTT) and ``ntt_fallback`` (1 when the call ran the NTT).  Flash and
-    sparse round each tile product and sum the integers, bit-identical
-    to their per-call references.
+    ``rounding_worst`` (the realized worst ``|x - rint(x)|``) and
+    ``digits`` (``D``).  Flash and sparse round each tile product and sum
+    the integers, bit-identical to their per-call references.
 
     Args:
-        mode: ``"ntt"`` (exact; certified FFT, NTT fallback),
+        mode: ``"ntt"`` (exact; certified FFT, digit-split as needed),
             ``"flash"`` (approximate fixed-point weight transforms) or
             ``"sparse"`` (flash with compiled sparse weight plans: the
             structural zero pattern of each channel tile drives the
@@ -394,13 +372,6 @@ class BatchedHConvEngine:
         self.max_workers = max_workers
         self.cluster = cluster
         self.last_stats = RuntimeStats(mode=mode)
-
-    # -- plan helpers ---------------------------------------------------
-
-    def _ntt_plan(self, n: int, q: int):
-        return self.plan_cache.get_or_build(
-            ("ntt-plan", n, q), lambda: get_ntt(n, q)
-        )
 
     # -- batched convolution --------------------------------------------
 
@@ -460,29 +431,35 @@ class BatchedHConvEngine:
             for row_start, band in iter_row_bands(phase, n)
         ]
         cache_spectra = self._spectra_fit(bands, n)
-        arm, q = self.mode, None
-        if arm == "ntt":
-            q = ntt_modulus(n, channel_value_bound(w, x_max))
+        digits, digit_width = 1, 0
+        if self.mode == "ntt":
+            # Every output is at most max_m sum|w[m]| * max|x|; the digit
+            # sums wrap mod 2**64, so they are exact when that fits int64.
+            per_channel = np.abs(w).reshape(len(w), -1).sum(axis=1)
+            if int(per_channel.max(initial=0)) * x_max >> 63:
+                raise OverflowError("HConv outputs may exceed int64")
             tiles = max(Conv2dEncoder(band, n).num_tiles for *_, band in bands)
-            certificate = get_exact_negacyclic(n).float64_bound(
-                *_encoded_weight_norms(w, s, bands, n), x_max, tiles
+            norms = _encoded_weight_norms(w, s, bands, n)
+            kernel = get_exact_negacyclic(n)
+            digits, certificate = certified_digits(
+                x_max,
+                lambda d: kernel.float64_bound(*norms, x_max, tiles, d),
             )
-            if certificate < CERTIFIED_BELOW:
-                arm = "fft"
+            digit_width = digit_split(x_max, digits)[0]
         worst = 0.0
         for a, b, width, row_start, band in bands:
             x_band = xp[:, :, a::s, b::s][
                 :, :, row_start : row_start + band.height, :width
             ]
             worst = max(worst, self._run_band(
-                x_band, w[:, :, a::s, b::s], band, n, q, arm, shape,
-                row_start, total, stats, cache_spectra,
+                x_band, w[:, :, a::s, b::s], band, n, digits, digit_width,
+                shape, row_start, total, stats, cache_spectra,
             ))
-        if q is not None:
+        if self.mode == "ntt":
             obs_trace.tracer.current_span().set(
                 rounding_bound=certificate,
                 rounding_worst=worst,
-                ntt_fallback=int(arm == "ntt"),
+                digits=digits,
             )
         stats.cache = self.plan_cache.stats()
         self.last_stats = stats
@@ -496,8 +473,7 @@ class BatchedHConvEngine:
 
         Bands of one stride phase with equal shapes encode identical
         weight polynomials, so each ``(phase, band shape)`` counts once.
-        A spectrum is ``8 * n`` bytes: ``n`` int64 NTT values or ``n/2``
-        complex128 FFT values.
+        A spectrum is ``8 * n`` bytes: ``n/2`` complex128 values.
         """
         capacity = self.plan_cache.capacity_bytes
         if capacity is None:
@@ -538,24 +514,26 @@ class BatchedHConvEngine:
         w_phase: np.ndarray,
         band: ConvShape,
         n: int,
-        q: Optional[int],
-        arm: str,
+        digits: int,
+        digit_width: int,
         shape: ConvShape,
         row_start: int,
         total: np.ndarray,
         stats: RuntimeStats,
         cache_spectra: bool,
     ) -> float:
-        """Run one row band on ``arm``'s transforms, adding its outputs
-        into ``total``; returns the band's worst ``|x - rint(x)|`` on the
-        certified arm of mode ``"ntt"``, else 0.
+        """Run one row band, adding its outputs into ``total``; returns
+        the band's worst ``|x - rint(x)|`` in mode ``"ntt"``, else 0.
 
-        Each group job owns whole output channels with all of their tiles
-        and returns one int64 row per ``(item, channel)``: the exact arms
-        sum the tile products in the spectral domain (complex128, or mod
-        ``q``) before one inverse transform per row; flash and sparse round
-        each tile product, as their per-call references do, and sum the
-        integers.
+        The inputs split into ``digits`` centered base-``2**digit_width``
+        digits (one digit in flash and sparse: the inputs themselves),
+        stacked along the batch axis of the activation transform.  Each
+        group job owns whole output channels with all of their tiles and
+        returns one int64 row per ``(item, channel)``: mode ``"ntt"`` sums
+        the tile products in the spectral domain before one inverse
+        transform per ``(digit, item, channel)`` and recombines an item's
+        digit rows; flash and sparse round each tile product, as their
+        per-call references do, and sum the integers.
         """
         batch = x_band.shape[0]
         with _Timer(stats, "encode"):
@@ -574,79 +552,70 @@ class BatchedHConvEngine:
             rows[:, slots] = taps[tile_idx, m_idx]
             return rows
 
-        # Per arm: ``transform(chunk)`` batch-transforms the weights of a
+        # Per mode: ``transform(chunk)`` batch-transforms the weights of a
         # chunk of pairs into spectrum rows, ``key`` names the kind of
         # their cached spectra and ``product(w_rows, a_rows)`` takes a
         # job's ``(channels, tiles, .)`` weight spectra against the
-        # ``(B, tiles, .)`` activation spectra to ``(B, channels, n)``
-        # int64 outputs.  Mode "ntt" runs the float64 "fft" arm when its
-        # certificate holds and then reports the rounding residual.
-        if arm == "ntt":
-            plan = self._ntt_plan(n, q)
-            key = ("ntt-wspec", n, q)
+        # ``(digits * B, tiles, .)`` activation spectra to ``(B, channels,
+        # n)`` int64 outputs.  Mode "ntt" also reports the rounding
+        # residual.
+        mode = self.mode
+        pipe = fft_pipeline(self.plan_cache, n, self.weight_config)
+        key = ("fft-wspec", n, approx_config_key(self.weight_config))
+        if mode == "sparse":
+            with _Timer(stats, "weight_transform"):
+                transform, pattern = self._sparse_weight_source(
+                    n, enc, encode, tiles * channels, stats
+                )
+            key = ("sparse-wspec",) + key[1:] + (pattern,)
+        else:
 
             def transform(chunk):
-                return plan.forward_batch(from_centered(encode(chunk), q))
+                return pipe.weight_forward_batch(encode(chunk)).values
 
-            with _Timer(stats, "activation_transform"):
-                a_spec = plan.forward_batch(from_centered(a_stack, q))
+            if mode == "flash":
+                # Dense fixed-point weight FFT: every butterfly
+                # multiplies, so realized == dense == model.
+                stages = (n // 2).bit_length() - 1
+                dense = (n // 4) * stages * tiles * channels
+                stats.weight_transforms += tiles * channels
+                stats.weight_mults_realized += dense
+                stats.weight_mults_dense += dense
+                stats.weight_mults_model += dense
+        with _Timer(stats, "activation_transform"):
+            digit_rows = split_digits(a_stack, digit_width, digits)
+            a_spec = pipe.activation_forward_batch(
+                digit_rows.reshape(-1, n).astype(np.float64)
+            )
+
+        if mode == "ntt":
 
             def product(w_rows: np.ndarray, a_rows: np.ndarray):
-                # Residues are below q < 2**40: a sum over fewer than
-                # 2**24 tiles fits uint64.
-                spec = mulmod(a_rows[:, None], w_rows[None], q).sum(axis=2)
-                spec %= np.uint64(q)
-                return centered(plan.inverse_batch(spec), q)
+                spec = (w_rows[None] * a_rows[:, None]).sum(axis=2)
+                rows, worst = _round_rows_exact(
+                    pipe.base.inverse_batch(spec), residual=True
+                )
+                # An item's digit rows recombine in int64; the sums wrap
+                # mod 2**64 but the exact outputs fit (checked a priori).
+                rows = rows.reshape((digits, batch) + rows.shape[1:])
+                joined = rows[0]
+                for d in range(1, digits):
+                    joined = joined + rows[d] * np.int64(1 << (digit_width * d))
+                return joined, worst
 
         else:
-            pipe = fft_pipeline(self.plan_cache, n, self.weight_config)
-            key = ("fft-wspec", n, approx_config_key(self.weight_config))
-            if arm == "sparse":
-                with _Timer(stats, "weight_transform"):
-                    transform, pattern = self._sparse_weight_source(
-                        n, enc, encode, tiles * channels, stats
+
+            def product(w_rows: np.ndarray, a_rows: np.ndarray):
+                # One row per (item, channel, tile) product.
+                shape = (len(a_rows),) + w_rows.shape
+                return _round_rows_exact(
+                    pipe.multiply_spectra_batch(
+                        np.broadcast_to(w_rows, shape),
+                        np.broadcast_to(a_rows[:, None], shape),
                     )
-                key = ("sparse-wspec",) + key[1:] + (pattern,)
-            else:
+                ).sum(axis=2)
 
-                def transform(chunk):
-                    return pipe.weight_forward_batch(encode(chunk)).values
-
-                if arm == "flash":
-                    # Dense fixed-point weight FFT: every butterfly
-                    # multiplies, so realized == dense == model.
-                    stages = (n // 2).bit_length() - 1
-                    dense = (n // 4) * stages * tiles * channels
-                    stats.weight_transforms += tiles * channels
-                    stats.weight_mults_realized += dense
-                    stats.weight_mults_dense += dense
-                    stats.weight_mults_model += dense
-            with _Timer(stats, "activation_transform"):
-                a_spec = pipe.activation_forward_batch(
-                    a_stack.astype(np.float64)
-                )
-
-            if arm == "fft":
-
-                def product(w_rows: np.ndarray, a_rows: np.ndarray):
-                    spec = (w_rows[None] * a_rows[:, None]).sum(axis=2)
-                    return _round_rows_exact(
-                        pipe.base.inverse_batch(spec), residual=True
-                    )
-
-            else:
-
-                def product(w_rows: np.ndarray, a_rows: np.ndarray):
-                    # One row per (item, channel, tile) product.
-                    shape = (len(a_rows),) + w_rows.shape
-                    return _round_rows_exact(
-                        pipe.multiply_spectra_batch(
-                            np.broadcast_to(w_rows, shape),
-                            np.broadcast_to(a_rows[:, None], shape),
-                        )
-                    ).sum(axis=2)
-
-        a_spec = a_spec.reshape(batch, tiles, -1)
+        a_spec = a_spec.reshape(digits * batch, tiles, -1)
         cache = self.plan_cache
         if cache_spectra:
             poly_keys = _poly_keys(slots, taps)
@@ -670,7 +639,7 @@ class BatchedHConvEngine:
             group_rows = fan_out(groups, group_job, self.max_workers)
         stats.products += tiles * channels * batch
         worst = 0.0
-        if arm == "fft":
+        if mode == "ntt":
             group_rows, worsts = zip(*group_rows)
             worst = max(worsts)
 

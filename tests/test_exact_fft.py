@@ -1,18 +1,20 @@
-"""Exact ring products on the folded FFT: the certificate and its fallback.
+"""Exact ring products on the folded FFT: the certificate and the digit split.
 
 The exact backend and the BFV key products run each (weight, prime) pair
-on the float64 folded FFT only when an a-priori round-off bound is below
-1/2; every other pair runs the per-prime NTT.  These tests pin down that
-the realized rounding stays under the bound, that rejected products fall
-back in order, and that every output is bit-identical to the NTT oracle
-(``RingPoly`` products, which run ``RnsBasis.mul``).
+on the float64 folded FFT at the smallest digit count whose a-priori
+round-off bound is below 1/2: one digit (the centered residues) where
+that certifies, more where it does not.  These tests pin down that the
+realized rounding stays under the bound, that a call mixing digit counts
+keeps its order, that a product no digit count certifies raises, and that
+every output is bit-identical to the NTT oracle (``RingPoly`` products,
+which run ``RnsBasis.mul``).
 
 The clear-domain engine's exact mode (``BatchedHConvEngine(mode="ntt")``)
-decides once per call, from a certificate for weight spectra built in
-float64, activations of known magnitude and a spectral-domain sum over
-channel tiles: certified calls run the engine's ``"fft"`` branch, the
-others its NTT branch; both run one inverse transform per output channel
-and stay bit-identical to ``hconv_ntt`` and the integer convolution.
+decides its digit count once per call, from a certificate for weight
+spectra built in float64, activations of known magnitude and a
+spectral-domain sum over channel tiles; it runs one inverse transform per
+(digit, item, output channel) and stays bit-identical to ``hconv_ntt`` and
+the integer convolution.
 """
 
 from dataclasses import replace
@@ -20,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.hconv import hconv_ntt
+from repro.core.hconv import channel_value_bound, hconv_ntt, ntt_modulus
 from repro.encoding import ConvShape
 from repro.encoding.conv_encoding import (
     Conv2dEncoder,
@@ -29,23 +31,23 @@ from repro.encoding.conv_encoding import (
 )
 from repro.fftcore.exact import (
     CERTIFIED_BELOW,
+    ExactNegacyclic,
+    digit_split,
     get_exact_negacyclic,
+    split_digits,
     weight_norm,
 )
+from repro.fftcore.negacyclic import NegacyclicFft
 from repro.fftcore.reference import fft_dit_batch
-from repro.he.backend import NttPolyMulBackend
-from repro.he.bfv import BfvContext
+from repro.he.backend import NttPolyMulBackend, exact_fft_products
+from repro.he.bfv import BfvContext, SecretKey
 from repro.he.params import cham_preset, cheetah_preset
 from repro.he.poly import RingPoly, uniform_poly
 from repro.nn.model import conv2d_int_batch
 from repro.nn.resnet import resnet18_conv_layers
 from repro.obs import trace as obs_trace
 from repro.runtime import BatchedHConvEngine
-from repro.runtime.engine import (
-    _encoded_weight_norms,
-    channel_value_bound,
-    ntt_modulus,
-)
+from repro.runtime.engine import _encoded_weight_norms
 
 CHEETAH = cheetah_preset()
 CHAM = cham_preset()
@@ -131,9 +133,8 @@ REJECTED_CONV = ConvShape(
 
 def rejected_conv_inputs(seed=0):
     """18-bit inputs and weights for ``REJECTED_CONV`` at n = 4096, as
-    ``(xs, w, shape, n)``: their tile sums need a 37-bit prime, within
-    ``ntt_modulus``'s range, but the certificate for the spectral-domain
-    tile sum rejects them (bound about 2.1)."""
+    ``(xs, w, shape, n)``: the one-digit certificate for the spectral-domain
+    tile sum rejects them (bound about 2.1); two digits certify them."""
     rng = np.random.default_rng(seed)
     xs = rng.integers(-(1 << 17), (1 << 17) + 1, size=(2, 4, 48, 48))
     w = rng.integers(-(1 << 17), (1 << 17) + 1, size=(2, 4, 1, 1))
@@ -141,8 +142,8 @@ def rejected_conv_inputs(seed=0):
 
 
 def _negacyclic_exact(a, w):
-    """The exact negacyclic product of two int64 vectors (no overflow for
-    ``|a| < 2**30`` against 8-bit weights at n = 4096)."""
+    """The exact negacyclic product of two int64 vectors (no overflow
+    while ``max|a| * ||w||_1 < 2**63``)."""
     n = a.shape[0]
     full = np.convolve(a, w)
     out = full[:n].copy()
@@ -248,10 +249,10 @@ class TestNumericHealth:
         backend = NttPolyMulBackend()
         outs, attrs = _traced_multiply(backend, polys, weights)
         assert _identical(outs, _oracle(polys, weights))
-        assert attrs["ntt_fallback"] == 0
+        assert attrs["digits"] == 1
         assert 0 < attrs["rounding_worst"] <= attrs["rounding_bound"]
         assert attrs["rounding_bound"] < CERTIFIED_BELOW
-        # One 8*n-byte spectrum per distinct weight, no NTT spectra.
+        # One 8*n-byte spectrum per distinct weight.
         assert backend.plan_cache.cached_bytes == 3 * 8 * basis.n
         assert all(key[0] == "exact-wspec" for key in backend.plan_cache.keys())
 
@@ -260,7 +261,8 @@ class TestNumericHealth:
         rng = np.random.default_rng(7)
         sk, pk = ctx.keygen(rng)
         assert all(b < CERTIFIED_BELOW for b in sk.bounds)
-        assert sk.spectrum[0] is sk.spectrum[1]  # one spectrum, all limbs
+        assert sk.digits == (1, 1)
+        assert sk.spectrum.shape == (CHEETAH.n // 2,)  # one, all limbs
         # keygen's a*s ran on the FFT: p0 + p1*s is the small error -e.
         noise = (pk.p0 + pk.p1 * sk.s).to_centered()
         assert max(abs(int(v)) for v in noise) < 64
@@ -274,10 +276,13 @@ class TestNumericHealth:
         assert [b.hex() for b in budgets] == [b.hex() for b in oracle[1]]
         assert 0 < attrs["rounding_worst"] <= attrs["rounding_bound"]
         assert attrs["rounding_bound"] == max(sk.bounds) < CERTIFIED_BELOW
+        assert attrs["digits"] == 1
 
 
 class TestFallback:
-    def test_cham_prime_runs_the_ntt(self):
+    """Products one digit does not certify run on more digits."""
+
+    def test_cham_prime_runs_two_digits(self):
         rng = np.random.default_rng(8)
         basis = CHAM.basis
         polys = [uniform_poly(basis, rng) for _ in range(4)]
@@ -285,10 +290,12 @@ class TestFallback:
         backend = NttPolyMulBackend()
         outs, attrs = _traced_multiply(backend, polys, weights)
         assert _identical(outs, _oracle(polys, weights))
-        assert attrs["ntt_fallback"] == 4
-        assert attrs["rounding_worst"] == attrs["rounding_bound"] == 0.0
-        # Rejected before any FFT spectrum was built.
-        assert all(key[0] == "rns-wspec" for key in backend.plan_cache.keys())
+        assert attrs["digits"] == 2
+        assert 0 < attrs["rounding_worst"] <= attrs["rounding_bound"]
+        assert attrs["rounding_bound"] < CERTIFIED_BELOW
+        # One spectrum per weight serves both digits.
+        assert backend.plan_cache.cached_bytes == 4 * 8 * basis.n
+        assert all(key[0] == "exact-wspec" for key in backend.plan_cache.keys())
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_mixed_call_is_bit_identical_in_order(self, workers):
@@ -303,24 +310,25 @@ class TestFallback:
         backend = NttPolyMulBackend(max_workers=workers)
         outs, attrs = _traced_multiply(backend, polys, weights)
         assert _identical(outs, _oracle(polys, weights))
-        # Three dense rows on the NTT at each of the two primes.
-        assert attrs["ntt_fallback"] == 3 * 2
+        # The three dense rows run two digits at each of the two primes.
+        assert attrs["digits"] == 2
         assert 0 < attrs["rounding_worst"] <= attrs["rounding_bound"] < 0.5
-        # The dense weights were rejected on their spectrum's peak.
+        # The dense weights were rejected at one digit on their spectrum's
+        # peak; two digits certify them.
         kernel = get_exact_negacyclic(basis.n)
         peak = float(np.max(np.abs(kernel.spectrum(dense))))
         norm = weight_norm(dense)
         prime = basis.primes[0]
         assert kernel.bound(prime, norm) < CERTIFIED_BELOW
         assert kernel.bound(prime, norm, peak) >= CERTIFIED_BELOW
+        assert kernel.bound(prime, norm, peak, digits=2) < CERTIFIED_BELOW
         again = backend.multiply_many(polys, weights)  # warm caches
         assert _identical(again, outs)
 
     def test_fallback_is_load_bearing(self):
-        """Dense 11-bit weights at a 40-bit prime: the raw FFT product is
-        wrong; the certificate rejects it and the backend still matches
-        the oracle."""
-        from repro.he.backend import exact_fft_products
+        """Dense 11-bit weights at a 40-bit prime: the raw single-digit
+        FFT product is wrong; the certificate rejects it and the backend's
+        two-digit products still match the oracle."""
         from repro.ntt.rns import RnsBasis
 
         basis = RnsBasis.generate(1024, [40])
@@ -334,19 +342,22 @@ class TestFallback:
             np.stack([p.residues[0] for p in polys]),
             np.stack([kernel.spectrum(w) for w in weights]),
             prime,
+            1,
         )
         oracle = _oracle(polys, weights)
         assert not all(
             np.array_equal(row, ref.residues[0]) for row, ref in zip(raw, oracle)
         )
-        outs = NttPolyMulBackend().multiply_many(polys, weights)
+        outs, attrs = _traced_multiply(NttPolyMulBackend(), polys, weights)
         assert _identical(outs, oracle)
+        assert attrs["digits"] == 2
+        assert attrs["rounding_worst"] <= attrs["rounding_bound"] < 0.5
 
     def test_cham_decrypt_batch_matches_oracle(self):
         ctx = BfvContext(CHAM)
         rng = np.random.default_rng(10)
         sk, pk = ctx.keygen(rng)
-        assert all(b >= CERTIFIED_BELOW for b in sk.bounds)
+        assert sk.digits == (2,)
         m = rng.integers(0, ctx.params.t, size=(3, ctx.params.n))
         cts = [ctx.encrypt_symmetric(sk, row, rng) for row in m]
         cts += [ctx.encrypt(pk, row, rng) for row in m]
@@ -355,11 +366,102 @@ class TestFallback:
         oracle = _decrypt_oracle(ctx, sk, cts)
         assert np.array_equal(messages, oracle[0])
         assert [b.hex() for b in budgets] == [b.hex() for b in oracle[1]]
-        assert attrs["rounding_worst"] == attrs["rounding_bound"] == 0.0
+        assert attrs["digits"] == 2
+        assert 0 < attrs["rounding_worst"] <= attrs["rounding_bound"]
+        assert attrs["rounding_bound"] == max(sk.bounds) < CERTIFIED_BELOW
+
+
+def _no_transform(monkeypatch):
+    """Make every exact-FFT transform and weight spectrum fail loudly."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a transform ran")
+
+    for name in ("forward_batch", "inverse_batch"):
+        monkeypatch.setattr(NegacyclicFft, name, refuse)
+    monkeypatch.setattr(ExactNegacyclic, "spectrum", refuse)
+
+
+class TestDigitCertificate:
+    """The digit split and the soundness of its certificate."""
+
+    @pytest.mark.parametrize("digits", [1, 2, 3, 5])
+    @pytest.mark.parametrize("magnitude", [1, 255, 256, (1 << 38) + 5])
+    def test_digits_recombine_within_their_magnitude(self, magnitude, digits):
+        rng = np.random.default_rng(magnitude % 97 + digits)
+        values = rng.integers(-magnitude, magnitude + 1, size=500)
+        values[:2] = magnitude, -magnitude
+        width, top = digit_split(magnitude, digits)
+        split = split_digits(values, width, digits)
+        assert split.shape == (digits, 500)
+        recombined = sum(
+            split[d].astype(object) << (width * d) for d in range(digits)
+        )
+        assert np.array_equal(recombined.astype(np.int64), values)
+        assert int(np.abs(split).max()) <= top
+
+    @pytest.mark.parametrize(
+        "case", ["cham-conv", "cham-key", "40bit-dense-11bit"]
+    )
+    def test_worst_case_digits_are_sound(self, case):
+        """Digits at +-the digit maximum against exact integer products:
+        realized <= bound < 1/2 at the certified digit count, and one digit
+        would not certify."""
+        rng = np.random.default_rng(20)
+        if case == "40bit-dense-11bit":
+            from repro.ntt.rns import RnsBasis
+
+            (prime,), n = RnsBasis.generate(1024, [40]).primes, 1024
+            w = rng.integers(-1024, 1024, size=n)
+        else:
+            (prime,), n = CHAM.basis.primes, CHAM.n
+            if case == "cham-key":
+                w = rng.integers(-1, 2, size=n)
+            else:
+                w = np.zeros(n, dtype=np.int64)
+                w[rng.choice(n, size=36, replace=False)] = rng.integers(
+                    -8, 8, size=36
+                )
+        kernel = get_exact_negacyclic(n)
+        spectrum, (digits,), (bound,) = kernel.certify([prime], w)
+        assert digits == 2 < prime.bit_length()
+        norm, peak = weight_norm(w), float(np.max(np.abs(spectrum)))
+        assert bound == kernel.bound(prime, norm, peak, digits) < CERTIFIED_BELOW
+        assert kernel.bound(prime, norm, peak) >= CERTIFIED_BELOW
+        top = digit_split(prime // 2, digits)[1]
+        a = rng.choice([-top, top], size=(3, n))
+        product = kernel.fft.inverse_batch(
+            kernel.fft.forward_batch(a.astype(np.float64)) * spectrum
+        )
+        exact = np.stack([_negacyclic_exact(row, w) for row in a])
+        realized = float(np.max(np.abs(product - exact)))
+        assert 0 < realized <= bound
+
+    def test_uncertifiable_weight_raises_before_any_transform(
+        self, monkeypatch
+    ):
+        """A one-tap 2**41 weight: even one-bit digits do not certify."""
+        rng = np.random.default_rng(21)
+        polys = [uniform_poly(CHAM.basis, rng)]
+        w = np.zeros(CHAM.n, dtype=np.int64)
+        w[0] = 1 << 41
+        backend = NttPolyMulBackend()
+        _no_transform(monkeypatch)
+        with pytest.raises(ValueError, match="no digit split certifies"):
+            backend.multiply_many(polys, [w])
+        assert len(backend.plan_cache) == 0
+
+    def test_non_small_key_raises_before_any_transform(self, monkeypatch):
+        """Limbs that are not one small integer polynomial."""
+        s = uniform_poly(CHEETAH.basis, np.random.default_rng(22))
+        _no_transform(monkeypatch)
+        with pytest.raises(ValueError, match="small integer polynomial"):
+            SecretKey(s)
 
 
 class TestEngineExactArm:
-    """``BatchedHConvEngine(mode="ntt")``: certified FFT, NTT fallback."""
+    """``BatchedHConvEngine(mode="ntt")``: the certified FFT, digit-split
+    when one digit does not certify."""
 
     @pytest.mark.parametrize(
         "name", ["layer2.1.conv1", "layer3.0.downsample"]
@@ -379,7 +481,7 @@ class TestEngineExactArm:
         )
         engine = BatchedHConvEngine(mode="ntt", max_workers=2)
         out, attrs = _traced_conv(engine, xs, w, shape, n)
-        assert attrs["ntt_fallback"] == 0
+        assert attrs["digits"] == 1
         assert 0 < attrs["rounding_worst"] <= attrs["rounding_bound"]
         assert attrs["rounding_bound"] < CERTIFIED_BELOW
         assert np.array_equal(
@@ -388,8 +490,8 @@ class TestEngineExactArm:
         assert np.array_equal(
             out, np.stack([hconv_ntt(x, w, shape, n) for x in xs])
         )
-        # The certified arm is the "fft" branch: its spectra, no NTT plan,
-        # and the "ntt" mode's work counters.
+        # The exact mode runs the float64 FFT's plan and spectra and keeps
+        # the "ntt" mode's work counters.
         keys = engine.plan_cache.keys()
         assert {key[0] for key in keys} == {"fft-plan", "fft-wspec"}
         stats = engine.last_stats
@@ -516,7 +618,7 @@ class TestEngineExactArm:
         assert Conv2dEncoder(band, n).num_tiles == 32
         engine = BatchedHConvEngine(mode="ntt", max_workers=2)
         out, attrs = _traced_conv(engine, xs, w, shape, n)
-        assert attrs["ntt_fallback"] == 0
+        assert attrs["digits"] == 1
         assert 0 < attrs["rounding_worst"] <= attrs["rounding_bound"]
         assert attrs["rounding_bound"] < CERTIFIED_BELOW
         assert np.array_equal(
@@ -524,13 +626,10 @@ class TestEngineExactArm:
         )
         assert np.array_equal(out, hconv_ntt(xs[0], w, shape, n)[None])
 
-    @pytest.mark.parametrize("arm", ["certified", "ntt-fallback"])
+    @pytest.mark.parametrize("arm", ["certified", "digit-split"])
     def test_one_inverse_per_output_channel(self, monkeypatch, arm):
-        """Both exact arms run B * M inverse rows on a one-band layer:
-        ``transforms_per_hconv()["inverse"]`` per item."""
-        from repro.fftcore.negacyclic import NegacyclicFft
-        from repro.ntt.ntt import NegacyclicNtt
-
+        """The exact mode runs D * B * M inverse rows on a one-band layer:
+        ``transforms_per_hconv()["inverse"]`` per item and digit."""
         if arm == "certified":
             n = 4096
             shape = replace(RESNET18["layer3.0.downsample"], out_channels=3)
@@ -539,27 +638,27 @@ class TestEngineExactArm:
                 -8, 8, size=(2, shape.in_channels, shape.height, shape.width)
             )
             w = rng.integers(-8, 8, size=(3, shape.in_channels, 1, 1))
-            owner = NegacyclicFft
         else:
             xs, w, shape, n = rejected_conv_inputs()
-            owner = NegacyclicNtt
         rows = []
-        inverse = owner.inverse_batch
+        inverse = NegacyclicFft.inverse_batch
 
         def counting(plan, spectrum):
             rows.append(int(np.prod(np.shape(spectrum)[:-1])))
             return inverse(plan, spectrum)
 
-        monkeypatch.setattr(owner, "inverse_batch", counting)
+        monkeypatch.setattr(NegacyclicFft, "inverse_batch", counting)
         out, attrs = _traced_conv(
             BatchedHConvEngine(mode="ntt"), xs, w, shape, n
         )
-        assert attrs["ntt_fallback"] == int(arm == "ntt-fallback")
+        assert attrs["digits"] == (1 if arm == "certified" else 2)
         (phase, _, _), = decompose_strided(shape)
         (_, band), = iter_row_bands(phase, n)
         enc = Conv2dEncoder(band, n)
         assert enc.num_tiles > 1
-        assert sum(rows) == len(xs) * enc.transforms_per_hconv()["inverse"]
+        assert sum(rows) == attrs["digits"] * len(xs) * (
+            enc.transforms_per_hconv()["inverse"]
+        )
         assert np.array_equal(
             out, conv2d_int_batch(xs, w, shape.stride, shape.padding)
         )
@@ -567,8 +666,8 @@ class TestEngineExactArm:
     def test_ntt_prime_is_sized_per_output_channel(self):
         """Eight output channels of 18-bit weights: the whole kernel's
         ``sum|w| * max|x|`` needs a prime above ``ntt_modulus``'s 38-bit
-        range, each channel's fits.  Every coefficient of one channel's
-        tile sum is within its own bound, so the NTT stays exact."""
+        range, each channel's fits, so the ``hconv_ntt`` oracle stays
+        exact.  The engine's digit split does not need a prime at all."""
         xs, _, shape, n = rejected_conv_inputs()
         shape = replace(shape, out_channels=8)
         rng = np.random.default_rng(5)
@@ -578,21 +677,40 @@ class TestEngineExactArm:
             ntt_modulus(n, int(np.abs(w).sum()) * x_max)
         assert channel_value_bound(w, x_max) == 4 * (1 << 17) * x_max
         out, attrs = _traced_conv(BatchedHConvEngine(mode="ntt"), xs, w, shape, n)
-        assert attrs["ntt_fallback"] == 1
+        assert attrs["digits"] == 2
+        assert attrs["rounding_worst"] <= attrs["rounding_bound"] < 0.5
         expected = conv2d_int_batch(xs, w, shape.stride, shape.padding)
         assert np.array_equal(out, expected)
         assert np.array_equal(hconv_ntt(xs[0], w, shape, n), expected[0])
 
+    def test_inputs_past_the_single_prime_ntt_range(self):
+        """22-bit inputs against 18-bit weights: one output channel's
+        ``sum|w| * max|x|`` exceeds the 38-bit range a single NTT prime
+        covers; the engine's digit split stays exact."""
+        xs, w, shape, n = rejected_conv_inputs()
+        xs = np.random.default_rng(6).integers(
+            -(1 << 21), 1 << 21, size=xs.shape
+        )
+        with pytest.raises(ValueError, match="NTT range"):
+            ntt_modulus(n, channel_value_bound(w, int(np.abs(xs).max())))
+        out, attrs = _traced_conv(BatchedHConvEngine(mode="ntt"), xs, w, shape, n)
+        assert attrs["digits"] == 2
+        assert attrs["rounding_worst"] <= attrs["rounding_bound"] < 0.5
+        assert np.array_equal(
+            out, conv2d_int_batch(xs, w, shape.stride, shape.padding)
+        )
+
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_rejected_call_runs_the_ntt(self, workers):
-        """Multi-tile inputs near ``ntt_modulus``'s limit: the NTT sums
-        the tile products mod q and stays bit-identical."""
+    def test_rejected_call_runs_two_digits(self, workers):
+        """18-bit multi-tile inputs that one digit does not certify: two
+        digits sum the tile products in the spectral domain and stay
+        bit-identical."""
         xs, w, shape, n = rejected_conv_inputs()
         engine = BatchedHConvEngine(mode="ntt", max_workers=workers)
         out, attrs = _traced_conv(engine, xs, w, shape, n)
-        assert attrs["ntt_fallback"] == 1
-        assert attrs["rounding_worst"] == 0.0
-        assert attrs["rounding_bound"] >= CERTIFIED_BELOW
+        assert attrs["digits"] == 2
+        assert 0 < attrs["rounding_worst"] <= attrs["rounding_bound"]
+        assert attrs["rounding_bound"] < CERTIFIED_BELOW
         assert np.array_equal(
             out, conv2d_int_batch(xs, w, shape.stride, shape.padding)
         )
@@ -600,7 +718,32 @@ class TestEngineExactArm:
             out, np.stack([hconv_ntt(x, w, shape, n) for x in xs])
         )
         keys = engine.plan_cache.keys()
-        assert {key[0] for key in keys} == {"ntt-plan", "ntt-wspec"}
-        # The same call with 4-bit inputs and weights certifies.
+        assert {key[0] for key in keys} == {"fft-plan", "fft-wspec"}
+        # The same call with 4-bit inputs and weights runs one digit.
         _, small = _traced_conv(engine, xs % 16 - 8, w % 16 - 8, shape, n)
-        assert small["ntt_fallback"] == 0
+        assert small["digits"] == 1
+
+    @pytest.mark.parametrize(
+        "case, error, match",
+        [
+            ("overflow", OverflowError, "exceed int64"),
+            ("uncertified", ValueError, "no digit split certifies"),
+        ],
+    )
+    def test_call_raises_before_any_transform(
+        self, monkeypatch, case, error, match
+    ):
+        """Outputs that may exceed int64, and weights even one-bit digits
+        do not certify, raise before any transform runs."""
+        xs = np.ones((1, 2, 6, 6), dtype=np.int64)
+        w = np.zeros((3, 2, 3, 3), dtype=np.int64)
+        if case == "overflow":
+            xs <<= 40
+            w[:, :, 1, 1] = 1 << 30
+        else:
+            w[:, :, 1, 1] = 1 << 52
+        _no_transform(monkeypatch)
+        engine = BatchedHConvEngine(mode="ntt")
+        with pytest.raises(error, match=match):
+            engine.conv2d_batch(xs, w, SMALL_CONV, 64)
+        assert len(engine.plan_cache) == 0

@@ -82,18 +82,16 @@ class TestJobErrorsPropagate:
     @pytest.mark.parametrize(
         "arm, workers",
         [
-            # Ids 1/2 are the certified arm, the path small inputs take.
+            # Ids 1/2 run one digit, the path small inputs take.
             pytest.param("certified", 1, id="1"),
             pytest.param("certified", 2, id="2"),
-            pytest.param("ntt-fallback", 1, id="ntt-fallback-1"),
-            pytest.param("ntt-fallback", 2, id="ntt-fallback-2"),
+            pytest.param("digit-split", 1, id="digit-split-1"),
+            pytest.param("digit-split", 2, id="digit-split-2"),
         ],
     )
     def test_engine_group_job(self, monkeypatch, arm, workers):
-        """Mode "ntt" runs the float64 inverse of the tile sum when its
-        certificate holds and the NTT's ``mulmod`` when it rejects; either
-        job's error propagates."""
-        import repro.runtime.engine as engine_module
+        """Mode "ntt" runs the float64 inverse of the tile sum, on one
+        digit or on a digit split; either job's error propagates."""
         from repro.fftcore.negacyclic import NegacyclicFft
 
         if arm == "certified":
@@ -101,12 +99,11 @@ class TestJobErrorsPropagate:
             xs = rng.integers(-7, 8, size=(2, 2, 6, 6))
             w = rng.integers(-3, 4, size=(3, 2, 3, 3))
             shape, n = SMALL_CONV, 64
-            owner, name = NegacyclicFft, "inverse_batch"
         else:
             xs, w, shape, n = rejected_conv_inputs()
-            owner, name = engine_module, "mulmod"
         monkeypatch.setattr(
-            owner, name, _fail_first_call(getattr(owner, name))
+            NegacyclicFft, "inverse_batch",
+            _fail_first_call(NegacyclicFft.inverse_batch),
         )
         engine = BatchedHConvEngine(mode="ntt", max_workers=workers)
         with pytest.raises(RuntimeError, match="job failed once"):

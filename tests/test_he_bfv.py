@@ -612,5 +612,5 @@ class TestDecryptBatch:
         with pytest.raises(dataclasses.FrozenInstanceError):
             sk.spectrum = ()
         with pytest.raises(ValueError):
-            sk.spectrum[0][0] = 1  # read-only limbs
+            sk.spectrum[0] = 1  # read-only spectrum
         assert "spectrum" not in repr(sk)
