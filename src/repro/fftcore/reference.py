@@ -112,14 +112,23 @@ def fft_dit_batch(x, sign: int = -1) -> np.ndarray:
     return np.ascontiguousarray(out.T).reshape(x.shape)
 
 
-def butterfly_stage(out: np.ndarray, hi: np.ndarray, stage: int, w) -> None:
+def butterfly_stage(
+    out: np.ndarray, hi: np.ndarray, stage: int, w, twiddle_first: bool = False
+) -> None:
     """Stage ``stage`` of the DIT network, in place on an ``(n, B)``
-    array, through the ``(n/2, B)`` scratch ``hi``."""
+    array, through the ``(n/2, B)`` scratch ``hi``.
+
+    ``hi = b * w``, or ``w * b`` with ``twiddle_first``: numpy's
+    vectorized complex multiply is not bitwise commutative.
+    """
     n, b = out.shape
     half = 1 << (stage - 1)
     pairs = out.reshape(n // (2 * half), 2, half, b)
     t = hi.reshape(n // (2 * half), half, b)
-    np.multiply(pairs[:, 1], w[:, None], out=t)
+    if twiddle_first:
+        np.multiply(w[:, None], pairs[:, 1], out=t)
+    else:
+        np.multiply(pairs[:, 1], w[:, None], out=t)
     np.subtract(pairs[:, 0], t, out=pairs[:, 1])
     pairs[:, 0] += t
 

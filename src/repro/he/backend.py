@@ -134,6 +134,23 @@ class PolyMulBackend:
         return outs
 
 
+class _CertifiedSpectrum(np.ndarray):
+    """A weight's exact spectrum carrying its certificate: ``digits`` and
+    ``bounds``, one per prime (:meth:`ExactNegacyclic.certify`)."""
+
+    digits: Tuple[int, ...]
+    bounds: Tuple[float, ...]
+
+
+def _certified_spectrum(
+    kernel: ExactNegacyclic, primes, weights: np.ndarray
+) -> _CertifiedSpectrum:
+    spectrum, digits, bounds = kernel.certify(primes, weights)
+    out = spectrum.view(_CertifiedSpectrum)
+    out.digits, out.bounds = digits, bounds
+    return out
+
+
 class NttPolyMulBackend(PolyMulBackend):
     """Exact product on the certified folded FFT, digit-split where needed.
 
@@ -148,8 +165,9 @@ class NttPolyMulBackend(PolyMulBackend):
     along the batch axis of the same three passes, and the exact digit
     products recombine mod ``p``.  ``D = 1`` is the plain product; a
     weight no ``D`` certifies raises :class:`ValueError`.  Limbs are
-    fanned across the worker pool; spectra are cached in ``plan_cache``
-    under ``("exact-wspec", n, weight-bytes)``.
+    fanned across the worker pool; each spectrum is cached in
+    ``plan_cache`` with its certificate (digit counts and bounds) under
+    ``("exact-wspec", n, primes, weight-bytes)``.
 
     Stored transform-domain weights are Figure 1's trade: "it is possible
     to pre-compute and store the weight polynomials in the NTT domain, but
@@ -169,13 +187,6 @@ class NttPolyMulBackend(PolyMulBackend):
 
     kind = "ntt"
 
-    def _exact_spectrum(
-        self, kernel: ExactNegacyclic, weights: np.ndarray, key: bytes
-    ) -> np.ndarray:
-        return self.plan_cache.get_or_build(
-            ("exact-wspec", kernel.n, key), lambda: kernel.spectrum(weights)
-        )
-
     def _multiply_batch(
         self, polys: List[RingPoly], weights_list: List[np.ndarray]
     ) -> List[RingPoly]:
@@ -192,9 +203,11 @@ class NttPolyMulBackend(PolyMulBackend):
         for w in weights_list:
             key = w.tobytes()
             if key not in certs:
-                certs[key] = kernel.certify(
-                    primes, w, lambda: self._exact_spectrum(kernel, w, key)
+                spec = self.plan_cache.get_or_build(
+                    ("exact-wspec", kernel.n, tuple(primes), key),
+                    lambda: _certified_spectrum(kernel, primes, w),
                 )
+                certs[key] = (spec.view(np.ndarray), spec.digits, spec.bounds)
         spectra, digits, bounds = zip(
             *(certs[w.tobytes()] for w in weights_list)
         )

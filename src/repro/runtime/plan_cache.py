@@ -424,7 +424,8 @@ def sparse_weight_spectra(pipes: Sequence, weights):
     """Sparse approximate spectra of a ``(B, n)`` weight stack.
 
     Row ``i`` runs ``pipes[i]``, the :func:`sparse_pipeline` of its folded
-    pattern; rows sharing a pipeline run in one batched execution.
+    pattern; rows sharing a pipeline run in one batched execution (with
+    one pipeline, as in the engine, its result is returned as is).
     Returns the ``(B, n/2)`` spectra, each bit-identical to a per-weight
     transform.
     """
@@ -433,6 +434,8 @@ def sparse_weight_spectra(pipes: Sequence, weights):
     groups: Dict[int, List[int]] = {}
     for i, pipe in enumerate(pipes):
         groups.setdefault(id(pipe), []).append(i)
+    if len(groups) == 1:
+        return pipes[0].weight_forward_batch(weights).values
     rows = np.empty((len(weights), weights.shape[1] // 2), dtype=np.complex128)
     for idxs in groups.values():
         rows[idxs] = pipes[idxs[0]].weight_forward_batch(weights[idxs]).values

@@ -7,7 +7,8 @@ independent*: they depend only on the valid set, so the entire walk -- which
 butterflies execute, which chains merge, where materializations happen and
 what they cost -- can be compiled **once per pattern** into flat index
 arrays and replayed over whole ``(B, n)`` stacks with vectorized gathers
-and scatters.
+and scatters.  The replay runs batch-innermost, on the transposed
+``(n, B)`` array, so each gather and scatter moves whole batch rows.
 
 Bit-identity argument (the contract the sparse conformance tier enforces):
 
@@ -20,7 +21,12 @@ Bit-identity argument (the contract the sparse conformance tier enforces):
   determinism gives byte-equal results row by row;
 * materialized chain products ``rom[exp] * x[src]`` are pure functions of
   ``(src, exp mod n)``, so the per-call memo collapses to a precomputed
-  slot table evaluated in one batched multiply.
+  slot table evaluated in one batched multiply;
+* a stage whose n/2 butterflies are all GENERAL x GENERAL is a plain
+  fixed-point butterfly stage and runs on the dense kernel.  Its inputs
+  are quantization outputs, on the grid, so the halving folds into the
+  rounding scale exactly as in
+  :meth:`repro.fftcore.fixed_point.FixedPointFft.batch`.
 
 The multiplication count is a compile-time constant of the plan and equals
 ``SparseFixedPointFft.run(...).mults`` for every input with the pattern.
@@ -34,6 +40,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fftcore.fixed_point import ApproxFftConfig, FxpFormat
+from repro.fftcore.reference import butterfly_stage
 from repro.sparse.sparse_fxp import SparseFixedPointFft
 
 
@@ -96,9 +103,24 @@ def butterfly_tags(tag_u, tag_v, exponent: int) -> Tuple[tuple, tuple]:
 # Compiled plan structures
 # ---------------------------------------------------------------------------
 
+#: Byte alignment of each array inside a plan's one buffer.
+_ALIGN = 16
+
 
 @dataclass
-class _StageOps:
+class _Chains:
+    """Chain materializations ``(sign * raws[slot]) * scale``, written to
+    the work rows after the ``n`` network positions: first the rounded
+    ones (exponent != 0), then the pure copies (exponent 0)."""
+
+    q_slot: np.ndarray
+    q_sign: np.ndarray
+    c_slot: np.ndarray
+    c_sign: np.ndarray
+
+
+@dataclass
+class _StageOps(_Chains):
     """Vectorized op groups of one butterfly stage (disjoint positions)."""
 
     # ZERO-v / GENERAL-u halving copies: both outputs get q(vals[u] * 0.5).
@@ -108,37 +130,50 @@ class _StageOps:
     zv_u: np.ndarray
     zv_v: np.ndarray
     zv_tw: np.ndarray
-    # Chain materializations used by this stage's full butterflies, one
-    # column per use: (sign * raws[slot]) * 2**-(s-1), quantized where q.
-    mat_slot: np.ndarray
-    mat_sign: np.ndarray
-    mat_q: np.ndarray
-    # Full butterflies (both operands carry data), in compile order.  The
-    # u operand and the twiddle product t are assembled from either the
-    # work array (GENERAL) or the stage materialization columns (SCALED).
-    fu_g_pos: np.ndarray
-    fu_g_cols: np.ndarray
-    fu_m_pos: np.ndarray
-    fu_m_cols: np.ndarray
-    ft_g_pos: np.ndarray
-    ft_g_cols: np.ndarray
-    ft_g_tw: np.ndarray
-    ft_m_pos: np.ndarray
-    ft_m_cols: np.ndarray
+    # Full butterflies (both operands carry data): the work rows of the u
+    # operand and of the twiddle product t -- a network position
+    # (GENERAL) or one of this stage's chain rows (SCALED, the product
+    # already taken) -- and the output positions.  The first len(f_tw)
+    # have a GENERAL v, multiplied here by its twiddle.
+    f_u: np.ndarray
+    f_t: np.ndarray
+    f_tw: np.ndarray
     f_ou: np.ndarray
     f_ov: np.ndarray
+    # A stage of n/2 GENERAL x GENERAL butterflies carries only its stage
+    # twiddles and runs on the dense kernel.
+    dense_tw: np.ndarray
 
 
 @dataclass
-class _Finalize:
-    """Output assembly: ZERO positions stay 0, GENERAL pass through,
-    SCALED chains materialize at the final scale."""
+class _Finalize(_Chains):
+    """Output assembly: SCALED chains materialize at the final scale into
+    positions ``pos``; GENERAL positions already hold their values and
+    ZERO positions stay 0."""
 
-    gen_pos: np.ndarray
-    sc_pos: np.ndarray
-    sc_slot: np.ndarray
-    sc_sign: np.ndarray
-    sc_q: np.ndarray
+    pos: np.ndarray
+
+
+def _idx(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.int64)
+
+
+def _chain_arrays(n: int, uses: List[Tuple[int, float, bool]]):
+    """The :class:`_Chains` arrays of ``(slot, sign, rounded)`` uses, and
+    the work row each use lands in."""
+    order = sorted(range(len(uses)), key=lambda i: not uses[i][2])
+    rows = [0] * len(uses)
+    for rank, i in enumerate(order):
+        rows[i] = n + rank
+    q = [uses[i] for i in order if uses[i][2]]
+    c = [uses[i] for i in order if not uses[i][2]]
+    arrays = dict(
+        q_slot=_idx([u[0] for u in q]),
+        q_sign=np.asarray([u[1] for u in q], dtype=np.float64),
+        c_slot=_idx([u[0] for u in c]),
+        c_sign=np.asarray([u[1] for u in c], dtype=np.float64),
+    )
+    return arrays, rows
 
 
 class _StageBuilder:
@@ -150,56 +185,82 @@ class _StageBuilder:
         self.zv_u: List[int] = []
         self.zv_v: List[int] = []
         self.zv_tw: List[complex] = []
-        self.mat_slot: List[int] = []
-        self.mat_sign: List[float] = []
-        self.mat_q: List[bool] = []
-        self.fu_g_pos: List[int] = []
-        self.fu_g_cols: List[int] = []
-        self.fu_m_pos: List[int] = []
-        self.fu_m_cols: List[int] = []
-        self.ft_g_pos: List[int] = []
-        self.ft_g_cols: List[int] = []
-        self.ft_g_tw: List[complex] = []
-        self.ft_m_pos: List[int] = []
-        self.ft_m_cols: List[int] = []
-        self.f_ou: List[int] = []
-        self.f_ov: List[int] = []
+        self.chains: List[Tuple[int, float, bool]] = []
+        # (u operand, t operand, twiddle or None, out u, out v); an
+        # operand is a network position or ("chain", use index).
+        self.full: List[tuple] = []
 
-    def mat_use(self, slot: int, sign: int, quantize: bool) -> int:
-        self.mat_slot.append(slot)
-        self.mat_sign.append(float(sign))
-        self.mat_q.append(bool(quantize))
-        return len(self.mat_slot) - 1
+    def chain(self, slot: int, sign: int, rounded: bool) -> tuple:
+        self.chains.append((slot, float(sign), bool(rounded)))
+        return ("chain", len(self.chains) - 1)
 
-    def freeze(self) -> _StageOps:
-        def idx(a):
-            return np.asarray(a, dtype=np.int64)
+    def freeze(self, n: int, dense_tw: Optional[List[complex]]) -> _StageOps:
+        chains, rows = _chain_arrays(n, self.chains)
 
-        return _StageOps(
-            half_u=idx(self.half_u),
-            half_v=idx(self.half_v),
-            zv_u=idx(self.zv_u),
-            zv_v=idx(self.zv_v),
-            zv_tw=np.asarray(self.zv_tw, dtype=np.complex128),
-            mat_slot=idx(self.mat_slot),
-            mat_sign=np.asarray(self.mat_sign, dtype=np.float64),
-            mat_q=np.asarray(self.mat_q, dtype=bool),
-            fu_g_pos=idx(self.fu_g_pos),
-            fu_g_cols=idx(self.fu_g_cols),
-            fu_m_pos=idx(self.fu_m_pos),
-            fu_m_cols=idx(self.fu_m_cols),
-            ft_g_pos=idx(self.ft_g_pos),
-            ft_g_cols=idx(self.ft_g_cols),
-            ft_g_tw=np.asarray(self.ft_g_tw, dtype=np.complex128),
-            ft_m_pos=idx(self.ft_m_pos),
-            ft_m_cols=idx(self.ft_m_cols),
-            f_ou=idx(self.f_ou),
-            f_ov=idx(self.f_ov),
+        def row(operand) -> int:
+            return rows[operand[1]] if isinstance(operand, tuple) else operand
+
+        full = [] if dense_tw is not None else sorted(
+            self.full, key=lambda f: f[2] is None
         )
+        return _StageOps(
+            **chains,
+            half_u=_idx(self.half_u),
+            half_v=_idx(self.half_v),
+            zv_u=_idx(self.zv_u),
+            zv_v=_idx(self.zv_v),
+            zv_tw=np.asarray(self.zv_tw, dtype=np.complex128),
+            f_u=_idx([row(f[0]) for f in full]),
+            f_t=_idx([row(f[1]) for f in full]),
+            f_tw=np.asarray(
+                [f[2] for f in full if f[2] is not None], dtype=np.complex128
+            ),
+            f_ou=_idx([f[3] for f in full]),
+            f_ov=_idx([f[4] for f in full]),
+            dense_tw=np.asarray(dense_tw or [], dtype=np.complex128),
+        )
+
+
+def _quantize(fmt: FxpFormat, z: np.ndarray) -> None:
+    """``fmt.quantize_complex(z)``, in place on contiguous rows."""
+    parts = z.view(np.float64)
+    parts *= 2.0**fmt.frac_bits
+    fmt.round_scaled(z)
+
+
+def _halve_quantize(fmt: FxpFormat, z: np.ndarray) -> None:
+    """``fmt.quantize_complex(z * 0.5)``, in place on contiguous rows."""
+    np.multiply(z, 0.5, out=z)
+    _quantize(fmt, z)
+
+
+def _gather(src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``src[idx]`` into the leading rows of ``out`` (no temporary)."""
+    return np.take(src, idx, axis=0, out=out[: idx.size], mode="clip")
+
+
+def _materialize(
+    ch: _Chains, raws: np.ndarray, out: np.ndarray, scale: float,
+    fmt: FxpFormat,
+) -> None:
+    """Chain values at ``scale`` into the leading rows of ``out``."""
+    nq, nc = ch.q_slot.size, ch.c_slot.size
+    if nq:
+        q = _gather(raws, ch.q_slot, out)
+        np.multiply(ch.q_sign[:, None], q, out=q)
+        np.multiply(q, scale, out=q)
+        _quantize(fmt, q)
+    if nc:
+        c = _gather(raws, ch.c_slot, out[nq:])
+        np.multiply(ch.c_sign[:, None], c, out=c)
+        np.multiply(c, scale, out=c)
 
 
 class SparsePlan:
     """One pattern's compiled sparse fixed-point transform.
+
+    Every compiled array is a view into one contiguous buffer, which is
+    what :attr:`plan_bytes` counts and :meth:`digest_payload` exposes.
 
     Args:
         config: fixed-point configuration of the core (:class:`ApproxFftConfig`).
@@ -222,6 +283,7 @@ class SparsePlan:
             sorted({int(v) % self.n for v in pattern}), dtype=np.int64
         )
         self._compile(engine)
+        self._pack()
 
     # -- compilation -----------------------------------------------------
 
@@ -238,7 +300,7 @@ class SparsePlan:
                 tags.append(ZERO)
 
         # Unique (src, exp mod n) chain products, shared like the per-call
-        # memo; slot k holds raws[:, k] = twiddle[k] * x[:, src[k]].
+        # memo; slot k holds raws[k] = twiddle[k] * x[src[k]].
         slots: Dict[Tuple[int, int], int] = {}
         raw_src: List[int] = []
         raw_tw: List[complex] = []
@@ -259,8 +321,8 @@ class SparsePlan:
             m = 1 << s
             half = m >> 1
             step = n // m
+            dense = all(tag[0] == "general" for tag in tags)
             st = _StageBuilder()
-            k = 0  # full-butterfly column within this stage
             for block in range(0, n, m):
                 for j in range(half):
                     u = block + j
@@ -291,13 +353,9 @@ class SparsePlan:
                             memo.add((src, expn))
                             if expn != 0:
                                 mults += 1
-                        st.fu_m_pos.append(k)
-                        st.fu_m_cols.append(
-                            st.mat_use(slot_of(src, expn), sgn, expn != 0)
-                        )
+                        u_op = st.chain(slot_of(src, expn), sgn, expn != 0)
                     else:
-                        st.fu_g_pos.append(k)
-                        st.fu_g_cols.append(u)
+                        u_op = u
 
                     if kv == "scaled":
                         # The BU multiplier computes ROM[e_v + e] * x
@@ -306,54 +364,73 @@ class SparsePlan:
                         _, src, e, sgn = tv
                         expn = (e + exponent) % n
                         memo.add((src, expn))
-                        st.ft_m_pos.append(k)
-                        st.ft_m_cols.append(
-                            st.mat_use(slot_of(src, expn), sgn, expn != 0)
-                        )
+                        t_op = st.chain(slot_of(src, expn), sgn, expn != 0)
+                        tw = None
                     else:
-                        st.ft_g_pos.append(k)
-                        st.ft_g_cols.append(v)
-                        st.ft_g_tw.append(engine._twiddle(exponent))
+                        t_op, tw = v, engine._twiddle(exponent)
                     mults += 1
-                    st.f_ou.append(u)
-                    st.f_ov.append(v)
-                    k += 1
-            stage_ops.append(st.freeze())
+                    st.full.append((u_op, t_op, tw, u, v))
+            stage_ops.append(st.freeze(
+                n,
+                [engine._twiddle(j * step) for j in range(half)]
+                if dense else None,
+            ))
 
-        gen_pos: List[int] = []
+        uses: List[Tuple[int, float, bool]] = []
         sc_pos: List[int] = []
-        sc_slot: List[int] = []
-        sc_sign: List[float] = []
-        sc_q: List[bool] = []
         groups: set = set()
         for pos, tag in enumerate(tags):
-            if tag[0] == "general":
-                gen_pos.append(pos)
-            elif tag[0] == "scaled":
+            if tag[0] == "scaled":
                 _, src, e, sgn = tag
                 expn = e % n
                 if (src, expn) not in groups and (src, expn) not in memo:
                     groups.add((src, expn))
                     mults += 1
                 sc_pos.append(pos)
-                sc_slot.append(slot_of(src, expn))
-                sc_sign.append(float(sgn))
-                sc_q.append(expn != 0)
+                uses.append((slot_of(src, expn), float(sgn), expn != 0))
+        chains, rows = _chain_arrays(n, uses)
+        pos = np.empty(len(sc_pos), dtype=np.int64)
+        pos[np.asarray(rows, dtype=np.int64) - n] = sc_pos
 
         self._stage_ops = stage_ops
         self._raw_src = np.asarray(raw_src, dtype=np.int64)
         self._raw_tw = np.asarray(raw_tw, dtype=np.complex128)
-        self._fin = _Finalize(
-            gen_pos=np.asarray(gen_pos, dtype=np.int64),
-            sc_pos=np.asarray(sc_pos, dtype=np.int64),
-            sc_slot=np.asarray(sc_slot, dtype=np.int64),
-            sc_sign=np.asarray(sc_sign, dtype=np.float64),
-            sc_q=np.asarray(sc_q, dtype=bool),
+        self._fin = _Finalize(**chains, pos=pos)
+        self._chain_rows = max(
+            st.q_slot.size + st.c_slot.size for st in stage_ops
         )
-        self._invalid_mask = np.ones(n, dtype=bool)
-        if self.valid.size:
-            self._invalid_mask[self.valid] = False
+        self._scratch_rows = max(
+            [pos.size]
+            + [n // 2 if st.dense_tw.size else 0 for st in stage_ops]
+            + [st.half_u.size for st in stage_ops]
+            + [st.zv_u.size for st in stage_ops]
+            + [3 * st.f_ou.size for st in stage_ops]
+        )
         self.mults = mults
+
+    def _array_slots(self) -> Iterator[Tuple[str, object, str]]:
+        """``(name, owner, attribute)`` of every compiled array, in order."""
+        yield "valid", self, "valid"
+        yield "raw_src", self, "_raw_src"
+        yield "raw_tw", self, "_raw_tw"
+        for s, st in enumerate(self._stage_ops):
+            for f in fields(st):
+                yield f"s{s}.{f.name}", st, f.name
+        for f in fields(self._fin):
+            yield f"fin.{f.name}", self._fin, f.name
+
+    def _pack(self) -> None:
+        """Move every compiled array into one buffer and keep views."""
+        slots = list(self._array_slots())
+        arrays = [getattr(owner, attr) for _, owner, attr in slots]
+        sizes = [-(-a.nbytes // _ALIGN) * _ALIGN for a in arrays]
+        self._buf = np.zeros(sum(sizes), dtype=np.uint8)
+        offset = 0
+        for (_, owner, attr), a, size in zip(slots, arrays, sizes):
+            view = self._buf[offset : offset + a.nbytes].view(a.dtype)
+            view[...] = a
+            setattr(owner, attr, view)
+            offset += size
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -372,14 +449,8 @@ class SparsePlan:
         return 1.0 - self.mults / self.dense_mults
 
     def _iter_arrays(self) -> Iterator[Tuple[str, np.ndarray]]:
-        yield "valid", self.valid
-        yield "raw_src", self._raw_src
-        yield "raw_tw", self._raw_tw
-        for s, st in enumerate(self._stage_ops):
-            for f in fields(st):
-                yield f"s{s}.{f.name}", getattr(st, f.name)
-        for f in fields(self._fin):
-            yield f"fin.{f.name}", getattr(self._fin, f.name)
+        for name, owner, attr in self._array_slots():
+            yield name, getattr(owner, attr)
 
     def _header(self) -> bytes:
         cfg = self.config
@@ -399,15 +470,12 @@ class SparsePlan:
     @property
     def plan_bytes(self) -> int:
         """Byte footprint for :class:`repro.runtime.PlanCache` accounting."""
-        return sum(a.nbytes for _, a in self._iter_arrays())
+        return self._buf.nbytes
 
     def digest_payload(self):
-        """Content walked by :func:`repro.runtime.plan_cache.value_digest`."""
-        payload: List[object] = [self._header()]
-        for name, a in self._iter_arrays():
-            payload.append(name)
-            payload.append(a)
-        return payload
+        """Content digested by :func:`repro.runtime.plan_cache.value_digest`:
+        the header and the one buffer every compiled array lives in."""
+        return [self._header(), self._buf]
 
     def to_bytes(self) -> bytes:
         """Deterministic serialization: same pattern -> byte-identical plan."""
@@ -426,7 +494,10 @@ class SparsePlan:
         """Replay the compiled dataflow over a ``(B, n)`` stack (or one row).
 
         Bit-identical per row to ``SparseFixedPointFft(config, sign).run(row,
-        valid=pattern).values``.
+        valid=pattern).values``.  The stack runs transposed, as ``(n, B)``
+        work rows, so every gather and scatter moves whole batch rows;
+        stages of n/2 GENERAL x GENERAL butterflies run on
+        :func:`repro.fftcore.reference.butterfly_stage`.
         """
         x = np.asarray(x, dtype=np.complex128)
         single = x.ndim == 1
@@ -438,71 +509,72 @@ class SparsePlan:
             )
         if self.config.input_width is not None:
             x = FxpFormat(self.config.input_width).quantize_complex(x)
-        stray = x[:, self._invalid_mask]
-        if stray.size and np.any(stray):
-            bad = np.nonzero(self._invalid_mask)[0][
-                np.nonzero(np.any(stray != 0, axis=0))[0]
-            ]
+        # Nonzero float parts (a compare pass is faster than a complex one).
+        parts = np.ascontiguousarray(x).view(np.float64)
+        nonzero = np.count_nonzero(parts != 0)
+        if nonzero and nonzero != np.count_nonzero(
+            parts.reshape(-1, self.n, 2)[:, self.valid] != 0
+        ):
+            bad = np.setdiff1d(
+                np.flatnonzero(np.any(x != 0, axis=0)), self.valid
+            )
             raise ValueError(
                 "input has non-zeros outside the valid set: "
                 f"{bad[:5].tolist()}"
             )
 
-        b = x.shape[0]
-        raws = self._raw_tw[None, :] * x[:, self._raw_src]
-        vals = np.zeros((b, self.n), dtype=np.complex128)
+        n, b = self.n, x.shape[0]
+        raws = x.T[self._raw_src]
+        np.multiply(self._raw_tw[:, None], raws, out=raws)
+        # Rows [0, n) are the network positions; the rows after them hold
+        # the current stage's chain materializations.  Gathers land in a
+        # separate scratch array: np.take copies when its output may
+        # overlap its source.
+        work = np.empty((n + self._chain_rows, b), dtype=np.complex128)
+        vals, chains = work[:n], work[n:]
+        vals.fill(0)
+        scratch = np.empty((self._scratch_rows, b), dtype=np.complex128)
 
-        for s, st in enumerate(self._stage_ops, start=1):
-            fmt = self._formats[s - 1]
-            mats: Optional[np.ndarray] = None
-            if st.mat_slot.size:
-                mats = (st.mat_sign[None, :] * raws[:, st.mat_slot]) * (
-                    2.0 ** -(s - 1)
+        for s, (st, fmt) in enumerate(zip(self._stage_ops, self._formats), 1):
+            if st.dense_tw.size:
+                # Twiddle first, as in the op groups.  Every GENERAL value
+                # comes out of a quantization, so it sits on the grid and
+                # the halving folds into the scale (see FixedPointFft.batch).
+                butterfly_stage(
+                    vals, scratch[: n // 2], s, st.dense_tw, twiddle_first=True
                 )
-                if st.mat_q.any():
-                    mats[:, st.mat_q] = fmt.quantize_complex(
-                        mats[:, st.mat_q]
-                    )
+                np.multiply(vals, 2.0 ** (fmt.frac_bits - 1), out=vals)
+                fmt.round_scaled(vals)
+                continue
+            _materialize(st, raws, chains, 2.0 ** -(s - 1), fmt)
             if st.half_u.size:
-                hv = fmt.quantize_complex(vals[:, st.half_u] * 0.5)
-                vals[:, st.half_u] = hv
-                vals[:, st.half_v] = hv
+                h = _gather(vals, st.half_u, scratch)
+                _halve_quantize(fmt, h)
+                vals[st.half_u] = h
+                vals[st.half_v] = h
             if st.zv_u.size:
-                t = fmt.quantize_complex(
-                    (st.zv_tw[None, :] * vals[:, st.zv_v]) * 0.5
-                )
-                vals[:, st.zv_u] = t
-                vals[:, st.zv_v] = -t
+                t = _gather(vals, st.zv_v, scratch)
+                np.multiply(st.zv_tw[:, None], t, out=t)
+                _halve_quantize(fmt, t)
+                vals[st.zv_u] = t
+                vals[st.zv_v] = np.negative(t, out=t)
             k = st.f_ou.size
             if k:
-                u_vals = np.empty((b, k), dtype=np.complex128)
-                if st.fu_g_pos.size:
-                    u_vals[:, st.fu_g_pos] = vals[:, st.fu_g_cols]
-                if st.fu_m_pos.size:
-                    u_vals[:, st.fu_m_pos] = mats[:, st.fu_m_cols]
-                t = np.empty((b, k), dtype=np.complex128)
-                if st.ft_g_pos.size:
-                    t[:, st.ft_g_pos] = (
-                        st.ft_g_tw[None, :] * vals[:, st.ft_g_cols]
-                    )
-                if st.ft_m_pos.size:
-                    t[:, st.ft_m_pos] = mats[:, st.ft_m_cols]
-                vals[:, st.f_ou] = fmt.quantize_complex((u_vals + t) * 0.5)
-                vals[:, st.f_ov] = fmt.quantize_complex((u_vals - t) * 0.5)
+                u = _gather(work, st.f_u, scratch)
+                t = _gather(work, st.f_t, scratch[k:])
+                g = t[: st.f_tw.size]
+                np.multiply(st.f_tw[:, None], g, out=g)
+                total = np.add(u, t, out=scratch[2 * k : 3 * k])
+                np.subtract(u, t, out=u)
+                _halve_quantize(fmt, total)
+                _halve_quantize(fmt, u)
+                vals[st.f_ou] = total
+                vals[st.f_ov] = u
 
-        out = np.zeros((b, self.n), dtype=np.complex128)
         fin = self._fin
-        if fin.gen_pos.size:
-            out[:, fin.gen_pos] = vals[:, fin.gen_pos]
-        if fin.sc_pos.size:
-            scv = (fin.sc_sign[None, :] * raws[:, fin.sc_slot]) * (
-                2.0 ** -self.stages
-            )
-            if fin.sc_q.any():
-                scv[:, fin.sc_q] = self._formats[-1].quantize_complex(
-                    scv[:, fin.sc_q]
-                )
-            out[:, fin.sc_pos] = scv
+        _materialize(fin, raws, scratch, self.output_scale, self._formats[-1])
+        vals[fin.pos] = scratch[: fin.pos.size]
+        out = np.ascontiguousarray(vals.T)
         return out[0] if single else out
 
     def __repr__(self) -> str:
