@@ -5,11 +5,20 @@ a chosen polynomial-multiplication engine -- the quickest way to compare
 the three computation styles on a real convolution without paying for
 encryption (the encrypted path lives in :mod:`repro.protocol`).
 
-These per-call pipelines are the independent reference for the batched
-runtime (:class:`repro.runtime.engine.BatchedHConvEngine`): the runtime
-and sparse conformance tiers and ``bench-runtime``'s ``bit_identical``
-gate compare the engine against them, so they stay separate code rather
-than batch-of-one calls into the engine.
+These per-call pipelines are the reference for the batched runtime
+(:class:`repro.runtime.engine.BatchedHConvEngine`): the runtime and
+sparse conformance tiers and ``bench-runtime``'s ``bit_identical`` gate
+compare the engine against them.  They stay independent of the engine in
+everything above the kernels -- encoding and decoding per row band
+through :func:`repro.encoding.plain_eval.conv2d_via_polynomials`,
+rounding each tile product on its own, accumulating the decoded bands
+in int64 -- rather than being batch-of-one calls into it.  The
+transform kernels are shared: a per-call method such as
+``ApproxNegacyclic.weight_forward`` is a batch of one of its ``*_batch``
+twin, and ``tests/test_fft_kernel_identity.py`` guards that shared code
+with frozen copies of the per-call bodies it replaced.  The sparse
+weight walk (:class:`repro.sparse.sparse_fxp.SparseFixedPointFft`) stays
+a separate per-row oracle for the compiled sparse plans.
 """
 
 from __future__ import annotations

@@ -21,30 +21,31 @@ from typing import Optional
 import numpy as np
 
 from repro.fftcore.fixed_point import ApproxFftConfig, FixedPointFft, FxpFormat
-from repro.fftcore.negacyclic import NegacyclicFft, round_to_integers
+from repro.fftcore.negacyclic import (
+    as_row,
+    get_negacyclic_fft,
+    round_to_integers,
+)
 
 
-def _next_pow2(x: float) -> float:
-    """Smallest power of two >= x (hardware normalization is a shift)."""
-    if x <= 0:
-        return 1.0
-    return 2.0 ** int(np.ceil(np.log2(x)))
+def normalized_transform(transform, z: np.ndarray, output_scale: float):
+    """Run a fixed-point ``transform`` on a ``(B, half)`` batch normalized
+    per row; returns the unscaled result and the ``(B,)`` scales.
 
-
-def _next_pow2_rows(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_next_pow2` for positive per-row maxima (>= 1)."""
-    return 2.0 ** np.ceil(np.log2(x))
-
-
-def _row_part_max(folded: np.ndarray) -> np.ndarray:
-    """Per-row ``max(|real|, |imag|, 1)`` of a ``(..., half)`` complex batch."""
-    return np.maximum(
+    The hardware normalization is a shift: each row is divided by the
+    smallest power of two at or above ``max(|re|, |im|, 1)`` grown by a
+    ``2**-20`` guard, so every part fits the fixed-point range ``[-1, 1)``.
+    ``output_scale`` is the transform's own gain (``2**-stages``).
+    """
+    part_max = np.maximum(
         np.maximum(
-            np.max(np.abs(folded.real), axis=-1),
-            np.max(np.abs(folded.imag), axis=-1),
+            np.max(np.abs(z.real), axis=-1), np.max(np.abs(z.imag), axis=-1)
         ),
         1.0,
     )
+    scale = 2.0 ** np.ceil(np.log2(part_max * (1.0 + 2.0 ** -20)))
+    values = transform(z / scale[:, None]) / output_scale * scale[:, None]
+    return values, scale
 
 
 @dataclass
@@ -74,7 +75,7 @@ class ApproxNegacyclic:
         inverse_config: Optional[ApproxFftConfig] = None,
     ):
         self.n = n
-        self.base = NegacyclicFft(n)
+        self.base = get_negacyclic_fft(n)
         for name, cfg in (
             ("weight", weight_config),
             ("activation", activation_config),
@@ -106,6 +107,10 @@ class ApproxNegacyclic:
             else None
         )
 
+    # Each per-call method is a batch of one: a shape check, then its
+    # ``*_batch`` twin.  Scales are per row and every transform stage is
+    # element-wise, so a batch row is what a lone call would compute.
+
     def weight_forward(self, weight) -> ApproxSpectrum:
         """Transform an integer weight polynomial on the approximate path.
 
@@ -114,21 +119,8 @@ class ApproxNegacyclic:
         twist rotation can push parts up to ``sqrt(2) *`` the coefficient
         magnitude, hence the guard factor.
         """
-        weight = np.asarray(weight, dtype=np.float64)
-        folded = self.base.fold(weight)
-        if self._weight_fft is None:
-            from repro.fftcore.reference import fft_dit
-
-            return ApproxSpectrum(values=fft_dit(folded, sign=+1), scale=1.0)
-        part_max = max(
-            float(np.max(np.abs(folded.real))),
-            float(np.max(np.abs(folded.imag))),
-            1.0,
-        )
-        scale = _next_pow2(part_max * (1.0 + 2.0 ** -20))
-        spectrum = self._weight_fft(folded / scale)
-        unscaled = spectrum / self._weight_fft.output_scale * scale
-        return ApproxSpectrum(values=unscaled, scale=scale)
+        spec = self.weight_forward_batch(as_row(weight, self.n, np.float64))
+        return ApproxSpectrum(values=spec.values[0], scale=float(spec.scale[0]))
 
     def activation_forward(self, activation) -> np.ndarray:
         """Forward transform of an activation/ciphertext polynomial.
@@ -136,18 +128,9 @@ class ApproxNegacyclic:
         Runs on FP units (exact float64) unless an ``activation_config``
         was supplied (ablation mode).
         """
-        activation = np.asarray(activation, dtype=np.float64)
-        if self._activation_fft is None:
-            return self.base.forward(activation)
-        folded = self.base.fold(activation)
-        part_max = max(
-            float(np.max(np.abs(folded.real))),
-            float(np.max(np.abs(folded.imag))),
-            1.0,
-        )
-        scale = _next_pow2(part_max * (1.0 + 2.0 ** -20))
-        spectrum = self._activation_fft(folded / scale)
-        return spectrum / self._activation_fft.output_scale * scale
+        return self.activation_forward_batch(
+            as_row(activation, self.n, np.float64)
+        )[0]
 
     def multiply_spectra(self, weight_spec: ApproxSpectrum, act_spec) -> np.ndarray:
         """Point-wise multiply and inverse-transform; returns float coeffs.
@@ -156,31 +139,12 @@ class ApproxNegacyclic:
         supplied (ablation mode; see ``tests/test_path_asymmetry.py`` for
         the measured per-path sensitivities).
         """
-        product = weight_spec.values * np.asarray(act_spec)
-        if self._inverse_fft is None:
-            return self.base.inverse(product)
-        part_max = max(
-            float(np.max(np.abs(product.real))),
-            float(np.max(np.abs(product.imag))),
-            1.0,
+        shape = np.broadcast_shapes(
+            np.shape(weight_spec.values), np.shape(act_spec)
         )
-        scale = _next_pow2(part_max * (1.0 + 2.0 ** -20))
-        half = self.n // 2
-        core = self._inverse_fft(product / scale)
-        core = core / self._inverse_fft.output_scale * scale
-        c = core / half * self.base._unfold_twist
-        out = np.empty(self.n, dtype=np.float64)
-        out[:half] = c.real
-        out[half:] = c.imag
-        return out
-
-    # ------------------------------------------------------------------
-    # Batched variants (vectorized over a leading batch axis)
-    # ------------------------------------------------------------------
-    #
-    # Normalization scales are computed per row with the same formula as the
-    # per-call methods and every transform stage is element-wise, so each
-    # batch row is bit-identical to the corresponding per-call result.
+        if shape != (self.n // 2,):
+            raise ValueError(f"expected shape ({self.n // 2},), got {shape}")
+        return self.multiply_spectra_batch(weight_spec.values, act_spec)[0]
 
     def weight_forward_batch(self, weights) -> ApproxSpectrum:
         """Batched :meth:`weight_forward` of a ``(B, n)`` weight stack.
@@ -189,27 +153,26 @@ class ApproxNegacyclic:
         and whose ``scale`` is the ``(B,)`` per-row normalization vector.
         """
         weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-        folded = self.base.fold_batch(weights)
-        if self._weight_fft is None:
-            from repro.fftcore.reference import fft_dit_batch
-
+        fft = self._weight_fft
+        if fft is None:
             return ApproxSpectrum(
-                values=fft_dit_batch(folded, sign=+1), scale=1.0
+                values=self.base.forward_batch(weights),
+                scale=np.ones(len(weights)),
             )
-        scale = _next_pow2_rows(_row_part_max(folded) * (1.0 + 2.0 ** -20))
-        spectrum = self._weight_fft.batch(folded / scale[:, None])
-        unscaled = spectrum / self._weight_fft.output_scale * scale[:, None]
-        return ApproxSpectrum(values=unscaled, scale=scale)
+        values, scale = normalized_transform(
+            fft.batch, self.base.fold_batch(weights), fft.output_scale
+        )
+        return ApproxSpectrum(values=values, scale=scale)
 
     def activation_forward_batch(self, activations) -> np.ndarray:
         """Batched :meth:`activation_forward` of a ``(B, n)`` stack."""
         activations = np.atleast_2d(np.asarray(activations, dtype=np.float64))
-        if self._activation_fft is None:
+        fft = self._activation_fft
+        if fft is None:
             return self.base.forward_batch(activations)
-        folded = self.base.fold_batch(activations)
-        scale = _next_pow2_rows(_row_part_max(folded) * (1.0 + 2.0 ** -20))
-        spectrum = self._activation_fft.batch(folded / scale[:, None])
-        return spectrum / self._activation_fft.output_scale * scale[:, None]
+        return normalized_transform(
+            fft.batch, self.base.fold_batch(activations), fft.output_scale
+        )[0]
 
     def multiply_spectra_batch(self, weight_values, act_spec) -> np.ndarray:
         """Batched point-wise multiply + inverse; returns ``(B, n)`` floats.
@@ -221,28 +184,11 @@ class ApproxNegacyclic:
         """
         product = np.asarray(weight_values) * np.asarray(act_spec)
         product = np.atleast_2d(product)
-        if self._inverse_fft is None:
+        fft = self._inverse_fft
+        if fft is None:
             return self.base.inverse_batch(product)
-        scale = _next_pow2_rows(_row_part_max(product) * (1.0 + 2.0 ** -20))
-        half = self.n // 2
-        core = self._inverse_fft.batch(product / scale[:, None])
-        core = core / self._inverse_fft.output_scale * scale[:, None]
-        c = core / half * self.base._unfold_twist
-        out = np.empty(product.shape[:-1] + (self.n,), dtype=np.float64)
-        out[..., :half] = c.real
-        out[..., half:] = c.imag
-        return out
-
-    def multiply_batch(self, weights, activations) -> np.ndarray:
-        """Batched full pipeline; returns unrounded ``(B, n)`` float coeffs.
-
-        ``weights`` may be ``(n,)`` (shared across the batch) or ``(B, n)``.
-        Callers round and reduce (see
-        :func:`repro.fftcore.negacyclic.round_to_integers`).
-        """
-        w_spec = self.weight_forward_batch(weights)
-        a_spec = self.activation_forward_batch(activations)
-        return self.multiply_spectra_batch(w_spec.values, a_spec)
+        core, _ = normalized_transform(fft.batch, product, fft.output_scale)
+        return self.base.unfold_batch(core)
 
     @property
     def plan_bytes(self) -> int:

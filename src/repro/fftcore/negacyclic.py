@@ -32,6 +32,18 @@ def _check_pow2(n: int) -> None:
         raise ValueError(f"length must be a power of two >= 2, got {n}")
 
 
+def as_row(a, length: int, dtype) -> np.ndarray:
+    """One length-``length`` vector as a ``(1, length)`` batch of ``dtype``.
+
+    Raises :class:`ValueError` for any other shape, so a per-call method
+    never treats a stack as one row.
+    """
+    a = np.asarray(a, dtype=dtype)
+    if a.shape != (length,):
+        raise ValueError(f"expected shape ({length},), got {a.shape}")
+    return a[None, :]
+
+
 # ---------------------------------------------------------------------------
 # Twisted N-point pipeline (reference)
 # ---------------------------------------------------------------------------
@@ -95,12 +107,13 @@ class NegacyclicFft:
         self._fold_twist.setflags(write=False)
         self._unfold_twist.setflags(write=False)
 
+    # Each per-call method is a batch of one: a shape check, then its
+    # ``*_batch`` twin.  Folding, twisting and the butterfly stages are
+    # element-wise, so a batch row is what a lone call would compute.
+
     def fold(self, a) -> np.ndarray:
         """Pack real length-n ``a`` into the twisted complex length-n/2 vector."""
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != (self.n,):
-            raise ValueError(f"expected shape ({self.n},), got {a.shape}")
-        return (a[: self.half] + 1j * a[self.half:]) * self._fold_twist
+        return self.fold_batch(as_row(a, self.n, np.float64))[0]
 
     def forward(self, a) -> np.ndarray:
         """Spectrum ``p(zeta^(4k+1))``, ``k = 0..n/2-1`` (complex length n/2).
@@ -108,29 +121,15 @@ class NegacyclicFft:
         Computed as an unnormalized inverse-sign DFT of the folded vector:
         ``F_k = sum_j c_j * exp(+2*pi*i*j*k/(n/2))``.
         """
-        return fft_dit(self.fold(a), sign=+1)
+        return self.forward_batch(as_row(a, self.n, np.float64))[0]
 
     def inverse(self, spectrum) -> np.ndarray:
         """Recover real length-n coefficients from a forward spectrum."""
-        spectrum = np.asarray(spectrum, dtype=np.complex128)
-        if spectrum.shape != (self.half,):
-            raise ValueError(
-                f"expected shape ({self.half},), got {spectrum.shape}"
-            )
-        c = fft_dit(spectrum, sign=-1) / self.half * self._unfold_twist
-        out = np.empty(self.n, dtype=np.float64)
-        out[: self.half] = c.real
-        out[self.half:] = c.imag
-        return out
+        return self.inverse_batch(as_row(spectrum, self.half, np.complex128))[0]
 
     def multiply(self, a, b) -> np.ndarray:
         """Negacyclic product of two real vectors (float64, not rounded)."""
         return self.inverse(self.forward(a) * self.forward(b))
-
-    # -- batched variants (vectorized over leading axes) -----------------
-    #
-    # Folding, twisting and the butterfly stages are all element-wise, so
-    # each batch row is bit-identical to the corresponding per-call result.
 
     def fold_batch(self, a) -> np.ndarray:
         """Fold ``(..., n)`` real batches into ``(..., n/2)`` twisted complex."""
@@ -154,15 +153,21 @@ class NegacyclicFft:
             raise ValueError(
                 f"batch must have last axis {self.half}, got {spectrum.shape}"
             )
-        c = fft_dit_batch(spectrum, sign=-1) / self.half * self._unfold_twist
-        out = np.empty(spectrum.shape[:-1] + (self.n,), dtype=np.float64)
+        return self.unfold_batch(fft_dit_batch(spectrum, sign=-1))
+
+    def unfold_batch(self, core: np.ndarray) -> np.ndarray:
+        """Untwist ``(..., n/2)`` complex128 inverse-core outputs (not yet
+        divided by n/2) into ``(..., n)`` real coefficients.
+
+        ``core`` is divided and twisted in place: callers pass a fresh
+        array, and a 1 MiB batch then costs no new temporaries.
+        """
+        c = np.divide(core, self.half, out=core)
+        np.multiply(c, self._unfold_twist, out=c)
+        out = np.empty(c.shape[:-1] + (self.n,), dtype=np.float64)
         out[..., : self.half] = c.real
         out[..., self.half:] = c.imag
         return out
-
-    def multiply_batch(self, a, b) -> np.ndarray:
-        """Batched negacyclic products; ``b`` broadcasts against ``a``."""
-        return self.inverse_batch(self.forward_batch(a) * self.forward_batch(b))
 
     @property
     def plan_bytes(self) -> int:
@@ -180,7 +185,7 @@ def get_negacyclic_fft(n: int) -> NegacyclicFft:
 def negacyclic_multiply_folded(a, b) -> np.ndarray:
     """Convenience wrapper around :class:`NegacyclicFft` for one product."""
     a = np.asarray(a, dtype=np.float64)
-    return NegacyclicFft(a.shape[0]).multiply(a, b)
+    return get_negacyclic_fft(a.shape[0]).multiply(a, b)
 
 
 def round_to_integers(coeffs, modulus: int = 0) -> np.ndarray:

@@ -387,9 +387,11 @@ class SparseFftPolyMulBackend(FftPolyMulBackend):
     (``np.nonzero``).  Weights sharing a folded pattern share one plan and
     are transformed in one batched execution
     (:func:`repro.runtime.plan_cache.sparse_weight_spectra`); every
-    spectrum is bit-identical to per-call
+    spectrum equals per-call
     :meth:`repro.sparse.sparse_fxp.SparseApproxNegacyclic.weight_forward`
-    with the same pattern.  Plans and spectra share ``plan_cache``.
+    with the same pattern, bit for bit when every twiddle product is
+    exact in float64 (the condition in :mod:`repro.sparse.plan`).  Plans
+    and spectra share ``plan_cache``.
 
     ``last_stats`` reports realized/dense/model multiplication counts per
     *distinct* weight in the call (c0/c1 and cross-item repeats dedupe by

@@ -20,7 +20,6 @@ from repro.ntt.modmath import (
 )
 from repro.ntt.ntt import (
     NegacyclicNtt,
-    NttPlan,
     get_ntt,
     negacyclic_convolution_naive,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "MAX_MODULUS_BITS",
     "ModulusError",
     "NegacyclicNtt",
-    "NttPlan",
     "RnsBasis",
     "addmod",
     "bit_reverse",

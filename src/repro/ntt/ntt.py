@@ -67,11 +67,6 @@ class NegacyclicNtt:
             acc = acc * base % self.q
         return powers
 
-    @property
-    def psi_powers(self) -> np.ndarray:
-        """Powers ``psi**i`` used for the negacyclic pre-twist (read-only)."""
-        return self._psi_pows.copy()
-
     def _cyclic(self, a: np.ndarray, omega_pows: np.ndarray) -> np.ndarray:
         """Iterative DIT cyclic NTT given a table of root powers.
 
@@ -106,19 +101,18 @@ class NegacyclicNtt:
 
     def forward(self, a) -> np.ndarray:
         """Negacyclic NTT of coefficient vector ``a`` (residues mod q)."""
-        a = np.asarray(a, dtype=np.uint64)
-        if a.shape != (self.n,):
-            raise ValueError(f"expected shape ({self.n},), got {a.shape}")
-        return self._cyclic(mulmod(a, self._psi_pows, self.q), self._omega_pows)
+        return self.forward_batch(self._one_row(a))[0]
 
     def inverse(self, a_hat) -> np.ndarray:
         """Inverse negacyclic NTT returning coefficients mod q."""
-        a_hat = np.asarray(a_hat, dtype=np.uint64)
-        if a_hat.shape != (self.n,):
-            raise ValueError(f"expected shape ({self.n},), got {a_hat.shape}")
-        x = self._cyclic(a_hat, self._omega_inv_pows)
-        x = mulmod(x, self._n_inv, self.q)
-        return mulmod(x, self._psi_inv_pows, self.q)
+        return self.inverse_batch(self._one_row(a_hat))[0]
+
+    def _one_row(self, a) -> np.ndarray:
+        """A per-call vector as a batch of one (shape-checked)."""
+        a = np.asarray(a, dtype=np.uint64)
+        if a.shape != (self.n,):
+            raise ValueError(f"expected shape ({self.n},), got {a.shape}")
+        return a[None, :]
 
     def forward_batch(self, a) -> np.ndarray:
         """Negacyclic NTT over the last axis of a ``(..., n)`` batch.
@@ -139,18 +133,6 @@ class NegacyclicNtt:
     def multiply(self, a, b) -> np.ndarray:
         """Negacyclic product ``a * b mod (X^n + 1, q)`` via NTT."""
         return self.inverse(mulmod(self.forward(a), self.forward(b), self.q))
-
-    def multiply_batch(self, a, b) -> np.ndarray:
-        """Batched negacyclic products over the last axis.
-
-        Args:
-            a: ``(..., n)`` residues mod q.
-            b: residues broadcastable against ``a`` -- typically ``(n,)``
-                (one weight polynomial shared by the whole batch) or the
-                same shape as ``a``.
-        """
-        spec = mulmod(self.forward_batch(a), self.forward_batch(b), self.q)
-        return self.inverse_batch(spec)
 
     @property
     def plan_bytes(self) -> int:
@@ -173,11 +155,6 @@ class NegacyclicNtt:
         dataflow (Example 4.1 counts trivial twiddles as multiplications).
         """
         return (self.n // 2) * self.stages
-
-
-#: Alias under the name the runtime layer uses: a constructed transform is a
-#: reusable *plan* (twiddle tables + bit-reversal), exactly like an FFTW plan.
-NttPlan = NegacyclicNtt
 
 
 _NTT_CACHE: dict = {}

@@ -320,7 +320,8 @@ class BatchedHConvEngine:
     ``runtime.conv2d_batch`` span carries ``rounding_bound``,
     ``rounding_worst`` (the realized worst ``|x - rint(x)|``) and
     ``digits`` (``D``).  Flash and sparse round each tile product and sum
-    the integers, bit-identical to their per-call references.
+    the integers, bit-identical to their per-call references (sparse under
+    the exact-product condition of :mod:`repro.sparse.plan`).
 
     Args:
         mode: ``"ntt"`` (exact; certified FFT, digit-split as needed),
@@ -328,8 +329,10 @@ class BatchedHConvEngine:
             ``"sparse"`` (flash with compiled sparse weight plans: the
             structural zero pattern of each channel tile drives the
             skipping/merging dataflow of :class:`repro.sparse.plan
-            .SparsePlan`, bit-identical to per-call
-            :class:`repro.sparse.sparse_fxp.SparseApproxNegacyclic`).
+            .SparsePlan`; bit-identical to per-call
+            :class:`repro.sparse.sparse_fxp.SparseApproxNegacyclic` when
+            every twiddle product is exact in float64, the condition in
+            :mod:`repro.sparse.plan`).
         weight_config: fixed-point configuration for ``mode="flash"`` /
             ``"sparse"``.
         plan_cache: shared :class:`PlanCache` of plans, and of weight

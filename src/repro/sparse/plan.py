@@ -10,15 +10,15 @@ arrays and replayed over whole ``(B, n)`` stacks with vectorized gathers
 and scatters.  The replay runs batch-innermost, on the transposed
 ``(n, B)`` array, so each gather and scatter moves whole batch rows.
 
-Bit-identity argument (the contract the sparse conformance tier enforces):
+Agreement with the per-call walk (the contract the sparse conformance
+tier enforces):
 
 * butterfly pairs within a stage are disjoint positions, so executing the
   stage's op groups in any order on gathered inputs equals the per-call
   sequential walk;
 * every arithmetic step (twiddle product, halving, sign flip, power-of-two
   scaling, :meth:`repro.fftcore.fixed_point.FxpFormat.quantize_complex`)
-  is element-wise and replayed in the per-call operand order, so IEEE-754
-  determinism gives byte-equal results row by row;
+  is element-wise and replayed in the per-call operand order;
 * materialized chain products ``rom[exp] * x[src]`` are pure functions of
   ``(src, exp mod n)``, so the per-call memo collapses to a precomputed
   slot table evaluated in one batched multiply;
@@ -27,6 +27,21 @@ Bit-identity argument (the contract the sparse conformance tier enforces):
   are quantization outputs, on the grid, so the halving folds into the
   rounding scale exactly as in
   :meth:`repro.fftcore.fixed_point.FixedPointFft.batch`.
+
+Each row is therefore **bit-identical** to
+``SparseFixedPointFft.run(row, valid=pattern)`` whenever every twiddle
+product is exact in float64: quantized twiddles (``twiddle_k > 0``), an
+input on the fixed-point grid (``input_width`` set), and
+``twiddle_max_shift`` + the widest data or input width + 1 <= 53 bits
+(e.g. 27-bit stages, 20-bit inputs, 16-bit twiddles).  Where a product
+rounds, numpy's vectorized complex multiply (SIMD, fused multiply-add on
+AVX-512 hosts) may round its last bit unlike Python's scalar multiply in
+the walk, and the difference shows when it crosses a rounding boundary
+of the stage quantization, about once in ``2**(53 - width)`` rounded
+products.  At the paper's 27-bit datapath with unquantized inputs that is
+rare (no differing row in the tests); at 52-bit stages it is common: 37
+of 100 full-pattern rows differ at n = 64, by at most one last-stage LSB
+per part on the test grid.
 
 The multiplication count is a compile-time constant of the plan and equals
 ``SparseFixedPointFft.run(...).mults`` for every input with the pattern.
@@ -39,6 +54,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.fftcore.approx_pipeline import ApproxSpectrum, normalized_transform
 from repro.fftcore.fixed_point import ApproxFftConfig, FxpFormat
 from repro.fftcore.reference import butterfly_stage
 from repro.sparse.sparse_fxp import SparseFixedPointFft
@@ -493,9 +509,12 @@ class SparsePlan:
     def execute(self, x) -> np.ndarray:
         """Replay the compiled dataflow over a ``(B, n)`` stack (or one row).
 
-        Bit-identical per row to ``SparseFixedPointFft(config, sign).run(row,
-        valid=pattern).values``.  The stack runs transposed, as ``(n, B)``
-        work rows, so every gather and scatter moves whole batch rows;
+        Each row equals ``SparseFixedPointFft(config, sign).run(row,
+        valid=pattern).values`` bit for bit whenever every twiddle product
+        is exact in float64, and to within the last bits otherwise (see
+        the module docstring for the condition).  The stack runs
+        transposed, as ``(n, B)`` work rows, so every gather and scatter
+        moves whole batch rows;
         stages of n/2 GENERAL x GENERAL butterflies run on
         :func:`repro.fftcore.reference.butterfly_stage`.
         """
@@ -595,10 +614,11 @@ class SparseWeightPipeline:
     """Batched drop-in for :class:`repro.sparse.sparse_fxp.SparseApproxNegacyclic`.
 
     Folds a ``(B, n)`` stack of integer weight polynomials, normalizes each
-    row by the per-call power-of-two scale, and runs one compiled
-    :class:`SparsePlan` over the whole stack.  Every step is element-wise
-    (or per-row scalar-equal), so row ``i`` of the result is bit-identical
-    to ``SparseApproxNegacyclic(n, config, pattern).weight_forward(w[i])``.
+    row by its power-of-two scale, and runs one compiled
+    :class:`SparsePlan` over the whole stack.  Row ``i`` of the result
+    equals ``SparseApproxNegacyclic(n, config, pattern).weight_forward(w[i])``
+    under the plan's condition (every twiddle product exact in float64;
+    see :mod:`repro.sparse.plan`), and to within the last bits otherwise.
 
     Args:
         n: polynomial length (ring degree); the core is ``n // 2``-point.
@@ -654,23 +674,15 @@ class SparseWeightPipeline:
         Returns an ``ApproxSpectrum`` whose ``values`` are ``(B, n/2)`` and
         whose ``scale`` is the ``(B,)`` per-row normalization vector.
         """
-        from repro.fftcore.approx_pipeline import (
-            ApproxSpectrum,
-            _next_pow2_rows,
-            _row_part_max,
-        )
-
         weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-        folded = self.base.fold_batch(weights)
-        scale = _next_pow2_rows(_row_part_max(folded) * (1.0 + 2.0 ** -20))
-        out = self.plan.execute(folded / scale[:, None])
-        unscaled = out / self.plan.output_scale * scale[:, None]
-        return ApproxSpectrum(values=unscaled, scale=scale)
+        values, scale = normalized_transform(
+            self.plan.execute, self.base.fold_batch(weights),
+            self.plan.output_scale,
+        )
+        return ApproxSpectrum(values=values, scale=scale)
 
     def weight_forward(self, weight):
         """Single-weight convenience wrapper (a batch of one)."""
-        from repro.fftcore.approx_pipeline import ApproxSpectrum
-
         spec = self.weight_forward_batch(np.asarray(weight)[None, :])
         return ApproxSpectrum(
             values=spec.values[0], scale=float(spec.scale[0])

@@ -26,6 +26,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.fftcore.approx_pipeline import (
+    ApproxNegacyclic,
+    ApproxSpectrum,
+    normalized_transform,
+)
 from repro.fftcore.fixed_point import ApproxFftConfig, FxpFormat
 from repro.fftcore.reference import stage_twiddles
 from repro.fftcore.twiddle_quant import TwiddleRom
@@ -294,12 +299,17 @@ class SparseFixedPointFft:
         return values, mults
 
 
-class SparseApproxNegacyclic:
+class SparseApproxNegacyclic(ApproxNegacyclic):
     """FLASH's complete weight path: folded negacyclic + sparse FXP FFT.
 
-    Drop-in sibling of :class:`repro.fftcore.approx_pipeline.ApproxNegacyclic`
-    whose weight transform runs on the combined sparse fixed-point engine,
-    configured once per layer with the structural sparsity pattern.
+    An :class:`repro.fftcore.approx_pipeline.ApproxNegacyclic` whose weight
+    transform runs on the combined sparse fixed-point engine, configured
+    once per layer with the structural sparsity pattern.  Activation,
+    inverse, ``multiply`` and the per-call methods are inherited (float64
+    activation and inverse, as in the architecture);
+    :meth:`weight_forward_batch` walks each row through
+    :meth:`SparseFixedPointFft.run`, the per-call oracle the compiled
+    sparse plans are checked against, and never the dense core.
 
     Args:
         n: polynomial length (ring degree).
@@ -316,15 +326,14 @@ class SparseApproxNegacyclic:
         weight_config: ApproxFftConfig,
         valid_pattern: Optional[Sequence[int]] = None,
     ):
-        from repro.fftcore.negacyclic import NegacyclicFft
         from repro.sparse.patterns import fold_valid_indices
 
         if weight_config.n != n // 2:
             raise ValueError(
                 f"weight core must be {n // 2}-point, got {weight_config.n}"
             )
-        self.n = n
-        self.base = NegacyclicFft(n)
+        super().__init__(n)
+        self.weight_config = weight_config
         self.engine = SparseFixedPointFft(weight_config, sign=+1)
         self._pattern = (
             None
@@ -333,36 +342,20 @@ class SparseApproxNegacyclic:
         )
         self.last_mults = 0
 
-    def weight_forward(self, weight):
-        """Approximate sparse transform of an integer weight polynomial."""
-        from repro.fftcore.approx_pipeline import ApproxSpectrum, _next_pow2
+    def weight_forward_batch(self, weights) -> ApproxSpectrum:
+        """Sparse approximate spectra of a ``(B, n)`` weight stack, one
+        :meth:`SparseFixedPointFft.run` per row; ``last_mults`` is the last
+        row's multiplication count."""
+        weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+        runs: List[SparseFxpResult] = []
 
-        weight = np.asarray(weight, dtype=np.float64)
-        folded = self.base.fold(weight)
-        part_max = max(
-            float(np.max(np.abs(folded.real))),
-            float(np.max(np.abs(folded.imag))),
-            1.0,
+        def walk(rows: np.ndarray) -> np.ndarray:
+            runs.extend(self.engine.run(row, valid=self._pattern) for row in rows)
+            return np.array([r.values for r in runs]).reshape(rows.shape)
+
+        values, scale = normalized_transform(
+            walk, self.base.fold_batch(weights), self.engine.output_scale
         )
-        scale = _next_pow2(part_max * (1.0 + 2.0 ** -20))
-        result = self.engine.run(folded / scale, valid=self._pattern)
-        self.last_mults = result.mults
-        unscaled = result.values / self.engine.output_scale * scale
-        return ApproxSpectrum(values=unscaled, scale=scale)
-
-    def activation_forward(self, activation):
-        return self.base.forward(activation)
-
-    def multiply_spectra(self, weight_spec, act_spec):
-        return self.base.inverse(weight_spec.values * np.asarray(act_spec))
-
-    def multiply(self, weight, activation, modulus: int = 0):
-        """Full pipeline with the sparse approximate weight transform."""
-        from repro.fftcore.negacyclic import round_to_integers
-
-        w_spec = self.weight_forward(weight)
-        a_spec = self.activation_forward(
-            np.asarray(activation, dtype=np.float64)
-        )
-        product = self.multiply_spectra(w_spec, a_spec)
-        return round_to_integers(product, modulus)
+        if runs:
+            self.last_mults = runs[-1].mults
+        return ApproxSpectrum(values=values, scale=scale)
