@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.fftcore.twiddle_quant import TwiddleRom
+from repro.fftcore.twiddle_quant import get_twiddle_rom
 
 
 #: Structured-cancellation factor of deterministic CSD twiddle errors,
@@ -39,7 +39,7 @@ def twiddle_relative_error(n: int, k: int, max_shift: int = 16) -> float:
     """RMS relative error of a level-k twiddle ROM (cached)."""
     if k <= 0:
         return 0.0
-    return TwiddleRom(n, k, max_shift).stats().rms_error
+    return get_twiddle_rom(n, k, max_shift, -1).stats().rms_error
 
 
 @lru_cache(maxsize=128)
@@ -48,7 +48,7 @@ def stage_twiddle_errors(n: int, k: int, max_shift: int = 16):
     stages = n.bit_length() - 1
     if k <= 0:
         return tuple(0.0 for _ in range(stages))
-    rom = TwiddleRom(n, k, max_shift)
+    rom = get_twiddle_rom(n, k, max_shift, -1)
     out = []
     for s in range(1, stages + 1):
         approx = rom.stage_values(s)

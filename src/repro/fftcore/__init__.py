@@ -32,7 +32,9 @@ from repro.fftcore.twiddle_quant import (
     RomStats,
     TwiddleRom,
     csd_decompose,
+    csd_decompose_batch,
     csd_value,
+    get_twiddle_rom,
     shift_add_count,
 )
 
@@ -47,9 +49,11 @@ __all__ = [
     "RomStats",
     "TwiddleRom",
     "csd_decompose",
+    "csd_decompose_batch",
     "csd_value",
     "fft_dit",
     "fft_multiplication_count",
+    "get_twiddle_rom",
     "ifft_dit",
     "negacyclic_multiply_folded",
     "negacyclic_multiply_twisted",

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.fftcore.reference import butterfly_stage, stage_twiddles
-from repro.fftcore.twiddle_quant import TwiddleRom
+from repro.fftcore.twiddle_quant import TwiddleRom, get_twiddle_rom
 from repro.ntt.modmath import bit_reverse_indices
 
 
@@ -148,7 +148,9 @@ class FixedPointFft:
         n = config.n
         self._rev = bit_reverse_indices(n)
         self._rom = (
-            TwiddleRom(n, config.twiddle_k, config.twiddle_max_shift, sign)
+            get_twiddle_rom(
+                n, config.twiddle_k, config.twiddle_max_shift, sign
+            )
             if config.twiddle_k
             else None
         )

@@ -12,10 +12,66 @@ width, capped at 8-to-1 in the paper) are both modeled here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
+
+
+def csd_decompose_batch(
+    values, k: int, max_shift: int = 16
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy signed power-of-two decomposition of every element of ``values``.
+
+    Each of ``k`` array steps subtracts, from every residual still being
+    decomposed, the nearest signed power of two ``sign * 2**-shift`` with
+    ``0 <= shift <= max_shift``.
+
+    Args:
+        values: array of numbers to approximate, each ``|value| <= 2``.
+        k: maximum number of nonzero terms per element.
+        max_shift: largest right-shift representable (fraction precision).
+
+    Returns:
+        ``(signs, shifts, counts)``: ``signs`` (int8) and ``shifts``
+        (int16) have shape ``(k,) + values.shape`` and hold each element's
+        i-th term; ``counts`` holds each element's number of terms, and the
+        terms at or past it are 0.  Reconstruction of one element is
+        ``sum(signs[i] * 2**-shifts[i] for i < count)``.
+    """
+    residual = np.array(values, dtype=np.float64)
+    outside = ~(np.abs(residual) <= 2)
+    if outside.any():
+        raise ValueError(f"|value| must be <= 2, got {residual[outside][0]}")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    signs = np.zeros((k,) + residual.shape, dtype=np.int8)
+    shifts = np.zeros((k,) + residual.shape, dtype=np.int16)
+    counts = np.zeros(residual.shape, dtype=np.int16)
+    active = residual != 0.0
+    for i in range(k):
+        if not active.any():
+            break
+        sign = np.where(residual > 0, 1, -1)
+        mag = np.abs(residual)
+        # Nearest power of two to mag: compare against the geometric
+        # midpoint between adjacent powers.
+        with np.errstate(divide="ignore"):
+            shift = np.clip(np.rint(-np.log2(mag)), 0, max_shift)
+        shift = shift.astype(np.int64)
+        shift += (np.ldexp(1.0, -shift) > mag * np.sqrt(2)) & (
+            shift < max_shift
+        )
+        rest = residual - sign * np.ldexp(1.0, -shift)
+        # An element stops once its term no longer improves the
+        # approximation.
+        active &= np.abs(rest) < mag
+        signs[i] = np.where(active, sign, 0)
+        shifts[i] = np.where(active, shift, 0)
+        counts += active
+        residual = np.where(active, rest, residual)
+    return signs, shifts, counts
 
 
 def csd_decompose(
@@ -23,8 +79,7 @@ def csd_decompose(
 ) -> List[Tuple[int, int]]:
     """Greedy signed power-of-two decomposition of ``value`` in ``[-2, 2]``.
 
-    Repeatedly subtracts the nearest signed power of two ``sign * 2**-shift``
-    with ``0 <= shift <= max_shift`` from the residual, up to ``k`` terms.
+    A batch of one of :func:`csd_decompose_batch`.
 
     Args:
         value: number to approximate, ``|value| <= 2``.
@@ -35,29 +90,9 @@ def csd_decompose(
         list of ``(sign, shift)`` pairs; reconstruction is
         ``sum(sign * 2**-shift)``.
     """
-    if abs(value) > 2:
-        raise ValueError(f"|value| must be <= 2, got {value}")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    terms: List[Tuple[int, int]] = []
-    residual = float(value)
-    for _ in range(k):
-        if residual == 0.0:
-            break
-        sign = 1 if residual > 0 else -1
-        mag = abs(residual)
-        # Nearest power of two to mag: compare against the geometric
-        # midpoint between adjacent powers.
-        shift = int(np.clip(round(-np.log2(mag)), 0, max_shift))
-        if 2.0**-shift > mag * np.sqrt(2) and shift < max_shift:
-            shift += 1
-        term = sign * 2.0**-shift
-        # Stop if the term no longer improves the approximation.
-        if abs(residual - term) >= abs(residual):
-            break
-        terms.append((sign, shift))
-        residual -= term
-    return terms
+    signs, shifts, counts = csd_decompose_batch([value], k, max_shift)
+    count = int(counts[0])
+    return list(zip(signs[:count, 0].tolist(), shifts[:count, 0].tolist()))
 
 
 def csd_value(terms: Sequence[Tuple[int, int]]) -> float:
@@ -112,6 +147,11 @@ class TwiddleRom:
     every exponent rather than only per-stage values ("twiddle factor
     exponents serve as addresses to fetch values from the ROM").
 
+    All n entries are decomposed in one :func:`csd_decompose_batch` pass
+    and every table is read-only; :func:`get_twiddle_rom` shares one ROM
+    per ``(n, k, max_shift, sign)``, as the hardware shares one ROM across
+    its PEs.
+
     Args:
         n: FFT core size (the ROM covers the n-th roots of unity).
         k: quantization level - max signed power-of-two terms per part.
@@ -128,27 +168,53 @@ class TwiddleRom:
         self.k = k
         self.max_shift = max_shift
         self.sign = sign
-        self._entries: List[QuantizedTwiddle] = []
-        for e in range(n):
-            exact = np.exp(sign * 2j * np.pi * e / n)
-            self._entries.append(
-                QuantizedTwiddle(
-                    exponent=e,
-                    exact=complex(exact),
-                    real_terms=tuple(csd_decompose(exact.real, k, max_shift)),
-                    imag_terms=tuple(csd_decompose(exact.imag, k, max_shift)),
-                )
-            )
-        self._values = np.array(
-            [entry.value for entry in self._entries], dtype=np.complex128
+        exact = np.exp(sign * 2j * np.pi * np.arange(n) / n)
+        # Terms of the real (part 0) and imaginary (part 1) halves,
+        # shaped (k, 2, n); counts (2, n).
+        signs, shifts, counts = csd_decompose_batch(
+            np.stack([exact.real, exact.imag]), k, max_shift
         )
+        # Summed term by term in csd_value's order, so every value is the
+        # bytes csd_value gives for that entry's terms.
+        parts = np.zeros((2, n))
+        for i in range(k):
+            parts += signs[i] * np.ldexp(1.0, -shifts[i])
+        values = np.empty(n, dtype=np.complex128)
+        values.real, values.imag = parts
+        self._exact = exact
+        self._signs = signs
+        self._shifts = shifts
+        self._counts = counts
+        self._values = values
+        for table in (exact, signs, shifts, counts, values):
+            table.setflags(write=False)
 
     def __len__(self) -> int:
         return self.n
 
+    @property
+    def values(self) -> np.ndarray:
+        """Read-only table of quantized twiddle values, indexed by exponent."""
+        return self._values
+
     def entry(self, exponent: int) -> QuantizedTwiddle:
         """ROM entry for ``W_n^exponent`` (exponent taken mod n)."""
-        return self._entries[exponent % self.n]
+        e = int(exponent) % self.n
+        real_terms, imag_terms = (
+            tuple(
+                zip(
+                    self._signs[:count, part, e].tolist(),
+                    self._shifts[:count, part, e].tolist(),
+                )
+            )
+            for part, count in enumerate(self._counts[:, e].tolist())
+        )
+        return QuantizedTwiddle(
+            exponent=e,
+            exact=complex(self._exact[e]),
+            real_terms=real_terms,
+            imag_terms=imag_terms,
+        )
 
     def lookup(self, exponents) -> np.ndarray:
         """Vectorized quantized twiddle values for an array of exponents."""
@@ -170,25 +236,28 @@ class TwiddleRom:
         width is the number of distinct shifts that digit position takes
         across the ROM.
         """
-        errors = np.abs(self._values - np.array([e.exact for e in self._entries]))
-        parts = 2 * self.n
-        total_terms = sum(e.term_count for e in self._entries)
-        position_shifts: Dict[int, set] = {}
-        for entry in self._entries:
-            for terms in (entry.real_terms, entry.imag_terms):
-                for i, (_, shift) in enumerate(terms):
-                    position_shifts.setdefault(i, set()).add(shift)
-        mux_sizes = [
-            len(position_shifts[i]) for i in sorted(position_shifts)
-        ]
+        errors = np.abs(self._values - self._exact)
+        mux_sizes = []
+        for i in range(self.k):
+            used = self._counts > i
+            if not used.any():
+                break
+            mux_sizes.append(len(np.unique(self._shifts[i][used])))
         return RomStats(
             k=self.k,
             max_shift=self.max_shift,
-            mean_terms_per_part=total_terms / parts,
+            mean_terms_per_part=int(self._counts.sum()) / (2 * self.n),
             max_error=float(errors.max()),
             rms_error=float(np.sqrt(np.mean(errors**2))),
             mux_sizes=mux_sizes,
         )
+
+
+@functools.lru_cache(maxsize=None)
+def get_twiddle_rom(n: int, k: int, max_shift: int, sign: int) -> TwiddleRom:
+    """The :class:`TwiddleRom` of ``(n, k, max_shift, sign)``, built once and
+    shared (its tables are read-only)."""
+    return TwiddleRom(n, k, max_shift, sign)
 
 
 def shift_add_count(entry: QuantizedTwiddle) -> int:

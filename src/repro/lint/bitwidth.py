@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.fftcore.twiddle_quant import TwiddleRom
+from repro.fftcore.twiddle_quant import get_twiddle_rom
 from repro.lint.findings import Finding, Severity
 
 #: Allowed worst-case overshoot, in bits, beyond the register range.
@@ -157,7 +157,7 @@ def _stage_gains(config: ApproxFftConfig, sign: int) -> List[float]:
     """Max quantized-twiddle magnitude per stage (1.0 for exact twiddles)."""
     if not config.twiddle_k:
         return [1.0] * config.stages
-    rom = TwiddleRom(
+    rom = get_twiddle_rom(
         config.n, config.twiddle_k, config.twiddle_max_shift, sign
     )
     return [

@@ -33,7 +33,7 @@ from repro.fftcore.approx_pipeline import (
 )
 from repro.fftcore.fixed_point import ApproxFftConfig, FxpFormat
 from repro.fftcore.reference import stage_twiddles
-from repro.fftcore.twiddle_quant import TwiddleRom
+from repro.fftcore.twiddle_quant import get_twiddle_rom
 from repro.ntt.modmath import bit_reverse_indices
 
 
@@ -92,7 +92,9 @@ class SparseFixedPointFft:
         self.stages = config.stages
         self._rev = bit_reverse_indices(n)
         self._rom = (
-            TwiddleRom(n, config.twiddle_k, config.twiddle_max_shift, sign)
+            get_twiddle_rom(
+                n, config.twiddle_k, config.twiddle_max_shift, sign
+            )
             if config.twiddle_k
             else None
         )
@@ -110,7 +112,7 @@ class SparseFixedPointFft:
         """Quantized (or exact) twiddle ``W_n^(sign * exponent)``."""
         n = self.config.n
         if self._rom is not None:
-            return complex(self._rom.entry(exponent % n).value)
+            return complex(self._rom.values[exponent % n])
         return complex(np.exp(self.sign * 2j * np.pi * (exponent % n) / n))
 
     def run(

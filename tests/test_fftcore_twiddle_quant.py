@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fftcore import (
+    ApproxFftConfig,
+    FixedPointFft,
     QuantizedTwiddle,
     TwiddleRom,
     csd_decompose,
     csd_value,
+    get_twiddle_rom,
     shift_add_count,
 )
+from repro.sparse.plan import SparsePlan
+from repro.sparse.sparse_fxp import SparseFixedPointFft
 
 
 class TestCsdDecompose:
@@ -128,6 +133,41 @@ class TestTwiddleRom:
             TwiddleRom(12, 3)
         with pytest.raises(ValueError):
             TwiddleRom(16, 3, sign=0)
+
+
+class TestSharedRom:
+    CFG = ApproxFftConfig(
+        n=64, stage_widths=20, twiddle_k=5, twiddle_max_shift=16
+    )
+
+    def test_transforms_share_one_rom(self):
+        dense = FixedPointFft(self.CFG, sign=+1)
+        assert FixedPointFft(self.CFG, sign=+1).rom is dense.rom
+        assert SparseFixedPointFft(self.CFG, sign=+1)._rom is dense.rom
+        assert dense.rom is get_twiddle_rom(64, 5, 16, +1)
+        assert FixedPointFft(self.CFG, sign=-1).rom is not dense.rom
+
+    def test_value_table_is_read_only(self):
+        rom = get_twiddle_rom(64, 5, 16, +1)
+        before = rom.values.tobytes()
+        with pytest.raises(ValueError):
+            rom.values[0] = 0
+        with pytest.raises(ValueError):
+            rom.values.real[:] = 0
+        assert rom.values.tobytes() == before
+        # Lookups hand out copies, so callers may write into them.
+        rom.stage_values(3)[0] = 0
+        assert rom.values.tobytes() == before
+
+    def test_sparse_plans_of_one_config_build_one_rom(self):
+        get_twiddle_rom.cache_clear()
+        dense = FixedPointFft(self.CFG, sign=+1)
+        for pattern in ((0,), (0, 3, 5), range(0, 64, 2), range(64)):
+            SparsePlan(self.CFG, pattern)
+        info = get_twiddle_rom.cache_info()
+        assert info.currsize == 1
+        assert info.misses == 1
+        assert get_twiddle_rom(64, 5, 16, +1) is dense.rom
 
 
 class TestShiftAddCount:
