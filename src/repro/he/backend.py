@@ -13,13 +13,15 @@ There is one class per transform and one product path per class:
 vectorized transform passes (weight spectra cached, independent work
 fanned across a thread pool or the worker processes of a
 :class:`repro.cluster.ClusterExecutor`); a single product is a batch of
-one.
+one.  A polynomial object passed for several products (a ciphertext
+component against every output channel's weight) is lifted and
+forward-transformed once per call; pointwise products, inverse
+transforms and the rounding back into the ring run once per product.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +49,22 @@ from repro.runtime.plan_cache import (
 #: test/benchmark workload, but finite: the old ad-hoc dict caches grew
 #: without bound across a long-running inference service.
 DEFAULT_SPECTRUM_CACHE_BYTES = 64 << 20
+
+
+def distinct_objects(items: Sequence) -> Tuple[list, np.ndarray]:
+    """The distinct objects of ``items``, in first-seen order, and each
+    item's row in that list.
+
+    Objects are told apart by identity, not content: a private round
+    passes the same ciphertext polynomial once per output channel, and
+    comparing contents would hash every row of every call.
+    """
+    rows: Dict[int, int] = {}
+    distinct = []
+    for item in items:
+        if rows.setdefault(id(item), len(distinct)) == len(distinct):
+            distinct.append(item)
+    return distinct, np.array([rows[id(item)] for item in items])
 
 
 class PolyMulBackend:
@@ -156,8 +174,9 @@ class NttPolyMulBackend(PolyMulBackend):
 
     Each product runs one RNS limb at a time on the float64 folded FFT
     (:mod:`repro.fftcore.exact`): a limb's centered residues go through one
-    ``forward_batch``, a pointwise product with the weight's cached
-    spectrum, one ``inverse_batch``, ``np.rint`` and ``np.mod p``.  One
+    ``forward_batch`` (one row per distinct polynomial), a pointwise
+    product with the weight's cached spectrum, one ``inverse_batch`` (one
+    row per product), ``np.rint`` and ``np.mod p``.  One
     spectrum (``8 * n`` bytes, built once in long double) serves every
     limb.  Each (weight, prime) pair runs on the smallest digit count
     ``D`` whose a-priori certificate bound is below 1/2, which makes the
@@ -199,18 +218,16 @@ class NttPolyMulBackend(PolyMulBackend):
         ]
         # Spectra and certificates are built serially (deterministic cache
         # order); limb jobs below only read plain arrays.
+        keys = [w.tobytes() for w in weights_list]
         certs: Dict[bytes, tuple] = {}
-        for w in weights_list:
-            key = w.tobytes()
+        for w, key in zip(weights_list, keys):
             if key not in certs:
                 spec = self.plan_cache.get_or_build(
                     ("exact-wspec", kernel.n, tuple(primes), key),
                     lambda: _certified_spectrum(kernel, primes, w),
                 )
                 certs[key] = (spec.view(np.ndarray), spec.digits, spec.bounds)
-        spectra, digits, bounds = zip(
-            *(certs[w.tobytes()] for w in weights_list)
-        )
+        spectra, digits, bounds = zip(*(certs[key] for key in keys))
         # Per limb, the rows of each digit count, in order.
         groups: List[Dict[int, List[int]]] = []
         for limb in range(len(primes)):
@@ -229,9 +246,11 @@ class NttPolyMulBackend(PolyMulBackend):
             out = np.empty((count, basis.n), dtype=np.uint64)
             worst = 0.0
             for limb_digits, rows in groups[limb].items():
-                stack = np.stack([polys[i].residues[limb] for i in rows])
+                distinct, index = distinct_objects([polys[i] for i in rows])
+                stack = np.stack([poly.residues[limb] for poly in distinct])
                 out[rows], rows_worst = exact_fft_products(
-                    kernel, stack, stacks[tuple(rows)], prime, limb_digits
+                    kernel, stack, stacks[tuple(rows)], prime, limb_digits,
+                    index,
                 )
                 worst = max(worst, rows_worst)
             return out, worst
@@ -260,22 +279,26 @@ def exact_fft_products(
     spectra: np.ndarray,
     prime: int,
     digits: int,
+    index: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, float]:
     """Exact negacyclic products of one limb on the float64 folded FFT.
 
-    ``residues`` is a ``(k, n)`` stack mod ``prime``; ``spectra`` are the
-    ``(k, n/2)`` (or one shared ``(n/2,)``) cached weight spectra, every
-    one certified for ``prime`` at ``digits`` digits.  The centered
-    residues split into ``digits`` digits (:func:`split_digits`), stacked
-    along the batch axis of one forward transform, pointwise product and
-    inverse; the rounded digit products are reduced mod ``prime`` and
+    ``residues`` is an ``(r, n)`` stack mod ``prime``; product ``i``
+    multiplies row ``index[i]`` (row ``i`` when ``index`` is ``None``), so
+    a row shared by several products is transformed once.  ``spectra``
+    are the ``(k, n/2)`` (or one shared ``(n/2,)``) cached weight spectra
+    of the ``k`` products, every one certified for ``prime`` at ``digits``
+    digits.  The centered residues split into ``digits`` digits
+    (:func:`split_digits`), stacked along the batch axis of one forward
+    transform; the pointwise products and one inverse transform then run
+    per product.  The rounded digit products are reduced mod ``prime`` and
     recombined with ``mulmod`` by ``2**(b*d)``.  Returns the ``(k, n)``
     products mod ``prime`` and the worst realized rounding distance
     ``|x - rint(x)|``.  The certificate keeps every ``|x|`` below
     ``2**53``, so the rounded products are exact integers in float64 and
     in int64.
     """
-    count, n = residues.shape
+    rows, n = residues.shape
     width = digit_split(prime // 2, digits)[0]
     # repro-lint: disable=DTYPE001  exact: residues r < p < 2**40 at every
     # prime mulmod admits (centered, |r| < 2**39 < 2**53)
@@ -283,7 +306,11 @@ def exact_fft_products(
     lifted -= (lifted > prime // 2) * float(prime)  # centered, |r| <= p/2
     stack = split_digits(lifted, width, digits).reshape(-1, n)
     fft = kernel.fft
-    spectrum = fft.forward_batch(stack).reshape(digits, count, -1) * spectra
+    spectrum = fft.forward_batch(stack).reshape(digits, rows, -1)
+    if index is not None:
+        spectrum = spectrum[:, index]
+    count = spectrum.shape[1]
+    spectrum = spectrum * spectra
     product = fft.inverse_batch(spectrum.reshape(digits * count, -1))
     rounded = np.rint(product)
     product -= rounded
@@ -304,8 +331,9 @@ class FftPolyMulBackend(PolyMulBackend):
     Ciphertext polynomials are CRT-lifted to centered integers, multiplied
     in the FFT domain (weight transform on the approximate fixed-point
     path, everything else float64), rounded, and reduced back into RNS.  A
-    batch stacks the lifts and runs the activation transforms, pointwise
-    products and inverse transforms as single batched passes.  Weight
+    batch lifts and activation-transforms each distinct polynomial once,
+    in one batched pass, then runs the pointwise products and inverse
+    transforms of every product as single batched passes.  Weight
     spectra are cached: in an HConv the same weight polynomial multiplies
     both ciphertext components of every input tile, so hardware computes
     the weight transform once (this is also why the second approach of
@@ -362,9 +390,10 @@ class FftPolyMulBackend(PolyMulBackend):
             np.ascontiguousarray(w, dtype=np.int64) for w in weights_list
         ])
 
-        lifts = fan_out(polys, centered_lift, self.max_workers)
+        distinct, index = distinct_objects(polys)
+        lifts = fan_out(distinct, centered_lift, self.max_workers)
         a_spec = pipe.activation_forward_batch(np.stack(lifts))
-        products = pipe.multiply_spectra_batch(w_rows, a_spec)
+        products = pipe.multiply_spectra_batch(w_rows, a_spec[index])
         out = fan_out(
             products, lambda row: round_to_ring(basis, row), self.max_workers
         )
@@ -415,44 +444,39 @@ class SparseFftPolyMulBackend(FftPolyMulBackend):
     def _weight_rows(
         self, n: int, weights: List[np.ndarray]
     ) -> Tuple[np.ndarray, Dict[str, int]]:
-        from repro.sparse.opcount import sparse_fft_mults
         from repro.sparse.patterns import fold_valid_indices
 
         cfg = self.weight_config
         cfg_key = approx_config_key(cfg)
-        # One (weight, pipeline) item per distinct weight: repeated weights
-        # (c0/c1 of one ciphertext, shared kernels across a batch) are
-        # transformed and counted once; a folded pattern has one pipeline.
+        # One (weight, key, pipeline) item per distinct weight: repeated
+        # weights (c0/c1 of one ciphertext, shared kernels across a batch)
+        # are transformed and counted once; a folded pattern has one
+        # pipeline.
+        keys = [w.tobytes() for w in weights]
         pipes: Dict[bytes, object] = {}
         items: Dict[bytes, tuple] = {}
-        for w in weights:
-            if w.tobytes() not in items:
+        for w, key in zip(weights, keys):
+            if key not in items:
                 fp = fold_valid_indices(np.nonzero(w)[0], n)
-                if fp.tobytes() not in pipes:
-                    pipes[fp.tobytes()] = sparse_pipeline(
+                pattern = fp.tobytes()
+                if pattern not in pipes:
+                    pipes[pattern] = sparse_pipeline(
                         self.plan_cache, n, cfg, fp
                     )
-                items[w.tobytes()] = (w, pipes[fp.tobytes()])
+                items[key] = (w, key, pattern, pipes[pattern])
         rows = self.plan_cache.get_or_build_many(
-            [items[w.tobytes()] for w in weights],
-            lambda item: (
-                "sparse-wspec", n, cfg_key, item[1].pattern.tobytes(),
-                item[0].tobytes(),
-            ),
+            [items[key] for key in keys],
+            lambda item: ("sparse-wspec", n, cfg_key, item[2], item[1]),
             lambda missing: sparse_weight_spectra(
-                [pipe for _, pipe in missing],
-                np.stack([w for w, _ in missing]),
+                [item[3] for item in missing],
+                np.stack([item[0] for item in missing]),
             ),
         )
-        counts = Counter(pipe.pattern.tobytes() for _, pipe in items.values())
         realized = dense = model = 0
-        for key, count in counts.items():
-            pipe = pipes[key]
-            realized += pipe.mults * count
-            dense += pipe.dense_mults * count
-            model += sparse_fft_mults(
-                tuple(int(v) for v in pipe.pattern), n // 2
-            ) * count
+        for *_, pipe in items.values():
+            realized += pipe.mults
+            dense += pipe.dense_mults
+            model += pipe.model_mults
         return np.stack(rows), {
             "weight_transforms": len(items),
             "weight_mults_realized": realized,

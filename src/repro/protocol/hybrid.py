@@ -393,7 +393,7 @@ class HybridConvProtocol(_HybridRound):
         rng: np.random.Generator,
         party: _PartyPair,
     ) -> List[ProtocolResult]:
-        from repro.encoding.plain_eval import conv2d_direct
+        from repro.nn.model import conv2d_int_batch
 
         ring = party.ring
 
@@ -401,16 +401,14 @@ class HybridConvProtocol(_HybridRound):
         w = np.asarray(w, dtype=np.int64)
         batch = xs.shape[0]
         stats = [ProtocolStats() for _ in range(batch)]
-        expected = [
-            conv2d_direct(x, w, stride=self.shape.stride, padding=self.shape.padding)
-            for x in xs
-        ]
-        for e in expected:
-            if not ring.fits_signed(e):
-                raise ValueError(
-                    "convolution output overflows the sharing ring; "
-                    "increase the plaintext modulus"
-                )
+        expected = conv2d_int_batch(
+            xs, w, self.shape.stride, self.shape.padding
+        )
+        if not ring.fits_signed(expected):
+            raise ValueError(
+                "convolution output overflows the sharing ring; "
+                "increase the plaintext modulus"
+            )
 
         shares = [ring.share(x, rng) for x in xs]
         xc_pads = [

@@ -671,7 +671,6 @@ class BatchedHConvEngine:
         counters are charged here, per requested transform, so the
         accounting is cache-warmth independent.
         """
-        from repro.sparse.opcount import sparse_fft_mults
         from repro.sparse.patterns import fold_valid_indices
 
         pattern = fold_valid_indices(enc.weight_valid_indices(0), n)
@@ -679,9 +678,7 @@ class BatchedHConvEngine:
         stats.weight_transforms += count
         stats.weight_mults_realized += pipe.mults * count
         stats.weight_mults_dense += pipe.dense_mults * count
-        stats.weight_mults_model += sparse_fft_mults(
-            tuple(int(v) for v in pattern), n // 2
-        ) * count
+        stats.weight_mults_model += pipe.model_mults * count
 
         def transform(chunk):
             return sparse_weight_spectra([pipe] * len(chunk), encode(chunk))

@@ -50,6 +50,7 @@ The multiplication count is a compile-time constant of the plan and equals
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -458,6 +459,14 @@ class SparsePlan:
     def dense_mults(self) -> int:
         return (self.n // 2) * self.stages
 
+    @cached_property
+    def model_mults(self) -> int:
+        """The dataflow model's count for this pattern
+        (:func:`repro.sparse.opcount.sparse_fft_mults`), once per plan."""
+        from repro.sparse.opcount import sparse_fft_mults
+
+        return sparse_fft_mults(self.valid, self.n)
+
     @property
     def reduction(self) -> float:
         if self.dense_mults == 0:
@@ -663,6 +672,10 @@ class SparseWeightPipeline:
     @property
     def dense_mults(self) -> int:
         return self.plan.dense_mults
+
+    @property
+    def model_mults(self) -> int:
+        return self.plan.model_mults
 
     @property
     def plan_bytes(self) -> int:

@@ -6,6 +6,12 @@ bit, on dense and on sparse weights; ``BfvContext.multiply_plain`` runs
 its c0/c1 products through the same path and decrypts to the plaintext
 convolution.  The products and work counters of every backend, the
 float64 ``fp_fft_backend()`` included, are pinned to digests.
+
+A polynomial object shared by several products (a private round passes
+each ciphertext component once per output channel) is lifted and
+forward-transformed once: the products equal those of unshared copies
+byte for byte, and the forward transforms see one row per distinct
+object.
 """
 
 import hashlib
@@ -14,7 +20,9 @@ import numpy as np
 import pytest
 
 from repro.fftcore.fixed_point import ApproxFftConfig
-from repro.he import BfvContext, toy_preset
+from repro.fftcore.approx_pipeline import ApproxNegacyclic
+from repro.fftcore.exact import get_exact_negacyclic
+from repro.he import BfvContext, cham_preset, toy_preset
 from repro.he.backend import (
     FftPolyMulBackend,
     NttPolyMulBackend,
@@ -27,17 +35,21 @@ from repro.ntt import negacyclic_convolution_naive
 PARAMS = toy_preset()
 
 
-def _config(twiddle_k: int) -> ApproxFftConfig:
+def _config(twiddle_k: int, n: int = PARAMS.n) -> ApproxFftConfig:
     return ApproxFftConfig(
-        n=PARAMS.n // 2, stage_widths=27, twiddle_k=twiddle_k,
+        n=n // 2, stage_widths=27, twiddle_k=twiddle_k,
         twiddle_max_shift=24,
     )
 
 
 BACKENDS = {
-    "ntt": lambda k: NttPolyMulBackend(),
-    "flash": lambda k: FftPolyMulBackend(weight_config=_config(k)),
-    "sparse": lambda k: SparseFftPolyMulBackend(weight_config=_config(k)),
+    "ntt": lambda k, n=PARAMS.n: NttPolyMulBackend(),
+    "flash": lambda k, n=PARAMS.n: FftPolyMulBackend(
+        weight_config=_config(k, n)
+    ),
+    "sparse": lambda k, n=PARAMS.n: SparseFftPolyMulBackend(
+        weight_config=_config(k, n)
+    ),
 }
 
 
@@ -140,3 +152,111 @@ def test_products_and_counters_are_pinned(kind, sparse, twiddle_k):
         digest.update(repr(work).encode())
     label = "sparse" if sparse else "dense"
     assert digest.hexdigest()[:16] == DIGESTS[(kind, label, twiddle_k)]
+
+
+#: Ring parameters of the sharing tests: two 30-bit primes, and CHAM's one
+#: 39-bit prime, where a 4-bit weight needs D = 2 digits.
+SHARING_PARAMS = {"toy": toy_preset(), "cham": cham_preset(n=1024)}
+
+
+def _round_products(params, mixed_digits: bool):
+    """A private round's call: two ciphertext components, each multiplied
+    by every weight as one shared object.  ``mixed_digits`` picks weights
+    whose exact products need different digit counts (two monomials, two
+    dense 4-bit weights and a dense 20-bit one); otherwise all are 4-bit."""
+    basis = params.basis
+    n = basis.n
+    rng = np.random.default_rng(11)
+    c0, c1 = (
+        RingPoly(basis, basis.to_rns(rng.integers(0, params.q, n)))
+        for _ in range(2)
+    )
+    if mixed_digits:
+        monomials = np.zeros((2, n), dtype=np.int64)
+        monomials[0, 5] = monomials[1, 9] = 1
+        weights = [
+            *monomials,
+            rng.integers(-8, 9, size=n),
+            rng.integers(-8, 9, size=n),
+            rng.integers(-(1 << 20), 1 << 20, size=n),
+        ]
+    else:
+        weights = [rng.integers(-8, 9, size=n) for _ in range(3)]
+        for w in weights[1:]:
+            w[rng.random(n) < 0.85] = 0  # sparse supports, as in a conv
+    polys, weights_list = [], []
+    for w in weights:
+        polys.extend((c0, c1))
+        weights_list.extend((w, w))
+    return polys, weights_list
+
+
+SHARING_CASES = [("toy", False), ("cham", False), ("cham", True)]
+SHARING_IDS = ["toy", "cham", "cham-mixed-digits"]
+
+
+@pytest.mark.parametrize("preset,mixed", SHARING_CASES, ids=SHARING_IDS)
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_shared_polynomials_match_unshared_copies(kind, preset, mixed):
+    params = SHARING_PARAMS[preset]
+    polys, weights = _round_products(params, mixed)
+    backend = BACKENDS[kind](18, params.n)
+    shared = backend.multiply_many(polys, weights)
+    copies = backend.multiply_many([p.copy() for p in polys], weights)
+    assert len(shared) == len(copies) == len(polys)
+    for p, w, a, b in zip(polys, weights, shared, copies):
+        assert _same(a, b)
+        assert _same(a, backend.multiply(p, w))
+
+
+@pytest.mark.parametrize("preset,mixed", SHARING_CASES, ids=SHARING_IDS)
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_forward_transform_runs_once_per_distinct_polynomial(
+    kind, preset, mixed, monkeypatch
+):
+    """Warm cache, so the spied forward transforms are the activations'
+    alone; copies are distinct objects and get a row each."""
+    params = SHARING_PARAMS[preset]
+    basis = params.basis
+    polys, weights = _round_products(params, mixed)
+    backend = BACKENDS[kind](18, params.n)
+    backend.multiply_many(polys, weights)
+
+    rows = []
+    if kind == "ntt":
+        kernel = get_exact_negacyclic(basis.n)
+        digits = [kernel.certify(basis.primes, w)[1] for w in weights]
+        # The cases cover what they name: D = 2 at CHAM, mixed counts.
+        assert len(set(digits)) == (3 if mixed else 1)
+        assert preset == "toy" or max(max(ds) for ds in digits) >= 2
+        forward = kernel.fft.forward_batch
+        monkeypatch.setattr(
+            kernel.fft, "forward_batch",
+            lambda stack: rows.append(len(stack)) or forward(stack),
+        )
+
+        # Per limb, each digit count's stack holds D digit rows for each
+        # distinct polynomial among its products.
+        def expected(polys):
+            return sum(
+                d * len({id(p) for p, ds in zip(polys, digits) if ds[l] == d})
+                for l in range(len(basis.primes))
+                for d in {ds[l] for ds in digits}
+            )
+    else:
+        forward = ApproxNegacyclic.activation_forward_batch
+        monkeypatch.setattr(
+            ApproxNegacyclic, "activation_forward_batch",
+            lambda self, acts: rows.append(len(acts)) or forward(self, acts),
+        )
+
+        def expected(polys):
+            return len({id(p) for p in polys})
+
+    copies = [p.copy() for p in polys]
+    assert expected(polys) < expected(copies)
+    backend.multiply_many(polys, weights)
+    assert sum(rows) == expected(polys)
+    rows.clear()
+    backend.multiply_many(copies, weights)
+    assert sum(rows) == expected(copies)

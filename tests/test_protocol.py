@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.encoding import ConvShape, LinearShape
 from repro.he import BfvContext, flash_backend, fp_fft_backend, toy_preset
+from repro.he.backend import NttPolyMulBackend
 from repro.protocol import (
     HybridConvProtocol,
     HybridLinearProtocol,
@@ -161,6 +162,56 @@ class TestHybridConv:
             HybridConvProtocol(params, shape).run(
                 x, w, np.random.default_rng(8), session
             )
+
+    def test_overflow_raised_before_any_encryption(
+        self, params, session, monkeypatch
+    ):
+        """The whole batch's clear reference is checked before the round
+        starts: one overflowing item stops it with no share drawn, no
+        encryption and no product."""
+        calls = []
+        monkeypatch.setattr(
+            BfvContext, "encrypt_symmetric",
+            lambda *args: calls.append("encrypt"),
+        )
+        backend = NttPolyMulBackend()
+        monkeypatch.setattr(
+            backend, "multiply_many", lambda *args: calls.append("multiply")
+        )
+        shape = ConvShape.square(1, 4, 1, 3)
+        rng = np.random.default_rng(8)
+        xs = rng.integers(-8, 8, size=(3, 1, 4, 4))
+        xs[1, 0, 1, 1] = 30000  # item 1 alone leaves the 16-bit ring
+        w = np.full((1, 1, 3, 3), 100, dtype=np.int64)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="overflows the sharing ring"):
+            HybridConvProtocol(params, shape, backend).run_batch(
+                xs, w, rng, session
+            )
+        assert calls == []
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "total,fits", [(32767, True), (32768, False), (-32768, True),
+                       (-32769, False)],
+    )
+    def test_overflow_bound_is_the_signed_ring(
+        self, params, session, total, fits
+    ):
+        """A 1x1 output at the edge of the signed 16-bit ring."""
+        shape = ConvShape.square(1, 3, 1, 3)
+        x = np.ones((1, 3, 3), dtype=np.int64)
+        w = np.zeros((1, 1, 3, 3), dtype=np.int64)
+        w[0, 0, 0, 0] = total
+        protocol = HybridConvProtocol(params, shape)
+        rng = np.random.default_rng(8)
+        if fits:
+            result = protocol.run(x, w, rng, session)
+            assert result.expected.tolist() == [[[total]]]
+            assert result.exact
+        else:
+            with pytest.raises(ValueError, match="overflows the sharing"):
+                protocol.run(x, w, rng, session)
 
     def test_transform_accounting(self, params, session):
         rng = np.random.default_rng(9)
