@@ -186,8 +186,12 @@ class ClusterExecutor:
         :mod:`repro.protocol.wire` format (validated by
         ``deserialize_poly`` on the worker, re-validated on the reply), so
         the cluster path exercises exactly the wire checks the protocol
-        transport relies on.
+        transport relies on.  Each distinct polynomial object (by
+        identity, as in the backends) is serialized once and shipped once
+        per shard, with each product's row in the shard's blobs, so the
+        worker backend lifts and transforms it once.
         """
+        from repro.he.backend import distinct_objects
         from repro.protocol.wire import deserialize_poly, serialize_poly
 
         if len(polys) != len(weights_list):
@@ -195,19 +199,20 @@ class ClusterExecutor:
         if not polys:
             return []
         basis = polys[0].basis
-        blobs = [serialize_poly(p) for p in polys]
-        payloads = self._stamp_deadline(
-            [
-                mul_job_payload(
-                    backend, weight_config, basis,
-                    blobs[lo:hi], weights_list[lo:hi],
-                )
-                for lo, hi in _split_indices(len(blobs), self.policy.workers)
-            ],
-            deadline_s,
-        )
+        distinct, rows = distinct_objects(polys)
+        blobs = [serialize_poly(p) for p in distinct]
+        payloads = []
+        for lo, hi in _split_indices(len(polys), self.policy.workers):
+            used, index = np.unique(rows[lo:hi], return_inverse=True)
+            payloads.append(mul_job_payload(
+                backend, weight_config, basis,
+                [blobs[i] for i in used], weights_list[lo:hi], index,
+            ))
         replies = self._run(
-            MSG_JOB_MUL, self._stamp_trace(payloads), backend, len(blobs)
+            MSG_JOB_MUL,
+            self._stamp_trace(self._stamp_deadline(payloads, deadline_s)),
+            backend,
+            len(polys),
         )
         params = WireBasisParams(basis)
         return [

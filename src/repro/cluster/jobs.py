@@ -19,7 +19,7 @@ after it had already finished the work.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,13 +172,22 @@ def mul_job_payload(
     basis,
     poly_blobs: List[bytes],
     weights: List[np.ndarray],
+    index: Optional[Sequence[int]] = None,
 ) -> Dict[str, Any]:
-    """One ``multiply_many`` shard: serialized polys + their weight vectors."""
+    """One ``multiply_many`` shard: serialized polys + their weight vectors.
+
+    Product ``i`` multiplies ``poly_blobs[index[i]]`` by ``weights[i]``;
+    without ``index``, blob ``i``.  A polynomial shared by several
+    products is shipped, and deserialized by the worker, once.
+    """
+    if index is None:
+        index = range(len(weights))
     return {
         "backend": backend,
         "config": config_to_wire(config),
         "basis": basis_to_wire(basis),
         "polys": list(poly_blobs),
+        "index": [int(i) for i in index],
         "weights": [
             np.ascontiguousarray(w, dtype=np.int64) for w in weights
         ],

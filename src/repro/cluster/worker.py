@@ -159,7 +159,9 @@ def _execute_mul(payload: Dict[str, Any], state: WorkerState) -> dict:
             ) from exc
         polys.append(poly)
     backend = state.backend(payload["backend"], payload["config"])
-    outs = backend.multiply_many(polys, payload["weights"])
+    outs = backend.multiply_many(
+        [polys[i] for i in payload["index"]], payload["weights"]
+    )
     state.jobs_done += 1
     return {
         "polys": [serialize_poly(p) for p in outs],

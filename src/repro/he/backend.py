@@ -33,7 +33,13 @@ from repro.fftcore.exact import (
 )
 from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.he.poly import RingPoly
-from repro.ntt.modmath import addmod, mulmod
+from repro.ntt.modmath import (
+    SINGLE_PRODUCT_BITS,
+    addmod,
+    floor_mod,
+    mulmod,
+    row_blocks,
+)
 from repro.ntt.rns import RnsBasis
 from repro.obs import trace as obs_trace
 from repro.runtime.engine import RuntimeStats, fan_out
@@ -176,7 +182,7 @@ class NttPolyMulBackend(PolyMulBackend):
     (:mod:`repro.fftcore.exact`): a limb's centered residues go through one
     ``forward_batch`` (one row per distinct polynomial), a pointwise
     product with the weight's cached spectrum, one ``inverse_batch`` (one
-    row per product), ``np.rint`` and ``np.mod p``.  One
+    row per product), ``np.rint`` and a reduction mod ``p``.  One
     spectrum (``8 * n`` bytes, built once in long double) serves every
     limb.  Each (weight, prime) pair runs on the smallest digit count
     ``D`` whose a-priori certificate bound is below 1/2, which makes the
@@ -315,8 +321,7 @@ def exact_fft_products(
     rounded = np.rint(product)
     product -= rounded
     worst = float(np.max(np.abs(product, out=product)))
-    ints = rounded.astype(np.int64)
-    ints %= prime
+    ints = floor_mod(rounded.astype(np.int64), prime)
     ints = ints.view(np.uint64).reshape(digits, count, n)
     out = ints[0]
     for d in range(1, digits):
@@ -394,9 +399,11 @@ class FftPolyMulBackend(PolyMulBackend):
         lifts = fan_out(distinct, centered_lift, self.max_workers)
         a_spec = pipe.activation_forward_batch(np.stack(lifts))
         products = pipe.multiply_spectra_batch(w_rows, a_spec[index])
-        out = fan_out(
-            products, lambda row: round_to_ring(basis, row), self.max_workers
-        )
+        residues = ring_residues(basis, products)
+        out = [
+            RingPoly(basis, [limb[i] for limb in residues])
+            for i in range(len(polys))
+        ]
         self.last_stats = RuntimeStats(
             mode=self.kind,
             batch=len(polys),
@@ -444,45 +451,64 @@ class SparseFftPolyMulBackend(FftPolyMulBackend):
     def _weight_rows(
         self, n: int, weights: List[np.ndarray]
     ) -> Tuple[np.ndarray, Dict[str, int]]:
-        from repro.sparse.patterns import fold_valid_indices
-
         cfg = self.weight_config
         cfg_key = approx_config_key(cfg)
-        # One (weight, key, pipeline) item per distinct weight: repeated
+        # A weight's folded pattern, and so its pipeline, is a function of
+        # the weight: spectra are looked up by weight bytes alone, and only
+        # the misses are folded and fetch their pipelines.  Repeated
         # weights (c0/c1 of one ciphertext, shared kernels across a batch)
-        # are transformed and counted once; a folded pattern has one
-        # pipeline.
+        # are transformed and counted once.
         keys = [w.tobytes() for w in weights]
-        pipes: Dict[bytes, object] = {}
-        items: Dict[bytes, tuple] = {}
-        for w, key in zip(weights, keys):
-            if key not in items:
-                fp = fold_valid_indices(np.nonzero(w)[0], n)
-                pattern = fp.tobytes()
-                if pattern not in pipes:
-                    pipes[pattern] = sparse_pipeline(
-                        self.plan_cache, n, cfg, fp
-                    )
-                items[key] = (w, key, pattern, pipes[pattern])
         rows = self.plan_cache.get_or_build_many(
-            [items[key] for key in keys],
-            lambda item: ("sparse-wspec", n, cfg_key, item[2], item[1]),
-            lambda missing: sparse_weight_spectra(
-                [item[3] for item in missing],
-                np.stack([item[0] for item in missing]),
+            list(zip(keys, weights)),
+            lambda item: ("sparse-wspec", n, cfg_key, item[0]),
+            lambda missing: self._counted_spectra(
+                n, [w for _, w in missing]
             ),
         )
-        realized = dense = model = 0
-        for *_, pipe in items.values():
-            realized += pipe.mults
-            dense += pipe.dense_mults
-            model += pipe.model_mults
+        counted = dict(zip(keys, rows))
         return np.stack(rows), {
-            "weight_transforms": len(items),
-            "weight_mults_realized": realized,
-            "weight_mults_dense": dense,
-            "weight_mults_model": model,
+            "weight_transforms": len(counted),
+            "weight_mults_realized": sum(r.mults for r in counted.values()),
+            "weight_mults_dense": sum(r.dense_mults for r in counted.values()),
+            "weight_mults_model": sum(r.model_mults for r in counted.values()),
         }
+
+    def _counted_spectra(
+        self, n: int, weights: List[np.ndarray]
+    ) -> List["_CountedSpectrum"]:
+        """Spectra of distinct weights, each carrying its pipeline's mult
+        counts; weights sharing a folded pattern share one pipeline."""
+        from repro.sparse.patterns import fold_valid_indices
+
+        pipes: Dict[bytes, object] = {}
+        row_pipes = []
+        for w in weights:
+            fp = fold_valid_indices(np.nonzero(w)[0], n)
+            pattern = fp.tobytes()
+            if pattern not in pipes:
+                pipes[pattern] = sparse_pipeline(
+                    self.plan_cache, n, self.weight_config, fp
+                )
+            row_pipes.append(pipes[pattern])
+        spectra = sparse_weight_spectra(row_pipes, np.stack(weights))
+        out = []
+        for row, pipe in zip(spectra, row_pipes):
+            row = row.view(_CountedSpectrum)
+            row.mults = pipe.mults
+            row.dense_mults = pipe.dense_mults
+            row.model_mults = pipe.model_mults
+            out.append(row)
+        return out
+
+
+class _CountedSpectrum(np.ndarray):
+    """A sparse weight spectrum carrying the mult counts of its transform
+    (the pipeline's realized, dense and model counts)."""
+
+    mults: int
+    dense_mults: int
+    model_mults: int
 
 
 def centered_lift(poly: RingPoly) -> np.ndarray:
@@ -499,22 +525,72 @@ def centered_lift(poly: RingPoly) -> np.ndarray:
     return ints.astype(np.float64)
 
 
-def round_to_ring(basis: RnsBasis, product: np.ndarray) -> RingPoly:
-    """Round a float64 product to integers and reduce it into ``basis``.
+#: Rounded products below this magnitude split exactly into int64 halves
+#: ``hi * 2**32 + lo`` with ``|hi| <= 2**62`` and ``0 <= lo < 2**32``.
+_SPLIT_LIMIT = 2.0 ** 94
 
-    ``np.rint`` rounds half to even like ``round()``; values at or above
-    ``2**53`` are already integers.  ``np.mod`` per prime is then exact:
-    ``fmod`` is exact in IEEE arithmetic and every prime is below ``2**53``,
-    so the sign fix-up ``mod + p`` is an exact integer sum.  Reducing mod
-    each prime equals reducing mod q first, since each prime divides q.
+#: The weight of the high half.
+_LOW_SPAN = 2.0 ** 32
+
+
+def ring_residues(basis: RnsBasis, products: np.ndarray) -> List[np.ndarray]:
+    """Round float64 products to integers and reduce them into ``basis``.
+
+    ``products`` is one product or a ``(k, n)`` stack; returns one uint64
+    residue array of its shape per basis prime.  ``np.rint`` rounds half
+    to even like ``round()``; values at or above ``2**53`` are already
+    integers.  Below ``2**94`` in magnitude, ``hi = floor(x * 2**-32)`` and
+    ``lo = x - hi * 2**32`` are exact (power-of-two scaling; ``lo`` is an
+    integer below ``2**32`` and a multiple of ``x``'s ulp), so ``x mod p =
+    (hi mod p) * (2**32 mod p) + lo mod p`` reduces in int64
+    (:func:`repro.ntt.modmath.floor_mod`).  A row block holding a larger
+    magnitude reduces with ``np.mod`` per prime, also exact: ``fmod`` is
+    exact in IEEE arithmetic and every prime is below ``2**53``, so the
+    sign fix-up ``mod + p`` is an exact integer sum.  Reducing mod each
+    prime equals reducing mod q first, since each prime divides q.
+
+    Raises:
+        OverflowError: a product is NaN or infinite.
     """
-    rounded = np.rint(product)
-    if not np.all(np.isfinite(rounded)):
+    products = np.asarray(products, dtype=np.float64)
+    stack = products.reshape(-1, products.shape[-1])
+    out = [np.empty(stack.shape, dtype=np.uint64) for _ in basis.primes]
+    for block in row_blocks(*stack.shape):
+        _reduce_block(basis, stack[block], [limb[block] for limb in out])
+    return [limb.reshape(products.shape) for limb in out]
+
+
+def _reduce_block(basis: RnsBasis, products: np.ndarray, out) -> None:
+    """:func:`ring_residues` of one row block, into the views ``out``."""
+    rounded = np.rint(products)
+    top, bottom = np.max(rounded), np.min(rounded)
+    if not (np.isfinite(top) and np.isfinite(bottom)):
         raise OverflowError("non-finite FFT product cannot be rounded")
-    return RingPoly(
-        basis,
-        [np.mod(rounded, float(p)).astype(np.uint64) for p in basis.primes],
-    )
+    if max(top, -bottom) >= _SPLIT_LIMIT:
+        for limb, p in zip(out, basis.primes):
+            np.copyto(limb, np.mod(rounded, float(p)), casting="unsafe")
+        return
+    split = rounded * (1.0 / _LOW_SPAN)
+    np.floor(split, out=split)
+    hi = split.astype(np.int64)
+    split *= -_LOW_SPAN
+    split += rounded
+    lo = rounded.view(np.int64)  # rounded is spent: lo takes its buffer
+    np.copyto(lo, split, casting="unsafe")
+    high = split.view(np.int64)  # and the high part the split's
+    for limb, p in zip(out, basis.primes):
+        floor_mod(hi, p, out=high)
+        if p.bit_length() <= SINGLE_PRODUCT_BITS:  # below 2**62
+            high *= (1 << 32) % p
+        else:
+            np.copyto(high, mulmod(high, (1 << 32) % p, p), casting="unsafe")
+        high += lo  # below 2**62 + 2**32
+        floor_mod(high, p, out=limb.view(np.int64))
+
+
+def round_to_ring(basis: RnsBasis, product: np.ndarray) -> RingPoly:
+    """One float64 product rounded into the ring (:func:`ring_residues`)."""
+    return RingPoly(basis, ring_residues(basis, product))
 
 
 def fp_fft_backend() -> FftPolyMulBackend:

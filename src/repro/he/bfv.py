@@ -28,7 +28,7 @@ from repro.he.backend import (
 )
 from repro.he.params import BfvParameters
 from repro.he.poly import RingPoly, gaussian_poly, ternary_poly, uniform_poly
-from repro.ntt.modmath import centered, mulmod
+from repro.ntt.modmath import centered, floor_mod, mulmod, row_blocks
 from repro.obs import trace as obs_trace
 from repro.obs.trace import NOOP_SPAN
 
@@ -153,11 +153,12 @@ class BfvContext:
         if m.shape != (self.params.n,):
             raise ValueError(f"expected {self.params.n} plaintext slots")
         if m.dtype not in (object, np.uint64):  # int64 would wrap uint64
-            m = m.astype(np.int64)
-        m = (m % t).astype(np.int64)
+            m = m.astype(np.int64, copy=False)
+        m = floor_mod(m, t).astype(np.int64, copy=False)
         delta = self.params.delta
         residues = [
-            mulmod((m % p).astype(np.uint64), delta % p, p)
+            # m < t: already reduced mod any prime p >= t
+            mulmod(m if t <= p else floor_mod(m, p), delta % p, p)
             for p in self.basis.primes
         ]
         return RingPoly(self.basis, residues)
@@ -192,8 +193,10 @@ class BfvContext:
         stacked phase ``c0 + c1*s`` (centered, int64 below q = 2**62).
 
         The one decryption path: :meth:`decrypt_batch` and the single-
-        ciphertext calls (batches of one) all decode through it.  The
-        key product's realized worst rounding distance, the largest
+        ciphertext calls (batches of one) all decode through it.  The key
+        product runs once over the stack; the phase sum, its CRT and the
+        decoding run per row block (:func:`repro.ntt.modmath.row_blocks`).
+        The key product's realized worst rounding distance, the largest
         certificate bound and the largest digit count of its limbs go on
         ``span``.
         """
@@ -209,8 +212,18 @@ class BfvContext:
             rounding_bound=max(sk.bounds),
             digits=max(sk.digits),
         )
-        phase = self.basis._crt(self.basis.add(c0, c1s), centered=True)
-        return self._decode(phase)
+        messages = np.empty((len(cts), self.params.n), dtype=np.int64)
+        noise: List[int] = []
+        for block in row_blocks(len(cts), self.params.n):
+            phase = self.basis._crt(
+                self.basis.add(
+                    [r[block] for r in c0], [r[block] for r in c1s]
+                ),
+                centered=True,
+            )
+            messages[block], block_noise = self._decode(phase)
+            noise += block_noise
+        return messages, noise
 
     def _decode(self, phase: np.ndarray) -> Tuple[np.ndarray, List[int]]:
         """Messages ``round(t*x/q) mod t`` (ties away from zero) and the
@@ -225,21 +238,37 @@ class BfvContext:
         """
         q, t, delta = self.params.q, self.params.t, self.params.delta
         rho = q % t
-        x = np.asarray(phase).astype(np.int64 if self._int64_decode else object)
-        magnitude = np.abs(x)
-        k = magnitude // delta
-        r = magnitude - delta * k
-        carry = (2 * t * r + q - 2 * rho * k) // (2 * q)
-        sign = np.where(x < 0, -1, 1)
-        rounded = sign * (k + carry)
-        message = rounded % t
-        wraps = (rounded - message) // t
-        # repro-lint: disable=MOD002  floored division on int64 below 2**62
-        # in magnitude (or on Python ints) with q > 0: exact, into [0, q)
-        residual = (sign * (r - delta * carry) - rho * wraps) % q
-        residual = np.where(residual > q // 2, residual - q, residual)
-        worst = [int(v) for v in np.max(np.abs(residual), axis=-1)]
-        return message.astype(np.int64), worst
+        x = np.asarray(phase).astype(
+            np.int64 if self._int64_decode else object, copy=False
+        )
+        # In place on few arrays: at a stack's size, a fresh array costs
+        # about as much as a pass of arithmetic over it.
+        sign = np.sign(x)  # 0 at x = 0, where every term below is 0 too
+        r = np.abs(x)
+        k = r // delta
+        carry = k * delta
+        r -= carry
+        np.multiply(r, 2 * t, out=carry)
+        scratch = k * (2 * rho)
+        carry -= scratch
+        carry += q
+        carry //= 2 * q
+        k += carry
+        k *= sign  # the signed rounding
+        message = floor_mod(k, t)
+        k //= t  # its wraps
+        carry *= delta
+        r -= carry
+        r *= sign
+        k *= rho
+        r -= k  # the noise, up to a multiple of q
+        # Centered: floor_mod of the noise shifted by q//2 - q + 1.
+        low = q // 2 - q + 1
+        r -= low
+        residual = floor_mod(r, q, out=scratch)
+        residual += low
+        worst = [int(v) for v in np.max(np.abs(residual, out=r), axis=-1)]
+        return message.astype(np.int64, copy=False), worst
 
     def _budget_bits(self, noise: int) -> float:
         ceiling = self.params.noise_ceiling

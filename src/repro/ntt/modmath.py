@@ -1,28 +1,47 @@
 """Vectorized modular arithmetic for NTT-friendly prime moduli.
 
-All routines operate on ``numpy.uint64`` arrays and support moduli up to
-``2**MAX_MODULUS_BITS`` (40 bits).  Products that would overflow 64 bits are
-computed with a 20-bit split of one operand so every intermediate fits in a
-``uint64``; this covers the 32-bit (F1), 35/39-bit (CHAM) and our own RNS
-moduli without arbitrary-precision arithmetic in the hot path.
+Residues are ``numpy.uint64`` arrays in ``[0, q)`` at every API, for
+moduli up to ``2**MAX_MODULUS_BITS`` (40 bits): the 32-bit (F1),
+35/39-bit (CHAM) and our own RNS moduli, without arbitrary-precision
+arithmetic in the hot path.
+
+Every exact reduction runs through :func:`floor_mod`, ``x - (x // q) *
+q``, on int64 views of the operands (or on uint64 residues).  numpy
+divides an integer array by a scalar with libdivide, a multiply and a
+shift per element: about a quarter of the hardware division per element
+behind ``x % q``, so the whole reduction costs about half of ``%``.
+The kernels keep every intermediate below ``2**62``: a product of two
+residues is one multiply when ``q < 2**31``, and otherwise takes a
+20-bit split of one operand, whose partial products stay below ``2**60``
+and their sum below ``2**61`` for ``q <= 2**40``.  ``addmod``/``submod`` are one
+add or subtract plus an unsigned fix-up (``min(s, s - q)``: a difference
+that wraps below zero is the larger).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import List
 
 import numpy as np
 
 #: Largest supported modulus width, in bits.  The 20-bit split used by
 #: :func:`mulmod` needs ``q * 2**SPLIT_BITS < 2**63`` and
-#: ``q**2 / 2**SPLIT_BITS < 2**63``.
+#: ``q**2 / 2**SPLIT_BITS < 2**63``; at 40 bits both are below ``2**60``.
 MAX_MODULUS_BITS = 40
 
 #: Width of the low half in the operand split used by :func:`mulmod`.
 SPLIT_BITS = 20
 
-_SPLIT_MASK = np.uint64((1 << SPLIT_BITS) - 1)
+#: Widest modulus whose residue products take one multiply: two residues
+#: below ``2**31`` multiply to below ``2**62``.
+SINGLE_PRODUCT_BITS = 31
+
+#: Elements per block of :func:`row_blocks` (128 KiB of int64).
+BLOCK_ELEMENTS = 1 << 14
+
+_SPLIT_MASK = (1 << SPLIT_BITS) - 1
 _U64 = np.uint64
 
 
@@ -42,12 +61,62 @@ def _check_modulus(q: int) -> None:
         )
 
 
+def floor_mod(x, q: int, out=None):
+    """``x mod q`` in ``[0, q)``, as ``x - (x // q) * q``.
+
+    Exact for every int64 or uint64 array ``x`` and ``0 < q < 2**63``, and
+    for Python-int (object) arrays.  Floor division rounds toward minus
+    infinity, so the remainder lies in ``[0, q)``; where ``(x // q) * q``
+    wraps (``|x|`` near ``2**63``), the subtraction wraps back, and the
+    remainder, taken mod ``2**64`` and below ``q``, is still the right one.
+    The kernels of this module call it on values below ``2**62``.
+
+    Args:
+        x: integer array (or scalar).
+        q: positive modulus.
+        out: optional array for the result, not overlapping ``x``; the
+            quotient is formed in it, so the call allocates nothing.
+
+    Returns:
+        ``out``, or else one fresh array of ``x``'s dtype.
+    """
+    quotient = np.floor_divide(x, q, out=out)
+    quotient *= q
+    if not isinstance(quotient, np.ndarray):
+        return x - quotient
+    return np.subtract(x, quotient, out=quotient)
+
+
+def row_blocks(rows: int, width: int) -> List[slice]:
+    """Slices of about :data:`BLOCK_ELEMENTS` elements over the rows of a
+    ``(rows, width)`` stack, at least one row each.
+
+    The stacked exact kernels (rounding FFT products into the ring, CRT
+    and decoding of a decryption) run a dozen or more passes over their
+    operands; block by block, every temporary stays in cache and in the
+    allocator's free lists, where a whole ``(k, 4096)`` stack would leave
+    both and take about twice as long.
+    """
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
+def _as_int64(a):
+    """Residues below ``2**63`` as int64 (no copy for int64 or uint64)."""
+    a = np.asarray(a)
+    if a.dtype != np.int64:
+        a = a.astype(np.uint64, copy=False).view(np.int64)
+    return a
+
+
 def mulmod(a, b, q: int):
     """Element-wise ``(a * b) % q`` for ``uint64`` arrays with ``q < 2**40``.
 
-    ``b`` is split as ``b = b_hi * 2**20 + b_lo``; then
-    ``a*b mod q = ((a*b_hi mod q) << 20 + a*b_lo) mod q`` with every
-    intermediate below ``2**63``.
+    For ``q < 2**31`` the product of two residues is below ``2**62`` and
+    reduces at once.  Otherwise ``b`` is split as ``b = b_hi * 2**20 +
+    b_lo``; then ``a*b mod q = ((a*b_hi mod q) << 20 + a*b_lo) mod q``,
+    with ``a*b_hi``, the shifted residue and ``a*b_lo`` each below
+    ``2**60`` and their sum below ``2**61``.
 
     Args:
         a: array-like of residues in ``[0, q)``.
@@ -58,42 +127,44 @@ def mulmod(a, b, q: int):
         ``uint64`` array of ``(a * b) % q``.
     """
     _check_modulus(q)
-    qa = _U64(q)
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    b_hi = b >> _U64(SPLIT_BITS)
-    b_lo = b & _SPLIT_MASK
-    # repro-lint: disable=MOD001  this IS the split kernel: b_hi < 2**20 and
-    # q < 2**40 keep a * b_hi below 2**60, inside uint64
-    hi = (a * b_hi) % qa
-    return ((hi << _U64(SPLIT_BITS)) + a * b_lo) % qa
+    q = int(q)
+    a = _as_int64(a)
+    b = _as_int64(b)
+    if q.bit_length() <= SINGLE_PRODUCT_BITS:
+        return floor_mod(a * b, q).view(np.uint64)
+    hi = floor_mod(a * (b >> SPLIT_BITS), q)
+    hi <<= SPLIT_BITS
+    hi += a * (b & _SPLIT_MASK)
+    return floor_mod(hi, q).view(np.uint64)
 
 
 def addmod(a, b, q: int):
-    """Element-wise ``(a + b) % q`` without overflow for ``q < 2**40``."""
+    """Element-wise ``(a + b) % q`` without overflow for ``q < 2**40``.
+
+    ``s - q`` wraps above ``s`` exactly when ``s < q``, so the reduced sum
+    is ``min(s, s - q)``.
+    """
     _check_modulus(q)
-    qa = _U64(q)
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    s = a + b
-    return np.where(s >= qa, s - qa, s)
+    s = np.add(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64))
+    return np.minimum(s, np.subtract(s, _U64(q)))
 
 
 def submod(a, b, q: int):
-    """Element-wise ``(a - b) % q`` staying inside unsigned arithmetic."""
+    """Element-wise ``(a - b) % q`` staying inside unsigned arithmetic.
+
+    ``d = a - b`` wraps above ``d + q`` exactly when ``a < b``, so the
+    reduced difference is ``min(d, d + q)``.
+    """
     _check_modulus(q)
-    qa = _U64(q)
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    return np.where(a >= b, a - b, a + qa - b)
+    d = np.subtract(
+        np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
+    )
+    return np.minimum(d, np.add(d, _U64(q)))
 
 
 def negmod(a, q: int):
-    """Element-wise ``(-a) % q``."""
-    _check_modulus(q)
-    qa = _U64(q)
-    a = np.asarray(a, dtype=np.uint64)
-    return np.where(a == 0, a, qa - a)
+    """Element-wise ``(-a) % q``: :func:`submod` from zero."""
+    return submod(_U64(0), a, q)
 
 
 def powmod(base: int, exponent: int, q: int) -> int:
@@ -130,8 +201,7 @@ def centered(a, q: int):
 def from_centered(a, q: int):
     """Inverse of :func:`centered`: map signed integers to ``[0, q)``."""
     _check_modulus(q)
-    a = np.asarray(a, dtype=np.int64)
-    return (a % np.int64(q)).astype(np.uint64)
+    return floor_mod(np.asarray(a, dtype=np.int64), int(q)).view(np.uint64)
 
 
 def is_prime(n: int) -> bool:

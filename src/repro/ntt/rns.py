@@ -5,6 +5,12 @@ ciphertext moduli larger than that (e.g. the ~60-bit q used by our default
 BFV parameters) are represented as a product of coprime NTT primes.  All
 ring operations act component-wise per prime; only decryption needs the CRT
 reconstruction to full integers.
+
+Residues are uint64 arrays in ``[0, q_i)``.  The Garner recombination and
+the int64 CRT reduce with :func:`repro.ntt.modmath.floor_mod` (``x - (x
+// q) * q``, which numpy runs as a libdivide multiply-shift per element),
+on uint64 residues or on int64 views of values below ``2**62``; the
+mixed-radix Horner sums of the int64 CRT stay below ``q < 2**62``.
 """
 
 from __future__ import annotations
@@ -85,7 +91,10 @@ class RnsBasis:
             # Python-int remainders, applied element-wise by numpy: exact.
             return [(coeffs % p).astype(np.uint64) for p in self.primes]
         signed = coeffs.astype(np.int64)
-        return [(signed % np.int64(p)).astype(np.uint64) for p in self.primes]
+        return [
+            modmath.floor_mod(signed, p).view(np.uint64)
+            for p in self.primes
+        ]
 
     def from_rns(self, residues: Sequence[np.ndarray]) -> np.ndarray:
         """CRT-reconstruct residues into integers in ``[0, q)``.
@@ -107,18 +116,19 @@ class RnsBasis:
 
         ``v_i = (r_i - (v_0 + v_1*q_0 + ...)) * (q_0*...*q_{i-1})^-1 mod q_i``,
         with the partial sum evaluated by Horner's rule modulo ``q_i``.
+        Residues may be any uint64 values; each is reduced first.
         """
         if len(residues) != len(self.primes):
             raise ValueError("residue count does not match basis size")
         digits = []
         for i, (res, p) in enumerate(zip(residues, self.primes)):
-            v = np.asarray(res, dtype=np.uint64) % np.uint64(p)
+            v = modmath.floor_mod(np.asarray(res, dtype=np.uint64), p)
             if i:
-                acc = digits[i - 1] % np.uint64(p)
+                acc = modmath.floor_mod(digits[i - 1], p)
                 for j in range(i - 2, -1, -1):
                     acc = modmath.addmod(
                         modmath.mulmod(acc, self.primes[j] % p, p),
-                        digits[j] % np.uint64(p),
+                        modmath.floor_mod(digits[j], p),
                         p,
                     )
                 v = modmath.mulmod(
@@ -136,11 +146,17 @@ class RnsBasis:
         """
         digits = self._garner_digits(residues)
         q = self.modulus
-        # Every Horner partial sum is below q: exact in int64 for q < 2**62.
-        dtype = np.int64 if q < _INT64_CRT_LIMIT else object
-        x = digits[-1].astype(dtype)
-        for d, p in zip(digits[-2::-1], self.primes[-2::-1]):
-            x = x * p + d.astype(dtype)
+        if q < _INT64_CRT_LIMIT:
+            # Every Horner partial sum is below q: exact in int64.  The
+            # digits are fresh arrays, so the sum may start in place.
+            x = digits[-1].view(np.int64)
+            for d, p in zip(digits[-2::-1], self.primes[-2::-1]):
+                x *= p
+                x += d.view(np.int64)
+        else:
+            x = digits[-1].astype(object)
+            for d, p in zip(digits[-2::-1], self.primes[-2::-1]):
+                x = x * p + d.astype(object)
         if centered:
             x = np.where(x > q // 2, x - q, x)
         return x

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterPolicy, ClusterExecutor, make_executor
+from repro.cluster.jobs import MSG_JOB_MUL
 from repro.encoding.conv_encoding import ConvShape
 from repro.fftcore.fixed_point import ApproxFftConfig
 from repro.he.backend import (
@@ -27,6 +28,9 @@ from repro.runtime import BatchedHConvEngine
 N = 128
 FLASH_CFG = ApproxFftConfig(
     n=N // 2, stage_widths=27, twiddle_k=18, twiddle_max_shift=24
+)
+FLASH_CFG_64 = ApproxFftConfig(
+    n=32, stage_widths=27, twiddle_k=18, twiddle_max_shift=24
 )
 
 
@@ -169,6 +173,65 @@ class TestMultiplyManyDifferential:
         serial = SparseFftPolyMulBackend(weight_config=cfg)
         got = executor.multiply_many("sparse", cfg, polys, weights)
         self._assert_same(got, serial.multiply_many(polys, weights))
+
+    @pytest.mark.parametrize("kind", ["ntt", "flash", "sparse"])
+    def test_shared_polys_ship_once_per_shard(
+        self, executor, basis, kind, monkeypatch
+    ):
+        """A private round's shape: two ciphertext polynomials, each
+        against every output channel's weight.  Outputs match the
+        in-process backend byte for byte, every shard carries one blob per
+        distinct polynomial it uses, and a worker replaying the shard
+        deserializes exactly those blobs."""
+        import repro.protocol.wire as wire
+        from repro.cluster.worker import WorkerState, execute_job
+
+        cfg = None if kind == "ntt" else FLASH_CFG_64
+        backend = {
+            "ntt": lambda: NttPolyMulBackend(),
+            "flash": lambda: FftPolyMulBackend(weight_config=cfg),
+            "sparse": lambda: SparseFftPolyMulBackend(weight_config=cfg),
+        }[kind]()
+        distinct, weights = self._polys(basis, 4, count=6)
+        c0, c1 = distinct[:2]
+        polys = [c0, c1] * 5 + [c1, c0]
+        weights = [weights[i // 2] for i in range(len(polys))]
+        payloads = []
+        run_jobs = executor.supervisor.run_jobs
+
+        def recording(kind_, jobs, *args, **kwargs):
+            payloads.extend(dict(job) for job in jobs)
+            return run_jobs(kind_, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(executor.supervisor, "run_jobs", recording)
+        got = executor.multiply_many(kind, cfg, polys, weights)
+        self._assert_same(got, backend.multiply_many(polys, weights))
+
+        shards = executor.policy.workers
+        assert len(payloads) == min(shards, len(polys))
+        lo = 0
+        for payload in payloads:
+            hi = lo + len(payload["weights"])
+            shard = polys[lo:hi]
+            assert len(payload["polys"]) == len({id(p) for p in shard})
+            lo = hi
+        assert lo == len(polys)
+
+        calls = []
+        deserialize = wire.deserialize_poly
+
+        def counting(blob, params):
+            calls.append(blob)
+            return deserialize(blob, params)
+
+        monkeypatch.setattr(wire, "deserialize_poly", counting)
+        for payload in payloads:
+            calls.clear()
+            payload = {k: v for k, v in payload.items()
+                       if k in ("backend", "config", "basis", "polys",
+                                "index", "weights")}
+            execute_job(MSG_JOB_MUL, payload, WorkerState())
+            assert calls == payload["polys"]
 
     def test_empty_input_returns_empty(self, executor):
         assert executor.multiply_many("ntt", None, [], []) == []
