@@ -470,7 +470,6 @@ def _cmd_bench_runtime(args: argparse.Namespace) -> int:
 # bench-check's fixed bounds; per-baseline floors and ceilings live in the
 # baseline's "gates" section.
 _MULT_TOLERANCE = 0.02  # max |realized - model| mult-reduction gap
-_SPEED_TOLERANCE = 0.6  # allowed relative speedup drop vs the baseline
 _MAX_TRACE_OVERHEAD_DISABLED = 0.03
 _MAX_TRACE_OVERHEAD_ENABLED = 0.10
 
@@ -525,22 +524,28 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _ceiling(group: str, label: str, value, ceiling, shown: str, limit: str):
+    """A baseline ``max_<label>`` gate: ``value`` must not exceed it."""
+    return (
+        group, label, value <= ceiling,
+        f"{shown.format(value)} (ceiling {limit.format(ceiling)})",
+    )
+
+
 def _runtime_gates(baseline: dict, current: dict):
     """Gates of a ``bench-runtime`` trajectory, mode by mode, then tracing.
 
     Deterministic work counts (bit-identity, products, weight-transform
     mults) must match the baseline exactly, and the realized mult
     reduction must stay within ``_MULT_TOLERANCE`` of the opcount model.
-    Speedups gate relatively, ``_SPEED_TOLERANCE`` below the baseline
-    (generous: CI machines vary, silent 10x regressions do not), and
-    absolutely through the baseline's ``gates`` floors (``min_speedup``
-    per mode or ``"*"``, ``min_mult_reduction`` per mode).  A cluster run
-    must record zero recoveries, and a traced run must stay bit-identical
-    under the fixed tracing-overhead ceilings.  Each group's heading is
-    printed as the group starts.
+    The baseline's ``gates`` hold per-mode ``max_batched_ms`` ceilings on
+    the batched path's time and ``min_mult_reduction`` floors.  A cluster
+    run must record zero recoveries, and a traced run must stay
+    bit-identical under the fixed tracing-overhead ceilings.  Each
+    group's heading is printed as the group starts.
     """
     gates = baseline.get("gates", {})
-    speedup_floors = gates.get("min_speedup", {})
+    batched_ceilings = gates.get("max_batched_ms", {})
     reduction_floors = gates.get("min_mult_reduction", {})
     for mode, base in sorted(baseline.get("modes", {}).items()):
         cur = current.get("modes", {}).get(mode)
@@ -570,18 +575,11 @@ def _runtime_gates(baseline: dict, current: dict):
                 mode, "realized_vs_model", gap <= _MULT_TOLERANCE,
                 f"reduction gap {gap:.4f} (tolerance {_MULT_TOLERANCE})",
             )
-        speedup = cur.get("speedup", 0.0)
-        floor = base.get("speedup", 0.0) * (1.0 - _SPEED_TOLERANCE)
-        yield (
-            mode, "speedup", speedup >= floor,
-            f"{speedup:.2f}x (floor {floor:.2f}x = baseline "
-            f"{base.get('speedup', 0.0):.2f}x - {_SPEED_TOLERANCE:.0%})",
-        )
-        abs_floor = speedup_floors.get(mode, speedup_floors.get("*"))
-        if abs_floor is not None:
-            yield (
-                mode, "min_speedup", speedup >= abs_floor,
-                f"{speedup:.2f}x (explicit floor {abs_floor:.2f}x)",
+        ceiling = batched_ceilings.get(mode)
+        if ceiling is not None:
+            yield _ceiling(
+                mode, "batched_ms", cur.get("batched_ms", float("inf")),
+                ceiling, "{:.2f} ms", "{:.2f} ms",
             )
         red_floor = reduction_floors.get(mode)
         if red_floor is not None:
@@ -659,10 +657,7 @@ def _serve_gates(baseline: dict, current: dict):
     ):
         ceiling = gates.get(f"max_{label}")
         if ceiling is not None:
-            yield (
-                "serve", label, value <= ceiling,
-                f"{shown.format(value)} (ceiling {limit.format(ceiling)})",
-            )
+            yield _ceiling("serve", label, value, ceiling, shown, limit)
 
 
 def _trace_artifact_path(json_path: str) -> str:

@@ -17,8 +17,10 @@ transform kernels are shared: a per-call method such as
 ``ApproxNegacyclic.weight_forward`` is a batch of one of its ``*_batch``
 twin, and ``tests/test_fft_kernel_identity.py`` guards that shared code
 with frozen copies of the per-call bodies it replaced.  The sparse
-weight walk (:class:`repro.sparse.sparse_fxp.SparseFixedPointFft`) stays
-a separate per-row oracle for the compiled sparse plans.
+weight transform shares only the tag walk (:mod:`repro.sparse.walk`)
+with the compiled sparse plans: its per-row scalar evaluation
+(:meth:`repro.sparse.sparse_fxp.SparseFixedPointFft.run`) stays a
+separate oracle for their vectorized replay.
 """
 
 from __future__ import annotations
@@ -131,8 +133,9 @@ def hconv_sparse(
     """Convolution via FLASH's *sparse* approximate weight transforms.
 
     The per-call reference for the batched sparse runtime: each channel
-    tile's weight transform runs the skipping/merging dataflow
-    (:class:`repro.sparse.sparse_fxp.SparseApproxNegacyclic`) configured
+    tile's weight transform evaluates the skipping/merging tag walk row by
+    row in scalar arithmetic
+    (:class:`repro.sparse.sparse_fxp.SparseApproxNegacyclic`), configured
     with the tile's structural zero pattern from the encoder.  The sparse
     conformance tier holds ``BatchedHConvEngine(mode="sparse")``
     bit-identical to this function.

@@ -75,7 +75,8 @@ class FxpFormat:
         limit = 2.0**self.frac_bits
         parts = scaled.view(np.float64)
         np.rint(parts, out=parts)
-        np.clip(parts, -limit, limit - 1, out=parts)
+        np.maximum(parts, -limit, out=parts)
+        np.minimum(parts, limit - 1, out=parts)
         parts *= self.ulp
         np.multiply(scaled, complex(1.0, -0.0), out=scaled)
         np.add(scaled, complex(-0.0, 0.0), out=scaled)

@@ -1,4 +1,4 @@
-"""Sparse butterfly dataflow: skipping + merging engine and op-count models."""
+"""Sparse butterfly dataflow: one tag walk, its engines and op-count models."""
 
 from repro.sparse.dataflow import SparseFft, SparseFftResult
 from repro.sparse.opcount import (
@@ -12,13 +12,9 @@ from repro.sparse.opcount import (
     weight_transform_reduction,
 )
 from repro.sparse.plan import (
-    GENERAL,
-    ZERO,
     SparsePlan,
     SparseWeightPipeline,
-    butterfly_tags,
     compile_sparse_plan,
-    scaled,
 )
 from repro.sparse.sparse_fxp import (
     SparseApproxNegacyclic,
@@ -35,6 +31,14 @@ from repro.sparse.patterns import (
     fold_valid_indices,
     uniform_stride_pattern,
 )
+from repro.sparse.walk import (
+    GENERAL,
+    ZERO,
+    TagWalk,
+    butterfly_tags,
+    scaled,
+    tag_walk,
+)
 
 __all__ = [
     "GENERAL",
@@ -47,6 +51,7 @@ __all__ = [
     "SparseFxpResult",
     "SparsePlan",
     "SparseWeightPipeline",
+    "TagWalk",
     "ZERO",
     "bit_reversed_positions",
     "butterfly_tags",
@@ -63,6 +68,7 @@ __all__ = [
     "scaled",
     "sparse_fft_mults",
     "synthetic_polymul_counts",
+    "tag_walk",
     "uniform_stride_pattern",
     "weight_transform_reduction",
 ]

@@ -1,22 +1,14 @@
 """Sparse butterfly dataflow: the *skipping* and *merging* engine (Sec IV-B).
 
-The engine propagates a symbolic tag per butterfly-network node:
+:class:`SparseFft` runs the one tag walk of :mod:`repro.sparse.walk` on
+the plain (unscaled, unrounded) transform: ZERO nodes are skipped,
+butterflies with a ZERO second operand degenerate to copies, and SCALED
+chains merge their twiddles into one deferred multiplication by
+``W^e``, computed directly from the summed exponent.  It
 
-* ``ZERO``     -- the node value is identically zero;
-* ``SCALED``   -- the node equals ``coeff * x[src]`` for a single valid
-  input ``src`` and an offline-precomputable complex ``coeff`` (cumulative
-  twiddle product).  These nodes cost nothing while they propagate --
-  this is *merging*: chains of butterflies collapse into one deferred
-  multiplication;
-* ``GENERAL``  -- an ordinary computed value.
-
-Butterflies whose second operand is ``ZERO`` degenerate to copies
-(*skipping* with output duplication); blocks that are entirely zero are
-never touched.  The engine simultaneously
-
-1. computes the exact same spectrum as a dense FFT (verified against the
+1. computes the same spectrum as a dense FFT (checked against the
    reference transform in tests), and
-2. counts the complex multiplications the FLASH dataflow performs.
+2. reports the walk's multiplication counts for the pattern.
 
 Counting follows the paper's convention: every executed butterfly
 occupies a BU multiplier (trivial twiddles included, matching the dense
@@ -30,70 +22,23 @@ reported alongside.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.fftcore.reference import stage_twiddles
-from repro.ntt.modmath import bit_reverse_indices
-
-_UNIT_EPS = 1e-12
-
-
-class _Kind(enum.IntEnum):
-    ZERO = 0
-    SCALED = 1
-    GENERAL = 2
+from repro.sparse.walk import Reduction, TagWalk, evaluate, support, tag_walk
 
 
 @dataclass
-class _Node:
-    kind: _Kind
-    src: int = -1
-    coeff: complex = 0j
-    value: complex = 0j
+class SparseFftResult(Reduction):
+    """Output of one sparse transform (``values`` is None for a count)."""
 
-
-@dataclass
-class SparseFftResult:
-    """Output of one sparse transform."""
-
-    values: np.ndarray
+    values: Optional[np.ndarray]
     mults: int  # paper-convention multiplication count
     mults_nontrivial: int  # honest count ({+-1, +-i} free)
     dense_mults: int
     stage_mults: List[int] = field(default_factory=list)
-
-    @property
-    def reduction(self) -> float:
-        """Fraction of dense multiplications eliminated (paper convention)."""
-        if self.dense_mults == 0:
-            return 0.0
-        return 1.0 - self.mults / self.dense_mults
-
-
-def _is_unit(c: complex) -> bool:
-    """True for the free multipliers {1, -1, i, -i} (negate / swap only)."""
-    return (
-        abs(abs(c.real) - 1.0) < _UNIT_EPS and abs(c.imag) < _UNIT_EPS
-    ) or (
-        abs(abs(c.imag) - 1.0) < _UNIT_EPS and abs(c.real) < _UNIT_EPS
-    )
-
-
-def _is_pm_one(c: complex) -> bool:
-    return abs(abs(c.real) - 1.0) < _UNIT_EPS and abs(c.imag) < _UNIT_EPS
-
-
-def _sign_key(src: int, coeff: complex) -> Tuple[int, int, int]:
-    """Key identifying ``coeff`` up to negation (on a 1e-12 grid)."""
-    re = int(round(coeff.real * 1e12))
-    im = int(round(coeff.imag * 1e12))
-    if re < 0 or (re == 0 and im < 0):
-        re, im = -re, -im
-    return (src, re, im)
 
 
 class SparseFft:
@@ -113,17 +58,12 @@ class SparseFft:
         self.n = n
         self.sign = sign
         self.stages = n.bit_length() - 1
-        self._rev = bit_reverse_indices(n)
-        self._tw = [
-            stage_twiddles(n, s, sign) for s in range(1, self.stages + 1)
-        ]
+        self._tw = np.exp(sign * 2j * np.pi * np.arange(n) / n).tolist()
 
     @property
     def dense_mults(self) -> int:
         """Multiplications of the classical dense dataflow: n/2 * log2(n)."""
         return (self.n // 2) * self.stages
-
-    # ------------------------------------------------------------------
 
     def run(self, x, valid: Optional[Sequence[int]] = None) -> SparseFftResult:
         """Transform ``x`` (natural coefficient order) exploiting sparsity.
@@ -138,160 +78,21 @@ class SparseFft:
         x = np.asarray(x, dtype=np.complex128)
         if x.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},), got {x.shape}")
-        if valid is None:
-            valid_set = set(np.nonzero(x)[0].tolist())
-        else:
-            valid_set = {int(v) % self.n for v in valid}
-            stray = set(np.nonzero(x)[0].tolist()) - valid_set
-            if stray:
-                raise ValueError(
-                    "input has non-zeros outside the valid set: "
-                    f"{sorted(stray)[:5]}"
-                )
-
-        nodes = self._initial_nodes(valid_set)
-        paper_total = 0
-        honest_total = 0
-        stage_mults: List[int] = []
-        # Materialized (src, +-coeff) products, shared across the network.
-        mat_memo: Set[Tuple[int, int, int]] = set()
-
-        def materialize(src: int, coeff: complex) -> Tuple[complex, int, int]:
-            """Value of ``coeff * x[src]`` and its (paper, honest) cost."""
-            value = coeff * x[src]
-            if _is_pm_one(coeff):
-                return value, 0, 0
-            key = _sign_key(src, coeff)
-            if key in mat_memo:
-                return value, 0, 0
-            mat_memo.add(key)
-            return value, 1, (0 if _is_unit(coeff) else 1)
-
-        for s in range(self.stages):
-            m = 2 << s
-            half = m >> 1
-            tw = self._tw[s]
-            stage_paper = 0
-            for block in range(0, self.n, m):
-                for j in range(half):
-                    u = block + j
-                    v = u + half
-                    p, h = self._butterfly(
-                        nodes, u, v, complex(tw[j]), x, materialize
-                    )
-                    stage_paper += p
-                    honest_total += h
-            paper_total += stage_paper
-            stage_mults.append(stage_paper)
-
-        values, mat_paper, mat_honest = self._finalize(nodes, x, mat_memo)
-        paper_total += mat_paper
-        honest_total += mat_honest
-        stage_mults.append(mat_paper)
-
-        return SparseFftResult(
-            values=values,
-            mults=paper_total,
-            mults_nontrivial=honest_total,
-            dense_mults=self.dense_mults,
-            stage_mults=stage_mults,
+        walk = tag_walk(self.n, support(x, valid, self.n))
+        values = evaluate(
+            walk, x, self._tw.__getitem__, [complex] * self.stages, 1.0
         )
+        return self._result(walk, values)
 
     def count(self, valid: Sequence[int]) -> SparseFftResult:
-        """Count multiplications for a structural pattern.
+        """Count multiplications for a structural pattern (no values)."""
+        return self._result(tag_walk(self.n, valid), None)
 
-        Runs the engine on a synthetic input with generic non-zero values
-        at the valid indices, so accidental value cancellations cannot
-        inflate the savings.
-        """
-        rng = np.random.default_rng(0xF1A5)
-        x = np.zeros(self.n, dtype=np.complex128)
-        idx = np.array(sorted({int(v) % self.n for v in valid}), dtype=np.int64)
-        if idx.size:
-            x[idx] = rng.standard_normal(idx.size) + 1.5
-        return self.run(x, valid=idx)
-
-    # ------------------------------------------------------------------
-
-    def _initial_nodes(self, valid_set) -> List[_Node]:
-        nodes = []
-        for pos in range(self.n):
-            src = int(self._rev[pos])
-            if src in valid_set:
-                nodes.append(_Node(_Kind.SCALED, src=src, coeff=1.0 + 0j))
-            else:
-                nodes.append(_Node(_Kind.ZERO))
-        return nodes
-
-    @staticmethod
-    def _butterfly(nodes, u, v, w, x, materialize) -> Tuple[int, int]:
-        """Apply one butterfly in place; return its (paper, honest) cost."""
-        nu, nv = nodes[u], nodes[v]
-
-        if nv.kind == _Kind.ZERO:
-            if nu.kind == _Kind.ZERO:
-                return 0, 0
-            # Skipping: u' = u + w*0 = u, v' = u - w*0 = u (duplication).
-            nodes[v] = _Node(nu.kind, src=nu.src, coeff=nu.coeff, value=nu.value)
-            return 0, 0
-
-        if nu.kind == _Kind.ZERO:
-            if nv.kind == _Kind.SCALED:
-                # Merging: fold the twiddle into the chain coefficient.
-                c = w * nv.coeff
-                nodes[u] = _Node(_Kind.SCALED, src=nv.src, coeff=c)
-                nodes[v] = _Node(_Kind.SCALED, src=nv.src, coeff=-c)
-                return 0, 0
-            t = w * nv.value
-            nodes[u] = _Node(_Kind.GENERAL, value=t)
-            nodes[v] = _Node(_Kind.GENERAL, value=-t)
-            return 1, (0 if _is_unit(w) else 1)
-
-        # Both operands carry data: the butterfly executes.
-        paper = 0
-        honest = 0
-        if nu.kind == _Kind.SCALED:
-            u_val, p, h = materialize(nu.src, nu.coeff)
-            paper += p
-            honest += h
-        else:
-            u_val = nu.value
-
-        if nv.kind == _Kind.SCALED:
-            # The BU multiplier computes (w * coeff_v) * x[src_v] directly.
-            c = w * nv.coeff
-            t = c * x[nv.src]
-        else:
-            c = w
-            t = w * nv.value
-        paper += 1
-        if not _is_unit(c):
-            honest += 1
-
-        nodes[u] = _Node(_Kind.GENERAL, value=u_val + t)
-        nodes[v] = _Node(_Kind.GENERAL, value=u_val - t)
-        return paper, honest
-
-    def _finalize(self, nodes, x, mat_memo) -> Tuple[np.ndarray, int, int]:
-        """Materialize remaining SCALED outputs, grouped by (src, +-coeff)."""
-        values = np.empty(self.n, dtype=np.complex128)
-        paper = 0
-        honest = 0
-        final_groups: Set[Tuple[int, int, int]] = set()
-        for pos, node in enumerate(nodes):
-            if node.kind == _Kind.ZERO:
-                values[pos] = 0j
-            elif node.kind == _Kind.GENERAL:
-                values[pos] = node.value
-            else:
-                values[pos] = node.coeff * x[node.src]
-                key = _sign_key(node.src, node.coeff)
-                if key in mat_memo or key in final_groups:
-                    continue
-                final_groups.add(key)
-                # Paper convention counts one multiplication per group,
-                # unit coefficients included (Example 4.2 counts W^0).
-                paper += 1
-                if not _is_unit(node.coeff):
-                    honest += 1
-        return values, paper, honest
+    def _result(self, walk: TagWalk, values) -> SparseFftResult:
+        return SparseFftResult(
+            values=values,
+            mults=walk.model_mults,
+            mults_nontrivial=walk.mults_nontrivial,
+            dense_mults=self.dense_mults,
+            stage_mults=walk.stage_mults,
+        )

@@ -21,8 +21,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.encoding.conv_encoding import Conv2dEncoder, ConvShape
-from repro.sparse.dataflow import SparseFft
 from repro.sparse.patterns import conv_weight_pattern, fold_valid_indices
+from repro.sparse.walk import tag_walk
 
 
 def dense_fft_mults(n_core: int) -> int:
@@ -34,12 +34,12 @@ def dense_fft_mults(n_core: int) -> int:
 
 @lru_cache(maxsize=512)
 def _sparse_count_cached(n_core: int, pattern: Tuple[int, ...]) -> int:
-    engine = SparseFft(n_core, sign=+1)
-    return engine.count(list(pattern)).mults
+    return tag_walk(n_core, pattern).model_mults
 
 
 def sparse_fft_mults(valid_folded: Sequence[int], n_core: int) -> int:
-    """Sparse dataflow multiplications for one folded weight pattern."""
+    """Sparse dataflow multiplications for one folded weight pattern (the
+    tag walk's paper-rule count, :attr:`repro.sparse.walk.TagWalk.model_mults`)."""
     pattern = tuple(sorted({int(v) % n_core for v in valid_folded}))
     return _sparse_count_cached(n_core, pattern)
 

@@ -1,27 +1,26 @@
 """Compiled batched execution plans for the sparse fixed-point FFT.
 
-:class:`repro.sparse.sparse_fxp.SparseFixedPointFft` walks the butterfly
-network once per transform, re-deriving the ZERO / SCALED / GENERAL tag of
-every node from the structural sparsity pattern.  The tags are *value
-independent*: they depend only on the valid set, so the entire walk -- which
-butterflies execute, which chains merge, where materializations happen and
-what they cost -- can be compiled **once per pattern** into flat index
-arrays and replayed over whole ``(B, n)`` stacks with vectorized gathers
-and scatters.  The replay runs batch-innermost, on the transposed
+The tag walk of :mod:`repro.sparse.walk` is *value independent*: it
+depends only on the valid set, so which butterflies execute, which chains
+merge, where materializations happen and what they cost is known **once
+per pattern**.  :class:`SparsePlan` freezes the walk's op groups into flat
+index arrays and replays them over whole ``(B, n)`` stacks with vectorized
+gathers and scatters.  The replay runs batch-innermost, on the transposed
 ``(n, B)`` array, so each gather and scatter moves whole batch rows.
 
-Agreement with the per-call walk (the contract the sparse conformance
-tier enforces):
+Agreement with the per-row evaluation of the same walk in
+:meth:`repro.sparse.sparse_fxp.SparseFixedPointFft.run` (the contract the
+sparse conformance tier enforces):
 
 * butterfly pairs within a stage are disjoint positions, so executing the
-  stage's op groups in any order on gathered inputs equals the per-call
-  sequential walk;
+  stage's op groups in any order on gathered inputs equals the per-row
+  evaluation;
 * every arithmetic step (twiddle product, halving, sign flip, power-of-two
   scaling, :meth:`repro.fftcore.fixed_point.FxpFormat.quantize_complex`)
-  is element-wise and replayed in the per-call operand order;
+  is element-wise and replayed in the per-row operand order;
 * materialized chain products ``rom[exp] * x[src]`` are pure functions of
-  ``(src, exp mod n)``, so the per-call memo collapses to a precomputed
-  slot table evaluated in one batched multiply;
+  ``(src, exp mod n)``, so they collapse to a precomputed slot table
+  evaluated in one batched multiply;
 * a stage whose n/2 butterflies are all GENERAL x GENERAL is a plain
   fixed-point butterfly stage and runs on the dense kernel.  Its inputs
   are quantization outputs, on the grid, so the halving folds into the
@@ -36,21 +35,22 @@ input on the fixed-point grid (``input_width`` set), and
 (e.g. 27-bit stages, 20-bit inputs, 16-bit twiddles).  Where a product
 rounds, numpy's vectorized complex multiply (SIMD, fused multiply-add on
 AVX-512 hosts) may round its last bit unlike Python's scalar multiply in
-the walk, and the difference shows when it crosses a rounding boundary
-of the stage quantization, about once in ``2**(53 - width)`` rounded
-products.  At the paper's 27-bit datapath with unquantized inputs that is
-rare (no differing row in the tests); at 52-bit stages it is common: 37
-of 100 full-pattern rows differ at n = 64, by at most one last-stage LSB
-per part on the test grid.
+the per-row evaluation, and the difference shows when it crosses a
+rounding boundary of the stage quantization, about once in
+``2**(53 - width)`` rounded products.  At the paper's 27-bit datapath with
+unquantized inputs that is rare (no differing row in the tests); at 52-bit
+stages it is common: 37 of 100 full-pattern rows differ at n = 64, by at
+most one last-stage LSB per part on the test grid.
 
-The multiplication count is a compile-time constant of the plan and equals
-``SparseFixedPointFft.run(...).mults`` for every input with the pattern.
+Both multiplication counts are compile-time constants of the plan, read
+off the walk: ``mults`` (realized rule, equal to
+``SparseFixedPointFft.run(...).mults``) and ``model_mults`` (paper rule,
+equal to :func:`repro.sparse.opcount.sparse_fft_mults`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,61 +59,14 @@ from repro.fftcore.approx_pipeline import ApproxSpectrum, normalized_transform
 from repro.fftcore.fixed_point import ApproxFftConfig, FxpFormat
 from repro.fftcore.reference import butterfly_stage
 from repro.sparse.sparse_fxp import SparseFixedPointFft
+from repro.sparse.walk import Reduction, StageOps, tag_walk
 
 
 __all__ = [
-    "ZERO",
-    "GENERAL",
-    "scaled",
-    "butterfly_tags",
     "SparsePlan",
     "SparseWeightPipeline",
     "compile_sparse_plan",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Pure tag algebra (the compile-time dataflow, factored for property tests)
-# ---------------------------------------------------------------------------
-
-ZERO = ("zero",)
-GENERAL = ("general",)
-
-
-def scaled(src: int, exponent: int, sign: int) -> tuple:
-    """SCALED tag: the node equals ``sign * W^exponent * x[src]`` (deferred)."""
-    return ("scaled", int(src), int(exponent), int(sign))
-
-
-def butterfly_tags(tag_u, tag_v, exponent: int) -> Tuple[tuple, tuple]:
-    """Tag transition of one butterfly ``(u, v) -> (u + W^e v, u - W^e v)``.
-
-    Mirrors :meth:`SparseFixedPointFft._butterfly` exactly (exponents are
-    kept unreduced, as in the engine; consumers reduce mod n):
-
-    * ZERO absorbs: a ZERO second operand degenerates the butterfly to a
-      copy (skipping), two ZEROs stay ZERO;
-    * SCALED chains compose: merging adds the butterfly exponent to the
-      chain exponent and flips the sign on the difference output;
-    * GENERAL is terminal: once a node carries a computed value, every
-      butterfly it feeds produces GENERAL outputs.
-    """
-    ku, kv = tag_u[0], tag_v[0]
-    if kv == "zero":
-        if ku == "zero":
-            return ZERO, ZERO
-        if ku == "scaled":
-            return tag_u, tag_u
-        return GENERAL, GENERAL
-    if ku == "zero":
-        if kv == "scaled":
-            _, src, e, sgn = tag_v
-            return (
-                scaled(src, e + exponent, sgn),
-                scaled(src, e + exponent, -sgn),
-            )
-        return GENERAL, GENERAL
-    return GENERAL, GENERAL
 
 
 # ---------------------------------------------------------------------------
@@ -193,49 +146,53 @@ def _chain_arrays(n: int, uses: List[Tuple[int, float, bool]]):
     return arrays, rows
 
 
-class _StageBuilder:
-    """List accumulator frozen into a :class:`_StageOps`."""
+def _freeze_stage(
+    n: int, s: int, ops: StageOps, twiddle, slot_of
+) -> _StageOps:
+    """Stage ``s``'s ops of the walk as a :class:`_StageOps`; chain
+    operands take a slot and land in the work rows after the network."""
+    uses: List[Tuple[int, float, bool]] = []
 
-    def __init__(self):
-        self.half_u: List[int] = []
-        self.half_v: List[int] = []
-        self.zv_u: List[int] = []
-        self.zv_v: List[int] = []
-        self.zv_tw: List[complex] = []
-        self.chains: List[Tuple[int, float, bool]] = []
-        # (u operand, t operand, twiddle or None, out u, out v); an
-        # operand is a network position or ("chain", use index).
-        self.full: List[tuple] = []
+    def use(operand):
+        if not isinstance(operand, tuple):
+            return operand
+        src, e, sgn = operand
+        uses.append((slot_of(src, e), float(sgn), e != 0))
+        return ("chain", len(uses) - 1)
 
-    def chain(self, slot: int, sign: int, rounded: bool) -> tuple:
-        self.chains.append((slot, float(sign), bool(rounded)))
-        return ("chain", len(self.chains) - 1)
+    full = [
+        (use(a), use(t), None if isinstance(t, tuple) else twiddle(e), u, v)
+        for a, t, e, u, v in ([] if ops.dense else ops.full)
+    ]
+    full.sort(key=lambda f: f[2] is None)
+    chains, rows = _chain_arrays(n, uses)
 
-    def freeze(self, n: int, dense_tw: Optional[List[complex]]) -> _StageOps:
-        chains, rows = _chain_arrays(n, self.chains)
+    def row(operand) -> int:
+        return rows[operand[1]] if isinstance(operand, tuple) else operand
 
-        def row(operand) -> int:
-            return rows[operand[1]] if isinstance(operand, tuple) else operand
-
-        full = [] if dense_tw is not None else sorted(
-            self.full, key=lambda f: f[2] is None
-        )
-        return _StageOps(
-            **chains,
-            half_u=_idx(self.half_u),
-            half_v=_idx(self.half_v),
-            zv_u=_idx(self.zv_u),
-            zv_v=_idx(self.zv_v),
-            zv_tw=np.asarray(self.zv_tw, dtype=np.complex128),
-            f_u=_idx([row(f[0]) for f in full]),
-            f_t=_idx([row(f[1]) for f in full]),
-            f_tw=np.asarray(
-                [f[2] for f in full if f[2] is not None], dtype=np.complex128
-            ),
-            f_ou=_idx([f[3] for f in full]),
-            f_ov=_idx([f[4] for f in full]),
-            dense_tw=np.asarray(dense_tw or [], dtype=np.complex128),
-        )
+    step = n >> s
+    return _StageOps(
+        **chains,
+        half_u=_idx([u for u, _ in ops.halves]),
+        half_v=_idx([v for _, v in ops.halves]),
+        zv_u=_idx([u for u, _, _ in ops.flips]),
+        zv_v=_idx([v for _, v, _ in ops.flips]),
+        zv_tw=np.asarray(
+            [twiddle(e) for _, _, e in ops.flips], dtype=np.complex128
+        ),
+        f_u=_idx([row(f[0]) for f in full]),
+        f_t=_idx([row(f[1]) for f in full]),
+        f_tw=np.asarray(
+            [f[2] for f in full if f[2] is not None], dtype=np.complex128
+        ),
+        f_ou=_idx([f[3] for f in full]),
+        f_ov=_idx([f[4] for f in full]),
+        dense_tw=np.asarray(
+            [twiddle(j * step) for j in range(1 << (s - 1))] if ops.dense
+            else [],
+            dtype=np.complex128,
+        ),
+    )
 
 
 def _quantize(fmt: FxpFormat, z: np.ndarray) -> None:
@@ -273,7 +230,7 @@ def _materialize(
         np.multiply(c, scale, out=c)
 
 
-class SparsePlan:
+class SparsePlan(Reduction):
     """One pattern's compiled sparse fixed-point transform.
 
     Every compiled array is a view into one contiguous buffer, which is
@@ -306,112 +263,31 @@ class SparsePlan:
 
     def _compile(self, engine: SparseFixedPointFft) -> None:
         n = self.n
-        valid_set = set(self.valid.tolist())
-
-        tags: List[tuple] = []
-        for pos in range(n):
-            src = int(engine._rev[pos])
-            if src in valid_set:
-                tags.append(scaled(src, 0, 1))
-            else:
-                tags.append(ZERO)
-
-        # Unique (src, exp mod n) chain products, shared like the per-call
-        # memo; slot k holds raws[k] = twiddle[k] * x[src[k]].
+        walk = tag_walk(n, self.valid)
+        # One slot per distinct (src, exp mod n) chain product, in order of
+        # first use; slot k holds raws[k] = twiddle[k] * x[src[k]].
         slots: Dict[Tuple[int, int], int] = {}
-        raw_src: List[int] = []
-        raw_tw: List[complex] = []
 
-        def slot_of(src: int, expn: int) -> int:
-            key = (src, expn)
-            if key not in slots:
-                slots[key] = len(raw_src)
-                raw_src.append(src)
-                raw_tw.append(engine._twiddle(expn))
-            return slots[key]
+        def slot_of(src: int, e: int) -> int:
+            return slots.setdefault((src, e), len(slots))
 
-        memo: set = set()
-        mults = 0
-        stage_ops: List[_StageOps] = []
-
-        for s in range(1, self.stages + 1):
-            m = 1 << s
-            half = m >> 1
-            step = n // m
-            dense = all(tag[0] == "general" for tag in tags)
-            st = _StageBuilder()
-            for block in range(0, n, m):
-                for j in range(half):
-                    u = block + j
-                    v = u + half
-                    exponent = j * step
-                    tu, tv = tags[u], tags[v]
-                    tags[u], tags[v] = butterfly_tags(tu, tv, exponent)
-                    ku, kv = tu[0], tv[0]
-
-                    if kv == "zero":
-                        if ku == "general":
-                            st.half_u.append(u)
-                            st.half_v.append(v)
-                        continue
-                    if ku == "zero":
-                        if kv == "general":
-                            st.zv_u.append(u)
-                            st.zv_v.append(v)
-                            st.zv_tw.append(engine._twiddle(exponent))
-                            mults += 1
-                        continue
-
-                    # Both operands carry data: the butterfly executes.
-                    if ku == "scaled":
-                        _, src, e, sgn = tu
-                        expn = e % n
-                        if (src, expn) not in memo:
-                            memo.add((src, expn))
-                            if expn != 0:
-                                mults += 1
-                        u_op = st.chain(slot_of(src, expn), sgn, expn != 0)
-                    else:
-                        u_op = u
-
-                    if kv == "scaled":
-                        # The BU multiplier computes ROM[e_v + e] * x
-                        # directly; the memo entry is shared but its cost
-                        # rides on the unconditional butterfly multiply.
-                        _, src, e, sgn = tv
-                        expn = (e + exponent) % n
-                        memo.add((src, expn))
-                        t_op = st.chain(slot_of(src, expn), sgn, expn != 0)
-                        tw = None
-                    else:
-                        t_op, tw = v, engine._twiddle(exponent)
-                    mults += 1
-                    st.full.append((u_op, t_op, tw, u, v))
-            stage_ops.append(st.freeze(
-                n,
-                [engine._twiddle(j * step) for j in range(half)]
-                if dense else None,
-            ))
-
-        uses: List[Tuple[int, float, bool]] = []
-        sc_pos: List[int] = []
-        groups: set = set()
-        for pos, tag in enumerate(tags):
-            if tag[0] == "scaled":
-                _, src, e, sgn = tag
-                expn = e % n
-                if (src, expn) not in groups and (src, expn) not in memo:
-                    groups.add((src, expn))
-                    mults += 1
-                sc_pos.append(pos)
-                uses.append((slot_of(src, expn), float(sgn), expn != 0))
+        stage_ops = [
+            _freeze_stage(n, s, ops, engine._twiddle, slot_of)
+            for s, ops in enumerate(walk.stages, 1)
+        ]
+        uses = [
+            (slot_of(src, e), float(sgn), e != 0)
+            for _, (src, e, sgn) in walk.finals
+        ]
         chains, rows = _chain_arrays(n, uses)
-        pos = np.empty(len(sc_pos), dtype=np.int64)
-        pos[np.asarray(rows, dtype=np.int64) - n] = sc_pos
+        pos = np.empty(len(uses), dtype=np.int64)
+        pos[np.asarray(rows, dtype=np.int64) - n] = [p for p, _ in walk.finals]
 
         self._stage_ops = stage_ops
-        self._raw_src = np.asarray(raw_src, dtype=np.int64)
-        self._raw_tw = np.asarray(raw_tw, dtype=np.complex128)
+        self._raw_src = _idx([src for src, _ in slots])
+        self._raw_tw = np.asarray(
+            [engine._twiddle(e) for _, e in slots], dtype=np.complex128
+        )
         self._fin = _Finalize(**chains, pos=pos)
         self._chain_rows = max(
             st.q_slot.size + st.c_slot.size for st in stage_ops
@@ -423,7 +299,8 @@ class SparsePlan:
             + [st.zv_u.size for st in stage_ops]
             + [3 * st.f_ou.size for st in stage_ops]
         )
-        self.mults = mults
+        self.mults = walk.mults
+        self.model_mults = walk.model_mults
 
     def _array_slots(self) -> Iterator[Tuple[str, object, str]]:
         """``(name, owner, attribute)`` of every compiled array, in order."""
@@ -458,20 +335,6 @@ class SparsePlan:
     @property
     def dense_mults(self) -> int:
         return (self.n // 2) * self.stages
-
-    @cached_property
-    def model_mults(self) -> int:
-        """The dataflow model's count for this pattern
-        (:func:`repro.sparse.opcount.sparse_fft_mults`), once per plan."""
-        from repro.sparse.opcount import sparse_fft_mults
-
-        return sparse_fft_mults(self.valid, self.n)
-
-    @property
-    def reduction(self) -> float:
-        if self.dense_mults == 0:
-            return 0.0
-        return 1.0 - self.mults / self.dense_mults
 
     def _iter_arrays(self) -> Iterator[Tuple[str, np.ndarray]]:
         for name, owner, attr in self._array_slots():
@@ -615,7 +478,7 @@ class SparsePlan:
 def compile_sparse_plan(
     config: ApproxFftConfig, pattern: Sequence[int], sign: int = 1
 ) -> SparsePlan:
-    """Compile the tag propagation for ``pattern`` once (see :class:`SparsePlan`)."""
+    """Compile the tag walk of ``pattern`` once (see :class:`SparsePlan`)."""
     return SparsePlan(config, pattern, sign=sign)
 
 

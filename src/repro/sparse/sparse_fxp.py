@@ -8,21 +8,22 @@ ROM entry addressed by the *sum* of twiddle exponents ("twiddle factor
 exponents serve as addresses to fetch values from the ROM", Section IV-B),
 so a chain suffers a single twiddle quantization instead of one per stage
 -- merging is slightly *more* accurate than the dense approximate FFT, not
-less.  This module models that faithfully:
+less.  :class:`SparseFixedPointFft` evaluates the one tag walk of
+:mod:`repro.sparse.walk` on that datapath, one row at a time in scalar
+arithmetic:
 
-* ``ZERO`` / ``SCALED`` / ``GENERAL`` node tags as in the exact engine;
-* ``SCALED`` chains track ``(source, exponent mod n, sign)`` symbolically
-  and cost nothing until they materialize through one quantized ROM entry;
+* ``SCALED`` chains ``(source, exponent mod n, sign)`` cost nothing until
+  they materialize through one quantized ROM entry, rounded once;
 * executed butterflies use quantized stage twiddles, halve their outputs
   and round to the stage's data width -- bit-compatible with
-  :class:`repro.fftcore.fixed_point.FixedPointFft` on dense inputs.
+  :class:`repro.fftcore.fixed_point.FixedPointFft` on dense inputs;
+* the multiplication count is the walk's realized count.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -32,9 +33,9 @@ from repro.fftcore.approx_pipeline import (
     normalized_transform,
 )
 from repro.fftcore.fixed_point import ApproxFftConfig, FxpFormat
-from repro.fftcore.reference import stage_twiddles
 from repro.fftcore.twiddle_quant import get_twiddle_rom
 from repro.ntt.modmath import bit_reverse_indices
+from repro.sparse.walk import Reduction, evaluate, support, tag_walk
 
 
 __all__ = [
@@ -44,34 +45,13 @@ __all__ = [
 ]
 
 
-class _Kind(enum.IntEnum):
-    ZERO = 0
-    SCALED = 1
-    GENERAL = 2
-
-
 @dataclass
-class _Node:
-    kind: _Kind
-    src: int = -1
-    exponent: int = 0  # twiddle exponent of the deferred chain (mod n)
-    sign: int = 1
-    value: complex = 0j  # for GENERAL, in the current scaled domain
-
-
-@dataclass
-class SparseFxpResult:
+class SparseFxpResult(Reduction):
     """Output of one combined sparse fixed-point transform."""
 
     values: np.ndarray  # scaled spectrum (same convention as FixedPointFft)
     mults: int
     dense_mults: int
-
-    @property
-    def reduction(self) -> float:
-        if self.dense_mults == 0:
-            return 0.0
-        return 1.0 - self.mults / self.dense_mults
 
 
 class SparseFixedPointFft:
@@ -131,174 +111,16 @@ class SparseFixedPointFft:
             raise ValueError(f"expected shape ({n},), got {x.shape}")
         if cfg.input_width is not None:
             x = FxpFormat(cfg.input_width).quantize_complex(x)
-        if valid is None:
-            valid_set = set(np.nonzero(x)[0].tolist())
-        else:
-            valid_set = {int(v) % n for v in valid}
-            stray = set(np.nonzero(x)[0].tolist()) - valid_set
-            if stray:
-                raise ValueError(
-                    "input has non-zeros outside the valid set: "
-                    f"{sorted(stray)[:5]}"
-                )
-
-        nodes: List[_Node] = []
-        for pos in range(n):
-            src = int(self._rev[pos])
-            if src in valid_set:
-                nodes.append(_Node(_Kind.SCALED, src=src, exponent=0, sign=1))
-            else:
-                nodes.append(_Node(_Kind.ZERO))
-
-        mults = 0
-        # Materialized (src, exponent) chain products at full post-shift
-        # scale, shared across the network like the exact engine's memo.
-        memo: Dict[Tuple[int, int], complex] = {}
-
-        for s in range(1, self.stages + 1):
-            m = 1 << s
-            half = m >> 1
-            fmt = self._formats[s - 1]
-            step = n // m
-            for block in range(0, n, m):
-                for j in range(half):
-                    u = block + j
-                    v = u + half
-                    mults += self._butterfly(
-                        nodes, u, v, j * step, s, fmt, x, memo
-                    )
-
-        values, mat_mults = self._finalize(nodes, x, memo)
-        mults += mat_mults
+        walk = tag_walk(n, support(x, valid, n))
+        rounders = [
+            lambda z, f=fmt: complex(f.quantize_complex(np.array([z]))[0])
+            for fmt in self._formats
+        ]
         return SparseFxpResult(
-            values=values, mults=mults, dense_mults=self.dense_mults
+            values=evaluate(walk, x, self._twiddle, rounders, 0.5),
+            mults=walk.mults,
+            dense_mults=self.dense_mults,
         )
-
-    # ------------------------------------------------------------------
-
-    def _materialize(
-        self,
-        node: _Node,
-        stage: int,
-        fmt: FxpFormat,
-        x: np.ndarray,
-        memo: Dict[Tuple[int, int], complex],
-    ) -> Tuple[complex, int]:
-        """Value of a deferred chain at stage ``stage``'s scale + its cost.
-
-        The chain passed ``stage`` halvings as pure copies (exact shifts),
-        then multiplies one quantized ROM entry and rounds once to the
-        stage's width.
-        """
-        exp = node.exponent % self.config.n
-        key = (node.src, exp)
-        cost = 0
-        if key in memo:
-            raw = memo[key]
-        else:
-            raw = self._twiddle(node.exponent) * x[node.src]
-            memo[key] = raw
-            # Exponent 0 (the raw value) is free; everything else costs one
-            # multiplication, exactly like the exact engine's convention.
-            if exp != 0:
-                cost = 1
-        value = node.sign * raw * 2.0**-stage
-        if exp == 0:
-            # Pure copy chain: halvings are exact shifts of the register
-            # value, no multiplier and no rounding happened.
-            return complex(value), cost
-        return complex(fmt.quantize_complex(np.array([value]))[0]), cost
-
-    def _butterfly(
-        self, nodes, u, v, exponent, stage, fmt, x, memo
-    ) -> int:
-        nu, nv = nodes[u], nodes[v]
-
-        if nv.kind == _Kind.ZERO:
-            if nu.kind == _Kind.ZERO:
-                return 0
-            if nu.kind == _Kind.SCALED:
-                # Copies halve exactly; the deferred tag is unchanged
-                # (scale is tracked by the stage at materialization).
-                nodes[v] = _Node(
-                    _Kind.SCALED, src=nu.src, exponent=nu.exponent, sign=nu.sign
-                )
-                return 0
-            half_val = complex(
-                fmt.quantize_complex(np.array([nu.value * 0.5]))[0]
-            )
-            nodes[u] = _Node(_Kind.GENERAL, value=half_val)
-            nodes[v] = _Node(_Kind.GENERAL, value=half_val)
-            return 0
-
-        if nu.kind == _Kind.ZERO:
-            if nv.kind == _Kind.SCALED:
-                # Merging: accumulate the exponent, defer the multiply.
-                e = nv.exponent + exponent
-                nodes[u] = _Node(
-                    _Kind.SCALED, src=nv.src, exponent=e, sign=nv.sign
-                )
-                nodes[v] = _Node(
-                    _Kind.SCALED, src=nv.src, exponent=e, sign=-nv.sign
-                )
-                return 0
-            t = self._twiddle(exponent) * nv.value * 0.5
-            t = complex(fmt.quantize_complex(np.array([t]))[0])
-            nodes[u] = _Node(_Kind.GENERAL, value=t)
-            nodes[v] = _Node(_Kind.GENERAL, value=-t)
-            return 1
-
-        mults = 0
-        if nu.kind == _Kind.SCALED:
-            # Materialize at the *previous* stage's scale (input domain of
-            # this butterfly), then run the normal butterfly.
-            u_val, cost = self._materialize(
-                nu, stage - 1, self._formats[stage - 1], x, memo
-            )
-            mults += cost
-        else:
-            u_val = nu.value
-
-        if nv.kind == _Kind.SCALED:
-            # The butterfly multiplier computes ROM[e_v + e] * x directly.
-            chain = _Node(
-                _Kind.SCALED,
-                src=nv.src,
-                exponent=nv.exponent + exponent,
-                sign=nv.sign,
-            )
-            t, _ = self._materialize(
-                chain, stage - 1, self._formats[stage - 1], x, memo
-            )
-        else:
-            t = self._twiddle(exponent) * nv.value
-        mults += 1
-
-        out_u = complex(fmt.quantize_complex(np.array([(u_val + t) * 0.5]))[0])
-        out_v = complex(fmt.quantize_complex(np.array([(u_val - t) * 0.5]))[0])
-        nodes[u] = _Node(_Kind.GENERAL, value=out_u)
-        nodes[v] = _Node(_Kind.GENERAL, value=out_v)
-        return mults
-
-    def _finalize(self, nodes, x, memo) -> Tuple[np.ndarray, int]:
-        n = self.config.n
-        values = np.empty(n, dtype=np.complex128)
-        fmt = self._formats[-1]
-        mults = 0
-        groups: Dict[Tuple[int, int], complex] = {}
-        for pos, node in enumerate(nodes):
-            if node.kind == _Kind.ZERO:
-                values[pos] = 0j
-            elif node.kind == _Kind.GENERAL:
-                values[pos] = node.value
-            else:
-                key = (node.src, node.exponent % n)
-                if key not in groups and key not in memo:
-                    groups[key] = 0j
-                    mults += 1
-                value, _ = self._materialize(node, self.stages, fmt, x, {})
-                values[pos] = value
-        return values, mults
 
 
 class SparseApproxNegacyclic(ApproxNegacyclic):

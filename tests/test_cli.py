@@ -235,15 +235,15 @@ class TestBenchCheckRuntime:
     alone."""
 
     GATES = {
-        "min_speedup": {"ntt": 1.2, "sparse": 10.0},
+        "max_batched_ms": {"ntt": 5.0, "sparse": 6.0},
         "min_mult_reduction": {"sparse": 0.4},
     }
 
-    def mode(self, speedup, realized, dense, reduction):
+    def mode(self, batched_ms, realized, dense, reduction):
         return {
             "bit_identical": True,
             "products": 8,
-            "speedup": speedup,
+            "batched_ms": batched_ms,
             "weight_mults": {
                 "transforms": 2 if dense else 0,
                 "realized": realized,
@@ -259,8 +259,8 @@ class TestBenchCheckRuntime:
         return {
             "params": {"seed": 0, "batch": 4, "mode": "all"},
             "modes": {
-                "ntt": self.mode(4.0, 0, 0, 0.0),
-                "sparse": self.mode(20.0, 524, 896, 0.4152),
+                "ntt": self.mode(2.0, 0, 0, 0.0),
+                "sparse": self.mode(2.4, 524, 896, 0.4152),
             },
             "tracing": {
                 "bit_identical": True,
@@ -311,12 +311,12 @@ class TestBenchCheckRuntime:
             "ntt/bit_identical", "ntt/products",
             "ntt/weight_mults.transforms", "ntt/weight_mults.realized",
             "ntt/weight_mults.dense", "ntt/weight_mults.model",
-            "ntt/speedup", "ntt/min_speedup", "ntt/cluster_recoveries",
+            "ntt/batched_ms", "ntt/cluster_recoveries",
             "sparse/bit_identical", "sparse/products",
             "sparse/weight_mults.transforms", "sparse/weight_mults.realized",
             "sparse/weight_mults.dense", "sparse/weight_mults.model",
-            "sparse/realized_vs_model", "sparse/speedup",
-            "sparse/min_speedup", "sparse/min_mult_reduction",
+            "sparse/realized_vs_model", "sparse/batched_ms",
+            "sparse/min_mult_reduction",
             "sparse/cluster_recoveries",
             "tracing/bit_identical", "tracing/disabled_overhead",
             "tracing/enabled_overhead",
@@ -364,42 +364,31 @@ class TestBenchCheckRuntime:
         assert "sparse/realized_vs_model" in (oks if ok else fails)
         assert fails == (set() if ok else {"sparse/realized_vs_model"})
 
-    @pytest.mark.parametrize("speedup, ok", [(1.7, True), (1.5, False)])
-    def test_relative_speedup_floor(self, tmp_path, capsys, speedup, ok):
-        # ntt baseline 4.0x; the floor is 60% below it, 1.6x.
+    @pytest.mark.parametrize("mode, batched_ms, ok", [
+        ("ntt", 5.0, True), ("ntt", 5.01, False),
+        ("sparse", 5.9, True), ("sparse", 6.1, False),
+    ])
+    def test_per_mode_batched_ms_ceiling(
+        self, tmp_path, capsys, mode, batched_ms, ok
+    ):
         current = self.trajectory()
-        current["modes"]["ntt"]["speedup"] = speedup
+        current["modes"][mode]["batched_ms"] = batched_ms
         code, fails, oks = self.run_check(
             tmp_path, capsys, self.baseline(), current
         )
         assert code == (0 if ok else 1)
-        assert fails == (set() if ok else {"ntt/speedup"})
-        assert "ntt/speedup" in (oks if ok else fails)
+        assert fails == (set() if ok else {f"{mode}/batched_ms"})
+        assert f"{mode}/batched_ms" in (oks if ok else fails)
 
-    @pytest.mark.parametrize("speedup, ok", [(10.5, True), (9.0, False)])
-    def test_per_mode_min_speedup(self, tmp_path, capsys, speedup, ok):
-        # 9.0x clears the relative floor (8.0x) but not the 10x floor.
+    def test_mode_without_ceiling_is_not_timed(self, tmp_path, capsys):
+        baseline = self.baseline(max_batched_ms={"sparse": 6.0})
         current = self.trajectory()
-        current["modes"]["sparse"]["speedup"] = speedup
+        current["modes"]["ntt"]["batched_ms"] = 1e9
         code, fails, oks = self.run_check(
-            tmp_path, capsys, self.baseline(), current
+            tmp_path, capsys, baseline, current
         )
-        assert code == (0 if ok else 1)
-        assert fails == (set() if ok else {"sparse/min_speedup"})
-        assert "sparse/min_speedup" in (oks if ok else fails)
-
-    @pytest.mark.parametrize("floor, ok", [(1.0, True), (5.0, False)])
-    def test_wildcard_min_speedup(self, tmp_path, capsys, floor, ok):
-        # "*" covers modes without their own floor; sparse keeps its 10x.
-        baseline = self.baseline(
-            min_speedup={"*": floor, "sparse": 10.0}
-        )
-        code, fails, oks = self.run_check(
-            tmp_path, capsys, baseline, self.trajectory()
-        )
-        assert code == (0 if ok else 1)
-        assert fails == (set() if ok else {"ntt/min_speedup"})
-        assert {"ntt/min_speedup", "sparse/min_speedup"} <= (oks | fails)
+        assert code == 0
+        assert "ntt/batched_ms" not in oks | fails
 
     @pytest.mark.parametrize("reduction, ok", [(0.41, True), (0.39, False)])
     def test_min_mult_reduction(self, tmp_path, capsys, reduction, ok):

@@ -100,6 +100,20 @@ class TestQuantizeComplexBitIdentity:
         out = fmt.quantize_complex(x.reshape(6, 6))
         assert out.shape == (6, 6)
         assert out.reshape(-1).tobytes() == old.tobytes()
+        # NaN and saturating parts: the two-part formula turns a NaN part
+        # into two, so these match the clamp as it was, one np.clip call.
+        edges = np.array(
+            [np.nan, -np.nan, np.inf, -np.inf, 2.0, -2.0, 0.0, -0.0, 1.0]
+        )
+        re, im = np.meshgrid(edges, edges)
+        x = _complex(re.ravel(), im.ravel())
+        parts = x.view(np.float64) * 2.0**fmt.frac_bits
+        np.rint(parts, out=parts)
+        np.clip(parts, -(2.0**fmt.frac_bits), 2.0**fmt.frac_bits - 1, out=parts)
+        parts *= fmt.ulp
+        clipped = parts.view(np.complex128) * complex(1.0, -0.0)
+        clipped += complex(-0.0, 0.0)
+        assert fmt.quantize_complex(x).tobytes() == clipped.tobytes()
 
 
 class TestApproxFftConfig:

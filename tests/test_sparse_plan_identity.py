@@ -28,8 +28,9 @@ from repro.he.params import cheetah_preset
 from repro.nn.resnet import resnet18_conv_layers
 from repro.runtime.plan_cache import approx_config_key
 from repro.sparse.patterns import conv_weight_pattern
-from repro.sparse.plan import ZERO, SparsePlan, butterfly_tags, scaled
+from repro.sparse.plan import SparsePlan
 from repro.sparse.sparse_fxp import SparseFixedPointFft
+from repro.sparse.walk import ZERO, butterfly_tags, scaled
 
 
 # ---------------------------------------------------------------------------
