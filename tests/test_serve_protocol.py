@@ -7,6 +7,7 @@ noise-budget guard rewrite modes visibly, and the circuit breaker routes
 around a churning cluster and recovers -- with every transition recorded.
 """
 
+import sys
 import threading
 import time
 
@@ -162,6 +163,115 @@ class TestServerConv:
         # All four arrived within the window: at least one real batch formed.
         assert stats["largest_batch"] >= 2
         assert stats["batched_requests"] == 4
+        assert stats["accounting"]["unaccounted"] == 0
+
+
+class TestWorkConservingCoalescer:
+    """The coalescer holds a batch open only while another request is on
+    its way in: ``coalesce_window_s`` is an upper bound, not a fixed
+    wait, so a lone request runs at once."""
+
+    WINDOW_S = 0.5
+
+    def timed_submit(self, server, request_id, tenant="t"):
+        x, w = conv_inputs(request_id)
+        start = time.monotonic()
+        reply = decode_reply(server.submit(
+            conv_request(request_id, tenant, "ntt", None, N, SHAPE, x, w)
+        ))
+        return reply, time.monotonic() - start
+
+    def test_lone_request_runs_without_the_window(self):
+        with serve(coalesce_window_s=self.WINDOW_S) as server:
+            for request_id in (1, 2):
+                (kind, rid, _), elapsed = self.timed_submit(
+                    server, request_id
+                )
+                assert (kind, rid) == (REP_RESULT, request_id)
+                assert elapsed < self.WINDOW_S / 2
+
+    def test_every_exit_path_ends_the_way_in(self):
+        # Each non-queued exit (rate shed, infeasible shed, ping, wire
+        # error, an exception inside admission) must take its request off
+        # the on-the-way count; one that did not would hold every later
+        # batch open for the full window.
+        x, w = conv_inputs()
+        corrupt = bytearray(conv_request(5, "t", "ntt", None, N, SHAPE, x, w))
+        corrupt[len(corrupt) // 2] ^= 0x10
+        with serve(
+            coalesce_window_s=self.WINDOW_S, tenant_rate=0.5, tenant_burst=1
+        ) as server:
+            (kind, _, _), _ = self.timed_submit(server, 1, tenant="flood")
+            assert kind == REP_RESULT
+            (kind, _, body), _ = self.timed_submit(server, 2, tenant="flood")
+            assert (kind, body["reason"]) == (REP_SHED, "rate")
+            kind, _, body = decode_reply(server.submit(conv_request(
+                3, "late", "ntt", None, N, SHAPE, x, w,
+                deadline_at=time.monotonic() - 1.0,
+            )))
+            assert (kind, body["reason"]) == (REP_SHED, "infeasible")
+            assert decode_reply(server.submit(ping_request(4)))[0] == REP_PONG
+            assert decode_reply(server.submit(bytes(corrupt)))[0] == REP_ERROR
+
+            admit = server.admission.admit
+
+            def broken_admit(tenant):
+                raise RuntimeError("admission fault")
+
+            server.admission.admit = broken_admit
+            with pytest.raises(RuntimeError, match="admission fault"):
+                self.timed_submit(server, 6)
+            server.admission.admit = admit
+
+            (kind, rid, _), elapsed = self.timed_submit(
+                server, 7, tenant="polite"
+            )
+            stats = server.stats_dict()
+        assert (kind, rid) == (REP_RESULT, 7)
+        assert elapsed < self.WINDOW_S / 2
+        assert stats["wire_errors"] == 1
+
+    def test_count_survives_concurrent_submits(self):
+        # More client threads than cores, with a short switch interval so
+        # increments and decrements interleave: a lost update would leave
+        # the count above zero and hold every later batch for the window.
+        clients, convs = 6, 3
+        x, w = conv_inputs()
+        corrupt = bytearray(conv_request(0, "t", "ntt", None, N, SHAPE, x, w))
+        corrupt[len(corrupt) // 2] ^= 0x10
+        kinds = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with serve(coalesce_window_s=0.05, max_batch=4) as server:
+                def client(i):
+                    frames = [bytes(corrupt), ping_request(i)] + [
+                        conv_request(
+                            10 * i + j, f"t{i}", "ntt", None, N, SHAPE, x, w
+                        )
+                        for j in range(convs)
+                    ]
+                    for frame in frames:
+                        kinds.append(decode_reply(server.submit(frame))[0])
+
+                threads = [
+                    threading.Thread(target=client, args=(i,))
+                    for i in range(clients)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+                assert server._on_way == 0
+        finally:
+            sys.setswitchinterval(interval)
+        # Read after close: the coalescer books a result just after the
+        # client wakes, so only a drained server has settled books.
+        stats = server.stats_dict()
+        assert kinds.count(REP_ERROR) == clients
+        assert kinds.count(REP_PONG) == clients
+        assert kinds.count(REP_RESULT) == clients * convs
         assert stats["accounting"]["unaccounted"] == 0
 
 
@@ -360,18 +470,44 @@ class TestBreakerEndToEnd:
                 server.close()
 
 
+class _SteppedClock:
+    """Monotonic clock plus a settable offset: a test moves time forward
+    at a chosen point instead of sleeping through it."""
+
+    def __init__(self):
+        self.offset = 0.0
+
+    def __call__(self):
+        return time.monotonic() + self.offset
+
+
 class TestDeadlineReplies:
     def test_missed_deadline_yields_deadline_reply_not_result(self):
-        # Prime the estimator so a tight-but-future deadline is refused as
-        # infeasible; an *unprimed* server instead detects the miss after
-        # execution and answers with a deadline notice.  Either way the
-        # request terminates explicitly -- here we force the post-execution
-        # path with a deadline that expires inside the coalescer window.
+        # A primed estimator refuses a tight-but-future deadline as
+        # infeasible at admission; an *unprimed* server admits it and the
+        # coalescer answers the miss with a deadline notice.  Either way
+        # the request terminates explicitly -- here the server's clock
+        # jumps past the deadline right after admission, so the deadline
+        # passes between acceptance and execution without any sleep.
         x, w = conv_inputs(4)
-        with serve(coalesce_window_s=0.3, max_batch=4) as server:
+        clock = _SteppedClock()
+        server = InferenceServer(
+            ServeConfig(coalesce_window_s=0.3, max_batch=4,
+                        reply_timeout_s=10.0),
+            clock=clock,
+        )
+        admit = server.admission.admit
+
+        def admit_then_expire(tenant):
+            verdict = admit(tenant)
+            clock.offset = 1.0
+            return verdict
+
+        server.admission.admit = admit_then_expire
+        with server:
             kind, _, body = decode_reply(server.submit(conv_request(
                 1, "t", "ntt", None, N, SHAPE, x, w,
-                deadline_at=time.monotonic() + 0.05,
+                deadline_at=clock() + 0.05,
             )))
             stats = server.stats_dict()
         assert kind == REP_DEADLINE
