@@ -1126,7 +1126,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clients", type=int, default=4,
-                   help="closed-loop polite clients")
+                   help="closed-loop polite clients, each paced to its "
+                        "share of its tenant's rate")
     p.add_argument("--requests", type=int, default=25,
                    help="requests per client")
     p.add_argument("--tenants", type=int, default=2)
@@ -1151,7 +1152,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chaos: worker SIGKILL probability per dispatched "
                         "job (needs --cluster-workers)")
     p.add_argument("--cluster-workers", type=int, default=0)
-    p.add_argument("--tenant-rate", type=float, default=200.0)
+    p.add_argument("--tenant-rate", type=float, default=200.0,
+                   help="per-tenant token-bucket rate (requests/s); "
+                        "polite clients keep to it")
     p.add_argument("--tenant-burst", type=int, default=16)
     p.add_argument("--breaker-failures", type=int, default=2)
     p.add_argument("--breaker-recovery-s", type=float, default=0.2)
