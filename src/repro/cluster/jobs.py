@@ -59,11 +59,12 @@ def decode_message(data: bytes) -> Tuple[str, int, Any]:
     _, body = decode_frame(data)
     try:
         kind, job_id, payload = pickle.loads(body)
+        job_id = int(job_id)
     except Exception as exc:  # pickle raises a zoo of types
         raise ValueError(f"undecodable message envelope: {exc}") from exc
     if not isinstance(kind, str):
         raise ValueError(f"bad message kind {kind!r}")
-    return kind, int(job_id), payload
+    return kind, job_id, payload
 
 
 # ---------------------------------------------------------------------------

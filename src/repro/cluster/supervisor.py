@@ -684,25 +684,9 @@ class ClusterSupervisor:
                     # busy_* was never set: mark the aborted job here --
                     # _recover_worker sees an idle handle and records
                     # nothing for it.
-                    tracer = obs_trace.tracer
-                    if tracer.enabled:
-                        now = time.monotonic()
-                        tracer.record_span(
-                            "cluster.job",
-                            start_s=now,
-                            end_s=now,
-                            parent=payload.get(obs_trace.TRACE_CTX_KEY),
-                            status="truncated",
-                            slot=handle.slot,
-                            job_index=index,
-                        )
-                        tracer.event(
-                            "cluster.worker_death",
-                            parent=payload.get(obs_trace.TRACE_CTX_KEY),
-                            incident=True,
-                            slot=handle.slot,
-                            incarnation=handle.incarnation,
-                        )
+                    self._record_truncated_job(
+                        handle, index, payload.get(obs_trace.TRACE_CTX_KEY)
+                    )
                     self._recover_worker(
                         handle, handle_reply, requeue_or_dead_letter
                     )
@@ -809,27 +793,9 @@ class ClusterSupervisor:
         except (EOFError, OSError):
             pass
         in_flight = handle.busy_job
-        tracer = obs_trace.tracer
-        if tracer.enabled and in_flight is not None:
-            # The worker died (or hung past its deadline) mid-span: its
-            # own records are lost with the process, so mark the gap with
-            # a truncated span rather than leaving the trace dangling.
-            now = time.monotonic()
-            tracer.record_span(
-                "cluster.job",
-                start_s=handle.busy_since or now,
-                end_s=now,
-                parent=handle.busy_ctx,
-                status="truncated",
-                slot=handle.slot,
-                job_index=in_flight,
-            )
-            tracer.event(
-                "cluster.worker_death",
-                parent=handle.busy_ctx,
-                incident=True,
-                slot=handle.slot,
-                incarnation=handle.incarnation,
+        if in_flight is not None:
+            self._record_truncated_job(
+                handle, in_flight, handle.busy_ctx, handle.busy_since
             )
         self._replace(handle)
         for data in salvaged:
@@ -838,6 +804,35 @@ class ClusterSupervisor:
             handle_reply(handle, data)
         if in_flight is not None:
             requeue_or_dead_letter(in_flight)
+
+    @staticmethod
+    def _record_truncated_job(
+        handle, job_index: int, ctx, started: Optional[float] = None
+    ) -> None:
+        """Trace a job lost with its worker (died or hung mid-job): its
+        own records went with the process, so mark the gap with a
+        truncated ``cluster.job`` span and a ``cluster.worker_death``
+        incident instead of leaving the trace dangling."""
+        tracer = obs_trace.tracer
+        if not tracer.enabled:
+            return
+        now = time.monotonic()
+        tracer.record_span(
+            "cluster.job",
+            start_s=started or now,
+            end_s=now,
+            parent=ctx,
+            status="truncated",
+            slot=handle.slot,
+            job_index=job_index,
+        )
+        tracer.event(
+            "cluster.worker_death",
+            parent=ctx,
+            incident=True,
+            slot=handle.slot,
+            incarnation=handle.incarnation,
+        )
 
     def _fold_counters(self, handle: _WorkerHandle, counters: Dict) -> None:
         """Fold a worker's cumulative counter snapshot as deltas."""

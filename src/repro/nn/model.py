@@ -33,6 +33,8 @@ from repro.nn.quant import (
 ConvFn = Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]
 # linear kernel: (x_int, w_int) -> int vector
 LinearFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# sum-products hook: (layer spec, int activation batch) -> unbiased int sps
+SumProductsFn = Callable[["QuantLayerSpec", np.ndarray], np.ndarray]
 
 
 def make_mini_cnn(
@@ -243,7 +245,7 @@ class QuantizedCnn:
                     spec.bias_int = np.rint(spec.bias_q / sp_scale).astype(
                         np.int64
                     )
-                sp = self._compute_sp_batch(x, spec)
+                sp = self._add_bias(self.exact_sum_products(spec, x), spec)
                 spec.requant_shift = choose_requant_shift(
                     sp, spec.act_bits, percentile
                 )
@@ -270,12 +272,14 @@ class QuantizedCnn:
             )
         return sp + spec.bias_int
 
-    def _compute_sp_batch(self, x: np.ndarray, spec: QuantLayerSpec) -> np.ndarray:
+    @staticmethod
+    def exact_sum_products(spec: QuantLayerSpec, x: np.ndarray) -> np.ndarray:
+        """The exact :data:`SumProductsFn`: int64 im2col conv / matmul."""
         if spec.kind == "conv":
-            sp = conv2d_int_batch(x, spec.weight_q, spec.stride, spec.padding)
-        else:
-            sp = x.astype(np.int64) @ spec.weight_q.T.astype(np.int64)
-        return self._add_bias(sp, spec)
+            return conv2d_int_batch(
+                x, spec.weight_q, spec.stride, spec.padding
+            )
+        return x.astype(np.int64) @ spec.weight_q.T.astype(np.int64)
 
     def _res_add(self, branch: np.ndarray, skip: np.ndarray, info) -> np.ndarray:
         """Integer residual join: rescale the skip path, add, saturate.
@@ -310,14 +314,22 @@ class QuantizedCnn:
             return x.reshape(x.shape[0], -1)
         raise ValueError(f"unknown op {name}")  # pragma: no cover
 
-    def forward_int(self, images: np.ndarray) -> np.ndarray:
-        """Exact integer inference on a float image batch -> int logits."""
+    def walk(
+        self, images: np.ndarray, sum_products: SumProductsFn
+    ) -> np.ndarray:
+        """Integer inference on a float image batch -> int logits.
+
+        The one op loop every inference path runs: ``sum_products``
+        computes each compute layer's sum-products for the whole batch;
+        everything else stays exact here (it runs under 2PC in the
+        protocol).
+        """
         x = self.input_params.quantize(images)
         skip_stack: List[np.ndarray] = []
         for op in self.ops:
             if op[0] in ("conv", "linear"):
                 spec = op[1]
-                sp = self._compute_sp_batch(x, spec)
+                sp = self._add_bias(sum_products(spec, x), spec)
                 x = requantize_shift(sp, spec.requant_shift, spec.act_bits)
             elif op[0] == "res_push":
                 skip_stack.append(x.copy())
@@ -326,6 +338,10 @@ class QuantizedCnn:
             else:
                 x = self._apply_aux_batch(op, x)
         return x
+
+    def forward_int(self, images: np.ndarray) -> np.ndarray:
+        """Exact integer inference on a float image batch -> int logits."""
+        return self.walk(images, self.exact_sum_products)
 
     def forward_with_kernels(
         self,
@@ -339,7 +355,8 @@ class QuantizedCnn:
         This is the hook the private-inference simulator uses: the exact
         kernels are swapped for polynomial-encoded (and possibly
         approximate) ones while ReLU / pooling / re-quantization stay
-        exact (they run under 2PC in the protocol).
+        exact (they run under 2PC in the protocol).  A batch of one
+        through :meth:`walk`.
 
         Args:
             image: one float image ``C x H x W``.
@@ -350,31 +367,19 @@ class QuantizedCnn:
         Returns:
             int logits, or ``(logits, [sp arrays])`` if ``collect_sp``.
         """
-        x = self.input_params.quantize(image[None])[0]
         sps = []
-        skip_stack: List[np.ndarray] = []
-        for op in self.ops:
-            if op[0] == "conv":
-                spec = op[1]
-                sp = self._add_bias(
-                    conv_fn(x, spec.weight_q, spec.stride, spec.padding), spec
-                )
-                if collect_sp:
-                    sps.append(sp.copy())
-                x = requantize_shift(sp, spec.requant_shift, spec.act_bits)
-            elif op[0] == "linear":
-                spec = op[1]
-                sp = self._add_bias(linear_fn(x, spec.weight_q), spec)
-                if collect_sp:
-                    sps.append(sp.copy())
-                x = requantize_shift(sp, spec.requant_shift, spec.act_bits)
-            elif op[0] == "res_push":
-                skip_stack.append(x.copy())
-            elif op[0] == "res_add":
-                x = self._res_add(x, skip_stack.pop(), op[1])
+
+        def sum_products(spec: QuantLayerSpec, x: np.ndarray) -> np.ndarray:
+            if spec.kind == "conv":
+                sp = conv_fn(x[0], spec.weight_q, spec.stride, spec.padding)
             else:
-                x = self._apply_aux_batch(op, x[None])[0]
-        return (x, sps) if collect_sp else x
+                sp = linear_fn(x[0], spec.weight_q)
+            if collect_sp:
+                sps.append(self._add_bias(sp, spec))
+            return sp[None]
+
+        logits = self.walk(image[None], sum_products)[0]
+        return (logits, sps) if collect_sp else logits
 
     def accuracy_int(self, images: np.ndarray, labels: np.ndarray) -> float:
         """Top-1 accuracy of exact integer inference."""

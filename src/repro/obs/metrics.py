@@ -15,7 +15,7 @@ Determinism rules:
 - ``to_dict()`` / ``to_text()`` emit series sorted by (name, labels), so
   snapshots diff cleanly.
 
-Thread safety: acceptor threads, the coalescer, and the test harness all
+Thread safety: callers' threads, the coalescer, and the test harness all
 write concurrently; every read-modify-write happens under one internal
 lock (``repro lint --concurrency`` runs over this package in CI).
 """

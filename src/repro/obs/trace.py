@@ -8,7 +8,7 @@ Design constraints, in priority order:
    shared no-op singleton (no allocation, no lock).  ``bench-check``
    gates the measured overhead (< 3% disabled, < 10% enabled).
 
-2. **Thread-safe when enabled.**  Spans finish on acceptor, coalescer,
+2. **Thread-safe when enabled.**  Spans finish on callers', coalescer,
    fan-out, and supervisor threads concurrently; the ring buffer and id
    counter are guarded by one lock, while parent inference uses a
    per-thread span stack (``threading.local``) that needs none.

@@ -69,9 +69,6 @@ class ProtocolStats(MultReductions):
     # products ran on a repro.cluster executor): per-run supervision
     # counters of the backend calls attributed to this layer/item.
     cluster_dispatches: int = 0
-    cluster_worker_deaths: int = 0
-    cluster_jobs_requeued: int = 0
-    cluster_serial_fallback_jobs: int = 0
     cluster_recoveries: int = 0
 
     @property
@@ -257,11 +254,6 @@ class _HybridRound:
             st.weight_mults_dense += last.weight_mults_dense
             st.weight_mults_model += last.weight_mults_model
             st.cluster_dispatches += int(cluster.get("dispatches", 0))
-            st.cluster_worker_deaths += int(cluster.get("worker_deaths", 0))
-            st.cluster_jobs_requeued += int(cluster.get("jobs_requeued", 0))
-            st.cluster_serial_fallback_jobs += int(
-                cluster.get("serial_fallback_jobs", 0)
-            )
             st.cluster_recoveries += int(cluster.get("recoveries", 0))
         return [Ciphertext(outs[i], outs[i + 1]) for i in range(0, len(outs), 2)]
 

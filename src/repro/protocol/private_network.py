@@ -20,7 +20,6 @@ from repro.encoding.linear_encoding import LinearShape
 from repro.he.backend import NttPolyMulBackend, PolyMulBackend
 from repro.he.params import BfvParameters
 from repro.nn.model import QuantizedCnn
-from repro.nn.quant import requantize_shift
 from repro.protocol.hybrid import (
     HybridConvProtocol,
     HybridLinearProtocol,
@@ -135,15 +134,20 @@ class PrivateCnnEvaluator:
     ) -> List[PrivateInferenceTrace]:
         """Privately classify a batch of float images in one pass.
 
-        Every compute layer runs through its protocol's ``run_batch``.
-        A convolution runs the whole batch in one round
+        The network runs on :meth:`repro.nn.model.QuantizedCnn.walk`
+        (residual networks too), each compute layer through its
+        protocol's ``run_batch``.  A convolution runs the whole batch in
+        one round
         (:meth:`repro.protocol.hybrid.HybridConvProtocol.run_batch`), so
         weight encodings are shared across the batch and -- with a batched
         backend such as :class:`repro.he.backend.FftPolyMulBackend` -- all
         transform work executes in vectorized batch passes; an FC layer
-        runs one round per item, in order.  Non-linear layers apply to the
-        whole activation stack at once.  An empty batch returns ``[]``
-        without key generation or rng draws.
+        runs one round per item, in order.  Non-linear layers and residual
+        joins apply to the whole activation stack at once, on the
+        reconstructed shares (the hybrid scheme runs them as 2PC
+        sub-protocols: identical values, orthogonal machinery).  The
+        expected logits are one ``forward_int`` call.  An empty batch
+        returns ``[]`` without key generation or rng draws.
         """
         images = np.asarray(images)
         if images.ndim == 3:
@@ -151,33 +155,24 @@ class PrivateCnnEvaluator:
         if not len(images):
             return []
         session = make_session(self.params, rng)
-        expected = [self.net.forward_with_kernels(img) for img in images]
-
-        x = self.net.input_params.quantize(images)
+        expected = self.net.forward_int(images)
         layer_stats: List[List[ProtocolStats]] = [[] for _ in images]
-        for op in self.net.ops:
-            if op[0] in ("conv", "linear"):
-                spec = op[1]
-                protocol = self._layer_protocol(
-                    spec, x, f"layer{len(layer_stats[0])}:{op[0]}"
-                )
-                results = protocol.run_batch(
-                    x, spec.weight_q, rng, session=session
-                )
-                for item, result in enumerate(results):
-                    layer_stats[item].append(result.stats)
-                sp = np.stack(
-                    [self.net._add_bias(r.reconstructed, spec) for r in results]
-                )
-                x = requantize_shift(sp, spec.requant_shift, spec.act_bits)
-            else:
-                # Non-linear layers: evaluated by the 2PC sub-protocols in
-                # the hybrid scheme; computed on the reconstructed shares
-                # here (identical values, orthogonal machinery).
-                x = self.net._apply_aux_batch(op, x)
+
+        def sum_products(spec, x: np.ndarray) -> np.ndarray:
+            protocol = self._layer_protocol(
+                spec, x, f"layer{len(layer_stats[0])}:{spec.kind}"
+            )
+            results = protocol.run_batch(
+                x, spec.weight_q, rng, session=session
+            )
+            for stats, result in zip(layer_stats, results):
+                stats.append(result.stats)
+            return np.stack([r.reconstructed for r in results])
+
+        logits = self.net.walk(images, sum_products)
         return [
             PrivateInferenceTrace(
-                logits=x[item],
+                logits=logits[item],
                 expected_logits=expected[item],
                 layer_stats=layer_stats[item],
             )

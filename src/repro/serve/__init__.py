@@ -1,8 +1,8 @@
 """Overload-resilient multi-tenant inference serving.
 
 ``repro.serve`` is the long-running front end over the batched runtime
-and the crash-recovering cluster: a thread-pool acceptor admits requests
-through per-tenant token buckets and bounded queues (explicit
+and the crash-recovering cluster: each request is admitted on the caller's
+thread through per-tenant token buckets and bounded queues (explicit
 backpressure replies, never silent drops), a single coalescer thread
 batches compatible work under the latency SLO, request deadlines
 propagate end-to-end into per-job cluster deadlines, a circuit breaker

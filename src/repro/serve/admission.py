@@ -97,7 +97,6 @@ class TenantState:
         self.level = 0            # current degradation-ladder rung
         self.clean_streak = 0     # consecutive undegraded completions
         self.degradations = 0     # lifetime ladder pushes
-        self.guard = None         # lazily attached BudgetGuard
 
 
 class AdmissionController:

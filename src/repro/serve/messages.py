@@ -14,7 +14,7 @@ Requests
     - ``serve-conv``: one logical conv2d request (a batch-of-one input
       plus its weight tensor), carrying ``tenant``, requested ``mode``
       and an absolute ``deadline_at`` on the shared monotonic clock.
-    - ``serve-ping``: health probe; answered inline by the acceptor.
+    - ``serve-ping``: health probe; answered inline on the caller's thread.
 
 Replies (exactly one per received request -- the no-silent-drop rule)
     - ``serve-result``: output tensor plus the *effective* mode the
@@ -30,6 +30,7 @@ Replies (exactly one per received request -- the no-silent-drop rule)
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -38,8 +39,10 @@ from repro.cluster.jobs import (
     config_to_wire,
     decode_message,
     encode_message,
+    shape_from_wire,
     shape_to_wire,
 )
+from repro.runtime.engine import BatchedHConvEngine
 
 REQ_CONV = "serve-conv"
 REQ_PING = "serve-ping"
@@ -88,13 +91,75 @@ def ping_request(request_id: int, tenant: str = "probe") -> bytes:
 
 
 def decode_request(data: bytes) -> Tuple[str, int, Dict[str, Any]]:
-    """Decode a client frame; raises on malformed/corrupt/unknown input."""
+    """Decode a client frame; raises on malformed/corrupt/unknown input.
+
+    A ``serve-conv`` payload must carry every field the server reads, in
+    the form :func:`conv_request` writes it, so a CRC-valid but malformed
+    frame is a wire error and is never admitted.
+    """
     kind, request_id, payload = decode_message(data)
     if kind not in REQUEST_KINDS:
         raise ValueError(f"unknown serve request kind {kind!r}")
     if not isinstance(payload, dict):
         raise ValueError("serve request payload must be a dict")
+    if kind == REQ_CONV:
+        _check_conv_payload(payload)
     return kind, request_id, payload
+
+
+_CONV_FIELDS = (
+    "tenant", "mode", "config", "n", "shape", "x", "w", "deadline_at",
+)
+_INT = (int, np.integer)  # concrete types: an ABC check costs microseconds
+
+
+def _check_conv_payload(payload: Dict[str, Any]) -> None:
+    def require(ok: bool, field: str, want: str) -> None:
+        if not ok:
+            raise ValueError(f"serve-conv field {field!r} must be {want}")
+
+    missing = [field for field in _CONV_FIELDS if field not in payload]
+    if missing:
+        raise ValueError(f"serve-conv payload lacks {missing}")
+    tenant, mode, config, n, shape, x, w, deadline_at = (
+        payload[field] for field in _CONV_FIELDS
+    )
+    require(isinstance(tenant, str), "tenant", "a str")
+    require(
+        isinstance(mode, str) and mode in BatchedHConvEngine.MODES,
+        "mode", "ntt, flash or sparse",
+    )
+    require(
+        isinstance(n, _INT) and n >= 2 and n & (n - 1) == 0,
+        "n", "a power of two >= 2",
+    )
+    require(
+        isinstance(shape, tuple) and len(shape) == 8
+        and all(isinstance(v, _INT) for v in shape),
+        "shape", "a tuple of 8 ints",
+    )
+    shape_from_wire(shape)  # ConvShape rejects impossible geometry
+    require(
+        (isinstance(config, tuple) and len(config) == 5)
+        or (config is None and mode == "ntt"),
+        "config", "a 5-tuple (or None for ntt)",
+    )
+    c, h, width, m, kh, kw = shape[:6]
+    for field, array, dims, want in (
+        ("x", x, (c, h, width), "an int (C, H, W) array"),
+        ("w", w, (m, c, kh, kw), "an int (M, C, kh, kw) array"),
+    ):
+        require(
+            isinstance(array, np.ndarray) and array.dtype.kind == "i"
+            and array.shape == dims,
+            field, want,
+        )
+    require(
+        deadline_at is None
+        or (isinstance(deadline_at, (float,) + _INT)
+            and math.isfinite(deadline_at)),
+        "deadline_at", "None or a finite number",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,19 @@
 
 :class:`InferenceServer` is the long-running serving layer over the
 batched runtime (PR 2) and the crash-recovering cluster (PR 6).  Requests
-arrive as CRC32-framed envelopes (:mod:`repro.serve.messages`) through a
-**thread-pool acceptor**; a single **coalescer thread** owns all
-execution.  The design invariant is *no silent drops*: every request the
-server receives ends in exactly one reply -- a result, an explicit shed
+arrive as CRC32-framed envelopes (:mod:`repro.serve.messages`) and are
+decoded and admitted on **the caller's thread**, which then waits for its
+reply; a single **coalescer thread** owns all execution.  The design
+invariant is *no silent drops*: every request the server receives ends
+in exactly one reply -- a result, an explicit shed
 with a named reason, a deadline notice, or an error -- and
 :class:`~repro.serve.stats.ServeStats.accounting` proves the books
 balance at any instant.
 
 Request life cycle::
 
-    acceptor thread                      coalescer thread
-    ---------------                      ----------------
+    the caller's thread                  coalescer thread
+    -------------------                  ----------------
     decode (wire errors counted)
     admission: token bucket,
       tenant queue, server queue  ... shed("rate"|"tenant_queue"|"server_queue")
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -81,16 +81,10 @@ class ServeConfig:
     """Tuning knobs of one :class:`InferenceServer`.
 
     Args:
-        accept_threads: acceptor pool width (bounds concurrent decodes).
         coalesce_window_s: upper bound on how long the coalescer holds a
             batch open for same-key requests once it has the head.  The
             hold lasts only while another request is on its way in, and
-            never past the head's deadline slack.  A request counts as
-            on its way from ``submit()``, so with more concurrent
-            clients than ``accept_threads`` one that waits for a free
-            acceptor (all of them awaiting replies) keeps the batch open
-            for the full window although it cannot land before the batch
-            runs.
+            never past the head's deadline slack.
         max_batch: largest coalesced batch.
         slo_ms: default latency SLO; clients stamp ``deadline_at`` from it
             when the caller gives no explicit deadline budget.
@@ -105,11 +99,10 @@ class ServeConfig:
         guard_policy: ``"fallback"`` or ``"warn"`` -- ``"raise"`` would
             kill the coalescer thread and is rejected.
         guard_min_margin_bits: preflight margin threshold.
-        reply_timeout_s: acceptor-side backstop wait beyond the deadline;
+        reply_timeout_s: the caller's backstop wait beyond the deadline;
             expiry yields an explicit error reply, never a hang.
     """
 
-    accept_threads: int = 8
     coalesce_window_s: float = 0.002
     max_batch: int = 16
     slo_ms: float = 500.0
@@ -127,8 +120,6 @@ class ServeConfig:
     reply_timeout_s: float = 30.0
 
     def __post_init__(self):
-        if self.accept_threads < 1:
-            raise ValueError("accept_threads must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.coalesce_window_s < 0:
@@ -141,11 +132,11 @@ class ServeConfig:
 
 
 class _PendingRequest:
-    """One admitted request parked between acceptor and coalescer.
+    """One admitted request parked between its caller and the coalescer.
 
     ``fulfill`` is idempotent under its own lock: exactly one caller (the
-    coalescer on the normal path, the acceptor on its backstop timeout)
-    wins and performs the terminal accounting for this request.
+    coalescer on the normal path, the caller's thread on its backstop
+    timeout) wins and performs the terminal accounting for this request.
     """
 
     __slots__ = (
@@ -272,13 +263,9 @@ class InferenceServer:
         self._queue: List[_PendingRequest] = []
         self._closing = False
         self._on_way = 0
-        # Coalescer-confined execution state (never touched by acceptors).
+        # Coalescer-confined execution state (never touched by callers).
         self._serial_state = WorkerState()
         self._guards: Dict[str, BudgetGuard] = {}
-        self._acceptors = ThreadPoolExecutor(
-            max_workers=self.config.accept_threads,
-            thread_name_prefix="serve-accept",
-        )
         self._coalescer = threading.Thread(
             target=self._coalesce_loop, name="serve-coalesce", daemon=True
         )
@@ -301,7 +288,6 @@ class InferenceServer:
             self._closing = True
             self._lock.notify_all()
         self._coalescer.join(timeout=60.0)
-        self._acceptors.shutdown(wait=True)
 
     # -- health / introspection ------------------------------------------
 
@@ -379,57 +365,39 @@ class InferenceServer:
         self.metrics_dict()
         return self.metrics.to_text()
 
-    # -- request entry point ---------------------------------------------
+    # -- caller side: the request entry point ----------------------------
 
     def submit(self, frame: bytes) -> bytes:
         """Serve one framed request; returns the framed reply.
 
-        Thread-safe: callers are multiplexed onto the acceptor pool.
-        After :meth:`close` the request is served inline with an explicit
-        shutdown shed instead of raising.
+        Thread-safe: decoding and admission run on the caller's thread,
+        which then blocks until its reply.  After :meth:`close` the
+        request gets an explicit shutdown shed instead of raising.
         """
-        with self._lock:
-            self._on_way += 1
-        try:
-            future = self._acceptors.submit(self._accept, frame)
-        except RuntimeError:
-            return self._accept(frame)  # pool closed: reply inline
-        return future.result()
-
-    # -- acceptor side ----------------------------------------------------
-
-    def _accept(self, frame: bytes) -> bytes:
         span = obs_trace.tracer.span("serve.request")
         with span:
             admitted = None
+            with self._lock:
+                self._on_way += 1
             try:
                 admitted = self._admit(frame, span)
             finally:
-                queued = self._land(admitted)
+                # Every exit of _admit ends the way in, so the count always
+                # returns to zero; an admitted request is queued if open.
+                with self._lock:
+                    self._on_way -= 1
+                    queued = (
+                        isinstance(admitted, _PendingRequest)
+                        and not self._closing
+                    )
+                    if queued:
+                        self._queue.append(admitted)
+                    self._lock.notify_all()
             if not isinstance(admitted, _PendingRequest):
                 return admitted
             if not queued:
-                self.admission.release(admitted.tenant)
-                self.stats.record_shed(
-                    admitted.tenant, "shutdown", post_admit=True
-                )
-                return shed_reply(admitted.request_id, "shutdown")
+                self._finish_shed(admitted, "shutdown")
             return self._await_reply(admitted)
-
-    def _land(self, admitted: Union[bytes, _PendingRequest, None]) -> bool:
-        """End one request's way in: queue it if it was admitted and the
-        server is still open.  Runs on every exit of :meth:`_admit`, so the
-        on-the-way count always returns to zero.  Returns ``True`` iff the
-        request was queued."""
-        with self._lock:
-            self._on_way -= 1
-            queued = (
-                isinstance(admitted, _PendingRequest) and not self._closing
-            )
-            if queued:
-                self._queue.append(admitted)
-            self._lock.notify_all()
-        return queued
 
     def _admit(self, frame: bytes, span) -> Union[bytes, _PendingRequest]:
         """Decode and admit one frame: the immediate reply bytes, or the
@@ -445,7 +413,7 @@ class InferenceServer:
         if kind == REQ_PING:
             return pong_reply(request_id, self.health())
 
-        tenant = str(payload.get("tenant", "anonymous"))
+        tenant = payload["tenant"]
         span.set(tenant=tenant)
         self.stats.record_received(tenant)
         with self._lock:
@@ -460,8 +428,7 @@ class InferenceServer:
             return shed_reply(request_id, reason, retry_after)
         self.stats.record_admitted(tenant)
 
-        deadline_at = payload.get("deadline_at")
-        deadline_at = None if deadline_at is None else float(deadline_at)
+        deadline_at = payload["deadline_at"]
         est_key = _estimate_key(kind, payload)
         if deadline_at is not None:
             remaining = deadline_at - now
@@ -511,27 +478,23 @@ class InferenceServer:
             with self._lock:
                 while not self._queue and not self._closing:
                     self._lock.wait()
-                if self._queue:
-                    head = self._queue.pop(0)
-                elif self._closing:
-                    return
-                else:
-                    continue
-            if self._drain_if_closing(head):
+                if not self._queue:
+                    return  # closing, and every queued request answered
+                head = self._queue.pop(0)
+                closing = self._closing
+            if closing:
+                self._finish_shed(head, "shutdown")
                 continue
-            batch = self._gather_batch(head)
+            batch: List[Tuple[_PendingRequest, str, bool]] = []
             try:
+                self._gather_batch(head, batch)
                 self._execute_batch(batch)
             except Exception as exc:  # noqa: BLE001 - reported per request
-                self._fail_batch(batch, f"{type(exc).__name__}: {exc}")
-
-    def _drain_if_closing(self, head: _PendingRequest) -> bool:
-        with self._lock:
-            closing = self._closing
-        if not closing:
-            return False
-        self._finish_shed(head, "shutdown")
-        return True
+                # The head may have failed before joining the batch;
+                # fulfill is idempotent, so naming it twice is harmless.
+                message = f"{type(exc).__name__}: {exc}"
+                for pending in [head] + [p for p, _, _ in batch]:
+                    self._finish_error(pending, message)
 
     def _effective_plan(
         self, pending: _PendingRequest
@@ -570,9 +533,12 @@ class InferenceServer:
         return effective, degraded, key
 
     def _gather_batch(
-        self, head: _PendingRequest
-    ) -> List[Tuple[_PendingRequest, str, bool]]:
-        """Coalesce same-key queued requests behind ``head``.
+        self,
+        head: _PendingRequest,
+        batch: List[Tuple[_PendingRequest, str, bool]],
+    ) -> None:
+        """Coalesce same-key queued requests behind ``head`` into ``batch``
+        (in place: a failure part-way still names every request taken).
 
         Work-conserving: the batch stays open only while some request is
         still on its way in (between ``submit()`` and the queue), and never
@@ -581,7 +547,7 @@ class InferenceServer:
         """
         now = self._clock()
         head_mode, head_degraded, head_key = self._effective_plan(head)
-        batch = [(head, head_mode, head_degraded)]
+        batch.append((head, head_mode, head_degraded))
         window = self.config.coalesce_window_s
         if head.deadline_at is not None:
             estimate = self._estimator.estimate(head.group_key) or 0.0
@@ -613,7 +579,6 @@ class InferenceServer:
                 if wait <= 0 or not self._on_way:
                     break
                 self._lock.wait(timeout=wait)
-        return batch
 
     # -- terminal accounting (coalescer + drain paths) --------------------
 
@@ -656,10 +621,6 @@ class InferenceServer:
             )
             if not degraded:
                 self.admission.note_clean_completion(pending.tenant)
-
-    def _fail_batch(self, batch, message: str) -> None:
-        for pending, _mode, _degraded in batch:
-            self._finish_error(pending, message)
 
     # -- batch execution --------------------------------------------------
 

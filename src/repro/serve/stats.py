@@ -14,7 +14,7 @@ request the server *received* ends in exactly one terminal counter --
 computed over a bounded rolling window of *completed* requests, so a
 long-running server reports recent p50/p99, not lifetime averages.
 
-All counters are mutated under one internal lock: acceptor threads
+All counters are mutated under one internal lock: callers' threads
 record admission decisions while the coalescer thread records
 completions and breaker transitions concurrently.
 """

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterExecutor, ClusterFaultInjector, ClusterPolicy
-from repro.cluster.jobs import config_to_wire
+from repro.cluster.jobs import config_to_wire, encode_message
 from repro.encoding import ConvShape
 from repro.faults.channel import ChecksumError
 from repro.fftcore.fixed_point import ApproxFftConfig
@@ -77,7 +77,6 @@ class TestMessages:
             decode_request(bytes(frame))
 
     def test_reply_kinds_are_rejected_as_requests(self):
-        from repro.cluster.jobs import encode_message
         from repro.serve.messages import shed_reply
 
         # A reply kind, and the retired serve-mul request kind.
@@ -272,6 +271,164 @@ class TestWorkConservingCoalescer:
         assert kinds.count(REP_ERROR) == clients
         assert kinds.count(REP_PONG) == clients
         assert kinds.count(REP_RESULT) == clients * convs
+        assert stats["accounting"]["unaccounted"] == 0
+
+
+def malformed_conv(request_id, drop=(), **fields):
+    """A CRC-valid ``serve-conv`` frame whose payload lacks ``drop`` and
+    has ``fields`` overridden: a client bug, not a corrupted frame."""
+    x, w = conv_inputs(request_id)
+    _, _, payload = decode_request(
+        conv_request(request_id, "t", "sparse", GOOD_CFG, N, SHAPE, x, w)
+    )
+    for field in drop:
+        del payload[field]
+    payload.update(fields)
+    return encode_message("serve-conv", request_id, payload)
+
+
+class TestMalformedFrames:
+    """A CRC-valid frame with a bad payload is a wire error: answered,
+    counted, never admitted, and harmless to the next request."""
+
+    REPLY_TIMEOUT_S = 2.0
+
+    def assert_rejected_then_serves(self, frame):
+        x, w = conv_inputs()
+        with serve(reply_timeout_s=self.REPLY_TIMEOUT_S) as server:
+            kind, _, body = decode_reply(server.submit(frame))
+            assert kind == REP_ERROR
+            assert body["error"].startswith("wire error")
+            assert server.admission.depth() == 0
+            start = time.monotonic()
+            kind, _, _ = decode_reply(server.submit(
+                conv_request(2, "t", "ntt", None, N, SHAPE, x, w)
+            ))
+            elapsed = time.monotonic() - start
+            stats = server.stats_dict()
+        assert kind == REP_RESULT
+        assert elapsed < self.REPLY_TIMEOUT_S
+        assert stats["wire_errors"] == 1
+        assert stats["accounting"]["unaccounted"] == 0
+
+    @pytest.mark.parametrize("field", ["mode", "n", "shape"])
+    def test_missing_admission_field(self, field):
+        # Read before admission: a missing one must not escape submit()
+        # with the tenant's admission slot still held.
+        self.assert_rejected_then_serves(malformed_conv(1, drop=(field,)))
+
+    @pytest.mark.parametrize("field", ["config", "w"])
+    def test_missing_execution_field(self, field):
+        # Read by the coalescer: a missing one must not kill its thread.
+        self.assert_rejected_then_serves(malformed_conv(1, drop=(field,)))
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"tenant": 7}, "'tenant'"),
+            ({"mode": "fast"}, "'mode'"),
+            ({"n": 0}, "'n'"),
+            ({"n": 48}, "'n'"),
+            ({"shape": (1, 4, 4, 1, 3, 3, 1)}, "'shape'"),
+            ({"shape": (1, 4, 4, 1, 3, 3, 0, 1)}, "invalid shape"),
+            ({"config": (32, (27,))}, "'config'"),
+            ({"config": None}, "'config'"),
+            ({"x": np.zeros((1, 4, 5), dtype=np.int64)}, "'x'"),
+            ({"w": np.zeros((1, 1, 3, 3))}, "'w'"),
+            ({"deadline_at": "soon"}, "'deadline_at'"),
+            ({"deadline_at": float("nan")}, "'deadline_at'"),
+        ],
+        ids=[
+            "tenant", "mode", "n", "n-not-pow2", "shape-len",
+            "shape-stride", "config", "config-missing-for-sparse",
+            "x-shape", "w-float", "deadline", "deadline-nan",
+        ],
+    )
+    def test_decode_names_the_bad_field(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            decode_request(malformed_conv(1, **fields))
+
+    def test_non_int_request_id(self):
+        import pickle
+
+        from repro.faults.channel import encode_frame
+
+        _, _, payload = decode_request(malformed_conv(1))
+        frame = encode_frame(1, pickle.dumps(("serve-conv", None, payload)))
+        self.assert_rejected_then_serves(frame)
+
+    def test_failed_plan_is_answered_and_the_coalescer_lives(self):
+        x, w = conv_inputs()
+        with serve(reply_timeout_s=self.REPLY_TIMEOUT_S) as server:
+            plan = server._effective_plan
+
+            def broken_plan(pending):
+                server._effective_plan = plan
+                raise RuntimeError("plan fault")
+
+            server._effective_plan = broken_plan
+            kind, _, body = decode_reply(server.submit(
+                conv_request(1, "t", "ntt", None, N, SHAPE, x, w)
+            ))
+            assert (kind, body["error"]) == (
+                REP_ERROR, "RuntimeError: plan fault"
+            )
+            kind, _, _ = decode_reply(server.submit(
+                conv_request(2, "t", "ntt", None, N, SHAPE, x, w)
+            ))
+            stats = server.stats_dict()
+        assert kind == REP_RESULT
+        assert stats["reply_timeouts"] == 0
+        assert stats["accounting"]["unaccounted"] == 0
+
+
+class TestAdmissionOnCallersThread:
+    def test_tenant_queue_limit_binds_above_eight_clients(self):
+        # Admission runs on each caller's thread, so every client reaches
+        # the bounded queues at once: with the coalescer held, 10 of 12
+        # clients are admitted and the other 2 are shed, none wait unseen.
+        clients, limit = 12, 10
+        x, w = conv_inputs()
+        release = threading.Event()
+        replies = [None] * clients
+        with serve(tenant_queue_limit=limit) as server:
+            execute = server._execute_conv_batch
+
+            def held_execute(live, deadline_s):
+                release.wait(timeout=30.0)
+                execute(live, deadline_s)
+
+            server._execute_conv_batch = held_execute
+
+            def client(i):
+                replies[i] = decode_reply(server.submit(
+                    conv_request(i, "t", "ntt", None, N, SHAPE, x, w)
+                ))
+
+            threads = [
+                threading.Thread(target=client, args=(i,))
+                for i in range(clients)
+            ]
+            for t in threads:
+                t.start()
+            give_up = time.monotonic() + 10.0
+            while time.monotonic() < give_up and (
+                server.admission.depth() < limit
+                or sum(r is not None for r in replies) < clients - limit
+            ):
+                time.sleep(0.005)
+            depth = server.admission.depth()
+            release.set()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            stats = server.stats_dict()
+        assert depth == limit
+        kinds = [kind for kind, _, _ in replies]
+        assert kinds.count(REP_RESULT) == limit
+        sheds = [body["reason"] for kind, _, body in replies if kind == REP_SHED]
+        assert sheds == ["tenant_queue"] * (clients - limit)
+        assert stats["shed"]["tenant_queue"] == clients - limit
         assert stats["accounting"]["unaccounted"] == 0
 
 
