@@ -10,8 +10,8 @@ with two detectors:
   layer's noise growth *before* any cryptography runs; too little margin
   means the approximate path cannot be trusted for this layer;
 * **observed** -- the protocol's reconstructed-vs-expected error after a
-  layer; any error beyond the tolerance means the budget was in fact
-  exceeded (unmodeled FFT error, e.g. an aggressive DSE configuration).
+  layer; any error at all means the budget was in fact exceeded
+  (unmodeled FFT error, e.g. an aggressive DSE configuration).
 
 Either trigger applies the configured policy: ``"fallback"`` reruns the
 layer on the exact NTT backend (bit-exact result, degradation recorded),
@@ -59,8 +59,8 @@ class BudgetGuard:
             and continue with the approximate result).
         min_margin_bits: smallest predicted margin accepted on the
             approximate path; layers below it degrade pre-flight.
-        error_tolerance: largest observed reconstruction error treated as
-            benign (0 = any plaintext error degrades).
+
+    Any observed plaintext reconstruction error degrades the layer.
     """
 
     POLICIES = ("fallback", "raise", "warn")
@@ -68,7 +68,6 @@ class BudgetGuard:
     params: BfvParameters
     policy: str = "fallback"
     min_margin_bits: float = 1.0
-    error_tolerance: int = 0
     events: List[DegradationEvent] = field(default_factory=list)
 
     def __post_init__(self):
@@ -76,8 +75,6 @@ class BudgetGuard:
             raise ValueError(
                 f"policy must be one of {self.POLICIES}, got {self.policy!r}"
             )
-        if self.error_tolerance < 0:
-            raise ValueError("error_tolerance must be >= 0")
 
     @property
     def degraded_layers(self) -> List[str]:
@@ -116,7 +113,7 @@ class BudgetGuard:
                 protocol measured for this layer.
             layer: label recorded in the degradation event.
         """
-        if max_error <= self.error_tolerance:
+        if max_error <= 0:
             return False
         return self._trigger(layer, "observed", 0.0, observed_error=max_error)
 

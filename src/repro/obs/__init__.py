@@ -15,9 +15,9 @@ Three pieces, designed to stay out of the hot path unless asked:
 
 - :mod:`repro.obs.metrics` -- a lock-disciplined
   :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
-  histograms with fixed bucket boundaries) plus adapters that *absorb*
-  the serve front end's ``ClusterStats`` and ``ServeStats`` instead of
-  replacing them.
+  histograms with fixed bucket boundaries).  It is the one store of the
+  serve front end's counters; ``ServeStats`` is a recorder and view over
+  it.
 
 - :mod:`repro.obs.export` -- Chrome-trace (``chrome://tracing``) and
   flamegraph-folded exporters over flight-recorder records, with the
@@ -27,8 +27,6 @@ Three pieces, designed to stay out of the hot path unless asked:
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
     MetricsRegistry,
-    absorb_cluster_stats,
-    absorb_serve_stats,
 )
 from repro.obs.trace import (
     TRACE_CTX_KEY,
@@ -47,8 +45,6 @@ __all__ = [
     "Span",
     "TRACE_CTX_KEY",
     "Tracer",
-    "absorb_cluster_stats",
-    "absorb_serve_stats",
     "pop_trace_context",
     "reset_for_fork",
     "stamp_trace_context",

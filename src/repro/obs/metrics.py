@@ -1,11 +1,10 @@
 """Unified metrics: counters, gauges, and fixed-bucket histograms.
 
 One :class:`MetricsRegistry` instance is the single metrics surface of a
-process (the serve front end owns one and exposes it through
-``health()``).  It does **not** replace the per-layer stats objects;
-:func:`absorb_cluster_stats` and :func:`absorb_serve_stats` project the
-serve front end's ``ClusterStats`` and ``ServeStats`` into the registry
-on demand (``InferenceServer.metrics_dict``).
+process.  The serve front end owns one and it is the only store of that
+front end's counters: ``ServeStats`` writes each serve fact into it once
+and reads its views (``stats_dict()``) back from one
+:meth:`MetricsRegistry.counters` snapshot; ``health()`` exposes it whole.
 
 Determinism rules:
 
@@ -108,6 +107,12 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get((name, _label_key(labels)), default)
 
+    def counters(self) -> Dict[Tuple[str, _LabelKey], float]:
+        """One consistent snapshot of every counter: ``(name, labels)`` ->
+        value, ``labels`` a sorted tuple of ``(key, value)`` string pairs."""
+        with self._lock:
+            return dict(self._counters)
+
     def gauge_value(
         self, name: str, default: Optional[float] = None, **labels: object
     ) -> Optional[float]:
@@ -164,48 +169,7 @@ class MetricsRegistry:
         return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# Adapters: project existing stats objects into a registry.  Counters in
-# the sources are cumulative, so adapters SET gauges (idempotent across
-# repeated absorbs) rather than incrementing counters.
-# ---------------------------------------------------------------------------
-
-
-def absorb_cluster_stats(registry: MetricsRegistry, stats) -> None:
-    """Project :class:`repro.cluster.supervisor.ClusterStats` totals."""
-    data = stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
-    for key, value in data.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        registry.set_gauge("cluster_" + str(key), float(value))
-
-
-def absorb_serve_stats(registry: MetricsRegistry, stats_dict: dict) -> None:
-    """Project a :meth:`repro.serve.stats.ServeStats.to_dict` snapshot."""
-    for key, value in stats_dict.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        registry.set_gauge("serve_" + str(key), float(value))
-    shed = stats_dict.get("shed")
-    if isinstance(shed, dict):
-        for reason, count in shed.items():
-            if isinstance(count, (int, float)):
-                registry.set_gauge(
-                    "serve_shed", float(count), reason=str(reason)
-                )
-    breaker = stats_dict.get("breaker")
-    if isinstance(breaker, dict):
-        for key in ("trips", "recoveries"):
-            value = breaker.get(key)
-            if isinstance(value, (int, float)):
-                registry.set_gauge(
-                    "serve_breaker_%s" % key, float(value)
-                )
-
-
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
     "MetricsRegistry",
-    "absorb_cluster_stats",
-    "absorb_serve_stats",
 ]

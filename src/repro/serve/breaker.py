@@ -23,9 +23,13 @@ States follow the classic three-state machine:
   Success closes the breaker; failure re-opens it and restarts the
   recovery clock.
 
-All transitions are appended to ``transitions`` (and mirrored into
-:class:`~repro.serve.ServeStats` by the server) so a chaos run can assert
-the breaker tripped *and* recovered.
+All transitions are appended to ``transitions``, the one log of them
+(the server counts them by target state and serves this log in
+``stats_dict()`` and ``health()``), so a chaos run can assert the
+breaker tripped *and* recovered.  A batch that fails on the serial path
+as well was the request's fault, not the cluster's: the server then
+calls :meth:`CircuitBreaker.release_probe` instead of recording a
+failure.
 """
 
 from __future__ import annotations
@@ -148,6 +152,13 @@ class CircuitBreaker:
             # while OPEN: failures on the fallback path don't re-arm the
             # clock -- the fallback is not the guarded resource.
         self._notify(change)
+
+    def release_probe(self) -> None:
+        """Hand back a half-open probe without a verdict: the batch it
+        carried failed for its own reasons, which says nothing about the
+        cluster, so the next :meth:`allow` admits a new probe."""
+        with self._lock:
+            self._probe_in_flight = False
 
     def to_dict(self) -> Dict[str, object]:
         with self._lock:

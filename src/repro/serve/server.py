@@ -30,9 +30,11 @@ Request life cycle::
 
 Concurrency contract: the queue, the closing flag and the count of
 requests still on their way in are guarded by one condition variable;
-all cross-thread counters live in lock-disciplined :class:`ServeStats` /
-:class:`AdmissionController` / breaker objects; the coalescer thread
-exclusively owns the cluster executor, the serial
+every serve counter lives once, in the server's lock-disciplined
+:class:`~repro.obs.metrics.MetricsRegistry` (recorded and read through
+:class:`ServeStats`, which locks only its latency window and largest
+batch); the admission and breaker objects lock their own state; the
+coalescer thread exclusively owns the cluster executor, the serial
 :class:`~repro.cluster.worker.WorkerState` and every per-tenant
 :class:`~repro.faults.BudgetGuard` (so the unlocked guard object is
 single-threaded by construction).
@@ -57,11 +59,7 @@ from repro.cluster.worker import WorkerState, execute_job
 from repro.faults.channel import ChecksumError
 from repro.faults.guard import BudgetGuard
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import (
-    MetricsRegistry,
-    absorb_cluster_stats,
-    absorb_serve_stats,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.messages import (
@@ -98,7 +96,6 @@ class ServeConfig:
             (``None`` disables guard preflight).
         guard_policy: ``"fallback"`` or ``"warn"`` -- ``"raise"`` would
             kill the coalescer thread and is rejected.
-        guard_min_margin_bits: preflight margin threshold.
         reply_timeout_s: the caller's backstop wait beyond the deadline;
             expiry yields an explicit error reply, never a hang.
     """
@@ -115,8 +112,6 @@ class ServeConfig:
     breaker_recovery_s: float = 0.25
     guard_params: Optional[object] = None
     guard_policy: str = "fallback"
-    guard_min_margin_bits: float = 1.0
-    latency_window: int = 4096
     reply_timeout_s: float = 30.0
 
     def __post_init__(self):
@@ -232,9 +227,8 @@ class InferenceServer:
         self.config = config or ServeConfig()
         self.cluster = cluster
         self._clock = clock
-        self.stats = ServeStats(
-            latency_window=self.config.latency_window, clock=clock
-        )
+        self.metrics = MetricsRegistry()
+        self.stats = ServeStats(self.metrics, clock=clock)
         self.admission = AdmissionController(
             tenant_rate=self.config.tenant_rate,
             tenant_burst=self.config.tenant_burst,
@@ -243,7 +237,6 @@ class InferenceServer:
             ladder_recover_after=self.config.ladder_recover_after,
             clock=clock,
         )
-        self.metrics = MetricsRegistry()
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failures,
             recovery_timeout=self.config.breaker_recovery_s,
@@ -251,9 +244,6 @@ class InferenceServer:
             on_transition=self._on_breaker_transition,
         )
         self.metrics.set_gauge("serve_breaker_state_code", 0.0)
-        self.metrics.set_gauge(
-            "serve_breaker_last_transition_s", float(self._clock())
-        )
         self._estimator = _ServiceEstimator()
         # Queue, closing flag and on-the-way count share one condition
         # variable ("the lock").  A request is on its way from submit()
@@ -294,18 +284,14 @@ class InferenceServer:
     _BREAKER_STATE_CODES = {"closed": 0.0, "open": 1.0, "half_open": 2.0}
 
     def _on_breaker_transition(self, frm: str, to: str, reason: str) -> None:
-        """Breaker callback (invoked outside the breaker lock): mirror the
-        transition into :class:`ServeStats` (existing behavior) and the
-        unified registry, and flag trips to the flight recorder."""
+        """Breaker callback (invoked outside the breaker lock): count the
+        transition, set the state gauge, and flag trips to the flight
+        recorder.  The breaker keeps the transition log itself."""
         self.stats.record_breaker_transition(frm, to, reason)
         self.metrics.set_gauge(
             "serve_breaker_state_code",
             self._BREAKER_STATE_CODES.get(to, -1.0),
         )
-        self.metrics.set_gauge(
-            "serve_breaker_last_transition_s", float(self._clock())
-        )
-        self.metrics.inc("serve_breaker_transitions_total", to=to)
         obs_trace.tracer.event(
             "serve.breaker_transition",
             incident=(to == "open"),
@@ -325,44 +311,56 @@ class InferenceServer:
         """Liveness snapshot served to ``serve-ping`` probes."""
         with self._lock:
             closing = self._closing
-        last_transition_s = self.metrics.gauge_value(
-            "serve_breaker_last_transition_s", default=self.stats.started_at
-        )
+        stats = self.stats.to_dict()
+        transitions = self._breaker_transitions()
+        last = transitions[-1] if transitions else None
+        state_since_s = last["at_s"] if last else 0.0
         return {
             "status": "closing" if closing else "ok",
             "ready": self.ready(),
             "depth": self.admission.depth(),
             "breaker": self.breaker.state(),
             "breaker_state_age_s": max(
-                0.0, float(self._clock()) - float(last_transition_s)
+                0.0, stats["uptime_s"] - state_since_s
             ),
-            "breaker_last_transition": self.stats.last_breaker_transition(),
-            "p50_ms": self.stats.p50_ms(),
-            "p99_ms": self.stats.p99_ms(),
-            "shed": self.stats.shed_total(),
-            "completed": self.stats.completed,
+            "breaker_last_transition": last,
+            "p50_ms": stats["p50_ms"],
+            "p99_ms": stats["p99_ms"],
+            "shed": sum(stats["shed"].values()),
+            "completed": stats["completed"],
+            "cluster": (
+                None if self.cluster is None
+                else self.cluster.stats.to_dict()
+            ),
             "metrics": self.metrics_dict(),
         }
 
+    def _breaker_transitions(self) -> List[Dict[str, Any]]:
+        """The breaker's own transition log, timed from server start."""
+        return [
+            {
+                "at_s": t["at"] - self.stats.started_at,
+                "from": t["from"],
+                "to": t["to"],
+                "reason": t["reason"],
+            }
+            for t in self.breaker.to_dict()["transitions"]
+        ]
+
     def stats_dict(self) -> Dict[str, Any]:
-        """Full :class:`ServeStats` snapshot with live in-flight count."""
-        return self.stats.to_dict(in_flight=self.admission.depth())
+        """Full :class:`ServeStats` snapshot with live in-flight count and
+        the breaker's transition log."""
+        stats = self.stats.to_dict(in_flight=self.admission.depth())
+        stats["breaker"]["transitions"] = self._breaker_transitions()
+        return stats
 
     def metrics_dict(self) -> Dict[str, Any]:
-        """Unified-registry snapshot (JSON form), adapters refreshed.
-
-        The existing stats objects stay authoritative; this projects
-        their current values into the registry so one endpoint carries
-        counters, gauges and fixed-bucket histograms together.
-        """
-        absorb_serve_stats(self.metrics, self.stats_dict())
-        if self.cluster is not None:
-            absorb_cluster_stats(self.metrics, self.cluster.stats)
+        """Registry snapshot (JSON form): every serve counter, the breaker
+        state gauge and the latency histograms."""
         return self.metrics.to_dict()
 
     def metrics_text(self) -> str:
         """Prometheus-style text exposition of :meth:`metrics_dict`."""
-        self.metrics_dict()
         return self.metrics.to_text()
 
     # -- caller side: the request entry point ----------------------------
@@ -514,7 +512,6 @@ class InferenceServer:
                 guard = BudgetGuard(
                     params=self.config.guard_params,
                     policy=self.config.guard_policy,
-                    min_margin_bits=self.config.guard_min_margin_bits,
                 )
                 self._guards[pending.tenant] = guard
             shape = shape_from_wire(payload["shape"])
@@ -670,7 +667,6 @@ class InferenceServer:
                     batch=len(live),
                 )
         self.metrics.observe("serve_batch_ms", elapsed * 1e3)
-        self.metrics.inc("serve_batches_total")
 
     def _cluster_allowed(self) -> bool:
         return self.cluster is not None and self.breaker.allow()
@@ -694,32 +690,44 @@ class InferenceServer:
         recoveries = 0
         path = "serial"
         out = None
-        if self._cluster_allowed():
-            try:
-                out = self.cluster.conv2d_batch(
-                    mode,
-                    config_from_wire(payload["config"]),
-                    xs,
-                    w,
-                    shape_from_wire(payload["shape"]),
-                    payload["n"],
-                    deadline_s=deadline_s,
-                )
-                path = "cluster"
-                recoveries = self._observe_cluster()
-            except ClusterError as exc:
-                self.breaker.record_failure(str(exc))
-                out = None
-        if out is None:
-            job = {
-                "mode": mode,
-                "config": payload["config"],
-                "n": payload["n"],
-                "shape": payload["shape"],
-                "x": xs,
-                "w": w,
-            }
-            out = execute_job(MSG_JOB_CONV, job, self._serial_state)["out"]
+        failure = None
+        try:
+            if self._cluster_allowed():
+                try:
+                    out = self.cluster.conv2d_batch(
+                        mode,
+                        config_from_wire(payload["config"]),
+                        xs,
+                        w,
+                        shape_from_wire(payload["shape"]),
+                        payload["n"],
+                        deadline_s=deadline_s,
+                    )
+                    path = "cluster"
+                    recoveries = self._observe_cluster()
+                except ClusterError as exc:
+                    failure = str(exc)
+            if out is None:
+                job = {
+                    "mode": mode,
+                    "config": payload["config"],
+                    "n": payload["n"],
+                    "shape": payload["shape"],
+                    "x": xs,
+                    "w": w,
+                }
+                out = execute_job(
+                    MSG_JOB_CONV, job, self._serial_state
+                )["out"]
+        except Exception:
+            # The serial path failed too (or the batch never reached the
+            # cluster), so the request is at fault, not the cluster: the
+            # breaker learns nothing, and a half-open probe this batch
+            # held is handed back for the next batch.
+            self.breaker.release_probe()
+            raise
+        if failure is not None:
+            self.breaker.record_failure(failure)
         self.stats.record_batch(len(live), path, recoveries=recoveries)
         now = self._clock()
         for i, (pending, eff_mode, degraded) in enumerate(live):

@@ -1,30 +1,38 @@
 """Serving statistics: rolling latency percentiles and overload counters.
 
-:class:`ServeStats` is the single accounting surface of the serving
-front end.  Its core invariant is the **no-silent-drop identity**: every
+:class:`ServeStats` records and reads the serving front end's
+accounting.  The counters themselves live in the server's
+:class:`~repro.obs.metrics.MetricsRegistry`, the one store of every
+serve fact: each ``record_*`` call increments ``serve_<what>_total``
+counters there, and :meth:`ServeStats.to_dict` /
+:meth:`ServeStats.accounting` are views folded from one snapshot of
+them.  The core invariant is the **no-silent-drop identity**: every
 request the server *received* ends in exactly one terminal counter --
 
-``received == wire_errors' siblings aside,``
-``admitted + shed(rate|tenant_queue|server_queue)`` and
+``received == admitted + shed(rate|tenant_queue|server_queue)`` and
 ``admitted == completed + deadline_misses + errors
 + shed(infeasible|shutdown) + in_flight``
 
--- which :meth:`ServeStats.accounting` exposes and the loadgen verdict
-(and the serve CI smoke) assert to be exact.  Latency percentiles are
-computed over a bounded rolling window of *completed* requests, so a
-long-running server reports recent p50/p99, not lifetime averages.
+(wire errors never reach ``received``) -- which :meth:`ServeStats.accounting`
+exposes and the loadgen verdict (and the serve CI smoke) assert to be
+exact.  Latency percentiles are computed over a bounded rolling window
+of *completed* requests, so a long-running server reports recent
+p50/p99, not lifetime averages.
 
-All counters are mutated under one internal lock: callers' threads
-record admission decisions while the coalescer thread records
-completions and breaker transitions concurrently.
+Callers' threads record admission decisions while the coalescer thread
+records completions concurrently: the registry serializes its counters
+under its own lock, and only the latency window and ``largest_batch``
+live here, under this object's lock.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Dict, List, Optional
+from collections import Counter, deque
+from typing import Dict, Optional
+
+from repro.obs.metrics import MetricsRegistry
 
 #: Terminal shed reasons a request can be refused with (explicit replies).
 SHED_REASONS = (
@@ -33,6 +41,13 @@ SHED_REASONS = (
     "server_queue",  # global bounded queue full (admission)
     "infeasible",    # remaining deadline smaller than the service estimate
     "shutdown",      # server draining at close
+)
+
+#: Counters labelled ``tenant``: ``serve_<what>_total`` for each ``what``,
+#: which is also the key of that count in a ``per_tenant`` row.
+_TENANT_COUNTERS = (
+    "received", "admitted", "completed", "shed", "deadline_misses",
+    "errors", "degraded",
 )
 
 
@@ -65,68 +80,44 @@ class RollingLatency:
 
 
 class ServeStats:
-    """Cumulative accounting of one :class:`~repro.serve.server
-    .InferenceServer` lifetime.
+    """Recorder and view of one :class:`~repro.serve.server
+    .InferenceServer` lifetime's accounting.
+
+    Counters, all in ``metrics``: ``serve_<what>_total`` labelled
+    ``tenant`` for each of ``_TENANT_COUNTERS`` (sheds also carry
+    ``reason`` and ``admitted``), ``serve_batches_total{path}``,
+    ``serve_batched_requests_total``, ``serve_cluster_recoveries_total``,
+    ``serve_wire_errors_total``, ``serve_reply_timeouts_total`` and
+    ``serve_breaker_transitions_total{to}``.
 
     Args:
-        latency_window: size of the rolling completed-latency window.
+        metrics: the registry the counters live in (a fresh one if
+            ``None``).
         clock: monotonic time source (injected in tests).
     """
 
-    def __init__(self, latency_window: int = 4096, clock=time.monotonic):
+    def __init__(
+        self,
+        metrics: Optional[MetricsRegistry] = None,
+        clock=time.monotonic,
+    ):
+        self.metrics = MetricsRegistry() if metrics is None else metrics
         self._lock = threading.Lock()
         self._clock = clock
         self.started_at = clock()
-        self.received = 0
-        self.wire_errors = 0
-        self.admitted = 0
-        self.completed = 0
-        self.deadline_misses = 0
-        self.errors = 0
-        self.reply_timeouts = 0
-        self.degraded_requests = 0
-        self.batches = 0
-        self.batched_requests = 0
         self.largest_batch = 0
-        self.cluster_recoveries = 0
-        self.serial_routed_batches = 0
-        self.cluster_routed_batches = 0
-        self.breaker_trips = 0
-        self.breaker_recoveries = 0
-        self.breaker_transitions: List[Dict[str, object]] = []
-        self.shed: Dict[str, int] = {reason: 0 for reason in SHED_REASONS}
-        self.shed_post_admit = 0
-        self.per_tenant: Dict[str, Dict[str, int]] = {}
-        self._latency = RollingLatency(latency_window)
-
-    # -- tenant helpers ---------------------------------------------------
-
-    def _tenant_locked(self, tenant: str) -> Dict[str, int]:
-        row = self.per_tenant.get(tenant)
-        if row is None:
-            row = {
-                "received": 0, "admitted": 0, "completed": 0,
-                "shed": 0, "deadline_misses": 0, "errors": 0,
-                "degraded": 0,
-            }
-            self.per_tenant[tenant] = row
-        return row
+        self._latency = RollingLatency()
 
     # -- recording --------------------------------------------------------
 
     def record_wire_error(self) -> None:
-        with self._lock:
-            self.wire_errors += 1
+        self.metrics.inc("serve_wire_errors_total")
 
     def record_received(self, tenant: str) -> None:
-        with self._lock:
-            self.received += 1
-            self._tenant_locked(tenant)["received"] += 1
+        self.metrics.inc("serve_received_total", tenant=tenant)
 
     def record_admitted(self, tenant: str) -> None:
-        with self._lock:
-            self.admitted += 1
-            self._tenant_locked(tenant)["admitted"] += 1
+        self.metrics.inc("serve_admitted_total", tenant=tenant)
 
     def record_shed(
         self, tenant: str, reason: str, post_admit: bool = False
@@ -137,90 +128,94 @@ class ServeStats:
         (infeasible deadline, shutdown drain); these count against the
         admitted total in :meth:`accounting`, admission-stage sheds do not.
         """
-        if reason not in self.shed:
+        if reason not in SHED_REASONS:
             raise ValueError(f"unknown shed reason {reason!r}")
-        with self._lock:
-            self.shed[reason] += 1
-            if post_admit:
-                self.shed_post_admit += 1
-            self._tenant_locked(tenant)["shed"] += 1
+        self.metrics.inc(
+            "serve_shed_total", tenant=tenant, reason=reason,
+            admitted="true" if post_admit else "false",
+        )
 
     def record_completed(
         self, tenant: str, latency_s: float, degraded: bool = False
     ) -> None:
+        self.metrics.inc("serve_completed_total", tenant=tenant)
+        if degraded:
+            self.metrics.inc("serve_degraded_total", tenant=tenant)
         with self._lock:
-            self.completed += 1
-            row = self._tenant_locked(tenant)
-            row["completed"] += 1
-            if degraded:
-                self.degraded_requests += 1
-                row["degraded"] += 1
             self._latency.record(latency_s)
 
     def record_deadline_miss(self, tenant: str) -> None:
-        with self._lock:
-            self.deadline_misses += 1
-            self._tenant_locked(tenant)["deadline_misses"] += 1
+        self.metrics.inc("serve_deadline_misses_total", tenant=tenant)
 
     def record_error(self, tenant: str) -> None:
-        with self._lock:
-            self.errors += 1
-            self._tenant_locked(tenant)["errors"] += 1
+        self.metrics.inc("serve_errors_total", tenant=tenant)
 
     def record_reply_timeout(self) -> None:
-        with self._lock:
-            self.reply_timeouts += 1
+        self.metrics.inc("serve_reply_timeouts_total")
 
     def record_batch(self, size: int, path: str, recoveries: int = 0) -> None:
+        self.metrics.inc("serve_batches_total", path=path)
+        self.metrics.inc("serve_batched_requests_total", size)
+        if recoveries:
+            self.metrics.inc("serve_cluster_recoveries_total", recoveries)
         with self._lock:
-            self.batches += 1
-            self.batched_requests += size
-            if size > self.largest_batch:
-                self.largest_batch = size
-            if path == "cluster":
-                self.cluster_routed_batches += 1
-            else:
-                self.serial_routed_batches += 1
-            self.cluster_recoveries += int(recoveries)
+            self.largest_batch = max(self.largest_batch, size)
 
     def record_breaker_transition(
         self, frm: str, to: str, reason: str = ""
     ) -> None:
-        with self._lock:
-            self.breaker_transitions.append(
-                {
-                    "at_s": self._clock() - self.started_at,
-                    "from": frm,
-                    "to": to,
-                    "reason": reason,
-                }
-            )
-            if to == "open":
-                self.breaker_trips += 1
-            if frm in ("half_open", "open") and to == "closed":
-                self.breaker_recoveries += 1
+        """Count one breaker transition by its target state.  The breaker
+        keeps the log itself (``CircuitBreaker.transitions``); a trip is a
+        move to ``open`` and a recovery a move to ``closed``, which the
+        breaker only makes from ``half_open``."""
+        self.metrics.inc("serve_breaker_transitions_total", to=to)
 
     # -- reading ----------------------------------------------------------
 
-    def last_breaker_transition(self) -> Optional[Dict[str, object]]:
-        """Most recent breaker transition record, or ``None`` if the
-        breaker has never changed state."""
-        with self._lock:
-            if not self.breaker_transitions:
-                return None
-            return dict(self.breaker_transitions[-1])
+    def _fold(self):
+        """Fold one registry snapshot into ``(totals, shed, per_tenant)``:
+        each counter summed over its labels, sheds by reason, and the
+        tenant-labelled counters by tenant."""
+        totals: Counter = Counter()
+        shed = dict.fromkeys(SHED_REASONS, 0)
+        per_tenant: Dict[str, Dict[str, int]] = {}
+        for (name, key), value in self.metrics.counters().items():
+            if not (name.startswith("serve_") and name.endswith("_total")):
+                continue
+            what = name[len("serve_"):-len("_total")]
+            labels = dict(key)
+            value = int(value)
+            totals[what] += value
+            if "tenant" in labels:
+                row = per_tenant.setdefault(
+                    labels["tenant"], dict.fromkeys(_TENANT_COUNTERS, 0)
+                )
+                row[what] += value
+            if what == "shed":
+                shed[labels["reason"]] += value
+                if labels["admitted"] == "true":
+                    totals["shed_post_admit"] += value
+            elif what == "batches" and labels["path"] == "cluster":
+                totals["cluster_routed_batches"] += value
+            elif what == "breaker_transitions":
+                totals["breaker_to_" + labels["to"]] += value
+        return totals, shed, per_tenant
 
-    def p50_ms(self) -> float:
-        with self._lock:
-            return self._latency.percentile(50.0) * 1e3
-
-    def p99_ms(self) -> float:
-        with self._lock:
-            return self._latency.percentile(99.0) * 1e3
-
-    def shed_total(self) -> int:
-        with self._lock:
-            return sum(self.shed.values())
+    @staticmethod
+    def _accounting(totals: Counter, in_flight: int) -> Dict[str, int]:
+        post_admit_shed = totals["shed_post_admit"]
+        terminal = (
+            totals["completed"] + totals["deadline_misses"]
+            + totals["errors"] + post_admit_shed
+        )
+        return {
+            "received": totals["received"],
+            "admitted": totals["admitted"],
+            "admission_shed": totals["shed"] - post_admit_shed,
+            "terminal": terminal,
+            "in_flight": int(in_flight),
+            "unaccounted": totals["admitted"] - terminal - int(in_flight),
+        }
 
     def accounting(self, in_flight: int = 0) -> Dict[str, int]:
         """The no-silent-drop identity, with the residual made explicit.
@@ -229,55 +224,42 @@ class ServeStats:
         terminal state (and are not in flight): it must be **zero** at all
         times on a healthy server, and the loadgen verdict fails if not.
         """
-        with self._lock:
-            total_shed = sum(self.shed.values())
-            post_admit_shed = self.shed_post_admit
-            admission_shed = total_shed - post_admit_shed
-            terminal = (
-                self.completed + self.deadline_misses + self.errors
-                + post_admit_shed
-            )
-            return {
-                "received": self.received,
-                "admitted": self.admitted,
-                "admission_shed": admission_shed,
-                "terminal": terminal,
-                "in_flight": int(in_flight),
-                "unaccounted": self.admitted - terminal - int(in_flight),
-            }
+        return self._accounting(self._fold()[0], in_flight)
 
     def to_dict(self, in_flight: int = 0) -> Dict[str, object]:
-        accounting = self.accounting(in_flight=in_flight)
+        totals, shed, per_tenant = self._fold()
         with self._lock:
-            return {
-                "uptime_s": self._clock() - self.started_at,
-                "received": self.received,
-                "wire_errors": self.wire_errors,
-                "admitted": self.admitted,
-                "completed": self.completed,
-                "deadline_misses": self.deadline_misses,
-                "errors": self.errors,
-                "reply_timeouts": self.reply_timeouts,
-                "degraded": self.degraded_requests,
-                "shed": dict(self.shed),
-                "p50_ms": self._latency.percentile(50.0) * 1e3,
-                "p99_ms": self._latency.percentile(99.0) * 1e3,
-                "batches": self.batches,
-                "batched_requests": self.batched_requests,
-                "largest_batch": self.largest_batch,
-                "serial_routed_batches": self.serial_routed_batches,
-                "cluster_routed_batches": self.cluster_routed_batches,
-                "cluster_recoveries": self.cluster_recoveries,
-                "breaker": {
-                    "trips": self.breaker_trips,
-                    "recoveries": self.breaker_recoveries,
-                    "transitions": list(self.breaker_transitions),
-                },
-                "per_tenant": {
-                    name: dict(row) for name, row in self.per_tenant.items()
-                },
-                "accounting": accounting,
-            }
+            p50_s = self._latency.percentile(50.0)
+            p99_s = self._latency.percentile(99.0)
+            largest_batch = self.largest_batch
+        return {
+            "uptime_s": self._clock() - self.started_at,
+            "received": totals["received"],
+            "wire_errors": totals["wire_errors"],
+            "admitted": totals["admitted"],
+            "completed": totals["completed"],
+            "deadline_misses": totals["deadline_misses"],
+            "errors": totals["errors"],
+            "reply_timeouts": totals["reply_timeouts"],
+            "degraded": totals["degraded"],
+            "shed": shed,
+            "p50_ms": p50_s * 1e3,
+            "p99_ms": p99_s * 1e3,
+            "batches": totals["batches"],
+            "batched_requests": totals["batched_requests"],
+            "largest_batch": largest_batch,
+            "serial_routed_batches": (
+                totals["batches"] - totals["cluster_routed_batches"]
+            ),
+            "cluster_routed_batches": totals["cluster_routed_batches"],
+            "cluster_recoveries": totals["cluster_recoveries"],
+            "breaker": {
+                "trips": totals["breaker_to_open"],
+                "recoveries": totals["breaker_to_closed"],
+            },
+            "per_tenant": per_tenant,
+            "accounting": self._accounting(totals, in_flight),
+        }
 
     def describe(self) -> str:
         d = self.to_dict()

@@ -194,7 +194,7 @@ class TestServeHealthObservability:
             assert health["breaker_state_age_s"] >= 0.0
             assert health["breaker_last_transition"] is None
             metrics = health["metrics"]
-            assert "serve_received" in metrics["gauges"]
+            assert metrics["counters"] == {}  # nothing served yet
             assert (
                 metrics["gauges"]["serve_breaker_state_code"] == 0.0
             )

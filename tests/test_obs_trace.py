@@ -22,7 +22,6 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
     MetricsRegistry,
-    absorb_serve_stats,
 )
 from repro.obs.trace import NOOP_SPAN, TRACE_CTX_KEY, Tracer
 
@@ -326,21 +325,6 @@ class TestMetricsRegistry:
             th.join()
         assert reg.counter_value("hits_total") == 8000.0
         assert reg.to_dict()["histograms"]["lat_ms"]["count"] == 8000
-
-    def test_absorb_serve_stats_is_idempotent(self):
-        reg = MetricsRegistry()
-        snapshot = {
-            "received": 10,
-            "completed": 9,
-            "shed": {"rate": 1, "shutdown": 0},
-            "breaker": {"trips": 2, "recoveries": 1, "transitions": []},
-            "per_tenant": {"t": {"received": 10}},
-        }
-        absorb_serve_stats(reg, snapshot)
-        absorb_serve_stats(reg, snapshot)  # gauges: same values, not doubled
-        assert reg.gauge_value("serve_received") == 10.0
-        assert reg.gauge_value("serve_shed", reason="rate") == 1.0
-        assert reg.gauge_value("serve_breaker_trips") == 2.0
 
     def test_default_buckets_cover_sub_ms_to_seconds(self):
         assert DEFAULT_LATENCY_BUCKETS_MS[0] == 1.0

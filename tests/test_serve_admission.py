@@ -5,6 +5,9 @@ token refills, retry hints and percentile windows are exact rather than
 timing-dependent.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.serve import (
@@ -230,7 +233,7 @@ class TestServeStatsAccounting:
         stats = ServeStats(clock=FakeClock())
         with pytest.raises(ValueError):
             stats.record_shed("a", "because")
-        assert set(SHED_REASONS) == set(stats.shed)
+        assert set(SHED_REASONS) == set(stats.to_dict()["shed"])
 
     def test_breaker_transitions_count_trips_and_recoveries(self):
         stats = ServeStats(clock=FakeClock())
@@ -239,9 +242,49 @@ class TestServeStatsAccounting:
         stats.record_breaker_transition("half_open", "open", "probe failed")
         stats.record_breaker_transition("open", "half_open", "probe window")
         stats.record_breaker_transition("half_open", "closed", "probe ok")
-        assert stats.breaker_trips == 2
-        assert stats.breaker_recoveries == 1
-        assert len(stats.breaker_transitions) == 5
+        breaker = stats.to_dict()["breaker"]
+        assert breaker["trips"] == 2
+        assert breaker["recoveries"] == 1
+        assert sum(
+            value for (name, _), value in stats.metrics.counters().items()
+            if name == "serve_breaker_transitions_total"
+        ) == 5
+
+    def test_concurrent_records_lose_no_update(self):
+        # Callers' threads and the coalescer record at once; every
+        # increment must land in the registry and the identity balance.
+        stats = ServeStats(clock=FakeClock())
+        threads_n, per_thread = 8, 300
+
+        def hammer(tenant):
+            for i in range(per_thread):
+                stats.record_received(tenant)
+                stats.record_admitted(tenant)
+                stats.record_completed(tenant, 0.001, degraded=i % 3 == 0)
+                stats.record_batch(i % 5 + 1, "cluster")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(f"t{k % 2}",))
+                for k in range(threads_n)
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        d = stats.to_dict()
+        total = threads_n * per_thread
+        assert d["received"] == d["admitted"] == d["completed"] == total
+        assert d["degraded"] == threads_n * len(range(0, per_thread, 3))
+        assert d["cluster_routed_batches"] == d["batches"] == total
+        assert d["largest_batch"] == 5
+        assert d["per_tenant"]["t0"]["completed"] == total // 2
+        assert d["accounting"]["unaccounted"] == 0
 
     def test_to_dict_round_trip_sections(self):
         clock = FakeClock()

@@ -140,7 +140,19 @@ class TestServerConv:
         )
         replies = [None] * len(xs)
 
+        release = threading.Event()
         with serve(coalesce_window_s=0.25, max_batch=4) as server:
+            # Hold the first batch until every request is admitted and
+            # queued, so the rest coalesce behind it however the client
+            # threads are scheduled.
+            execute = server._execute_conv_batch
+
+            def held_execute(live, deadline_s):
+                release.wait(timeout=30.0)
+                execute(live, deadline_s)
+
+            server._execute_conv_batch = held_execute
+
             def client(i):
                 replies[i] = decode_reply(server.submit(
                     conv_request(i, "t", "ntt", None, N, SHAPE, xs[i], w)
@@ -152,8 +164,15 @@ class TestServerConv:
             ]
             for t in threads:
                 t.start()
+            give_up = time.monotonic() + 10.0
+            while time.monotonic() < give_up and (
+                server.admission.depth() < len(xs) or server._on_way
+            ):
+                time.sleep(0.005)
+            release.set()
             for t in threads:
-                t.join()
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
             stats = server.stats_dict()
 
         for i, (kind, rid, body) in enumerate(replies):
@@ -584,7 +603,7 @@ class TestBreakerEndToEnd:
                 assert body["path"] == "cluster"
                 assert np.array_equal(body["out"], expected)
                 assert server.breaker.state() == "open"
-                assert server.stats.breaker_trips == 1
+                assert server.stats_dict()["breaker"]["trips"] == 1
 
                 # 2: while open, traffic takes the serial fallback --
                 # bit-identical, so the client cannot tell.
@@ -671,3 +690,205 @@ class TestDeadlineReplies:
         assert body["late_by_s"] >= 0.0
         assert stats["deadline_misses"] == 1
         assert stats["accounting"]["unaccounted"] == 0
+
+
+def overflow_weights(w):
+    """Weights whose HConv outputs may exceed int64: the engine raises
+    ``OverflowError`` on every path, cluster and serial alike."""
+    return np.full_like(w, 1 << 58)
+
+
+class TestBreakerIgnoresRequestFaults:
+    """A batch that fails on the serial path too was the request's fault,
+    not the cluster's: one tenant's bad requests must not open the breaker
+    every tenant shares, nor leave a half-open probe in flight."""
+
+    def cluster_server(self, ex, clock=time.monotonic):
+        return InferenceServer(
+            ServeConfig(
+                coalesce_window_s=0.0,
+                breaker_failures=2,
+                breaker_recovery_s=0.25,
+                reply_timeout_s=60.0,
+            ),
+            cluster=ex,
+            clock=clock,
+        )
+
+    def test_bad_requests_leave_the_breaker_closed(self):
+        x, w = conv_inputs(5)
+        with ClusterExecutor(policy=ClusterPolicy(workers=2)) as ex:
+            server = self.cluster_server(ex)
+            try:
+                for rid in (1, 2):
+                    kind, _, body = decode_reply(server.submit(conv_request(
+                        rid, "mallory", "ntt", None, N, SHAPE, x,
+                        overflow_weights(w),
+                    )))
+                    assert kind == REP_ERROR
+                    assert "OverflowError" in body["error"]
+                assert server.breaker.state() == "closed"
+                kind, _, body = decode_reply(server.submit(
+                    conv_request(3, "alice", "ntt", None, N, SHAPE, x, w)
+                ))
+                assert kind == REP_RESULT
+                assert body["path"] == "cluster"
+                # Each bad request's one job used its 3 attempts, then the
+                # serial fallback reproduced the error.
+                cluster = server.health()["cluster"]
+                assert cluster["dead_letters"] == 2
+                assert cluster["jobs_requeued"] == 4
+                stats = server.stats_dict()
+            finally:
+                server.close()
+        assert stats["breaker"] == {
+            "trips": 0, "recoveries": 0, "transitions": [],
+        }
+        assert stats["errors"] == 2
+        assert stats["cluster_routed_batches"] == 1
+
+    def test_bad_half_open_probe_is_handed_back(self):
+        x, w = conv_inputs(6)
+        clock = _SteppedClock()
+        with ClusterExecutor(policy=ClusterPolicy(workers=2)) as ex:
+            server = self.cluster_server(ex, clock)
+            try:
+                for _ in range(server.config.breaker_failures):
+                    server.breaker.record_failure("churn")
+                assert server.breaker.state() == "open"
+                clock.offset = 1.0  # past the recovery window
+                kind, _, _ = decode_reply(server.submit(conv_request(
+                    1, "mallory", "ntt", None, N, SHAPE, x,
+                    overflow_weights(w),
+                )))
+                assert kind == REP_ERROR
+                assert server.breaker.state() == "half_open"
+                kind, _, body = decode_reply(server.submit(
+                    conv_request(2, "alice", "ntt", None, N, SHAPE, x, w)
+                ))
+                assert kind == REP_RESULT
+                assert body["path"] == "cluster"
+                assert server.breaker.state() == "closed"
+            finally:
+                server.close()
+
+    def test_health_cluster_section_is_none_without_a_cluster(self):
+        with serve() as server:
+            assert server.health()["cluster"] is None
+
+
+class TestStatsDictIsUnchanged:
+    """``stats_dict()`` for a fixed run of traffic, pinned to the literal
+    the stats-dataclass implementation produced (less uptime, latency
+    percentiles and transition timestamps): sheds before and after
+    admission, completions on two tenants, a degraded completion, an
+    error, a wire error and a breaker trip and recovery."""
+
+    EXPECTED = {
+        "received": 7,
+        "wire_errors": 1,
+        "admitted": 5,
+        "completed": 3,
+        "deadline_misses": 0,
+        "errors": 1,
+        "reply_timeouts": 0,
+        "degraded": 1,
+        "shed": {
+            "rate": 2,
+            "tenant_queue": 0,
+            "server_queue": 0,
+            "infeasible": 1,
+            "shutdown": 0,
+        },
+        "batches": 3,
+        "batched_requests": 3,
+        "largest_batch": 1,
+        "serial_routed_batches": 3,
+        "cluster_routed_batches": 0,
+        "cluster_recoveries": 0,
+        "breaker": {
+            "trips": 1,
+            "recoveries": 1,
+            "transitions": [
+                {"from": "closed", "to": "open",
+                 "reason": "2 consecutive failures: boom"},
+                {"from": "open", "to": "half_open",
+                 "reason": "probe window"},
+                {"from": "half_open", "to": "closed",
+                 "reason": "probe succeeded"},
+            ],
+        },
+        "per_tenant": {
+            "alice": {
+                "received": 5, "admitted": 3, "completed": 2, "shed": 3,
+                "deadline_misses": 0, "errors": 0, "degraded": 0,
+            },
+            "bob": {
+                "received": 2, "admitted": 2, "completed": 1, "shed": 0,
+                "deadline_misses": 0, "errors": 1, "degraded": 1,
+            },
+        },
+        "accounting": {
+            "received": 7,
+            "admitted": 5,
+            "admission_shed": 2,
+            "terminal": 5,
+            "in_flight": 0,
+            "unaccounted": 0,
+        },
+    }
+
+    def test_stats_dict_matches_the_pinned_literal(self):
+        from repro.he import BfvParameters
+
+        rng = np.random.default_rng(0)
+        x = rng.integers(-3, 4, size=(1, 4, 4))
+        w = rng.integers(-2, 3, size=(1, 1, 3, 3))
+        x2 = np.random.default_rng(1).integers(-3, 4, size=(1, 4, 4))
+        clock = _SteppedClock()
+        server = InferenceServer(
+            ServeConfig(
+                coalesce_window_s=0.0, reply_timeout_s=10.0,
+                tenant_rate=0.01, tenant_burst=3,
+                # Undersized parameters: the guard degrades any non-ntt
+                # request to ntt.
+                guard_params=BfvParameters(
+                    n=64, plain_modulus=1 << 18, q_bits=(30,)
+                ),
+                breaker_failures=2, breaker_recovery_s=0.25,
+            ),
+            clock=clock,
+        )
+        sent = [
+            (1, "alice", "ntt", None, x, w, {}),
+            (2, "alice", "ntt", None, x2, w, {}),
+            (3, "alice", "ntt", None, x, w, {"deadline_at": clock() - 1.0}),
+            (4, "alice", "ntt", None, x, w, {}),           # rate shed
+            (5, "alice", "ntt", None, x, w, {}),           # rate shed
+            (6, "bob", "sparse", GOOD_CFG, x, w, {}),      # degraded
+            (7, "bob", "ntt", None, x, overflow_weights(w), {}),  # error
+        ]
+        with server:
+            kinds = [
+                decode_reply(server.submit(conv_request(
+                    rid, tenant, mode, cfg, N, SHAPE, xi, wi, **kw
+                )))[0]
+                for rid, tenant, mode, cfg, xi, wi, kw in sent
+            ]
+            kinds.append(decode_reply(server.submit(ping_request(8)))[0])
+            kinds.append(decode_reply(server.submit(b"garbage"))[0])
+            for _ in range(2):
+                server.breaker.record_failure("boom")
+            clock.offset += 1.0
+            assert server.breaker.allow()
+            server.breaker.record_success()
+        assert kinds == [
+            REP_RESULT, REP_RESULT, REP_SHED, REP_SHED, REP_SHED,
+            REP_RESULT, REP_ERROR, REP_PONG, REP_ERROR,
+        ]
+        stats = server.stats_dict()
+        for key in ("uptime_s", "p50_ms", "p99_ms"):
+            assert stats.pop(key) >= 0.0
+        at_s = [t.pop("at_s") for t in stats["breaker"]["transitions"]]
+        assert at_s == sorted(at_s)
+        assert stats == self.EXPECTED
