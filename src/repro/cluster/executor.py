@@ -11,12 +11,12 @@ pool was SIGKILLed, or the whole batch ran on the serial fallback.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.obs import trace as obs_trace
-from repro.runtime.engine import RuntimeStats
+from repro.runtime.engine import RuntimeStats, _split_groups
 
 from repro.cluster.jobs import (
     MSG_JOB_CONV,
@@ -30,12 +30,6 @@ from repro.cluster.supervisor import (
     ClusterPolicy,
     ClusterSupervisor,
 )
-
-def _split_indices(total: int, shards: int) -> List[Tuple[int, int]]:
-    """Contiguous ``[start, stop)`` shard bounds (at most ``shards``)."""
-    shards = max(1, min(shards, total))
-    size = -(-total // shards)
-    return [(i, min(i + size, total)) for i in range(0, total, size)]
 
 
 class ClusterExecutor:
@@ -61,11 +55,10 @@ class ClusterExecutor:
         self.supervisor = ClusterSupervisor(
             policy=policy, fault_injector=fault_injector, seed=seed
         )
-        #: per-call supervision counters (delta of the last run), the dict
-        #: that flows into ``RuntimeStats.cluster`` / ``bench-runtime --json``.
-        self.last_cluster: Dict[str, float] = {}
-        #: the last call's stats: its jobs' summed work counters plus
-        #: ``last_cluster``; engines and backends report it as theirs.
+        #: the last call's stats: its jobs' summed work counters plus, in
+        #: ``cluster``, its supervision counters (the delta of the call,
+        #: what ``bench-runtime --json`` reports); engines and backends
+        #: report it as theirs.
         self.last_stats = RuntimeStats()
 
     # -- lifecycle -------------------------------------------------------
@@ -95,13 +88,12 @@ class ClusterExecutor:
     ) -> List[dict]:
         before = self.supervisor.stats.to_dict()
         replies = self.supervisor.run_jobs(kind, payloads)
-        self.last_cluster = self.supervisor.stats.snapshot_delta(before)
         self.last_stats = RuntimeStats.summed(
             (reply.get("stats", {}) for reply in replies),
             mode=mode,
             batch=batch,
             workers=self.policy.workers,
-            cluster=dict(self.last_cluster),
+            cluster=self.supervisor.stats.snapshot_delta(before),
         )
         return replies
 
@@ -152,7 +144,9 @@ class ClusterExecutor:
         Bit-identical to one unsharded
         :meth:`repro.runtime.engine.BatchedHConvEngine.conv2d_batch` call:
         batch items are independent, and the exact NTT path yields the
-        same residues for any admissible per-shard modulus choice.
+        same residues for any admissible per-shard modulus choice.  An
+        empty batch dispatches nothing and returns the engine's
+        ``(0, M, out_h, out_w)`` result.
 
         Args:
             deadline_s: optional remaining request budget; propagated as
@@ -162,14 +156,19 @@ class ClusterExecutor:
         xs = np.ascontiguousarray(xs, dtype=np.int64)
         payloads = self._stamp_deadline(
             [
-                conv_job_payload(mode, weight_config, n, shape, xs[lo:hi], w)
-                for lo, hi in _split_indices(len(xs), self.policy.workers)
+                conv_job_payload(mode, weight_config, n, shape, shard, w)
+                for shard in _split_groups(xs, self.policy.workers)
             ],
             deadline_s,
         )
         replies = self._run(
             MSG_JOB_CONV, self._stamp_trace(payloads), mode, len(xs)
         )
+        if not replies:
+            return np.zeros(
+                (0, shape.out_channels, shape.out_height, shape.out_width),
+                dtype=np.int64,
+            )
         return np.concatenate([reply["out"] for reply in replies])
 
     def multiply_many(
@@ -202,11 +201,14 @@ class ClusterExecutor:
         distinct, rows = distinct_objects(polys)
         blobs = [serialize_poly(p) for p in distinct]
         payloads = []
-        for lo, hi in _split_indices(len(polys), self.policy.workers):
-            used, index = np.unique(rows[lo:hi], return_inverse=True)
+        for shard_rows, shard_weights in zip(
+            _split_groups(rows, self.policy.workers),
+            _split_groups(weights_list, self.policy.workers),
+        ):
+            used, index = np.unique(shard_rows, return_inverse=True)
             payloads.append(mul_job_payload(
                 backend, weight_config, basis,
-                [blobs[i] for i in used], weights_list[lo:hi], index,
+                [blobs[i] for i in used], shard_weights, index,
             ))
         replies = self._run(
             MSG_JOB_MUL,

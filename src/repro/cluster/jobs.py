@@ -26,14 +26,13 @@ import numpy as np
 from repro.faults.channel import decode_frame, encode_frame
 
 # Message kinds (supervisor -> worker unless noted).
-MSG_PING = "ping"          # liveness probe
-MSG_PONG = "pong"          # worker -> supervisor: probe reply + counters
 MSG_WARMUP = "warmup"      # replay a representative job to rebuild plan caches
 MSG_JOB_CONV = "conv"      # batched clear-domain convolution shard
 MSG_JOB_MUL = "mul"        # multiply_many shard (serialized ring polynomials)
 MSG_TAMPER = "tamper"      # chaos/test hook: corrupt one cached entry in place
 MSG_RESULT = "result"      # worker -> supervisor: job outcome + counters
-MSG_ERROR = "error"        # worker -> supervisor: detected fault (wire/exec)
+MSG_ERROR = "error"        # worker -> supervisor: undecodable frame (job id 0)
+                           # or a job that raised (its job id)
 MSG_SHUTDOWN = "shutdown"  # graceful worker exit
 
 JOB_KINDS = (MSG_JOB_CONV, MSG_JOB_MUL)

@@ -10,17 +10,22 @@ Scheduling is a single-threaded event loop:
    reply arrives or the earliest deadline expires.  Results are applied
    *exactly once* by job id: a late reply for a job that was requeued
    (or a worker's duplicated send) is counted and discarded.
-3. **recover** -- a worker that died (EOF/SIGKILL) or blew its deadline
-   (hang) is killed and replaced, its plan caches re-warmed by replaying
-   one recorded job per execution context, and its in-flight job is
-   requeued through the :class:`repro.faults.session.RetryPolicy`
-   bounded-retry machinery (virtual backoff, dead letters).
+3. **recover** -- a cluster fault (a worker that died (EOF/SIGKILL) or
+   blew its deadline (hang), or a job frame it could not decode) costs
+   the job a requeue through the :class:`repro.faults.session
+   .RetryPolicy` bounded-retry machinery (virtual backoff, dead
+   letters); a dead or hung worker is killed and replaced, its plan
+   caches re-warmed by replaying one recorded job per execution context.
 4. **degrade** -- when the respawn budget runs out and the pool shrinks
    below ``min_workers``, or a job exhausts its attempts, the remaining
    work runs on the in-process serial path (the same
    :func:`repro.cluster.worker.execute_job` code), so the caller always
    gets the deterministic answer -- a cluster fault may cost time, never
    correctness.
+
+A job that *raised* on a worker is the job's fault: it is never requeued
+or replayed as a warmup, and runs once on the serial path, whose
+exception the call re-raises.
 
 Worker death is detected before the drain of its pipe, and the drain runs
 first: a job whose result was written just before the SIGKILL landed is
@@ -43,8 +48,6 @@ from repro.obs import trace as obs_trace
 
 from repro.cluster.jobs import (
     MSG_ERROR,
-    MSG_PING,
-    MSG_PONG,
     MSG_RESULT,
     MSG_SHUTDOWN,
     MSG_TAMPER,
@@ -60,7 +63,7 @@ from repro.faults.session import RetryPolicy
 
 
 class ClusterError(RuntimeError):
-    """The cluster (including its serial fallback) could not finish a job."""
+    """The supervisor is closed (a job that raises raises its own error)."""
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,7 @@ class ClusterPolicy:
     Args:
         workers: initial pool width.
         heartbeat_timeout: seconds a dispatched job may run before its
-            worker is declared hung (also bounds liveness probes and
-            warmup replays).
+            worker is declared hung (also bounds warmup replays).
         max_respawns: replacement budget of the pool between clean
             calls; once spent, further failures shrink the pool
             instead.  A :meth:`ClusterSupervisor.run_jobs` call in which
@@ -362,18 +364,14 @@ class ClusterSupervisor:
             w.conn.close()
         self._pool.clear()
 
-    @property
-    def pool_size(self) -> int:
-        return len(self._pool)
-
-    # -- spawning / probing ----------------------------------------------
+    # -- spawning / replacing ---------------------------------------------
 
     def _spawn(self, slot: int, replay_warmups: bool = True):
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         self._incarnations += 1
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, slot, self._incarnations),
+            args=(child_conn, slot),
             daemon=True,
             name=f"repro-cluster-w{slot}.{self._incarnations}",
         )
@@ -397,7 +395,7 @@ class ClusterSupervisor:
         handle.conn.close()
 
     def _sync_request(self, handle: _WorkerHandle, kind: str, payload) -> bool:
-        """One blocking request/reply on an idle worker (ping, warmup)."""
+        """One blocking request/reply on an idle worker (warmup, tamper)."""
         try:
             handle.conn.send_bytes(encode_message(kind, 0, payload))
         except (BrokenPipeError, OSError):
@@ -425,31 +423,10 @@ class ClusterSupervisor:
                 # keep waiting for the actual reply.
                 self.stats.duplicate_results += 1
                 continue
-            if rkind in (MSG_PONG, MSG_RESULT):
+            if rkind == MSG_RESULT:
                 return True
             if rkind == MSG_ERROR:
                 return False
-
-    def probe(self) -> int:
-        """Blocking heartbeat: ping every idle worker; replace the
-        unresponsive.
-
-        Returns the number of workers replaced (or dropped when the
-        respawn budget is spent).  :meth:`run_jobs` does not call it: it
-        only replaces exited processes (:meth:`_replace_exited`) and
-        leaves the rest to the dispatch, collect and deadline paths.
-        Because the pipe is FIFO, the pong also flushes stale results
-        buffered ahead of it.
-        """
-        replaced = 0
-        for handle in list(self._pool):
-            alive = handle.process.is_alive() and self._sync_request(
-                handle, MSG_PING, None
-            )
-            if not alive:
-                replaced += 1
-                self._replace(handle)
-        return replaced
 
     def _replace_exited(self) -> None:
         """Non-blocking liveness check: replace every worker whose
@@ -528,8 +505,9 @@ class ClusterSupervisor:
                 supervisor's own :class:`WorkerState`.
 
         Raises:
-            ClusterError: a job failed even on the serial path (a real
-                bug, reproduced loudly rather than masked as a fault).
+            ClusterError: the supervisor is closed.
+            Exception: what the lowest-indexed job that raised on the
+                serial path raised, once every other job has settled.
         """
         if self._closed:
             raise ClusterError("supervisor is closed")
@@ -551,21 +529,28 @@ class ClusterSupervisor:
         done = [False] * total
         attempts = [0] * total
         pending = deque(range(total))
-        id_to_index = {}
+        errors: Dict[int, Exception] = {}
         self.stats.jobs += total
 
+        def forget_warmup(index: int) -> None:
+            # A job that raised must not become the replay every
+            # respawned worker runs; the context's next job records anew.
+            key = warmup_key(kind, payloads[index])
+            if self._warmups.get(key, (None, None))[1] is payloads[index]:
+                del self._warmups[key]
+
         def run_serial(index: int) -> None:
+            if done[index]:
+                return
+            done[index] = True
             try:
                 data = serial_fn(dict(payloads[index]))
             except Exception as exc:
-                raise ClusterError(
-                    f"job {index} failed on the serial fallback path: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            if not done[index]:
-                results[index] = {"data": data}
-                done[index] = True
-                self.stats.serial_fallback_jobs += 1
+                errors[index] = exc
+                forget_warmup(index)
+                return
+            results[index] = {"data": data}
+            self.stats.serial_fallback_jobs += 1
 
         def requeue_or_dead_letter(index: int) -> None:
             if done[index]:
@@ -601,7 +586,9 @@ class ClusterSupervisor:
                 return
             if isinstance(payload, dict) and "counters" in payload:
                 self._fold_counters(handle, payload["counters"])
-            index = id_to_index.get(job_id)
+            index = job_id - base_id
+            if not 0 <= index < total:
+                index = None  # a stale reply from an earlier call
             if rkind == MSG_RESULT:
                 if index is None or done[index]:
                     self.stats.duplicate_results += 1
@@ -622,13 +609,18 @@ class ClusterSupervisor:
                 ):
                     os.kill(handle.process.pid, signal.SIGKILL)
             elif rkind == MSG_ERROR:
-                if handle.busy_id == job_id or job_id == 0:
-                    target = handle.busy_job
+                target = handle.busy_job
+                if job_id == 0 and target is not None:
+                    # The worker could not decode the job frame: a
+                    # cluster fault, so the job is requeued.
                     handle.clear()
-                    if target is not None:
-                        requeue_or_dead_letter(target)
-            elif rkind == MSG_PONG:
-                pass
+                    requeue_or_dead_letter(target)
+                elif job_id == handle.busy_id:
+                    # The worker decoded the job and it raised: the job's
+                    # fault.  No requeue; one serial run settles it.
+                    handle.clear()
+                    forget_warmup(target)
+                    run_serial(target)
 
         while not all(done):
             alive = [w for w in self._pool if w.process.is_alive()]
@@ -651,7 +643,6 @@ class ClusterSupervisor:
                     continue
                 attempts[index] += 1
                 job_id = base_id + index
-                id_to_index[job_id] = index
                 payload = dict(payloads[index])
                 plan = None
                 if self.fault_injector is not None:
@@ -752,6 +743,8 @@ class ClusterSupervisor:
         self.stats.workers = len(self._pool)
         if self.stats.worker_deaths == deaths_before:
             self._respawns_at_clean = self.stats.respawns
+        if errors:
+            raise errors[min(errors)]
         return [r["data"] for r in results]  # type: ignore[index]
 
     # -- recovery internals ----------------------------------------------

@@ -28,8 +28,6 @@ from repro.cluster.jobs import (
     MSG_ERROR,
     MSG_JOB_CONV,
     MSG_JOB_MUL,
-    MSG_PING,
-    MSG_PONG,
     MSG_RESULT,
     MSG_SHUTDOWN,
     MSG_TAMPER,
@@ -125,8 +123,9 @@ def execute_job(kind: str, payload: Dict[str, Any], state: WorkerState) -> dict:
     Raises:
         WireDecodeError: a serialized polynomial in the payload failed
             :func:`~repro.protocol.wire.deserialize_poly` validation.
-        Exception: any real execution bug propagates (the supervisor
-            retries, then reproduces it loudly on the serial path).
+        Exception: anything the job raises propagates (the supervisor
+            runs the job once on its serial path and re-raises what that
+            run raises).
     """
     if kind == MSG_JOB_CONV:
         return _execute_conv(payload, state)
@@ -174,13 +173,12 @@ def _execute_mul(payload: Dict[str, Any], state: WorkerState) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def worker_main(conn, slot: int, incarnation: int) -> None:
+def worker_main(conn, slot: int) -> None:
     """Receive-execute-reply loop of one cluster worker process.
 
     Args:
         conn: the worker end of the supervisor's duplex pipe.
         slot: pool slot index (stable across respawns; for diagnostics).
-        incarnation: how many processes have occupied this slot before.
     """
     # A forked child may inherit the parent's tracer with its lock held
     # by another thread; rebind a fresh one before anything can touch it.
@@ -194,21 +192,15 @@ def worker_main(conn, slot: int, incarnation: int) -> None:
         try:
             kind, job_id, payload = decode_message(data)
         except (ChecksumError, ValueError) as exc:
-            # The job frame itself was damaged in transit: report the wire
-            # fault loudly so the supervisor requeues; never guess.
+            # The job frame itself was damaged in transit: report it under
+            # job id 0 (a cluster fault) so the supervisor requeues.
             state.wire_errors += 1
             _safe_send(conn, encode_message(MSG_ERROR, 0, {
-                "error": str(exc), "fault": "wire", "counters": state.counters(),
+                "error": str(exc), "counters": state.counters(),
             }))
             continue
         if kind == MSG_SHUTDOWN:
             break
-        if kind == MSG_PING:
-            _safe_send(conn, encode_message(MSG_PONG, job_id, {
-                "slot": slot, "incarnation": incarnation,
-                "counters": state.counters(),
-            }))
-            continue
         if kind == MSG_TAMPER:
             tampered = sum(
                 corrupt_cache_entry(cache) for cache in state.caches()
@@ -243,14 +235,11 @@ def worker_main(conn, slot: int, incarnation: int) -> None:
                 )
             else:
                 reply = execute_job(kind, payload, state)
-        except WireDecodeError as exc:
-            _safe_send(conn, encode_message(MSG_ERROR, job_id, {
-                "error": str(exc), "fault": "wire", "counters": state.counters(),
-            }))
-            continue
         except Exception as exc:  # noqa: BLE001 - reported, never swallowed
+            # The job raised (WireDecodeError included): reported under
+            # its job id, the job's own fault, never requeued.
             _safe_send(conn, encode_message(MSG_ERROR, job_id, {
-                "error": f"{type(exc).__name__}: {exc}", "fault": "exec",
+                "error": f"{type(exc).__name__}: {exc}",
                 "counters": state.counters(),
             }))
             continue

@@ -65,11 +65,6 @@ class ProtocolStats(MultReductions):
     checksum_failures: int = 0
     dead_letters: int = 0
     degraded: bool = False
-    # Supervised multi-process execution (populated when the batched
-    # products ran on a repro.cluster executor): per-run supervision
-    # counters of the backend calls attributed to this layer/item.
-    cluster_dispatches: int = 0
-    cluster_recoveries: int = 0
 
     @property
     def total_transforms(self) -> int:
@@ -238,9 +233,9 @@ class _HybridRound:
         in one backend ``multiply_many`` call.
 
         The backend's ``last_stats`` (weight-transform mults of the sparse
-        backend, cluster supervision counters) are per logical layer
-        workload, so -- like ``weight_transforms`` -- every item in
-        ``stats`` is charged the full count.
+        backend) are per logical layer workload, so -- like
+        ``weight_transforms`` -- every item in ``stats`` is charged the
+        full count.
         """
         polys, weights = [], []
         for ct, w_poly in pairs:
@@ -248,13 +243,10 @@ class _HybridRound:
             weights.extend((w_poly, w_poly))
         outs = self.backend.multiply_many(polys, weights)
         last = self.backend.last_stats
-        cluster = last.cluster
         for st in stats:
             st.weight_mults_realized += last.weight_mults_realized
             st.weight_mults_dense += last.weight_mults_dense
             st.weight_mults_model += last.weight_mults_model
-            st.cluster_dispatches += int(cluster.get("dispatches", 0))
-            st.cluster_recoveries += int(cluster.get("recoveries", 0))
         return [Ciphertext(outs[i], outs[i + 1]) for i in range(0, len(outs), 2)]
 
     def _return(

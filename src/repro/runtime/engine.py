@@ -83,10 +83,10 @@ def fan_out(jobs: Sequence, fn: Callable, max_workers: Optional[int]) -> list:
         return [future.result() for future in futures]
 
 
-def _split_groups(items: Sequence, groups: int) -> List[list]:
-    """Split ``items`` into at most ``groups`` contiguous non-empty chunks."""
-    items = list(items)
-    if not items:
+def _split_groups(items: Sequence, groups: int) -> List[Sequence]:
+    """Split ``items`` into at most ``groups`` contiguous non-empty slices
+    (ranges of a range, views of an array)."""
+    if not len(items):
         return []
     groups = max(1, min(groups, len(items)))
     size = -(-len(items) // groups)

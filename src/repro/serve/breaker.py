@@ -12,7 +12,8 @@ until the cluster proves healthy again.
 States follow the classic three-state machine:
 
 - ``closed``: traffic flows to the cluster.  Every observed failure
-  signal (a :class:`~repro.cluster.ClusterError`, or a batch whose
+  signal (a :class:`~repro.cluster.ClusterError`: the cluster could not
+  run the batch at all, or a batch whose
   :class:`~repro.cluster.ClusterStats` delta shows worker recoveries)
   increments a failure count that decays on success; ``failure_threshold``
   consecutive failures trip the breaker.
@@ -26,10 +27,11 @@ States follow the classic three-state machine:
 All transitions are appended to ``transitions``, the one log of them
 (the server counts them by target state and serves this log in
 ``stats_dict()`` and ``health()``), so a chaos run can assert the
-breaker tripped *and* recovered.  A batch that fails on the serial path
-as well was the request's fault, not the cluster's: the server then
-calls :meth:`CircuitBreaker.release_probe` instead of recording a
-failure.
+breaker tripped *and* recovered.  A batch that raises was the request's
+fault, not the cluster's: the cluster runs a job that raised on a worker
+once on its serial path, books no recovery for it and re-raises its
+exception, and the server then calls
+:meth:`CircuitBreaker.release_probe` instead of recording a failure.
 """
 
 from __future__ import annotations

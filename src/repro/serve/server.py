@@ -673,7 +673,7 @@ class InferenceServer:
 
     def _observe_cluster(self) -> int:
         """Feed the breaker from the last cluster call's recovery delta."""
-        recoveries = int(self.cluster.last_cluster.get("recoveries", 0))
+        recoveries = int(self.cluster.last_stats.cluster.get("recoveries", 0))
         if recoveries > 0:
             self.breaker.record_failure(
                 f"{recoveries} worker recoveries in batch"
@@ -706,6 +706,8 @@ class InferenceServer:
                     path = "cluster"
                     recoveries = self._observe_cluster()
                 except ClusterError as exc:
+                    # The cluster could not run the batch at all: serial
+                    # answers it, and the breaker books the failure.
                     failure = str(exc)
             if out is None:
                 job = {
@@ -720,10 +722,11 @@ class InferenceServer:
                     MSG_JOB_CONV, job, self._serial_state
                 )["out"]
         except Exception:
-            # The serial path failed too (or the batch never reached the
-            # cluster), so the request is at fault, not the cluster: the
-            # breaker learns nothing, and a half-open probe this batch
-            # held is handed back for the next batch.
+            # The batch raised: on the cluster, whose serial run of the
+            # raising job reproduced it, or on the serial path here.  The
+            # request is at fault, not the cluster: the breaker learns
+            # nothing, and a half-open probe this batch held is handed
+            # back for the next batch.
             self.breaker.release_probe()
             raise
         if failure is not None:

@@ -8,8 +8,8 @@ import pytest
 from repro.cluster.jobs import (
     MSG_JOB_CONV,
     MSG_JOB_MUL,
-    MSG_PING,
     MSG_RESULT,
+    MSG_SHUTDOWN,
     basis_from_wire,
     basis_to_wire,
     config_from_wire,
@@ -49,8 +49,8 @@ class TestEnvelope:
         assert np.array_equal(out["x"], payload["x"])
 
     def test_none_payload_roundtrip(self):
-        assert decode_message(encode_message(MSG_PING, 0, None)) == (
-            MSG_PING, 0, None,
+        assert decode_message(encode_message(MSG_SHUTDOWN, 0, None)) == (
+            MSG_SHUTDOWN, 0, None,
         )
 
     def test_job_id_above_32_bits_survives_in_envelope(self):

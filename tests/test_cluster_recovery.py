@@ -25,7 +25,8 @@ from repro.cluster import supervisor as supervisor_module
 from repro.cluster.jobs import (
     MSG_JOB_CONV,
     MSG_JOB_MUL,
-    MSG_PING,
+    MSG_WARMUP,
+    WireDecodeError,
     mul_job_payload,
 )
 from repro.encoding.conv_encoding import ConvShape
@@ -116,10 +117,13 @@ class TestExactlyOnce:
         with ClusterExecutor(policy=policy, fault_injector=injector) as ex:
             got = ex.conv2d_batch("ntt", None, xs, w, SHAPE, N)
             assert np.array_equal(got, serial_reference(xs, w))
-            # Whatever the end-of-run sweep missed, the next liveness
-            # probe consumes (the pipe is FIFO: stale results precede the
-            # pong).  Every duplicated send must be counted as a discard.
-            ex.supervisor.probe()
+            # Whatever the end-of-run sweep missed, the next clean call
+            # consumes (the pipe is FIFO: stale results precede that
+            # call's results).  Every duplicated send must be counted as
+            # a discard.
+            injector.duplicate_rate = 0.0
+            got = ex.conv2d_batch("ntt", None, xs, w, SHAPE, N)
+            assert np.array_equal(got, serial_reference(xs, w))
             assert ex.stats.duplicate_results == 2
             assert ex.stats.jobs_requeued == 0
 
@@ -179,11 +183,11 @@ class TestDegradation:
 
     def test_poisoned_payload_reproduces_loudly_on_serial_path(self):
         # A *persistently* bad job (corrupt ciphertext bytes inside the
-        # payload, not on the pipe) fails on every worker attempt and on
-        # the serial path too: the supervisor must raise, never invent an
-        # answer -- and the workers' deserialize_poly detections must
-        # still be folded into the supervisor stats (satellite: worker
-        # wire-error propagation).
+        # payload, not on the pipe) is the job's fault: it fails on its
+        # one worker dispatch, is never requeued, and fails on the serial
+        # path too: the supervisor must raise the job's own error, never
+        # invent an answer -- and the worker's deserialize_poly detection
+        # must still be folded into the supervisor stats.
         basis = RnsBasis.generate(64, [30, 31])
         rng = np.random.default_rng(0)
         poly = RingPoly(basis, basis.to_rns(rng.integers(0, 1 << 20, 64)))
@@ -198,10 +202,10 @@ class TestDegradation:
             retry=RetryPolicy(max_attempts=2, timeout=30.0),
         )
         with ClusterExecutor(policy=policy) as ex:
-            with pytest.raises(ClusterError, match="serial fallback"):
+            with pytest.raises(WireDecodeError):
                 ex.supervisor.run_jobs(MSG_JOB_MUL, [payload])
-            assert ex.stats.wire_errors >= 2  # one per worker attempt
-            assert ex.stats.dead_letters == 1
+            assert ex.stats.wire_errors >= 1  # the worker's detection
+            assert ex.stats.dead_letters == 0
 
     def test_worker_cache_tamper_detected_and_propagated(self):
         # Chaos hook: corrupt one cached plan inside each live worker;
@@ -321,8 +325,8 @@ class TestPerJobDeadline:
 
 class TestPingFreeLiveness:
     """``run_jobs`` checks liveness without a round trip: it replaces
-    exited workers before dispatch and never pings; ``probe()`` stays the
-    explicit blocking heartbeat."""
+    exited workers before dispatch and writes nothing but jobs and
+    warmup replays."""
 
     @staticmethod
     def wait_for_exit(processes):
@@ -373,8 +377,9 @@ class TestPingFreeLiveness:
                 ex.conv2d_batch("ntt", None, xs, w, SHAPE, N), expected
             )
             delta = ex.stats.snapshot_delta(before)
-        assert MSG_JOB_CONV in written
-        assert MSG_PING not in written
+            sent = set(written)  # before close() writes its shutdowns
+        assert MSG_JOB_CONV in sent
+        assert sent <= {MSG_JOB_CONV, MSG_WARMUP}
         assert delta["worker_deaths"] == 1
         assert delta["respawns"] == 1
         assert delta["jobs_requeued"] == 0
@@ -419,3 +424,66 @@ class TestRespawnBudget:
         assert stats["respawns"] == 1
         assert stats["pool_shrinks"] == 1
         assert stats["workers"] == 1
+
+
+class TestJobFaults:
+    """A job that raised on a worker is the job's fault, not the
+    cluster's: one dispatch, one serial run, then its own exception --
+    no requeue, dead letter or recovery, and never a warmup replay."""
+
+    @staticmethod
+    def overflow_inputs():
+        # Outputs may exceed int64: the engine raises OverflowError.
+        xs, w = conv_inputs(batch=1)
+        return xs, np.full_like(w, 1 << 58)
+
+    @staticmethod
+    def assert_one_dispatch_no_recovery(stats):
+        assert stats["dispatches"] == 1
+        assert stats["jobs_requeued"] == 0
+        assert stats["dead_letters"] == 0
+        assert stats["recoveries"] == 0
+
+    def test_raise_through_the_executor(self):
+        xs, w = self.overflow_inputs()
+        with ClusterExecutor(policy=ClusterPolicy(workers=2)) as ex:
+            with pytest.raises(OverflowError):
+                ex.conv2d_batch("ntt", None, xs, w, SHAPE, N)
+            self.assert_one_dispatch_no_recovery(ex.stats.to_dict())
+
+    def test_raise_through_a_clustered_engine(self):
+        xs, w = self.overflow_inputs()
+        with pytest.raises(OverflowError):
+            serial_reference(xs, w)  # what the in-process call raises
+        with ClusterExecutor(policy=ClusterPolicy(workers=2)) as ex:
+            engine = BatchedHConvEngine(mode="ntt", cluster=ex)
+            with pytest.raises(OverflowError):
+                engine.conv2d_batch(xs, w, SHAPE, N)
+            self.assert_one_dispatch_no_recovery(ex.stats.to_dict())
+
+    def test_bad_job_is_not_replayed_to_a_respawned_worker(self):
+        # The bad job is recorded as its context's warmup before dispatch;
+        # once it raised, the good job that follows must take its place,
+        # or the replacement for the killed worker replays the bad job,
+        # fails, and the crash loop spends the respawn budget.
+        bad_xs, bad_w = self.overflow_inputs()
+        xs, w = conv_inputs()
+        expected = serial_reference(xs, w)
+        policy = ClusterPolicy(workers=2, heartbeat_timeout=30.0)
+        with ClusterExecutor(policy=policy) as ex:
+            with pytest.raises(OverflowError):
+                ex.conv2d_batch("ntt", None, bad_xs, bad_w, SHAPE, N)
+            assert np.array_equal(
+                ex.conv2d_batch("ntt", None, xs, w, SHAPE, N), expected
+            )
+            victim = ex.supervisor._pool[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            TestPingFreeLiveness.wait_for_exit([victim])
+            got = ex.conv2d_batch("ntt", None, xs, w, SHAPE, N)
+            stats = ex.stats.to_dict()
+        assert np.array_equal(got, expected)
+        assert stats["workers"] == 2
+        assert stats["worker_deaths"] == 1
+        assert stats["respawns"] == 1
+        assert stats["pool_shrinks"] == 0
+        assert stats["warmup_replays"] == 1
